@@ -453,8 +453,12 @@ def _steady_matrix(model: ModelConfig, method: str, grid):
 def _steady_point(args):
     """Worker: one sweep grid point -> (index, row values)."""
     idx, model, method, grid, axis_values = args
-    v_s, spread = _steady_matrix(model, method, grid)
-    eof = steady_state_eof(v_s)
+    try:
+        v_s, spread = _steady_matrix(model, method, grid)
+        eof = steady_state_eof(v_s)
+    except (SolverError, InvariantViolation) as exc:
+        where = ", ".join(f"axis{i + 1} = {_fmt(v)}" for i, v in enumerate(axis_values))
+        raise type(exc)(f"sweep point {idx} ({where}): {exc}") from exc
     row = list(axis_values) + [
         eof,
         v_s[0, 0].real,

@@ -8,7 +8,6 @@ Born-Markov closed forms.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -16,7 +15,6 @@ from functools import cached_property
 import numpy as np
 from scipy import linalg as sla
 from scipy import special
-from scipy.integrate import quad
 from scipy.signal import fftconvolve
 
 from .model import (
@@ -27,7 +25,6 @@ from .model import (
     SolverError,
     SpectralKind,
     adjugate2,
-    as_mat2,
     build_hamiltonian,
     dagger,
     gamma_matrix,
@@ -37,7 +34,6 @@ from .spectral import (
     SpectralModel,
     build_kernel_table,
     fermi_occupation,
-    lead_density,
 )
 
 HERMITICITY_TOL = 1e-8
@@ -326,72 +322,87 @@ def pole_expansion_lorentzian(config: ModelConfig) -> PoleExpansion:
     return PoleExpansion(poles, residues)
 
 
-def steady_state_fluctuation(
-    expansion: PoleExpansion, config: ModelConfig
-) -> np.ndarray:
-    """V^s = int v(w) dw with v = S(w) J(w) nbar(w) S(w)^dag / (2 pi).
+def _fermi_transform(p, mu, k_t, upper):
+    """T(p) with int nbar(w) / (w - p) dw = T(p) + C, C independent of p.
 
-    Adaptive quadrature with forced subdivisions at the chemical potentials
-    and at the pole shadows Re r_j; the tails fall off like 1/w^4.
+    upper selects the branch for poles from the upper half plane.
     """
-    if config.spectral_kind is not SpectralKind.LORENTZIAN:
-        raise ConfigError("the pole-expansion steady state requires the Lorentzian spectrum")
-    model = SpectralModel.from_config(config)
-    poles = np.array(expansion.poles)
-    residues = np.stack(expansion.residues)
+    if k_t == 0.0:
+        return np.log(mu - p) + (1j * math.pi if upper else -1j * math.pi)
+    x = (p - mu) / (2j * math.pi * k_t)
+    if upper:
+        return special.psi(0.5 + x) + 1j * math.pi
+    return special.psi(0.5 - x)
 
-    def s_mat(w):
-        return np.sum(residues / (w - poles)[:, None, None], axis=0)
 
-    # diagonal J(w) nbar(w) per lead
-    def weight(w):
-        out = np.empty(2)
-        for i, res in enumerate(model.reservoirs):
-            out[i] = lead_density(res, model.kind, w) * fermi_occupation(
-                w, res.mu, res.k_t
+def _steady_from_poles(poles, residues, config: ModelConfig) -> np.ndarray:
+    """V^s = (1/2pi) sum_l sum_jk Z_j P_l Z_k^dag int R_ljk(w) nbar_l(w) dw.
+
+    R_ljk is rational with simple poles r_j, conj(r_k) (and mu_l -/+ i d_l
+    for a Lorentzian lead) and decays at least like 1/w^2, so its
+    partial-fraction coefficients c_m sum to zero and the integral is
+    sum_m c_m T_l(p_m) exactly; C of _fermi_transform cancels.
+    """
+    r = np.asarray(poles, dtype=complex)
+    z = np.stack(residues)
+    lorentzian = config.spectral_kind is SpectralKind.LORENTZIAN
+    v = np.zeros((2, 2), dtype=complex)
+    for lead, res in enumerate(config.reservoirs):
+        col = z[:, :, lead]  # Z_j P_l keeps column l of each residue
+        theta = res.gamma * col[:, None, :, None] * np.conj(col)[None, :, None, :]
+        jj, kk = np.nonzero(np.max(np.abs(theta), axis=(2, 3)) > 1e-14 * res.gamma)
+        if jj.size == 0:
+            continue
+        a, b = r[jj], np.conj(r[kk])
+        if np.min(np.abs(a - b)) < 1e-12:
+            raise SolverError(
+                "effectively undamped mode still couples to a lead; the"
+                " steady state is undefined"
             )
-        return out
-
-    def component(w, row, col, part):
-        s = s_mat(w)
-        jw = weight(w)
-        val = (s[row, 0] * jw[0] * np.conj(s[col, 0])) + (
-            s[row, 1] * jw[1] * np.conj(s[col, 1])
+        lower, upper, numer = [a], [b], 1.0
+        if lorentzian:
+            d = res.bandwidth
+            lower.append(np.full(a.shape, res.mu - 1j * d))
+            upper.append(np.full(a.shape, res.mu + 1j * d))
+            numer = d * d
+        lower, upper = np.stack(lower), np.stack(upper)
+        p = np.concatenate([lower, upper])  # (poles of R, kept pairs)
+        t = np.concatenate(
+            [_fermi_transform(lower, res.mu, res.k_t, False),
+             _fermi_transform(upper, res.mu, res.k_t, True)]
         )
-        val /= _TWO_PI
-        return val.real if part == 0 else val.imag
-
-    pts = sorted(
-        {config.left.mu, config.right.mu, *(p.real for p in poles)}
-    )
-    span = 30.0 * max(
-        1.0,
-        config.left.bandwidth,
-        config.right.bandwidth,
-        config.left.k_t,
-        config.right.k_t,
-    )
-    lo, hi = min(pts) - span, max(pts) + span
-
-    def integrate(row, col, part):
-        mid, _ = quad(
-            component, lo, hi, args=(row, col, part), points=pts, limit=400
-        )
-        left_tail, _ = quad(component, -np.inf, lo, args=(row, col, part), limit=200)
-        right_tail, _ = quad(component, hi, np.inf, args=(row, col, part), limit=200)
-        return mid + left_tail + right_tail
-
-    v = np.empty((2, 2), dtype=complex)
-    v[0, 0] = integrate(0, 0, 0)
-    v[1, 1] = integrate(1, 1, 0)
-    v[0, 1] = integrate(0, 1, 0) + 1j * integrate(0, 1, 1)
-    v[1, 0] = np.conj(v[0, 1])
+        gaps = p[:, None, :] - p[None, :, :]
+        diag = np.arange(len(p))
+        gaps[diag, diag] = 1.0
+        c = numer / np.prod(gaps, axis=1)
+        v += np.einsum("p,pab->ab", np.sum(c * t, axis=0), theta[jj, kk])
+    v = v / _TWO_PI
+    v = 0.5 * (v + dagger(v))
     eigs = np.linalg.eigvalsh(v)
     if eigs.min() < EIGENVALUE_FLOOR or eigs.max() > EIGENVALUE_CEIL:
         raise InvariantViolation(
             f"steady fluctuation spectrum [{eigs.min():.3e}, {eigs.max():.3e}] leaves [0, 1]"
         )
     return v
+
+
+def steady_state_fluctuation(
+    expansion: PoleExpansion, config: ModelConfig
+) -> np.ndarray:
+    """V^s = int v(w) dw with v = S(w) J(w) nbar(w) S(w)^dag / (2 pi).
+
+    Exact in closed form: with S(w) = sum_j Z_j / (w - r_j) and the
+    Lorentzian J_l = Gamma_l d_l^2 / ((w - mu_l)^2 + d_l^2), each term
+    Z_j P_l Z_k^dag of the integrand is a rational function with poles r_j,
+    conj(r_k), mu_l -/+ i d_l times the Fermi factor, and the integral of
+    each of its partial fractions is a digamma (a logarithm at k_t = 0).
+    Pole pairs (j, k) with no weight on lead l are skipped; a real pole
+    pair r_j = conj(r_k) that keeps weight has no steady state and raises
+    SolverError.
+    """
+    if config.spectral_kind is not SpectralKind.LORENTZIAN:
+        raise ConfigError("the pole-expansion steady state requires the Lorentzian spectrum")
+    return _steady_from_poles(expansion.poles, expansion.residues, config)
 
 
 # ---------------------------------------------------------------------------
@@ -458,7 +469,7 @@ def _halfline_phase_integral(lam, mu, times):
     return val
 
 
-def _halfline_pair_integrals(lams, mu, times, pairs, with_phase):
+def _halfline_pair_integrals(lams, mu, times, pairs):
     """N_jk and O_jk(t) building blocks of the zero-temperature backbone.
 
     N_jk  = int_{-inf}^{mu} dw / ((w - lam_j)(w - conj(lam_k)))
@@ -480,12 +491,11 @@ def _halfline_pair_integrals(lams, mu, times, pairs, with_phase):
                 " wide-band closed form applies"
             )
         n_jk[j, k] = (np.log(mu - a) - np.log(mu - b) - _TWO_PI * 1j) / denom
-        if with_phase:
-            if j not in e_lo:
-                e_lo[j] = _halfline_phase_integral(lams[j], mu, times)
-            if k not in e_hi:
-                e_hi[k] = _halfline_phase_integral(np.conj(lams[k]), mu, times)
-            o_jk[j, k] = (e_lo[j] - e_hi[k]) / denom
+        if j not in e_lo:
+            e_lo[j] = _halfline_phase_integral(lams[j], mu, times)
+        if k not in e_hi:
+            e_hi[k] = _halfline_phase_integral(np.conj(lams[k]), mu, times)
+        o_jk[j, k] = (e_lo[j] - e_hi[k]) / denom
     return n_jk, o_jk
 
 
@@ -496,7 +506,7 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(10)
 def _thermal_panel_nodes(res, t_max):
     """Gauss-Legendre nodes and weights for nbar - theta(mu - w), split at mu."""
     half = _THERMAL_WINDOW * res.k_t
-    width = min(res.k_t / 2.0, math.pi / (4.0 * max(t_max, 1e-9)))
+    width = min(res.k_t / 2.0, math.pi / (4.0 * t_max))
     nodes, weights = [], []
     for lo, hi in ((res.mu - half, res.mu), (res.mu, res.mu + half)):
         count = max(2, int(math.ceil((hi - lo) / width)))
@@ -518,8 +528,8 @@ def _cexpm1(z):
     return out
 
 
-def _wbl_lead_fluctuation(lams, projectors, res, lead_index, times, steady):
-    """One lead's contribution to V_WBL(t), or to V_WBL^s when steady."""
+def _wbl_lead_fluctuation(lams, projectors, res, lead_index, times):
+    """One lead's contribution to V_WBL(t)."""
     gam_l = np.zeros((2, 2))
     gam_l[lead_index, lead_index] = res.gamma
     theta = [
@@ -537,29 +547,19 @@ def _wbl_lead_fluctuation(lams, projectors, res, lead_index, times, steady):
     if not keep:
         return out
 
-    if steady:
-        n_jk, _ = _halfline_pair_integrals(
-            lams, res.mu, np.array([1.0]), keep, False
-        )
-        for j, k in keep:
-            out[:, :, :] += theta[j][k] * n_jk[j, k]
-    else:
-        pair_set = set(keep)
-        pair_set.update((k, j) for j, k in keep)  # conj(o_jk[k, j]) is used
-        n_jk, o_jk = _halfline_pair_integrals(
-            lams, res.mu, times, sorted(pair_set), True
-        )
-        for j, k in keep:
-            a, b = lams[j], np.conj(lams[k])
-            c0 = 1.0 + np.exp(1j * (b - a) * times)
-            c1 = np.exp(-1j * a * times)
-            c2 = np.exp(1j * b * times)
-            i_jk = c0 * n_jk[j, k] - c1 * o_jk[j, k] - c2 * np.conj(o_jk[k, j])
-            out += i_jk[:, None, None] * theta[j][k]
+    pair_set = set(keep)
+    pair_set.update((k, j) for j, k in keep)  # conj(o_jk[k, j]) is used
+    n_jk, o_jk = _halfline_pair_integrals(lams, res.mu, times, sorted(pair_set))
+    for j, k in keep:
+        a, b = lams[j], np.conj(lams[k])
+        c0 = 1.0 + np.exp(1j * (b - a) * times)
+        c1 = np.exp(-1j * a * times)
+        c2 = np.exp(1j * b * times)
+        i_jk = c0 * n_jk[j, k] - c1 * o_jk[j, k] - c2 * np.conj(o_jk[k, j])
+        out += i_jk[:, None, None] * theta[j][k]
 
     if res.k_t > 0.0:
-        t_max = 0.0 if steady else float(times[-1])
-        omega, wts = _thermal_panel_nodes(res, t_max)
+        omega, wts = _thermal_panel_nodes(res, float(times[-1]))
         s_val = fermi_occupation(omega, res.mu, res.k_t) - np.where(
             omega < res.mu, 1.0, 0.0
         )
@@ -570,14 +570,8 @@ def _wbl_lead_fluctuation(lams, projectors, res, lead_index, times, steady):
             tt = times[start : start + chunk]
             gam_fac = [None, None]
             for j in used:
-                if steady:
-                    gj = np.broadcast_to(
-                        -1.0 / (omega - lams[j]), (len(tt), len(omega))
-                    )
-                else:
-                    z = 1j * np.outer(tt, omega - lams[j])
-                    gj = _cexpm1(z) / (omega - lams[j])[None, :]
-                gam_fac[j] = gj
+                z = 1j * np.outer(tt, omega - lams[j])
+                gam_fac[j] = _cexpm1(z) / (omega - lams[j])[None, :]
             for j, k in keep:
                 s_sum = np.einsum(
                     "w,tw->t", coef, gam_fac[j] * np.conj(gam_fac[k])
@@ -618,14 +612,23 @@ def wbl_greens(config: ModelConfig, grid: TimeGrid) -> GreensSolution:
         for idx, res in enumerate(config.reservoirs):
             if res.gamma == 0.0:
                 continue
-            acc += _wbl_lead_fluctuation(lams, projectors, res, idx, tpos, False)
+            acc += _wbl_lead_fluctuation(lams, projectors, res, idx, tpos)
         v[positive] = acc
     v = 0.5 * (v + np.conj(np.transpose(v, (0, 2, 1))))
     return GreensSolution(grid, u, v)
 
 
 def wbl_steady_fluctuation(config: ModelConfig) -> np.ndarray:
-    """t -> infinity limit of the wide-band fluctuation matrix."""
+    """t -> infinity limit of the wide-band fluctuation matrix.
+
+    Exact in closed form from the effective-Hamiltonian modes
+    U(t) = sum_j P_j exp(-i lam_j t): with a flat spectrum each term
+    P_j Gamma_l P_k^dag of the integrand is Gamma_l over the poles lam_j
+    and conj(lam_k) times the Fermi factor, and the integral of each of its
+    partial fractions is a digamma (a logarithm at k_t = 0). Mode pairs
+    with no weight on a lead are skipped, so an undamped mode on an
+    uncoupled lead is allowed; one that keeps weight raises SolverError.
+    """
     if config.spectral_kind is not SpectralKind.WIDE_BAND:
         raise ConfigError("wbl_steady_fluctuation requires the wide-band spectral kind")
     m_mat = build_hamiltonian(config.system)
@@ -633,20 +636,7 @@ def wbl_steady_fluctuation(config: ModelConfig) -> np.ndarray:
     if np.trace(gam) == 0.0:
         raise SolverError("no damping: the wide-band steady state is undefined")
     lams, projectors = _effective_hamiltonian_modes(m_mat, gam)
-    v = np.zeros((1, 2, 2), dtype=complex)
-    for idx, res in enumerate(config.reservoirs):
-        if res.gamma == 0.0:
-            continue
-        v += _wbl_lead_fluctuation(
-            lams, projectors, res, idx, np.array([1.0]), True
-        )
-    v2 = 0.5 * (v[0] + dagger(v[0]))
-    eigs = np.linalg.eigvalsh(v2)
-    if eigs.min() < EIGENVALUE_FLOOR or eigs.max() > EIGENVALUE_CEIL:
-        raise InvariantViolation(
-            f"wide-band steady spectrum [{eigs.min():.3e}, {eigs.max():.3e}] leaves [0, 1]"
-        )
-    return v2
+    return _steady_from_poles(lams, projectors, config)
 
 
 # ---------------------------------------------------------------------------

@@ -279,6 +279,20 @@ class TestSweep:
             [r[0] for r in rows], [1, 1, 1, 2, 2, 2, 3, 3, 3]
         )
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_failing_point_is_named(self, tmp_path, capsys, workers):
+        # the last gamma value switches both leads off: no steady state
+        cfg = write_cfg(
+            tmp_path,
+            BASE.replace("kind = lorentzian", "kind = wideband")
+            + "[solver]\nmethod = wbl\n"
+            + "[sweep]\naxis1 = gamma:1.0:0.0:3\naxis2 = eps1,eps2:1.0:3.0:2\n",
+        )
+        argv = ["sweep", "--config", cfg, "--workers", workers]
+        assert cli.main(argv) == 3
+        err = capsys.readouterr().err
+        assert "solver error: sweep point 4 (axis1 = 0, axis2 = 1): no damping" in err
+
     def test_exact_steady_needs_grid(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, BASE + "[sweep]\naxis1 = g:0.5:1.0:2\n")
         assert cli.main(["sweep", "--config", cfg]) == 2

@@ -18,9 +18,11 @@ from dqdsim.greens import (
     wbl_greens,
     wbl_steady_fluctuation,
 )
+from dqdsim.entanglement import steady_state_eof
 from dqdsim.model import (
     ConfigError,
     InvariantViolation,
+    SolverError,
     SpectralKind,
     build_hamiltonian,
     gamma_matrix,
@@ -28,6 +30,7 @@ from dqdsim.model import (
 from dqdsim.spectral import SpectralModel, build_kernel_table, fermi_occupation
 
 from conftest import make_config
+from steady_reference import quad_steady_fluctuation, quad_steady_state_fluctuation
 
 # cross-validated reference values for the symmetric resonant benchmark
 # (eps = mu = 2, G = 0.5, gamma = 0.5 per lead, d = 2, kT = 0.5)
@@ -314,6 +317,93 @@ class TestSteadyStateFluctuation:
         with pytest.raises(ConfigError):
             steady_state_fluctuation(exp, bad)
 
+    def test_weighted_real_pole_is_rejected(self):
+        # an undamped mode that still couples to a lead has no steady state
+        exp = PoleExpansion(poles=[2.0 + 0.0j], residues=[np.eye(2)])
+        with pytest.raises(SolverError):
+            steady_state_fluctuation(exp, make_config())
+
+
+def _random_lorentzian(rng, regime):
+    """One random Lorentzian config of the named regime."""
+    kw = dict(
+        eps1=rng.uniform(-3.0, 3.0),
+        eps2=rng.uniform(-3.0, 3.0),
+        g=rng.uniform(0.1, 2.0),
+        gamma=rng.uniform(0.1, 2.0),
+        gamma_r=rng.uniform(0.1, 2.0),
+        d=rng.uniform(0.3, 4.0),
+        mu=rng.uniform(-3.0, 3.0),
+        mu_r=rng.uniform(-3.0, 3.0),
+        k_t=rng.uniform(0.05, 1.0),
+    )
+    if regime == "zero_temperature":
+        kw["k_t"] = 0.0
+    elif regime == "hot":  # k_t >> d
+        kw["d"] = rng.uniform(0.1, 0.5)
+        kw["k_t"] = rng.uniform(10.0, 40.0)
+    elif regime == "complex_g":
+        kw["g"] = kw["g"] * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
+    elif regime == "uncoupled_dot":  # g = 0, right lead switched off
+        kw["g"] = 0.0
+        kw["gamma_r"] = 0.0
+    return make_config(**kw)
+
+
+def _wbl_modes(cfg):
+    """Wide-band eigenmodes as a PoleExpansion, built independently of greens."""
+    vals, vecs = np.linalg.eig(
+        build_hamiltonian(cfg.system) - 0.5j * gamma_matrix(cfg)
+    )
+    inv = np.linalg.inv(vecs)
+    return PoleExpansion(
+        list(vals), [np.outer(vecs[:, j], inv[j]) for j in range(2)]
+    )
+
+
+class TestClosedFormAgainstQuadrature:
+    """Closed-form steady states against adaptive quadrature.
+
+    Tolerance 1e-8: the reference's error in each real component is bounded
+    by quad's default epsabs of 1.49e-8, shared out over its panels, and
+    the two routes agree to 1.1e-11 or better on these configs.
+    """
+
+    TOL = 1e-8
+
+    @pytest.mark.parametrize(
+        "seed,regime",
+        enumerate(
+            ["generic", "zero_temperature", "hot", "complex_g", "uncoupled_dot"]
+        ),
+    )
+    def test_lorentzian(self, seed, regime):
+        rng = np.random.default_rng(seed)
+        for _ in range(5):
+            cfg = _random_lorentzian(rng, regime)
+            exp = pole_expansion_lorentzian(cfg)
+            vs = steady_state_fluctuation(exp, cfg)
+            ref = quad_steady_state_fluctuation(exp, cfg)
+            assert np.max(np.abs(vs - ref)) < self.TOL
+
+    def test_wideband_narrow_lines_under_hot_window(self):
+        rng = np.random.default_rng(5)
+        for _ in range(6):
+            cfg = make_config(
+                eps1=rng.uniform(-3.0, 3.0),
+                eps2=rng.uniform(-3.0, 3.0),
+                g=rng.uniform(0.0, 1.0) * np.exp(1j * rng.uniform(0.0, 6.3)),
+                gamma=rng.uniform(0.01, 0.1),
+                gamma_r=rng.uniform(0.01, 0.1),
+                mu=rng.uniform(-2.0, 2.0),
+                mu_r=rng.uniform(-2.0, 2.0),
+                k_t=rng.uniform(1.0, 5.0),
+                kind=SpectralKind.WIDE_BAND,
+            )
+            vs = wbl_steady_fluctuation(cfg)
+            ref = quad_steady_state_fluctuation(_wbl_modes(cfg), cfg)
+            assert np.max(np.abs(vs - ref)) < self.TOL
+
 
 class TestWideBand:
     def test_u_is_matrix_exponential(self):
@@ -353,6 +443,32 @@ class TestWideBand:
             )
             np.testing.assert_allclose(vs[0, 0].real, ref, atol=1e-10)
             assert abs(vs[0, 1]) < 1e-12 and abs(vs[1, 1]) < 1e-12
+
+    def test_narrow_linewidth_under_hot_window(self):
+        # Gamma_l = 0.05 under k_T = 2: resonances far narrower than the
+        # Fermi window
+        cfg = make_config(
+            eps1=2.3, eps2=2.3, g=0.5, gamma=0.05, mu=2.0, k_t=2.0,
+            kind=SpectralKind.WIDE_BAND,
+        )
+        m_eff = build_hamiltonian(cfg.system) - 0.5j * gamma_matrix(cfg)
+        ref = quad_steady_fluctuation(
+            cfg,
+            lambda w: np.linalg.inv(w * np.eye(2) - m_eff),
+            np.linalg.eigvals(m_eff),
+        )
+        vs = wbl_steady_fluctuation(cfg)
+        assert np.max(np.abs(vs - ref)) < 1e-8
+        assert vs[0, 1].real == pytest.approx(-0.0614221429470, abs=1e-9)
+        assert steady_state_eof(vs) == pytest.approx(0.5049, abs=1e-3)
+
+    @pytest.mark.parametrize("kt", [0.0, 0.5, 3.0])
+    def test_steady_is_large_bandwidth_limit(self, kt):
+        # the Lorentzian closed form approaches the flat one like 1/d
+        lor = make_config(eps1=1.5, mu=2.3, k_t=kt, d=1000.0)
+        wbl = make_config(eps1=1.5, mu=2.3, k_t=kt, kind=SpectralKind.WIDE_BAND)
+        vs_lor = steady_state_fluctuation(pole_expansion_lorentzian(lor), lor)
+        assert np.max(np.abs(vs_lor - wbl_steady_fluctuation(wbl))) < 2e-4
 
     def test_fluctuation_approaches_steady(self):
         cfg = make_config(kind=SpectralKind.WIDE_BAND)
