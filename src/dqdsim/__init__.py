@@ -42,9 +42,6 @@ from .spectral import (
     fermi_occupation,
     lead_density,
     lead_self_energy_real,
-    memory_kernel,
-    noise_kernel,
-    spectral_density,
 )
 from .state import (
     DensityBlocks,
@@ -92,13 +89,10 @@ __all__ = [
     "lead_density",
     "lead_self_energy_real",
     "localized_eigenstates",
-    "memory_kernel",
-    "noise_kernel",
     "pole_expansion_lorentzian",
     "propagator_coefficients",
     "solve",
     "solve_dyson",
-    "spectral_density",
     "steady_state_density",
     "steady_state_eof",
     "steady_state_fluctuation",

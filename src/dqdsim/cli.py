@@ -483,6 +483,11 @@ def _emit(path, header_items, columns, rows):
     lines.append("\t".join(columns))
     for row in rows:
         lines.append("\t".join(_fmt(x) for x in row))
+    _write(path, lines)
+
+
+def _write(path, lines):
+    """Write the lines to path, or to stdout when no path is given."""
     text = "\n".join(lines) + "\n"
     if path:
         with open(path, "w", encoding="utf-8") as fh:
@@ -589,13 +594,7 @@ def run_classify(exp: ExperimentConfig, out_path=None) -> dict:
         lines.append(f"# late_time_u_norm_max = {_fmt(plateau)}")
     lines.append(f"# effective_roots = {cls.count}")
     lines.append(f"# relaxation_class = {cls.kind.value}")
-    text = "\n".join(lines) + "\n"
-    target = out_path if out_path is not None else exp.output_path
-    if target:
-        with open(target, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(out_path if out_path is not None else exp.output_path, lines)
     return {"roots": roots, "classification": cls, "plateau": plateau}
 
 
@@ -619,13 +618,7 @@ def run_verify(exp: ExperimentConfig, out_path=None, modes=None) -> dict:
     lines.append(f"max |U - U_oracle| = {_fmt(du)}")
     lines.append(f"max |V - V_oracle| = {_fmt(dv)}")
     lines.append(f"tolerance = {_fmt(exp.oracle_tol)}")
-    text = "\n".join(lines) + "\n"
-    target = out_path if out_path is not None else exp.output_path
-    if target:
-        with open(target, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(out_path if out_path is not None else exp.output_path, lines)
     if max(du, dv) > exp.oracle_tol:
         raise SolverError(
             f"oracle cross-check failed: U error {du:.3e}, V error {dv:.3e}"

@@ -3,7 +3,9 @@
 Solves the Dyson integro-differential equation for the retarded propagator
 U(t), assembles the fluctuation matrix V(t) by double convolution with the
 noise kernel, and provides the pole expansion, steady-state, wide-band and
-Born-Markov closed forms.
+Born-Markov closed forms. Every closed form reads its poles and residues
+from one eigen-decomposition, _modes: of the pseudomode generator for
+Lorentzian leads and of M - i Gamma / 2 in the wide band.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from .model import (
     ModelConfig,
     SolverError,
     SpectralKind,
-    adjugate2,
     build_hamiltonian,
     dagger,
     gamma_matrix,
@@ -128,10 +129,8 @@ class PoleExpansion:
     def reconstruct(self, times) -> np.ndarray:
         """Evaluate sum_j Z_j exp(-i r_j t) on an array of times."""
         t = np.asarray(times, dtype=float)
-        u = np.zeros(t.shape + (2, 2), dtype=complex)
-        for r, z in zip(self.poles, self.residues):
-            u += np.exp(-1j * r * t)[..., None, None] * z
-        return u
+        phases = np.exp(-1j * np.outer(t, self.poles))
+        return np.einsum("tj,jab->tab", phases, np.stack(self.residues))
 
 
 def _memory_table(config: ModelConfig, grid: TimeGrid, include_noise):
@@ -232,94 +231,52 @@ def solve(config: ModelConfig, grid: TimeGrid) -> GreensSolution:
 
 
 # ---------------------------------------------------------------------------
-# Pole expansion for the pure Lorentzian spectrum
+# Pole expansion: one eigen-decomposition for the Lorentzian and wide band
 # ---------------------------------------------------------------------------
 
 
-def _quadratic_channel(eps, res):
-    """Poles and scalar residues of one decoupled channel."""
-    c = res.gamma * res.bandwidth / 2.0
-    q = np.array([1.0, -(res.mu - 1j * res.bandwidth)], dtype=complex)
-    poly = np.polysub(np.polymul([1.0, -eps], q), [c])
-    roots = np.roots(poly)
-    deriv = np.polyder(poly)
-    out = []
-    for r in roots:
-        qv = np.polyval(q, r)
-        scale = max(1.0, abs(r))
-        if abs(qv) < 1e-12 * scale:
-            continue  # root of the cleared denominator, not of det
-        det_val = r - eps - c / qv
-        if abs(det_val) > 1e-8 * scale:
-            continue
-        dp = np.polyval(deriv, r)
-        if abs(dp) < 1e-10 * scale:
-            raise SolverError(f"degenerate pole configuration near z = {r}")
-        out.append((complex(r), complex(qv / dp)))
-    return out
+def _modes(config: ModelConfig) -> PoleExpansion:
+    """Poles and residues of U(t) from one non-Hermitian eigenproblem.
+
+    Wide band: the generator is M - i Gamma / 2. Lorentzian: each lead is
+    one damped pseudomode at mu_l - i d_l, coupled to its dot with
+    sqrt(Gamma_l d_l / 2); eliminating the pseudomodes gives back
+    Sigma_l(z) = (Gamma_l d_l / 2) / (z - mu_l + i d_l). With the
+    generator's eigenvectors as the columns of V, the residue of pole j is
+    the dot block V[:2, j] V^-1[j, :2]; a pseudomode that no dot sees keeps
+    its pole with a zero residue.
+    """
+    m_mat = build_hamiltonian(config.system)
+    if config.spectral_kind is SpectralKind.WIDE_BAND:
+        generator = m_mat - 0.5j * gamma_matrix(config)
+    else:
+        leads = config.reservoirs
+        coupling = np.diag([math.sqrt(r.gamma * r.bandwidth / 2.0) for r in leads])
+        generator = np.block(
+            [[m_mat, coupling],
+             [coupling, np.diag([r.mu - 1j * r.bandwidth for r in leads])]]
+        )
+    poles, vecs = np.linalg.eig(generator)
+    if np.linalg.cond(vecs) > 1e8:
+        raise SolverError(
+            "defective pole configuration; perturb the parameters slightly"
+        )
+    vecs_inv = np.linalg.inv(vecs)
+    residues = [np.outer(vecs[:2, j], vecs_inv[j, :2]) for j in range(len(poles))]
+    return PoleExpansion(poles, residues)
 
 
 def pole_expansion_lorentzian(config: ModelConfig) -> PoleExpansion:
     """Roots and matrix residues of det[zI - M - Sigma(z)] for Lorentzian leads.
 
-    The analytically continued self-energy is rational,
-    Sigma_l(z) = (Gamma_l d_l / 2) / (z - mu_l + i d_l), so clearing
-    denominators leaves a quartic solved by the companion matrix; spurious
-    roots introduced by the clearing are rejected against the original
-    determinant.
+    The analytically continued self-energy
+    Sigma_l(z) = (Gamma_l d_l / 2) / (z - mu_l + i d_l) is exactly one damped
+    pseudomode per lead, so the four poles and their residues are the
+    eigenpairs of the 4x4 pseudomode generator (see _modes).
     """
     if config.spectral_kind is not SpectralKind.LORENTZIAN:
         raise ConfigError("pole expansion requires the pure Lorentzian spectrum")
-    sys_p = config.system
-    left, right = config.left, config.right
-    m_mat = build_hamiltonian(sys_p)
-    g_abs2 = abs(sys_p.g_coupling) ** 2
-
-    if g_abs2 == 0.0:
-        poles, residues = [], []
-        for idx, (eps, res) in enumerate(
-            ((sys_p.eps1, left), (sys_p.eps2, right))
-        ):
-            for r, zres in _quadratic_channel(eps, res):
-                z = np.zeros((2, 2), dtype=complex)
-                z[idx, idx] = zres
-                poles.append(r)
-                residues.append(z)
-        order = np.argsort([(p.real, p.imag) for p in poles], axis=0)[:, 0]
-        return PoleExpansion(
-            [poles[i] for i in order], [residues[i] for i in order]
-        )
-
-    c_l = left.gamma * left.bandwidth / 2.0
-    c_r = right.gamma * right.bandwidth / 2.0
-    q_l = np.array([1.0, -(left.mu - 1j * left.bandwidth)], dtype=complex)
-    q_r = np.array([1.0, -(right.mu - 1j * right.bandwidth)], dtype=complex)
-    f_l = np.polysub(np.polymul([1.0, -sys_p.eps1], q_l), [c_l])
-    f_r = np.polysub(np.polymul([1.0, -sys_p.eps2], q_r), [c_r])
-    poly = np.polysub(np.polymul(f_l, f_r), g_abs2 * np.polymul(q_l, q_r))
-    deriv = np.polyder(poly)
-
-    roots = np.roots(poly)
-    roots = roots[np.lexsort((roots.imag, roots.real))]
-    poles, residues = [], []
-    for r in roots:
-        qlv = np.polyval(q_l, r)
-        qrv = np.polyval(q_r, r)
-        scale = max(1.0, abs(r) ** 2)
-        if min(abs(qlv), abs(qrv)) < 1e-12 * max(1.0, abs(r)):
-            continue
-        sig = np.diag([c_l / qlv, c_r / qrv])
-        a_mat = r * IDENTITY2 - m_mat - sig
-        det_val = a_mat[0, 0] * a_mat[1, 1] - a_mat[0, 1] * a_mat[1, 0]
-        if abs(det_val) > 1e-8 * scale:
-            continue
-        dp = np.polyval(deriv, r)
-        if abs(dp) < 1e-10 * scale:
-            raise SolverError(f"degenerate pole configuration near z = {r}")
-        z = adjugate2(a_mat) * (qlv * qrv / dp)
-        poles.append(complex(r))
-        residues.append(z)
-    return PoleExpansion(poles, residues)
+    return _modes(config)
 
 
 def _fermi_transform(p, mu, k_t, upper):
@@ -430,18 +387,6 @@ def _scaled_exp1(w):
             acc = acc + term
         out[~small] = (1.0 + acc) / wl
     return out
-
-
-def _effective_hamiltonian_modes(m_mat, gam):
-    m_eff = m_mat - 0.5j * gam
-    vals, vecs = np.linalg.eig(m_eff)
-    if np.linalg.cond(vecs) > 1e8:
-        raise SolverError(
-            "defective effective Hamiltonian; perturb the parameters slightly"
-        )
-    vecs_inv = np.linalg.inv(vecs)
-    projectors = [np.outer(vecs[:, j], vecs_inv[j, :]) for j in range(2)]
-    return vals, projectors
 
 
 def _halfline_phase_integral(lam, mu, times):
@@ -595,13 +540,9 @@ def wbl_greens(config: ModelConfig, grid: TimeGrid) -> GreensSolution:
     """
     if config.spectral_kind is not SpectralKind.WIDE_BAND:
         raise ConfigError("wbl_greens requires the wide-band spectral kind")
-    m_mat = build_hamiltonian(config.system)
-    gam = gamma_matrix(config)
-    lams, projectors = _effective_hamiltonian_modes(m_mat, gam)
-
+    modes = _modes(config)
     times = grid.times
-    phases = np.exp(-1j * np.outer(times, lams))  # (n+1, 2)
-    u = np.einsum("tj,jab->tab", phases, np.stack(projectors))
+    u = modes.reconstruct(times)
     u[0] = IDENTITY2  # exact; the projector sum carries rounding noise
 
     v = np.zeros((len(times), 2, 2), dtype=complex)
@@ -612,7 +553,9 @@ def wbl_greens(config: ModelConfig, grid: TimeGrid) -> GreensSolution:
         for idx, res in enumerate(config.reservoirs):
             if res.gamma == 0.0:
                 continue
-            acc += _wbl_lead_fluctuation(lams, projectors, res, idx, tpos)
+            acc += _wbl_lead_fluctuation(
+                modes.poles, modes.residues, res, idx, tpos
+            )
         v[positive] = acc
     v = 0.5 * (v + np.conj(np.transpose(v, (0, 2, 1))))
     return GreensSolution(grid, u, v)
@@ -631,12 +574,10 @@ def wbl_steady_fluctuation(config: ModelConfig) -> np.ndarray:
     """
     if config.spectral_kind is not SpectralKind.WIDE_BAND:
         raise ConfigError("wbl_steady_fluctuation requires the wide-band spectral kind")
-    m_mat = build_hamiltonian(config.system)
-    gam = gamma_matrix(config)
-    if np.trace(gam) == 0.0:
+    if not any(res.gamma for res in config.reservoirs):
         raise SolverError("no damping: the wide-band steady state is undefined")
-    lams, projectors = _effective_hamiltonian_modes(m_mat, gam)
-    return _steady_from_poles(lams, projectors, config)
+    modes = _modes(config)
+    return _steady_from_poles(modes.poles, modes.residues, config)
 
 
 # ---------------------------------------------------------------------------
@@ -672,9 +613,7 @@ def bm_fluctuation(config: ModelConfig, grid: TimeGrid):
         x = sla.solve_sylvester(a_mat, dagger(a_mat), source.astype(complex))
     except np.linalg.LinAlgError as exc:
         raise SolverError(f"Born-Markov Sylvester equation is singular: {exc}")
-    lams, projectors = _effective_hamiltonian_modes(m_mat, gam)
-    phases = np.exp(-1j * np.outer(times, lams))
-    u = np.einsum("tj,jab->tab", phases, np.stack(projectors))
+    u = _modes(config).reconstruct(times)
     u_dag = np.conj(np.transpose(u, (0, 2, 1)))
     v = x[None, :, :] - u @ x @ u_dag
     v = 0.5 * (v + np.conj(np.transpose(v, (0, 2, 1))))

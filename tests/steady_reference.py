@@ -6,13 +6,20 @@ with the resolvent S(w), for example sum_j Z_j / (w - r_j). It serves every
 spectral kind that lead_density covers without a hard cutoff (Lorentzian and
 wide band). Each scipy quad call meets its default epsabs of 1.5e-8, so the
 reference is good to about that absolute accuracy.
+
+For the Lorentzian kind there is also a 50-digit reference: the pole
+expansion from mpmath's eigen-decomposition of the pseudomode generator,
+and V^s from it as an exact sum of digammas, both at mpmath's precision.
 """
 
+import itertools
 import math
 
+import mpmath as mp
 import numpy as np
 from scipy.integrate import quad
 
+from dqdsim.model import build_hamiltonian
 from dqdsim.spectral import SpectralModel, fermi_occupation, lead_density
 
 _TWO_PI = 2.0 * math.pi
@@ -89,3 +96,69 @@ def quad_steady_state_fluctuation(expansion, config) -> np.ndarray:
         return np.sum(residues / (w - poles)[:, None, None], axis=0)
 
     return quad_steady_fluctuation(config, s_mat, poles)
+
+
+def mp_pole_expansion(config):
+    """Poles and 2x2 residues of U(t) at mpmath's working precision.
+
+    The eigenpairs of the pseudomode generator [[M, C], [C, diag(mu_l - i d_l)]]
+    with C = diag(sqrt(Gamma_l d_l / 2)); the residue of pole j is
+    V[:2, j] V^-1[j, :2] for the eigenvector matrix V.
+    """
+    gen = mp.matrix(4, 4)
+    gen[0:2, 0:2] = mp.matrix(build_hamiltonian(config.system).tolist())
+    for lead, res in enumerate(config.reservoirs):
+        gen[lead, 2 + lead] = gen[2 + lead, lead] = mp.sqrt(
+            mp.mpf(res.gamma) * res.bandwidth / 2
+        )
+        gen[2 + lead, 2 + lead] = mp.mpc(res.mu, -res.bandwidth)
+    poles, vecs = mp.eig(gen)
+    vecs_inv = mp.inverse(vecs)
+    residues = [
+        mp.matrix([[vecs[a, j] * vecs_inv[j, b] for b in range(2)] for a in range(2)])
+        for j in range(4)
+    ]
+    return poles, residues
+
+
+def _mp_fermi_transform(p, mu, k_t, upper):
+    """T(p) with int nbar(w) / (w - p) dw = T(p) + C, C independent of p."""
+    if k_t == 0:
+        return mp.log(mu - p) + (1j if upper else -1j) * mp.pi
+    x = (p - mu) / (2j * mp.pi * k_t)
+    if upper:
+        return mp.digamma(0.5 + x) + 1j * mp.pi
+    return mp.digamma(0.5 - x)
+
+
+def mp_steady_fluctuation(config, dps=50) -> np.ndarray:
+    """Lorentzian V^s from mp_pole_expansion at dps digits, rounded to complex.
+
+    V^s = (1/2pi) sum_l sum_jk Gamma_l Z_j P_l Z_k^dag int R_ljk(w) nbar_l(w) dw
+    with R_ljk = d_l^2 / ((w - r_j)(w - conj(r_k))(w - mu_l + i d_l)(w - mu_l - i d_l)),
+    integrated exactly as the sum of its partial fractions; every pole must be
+    damped so that no r_j equals conj(r_k).
+    """
+    with mp.workdps(dps):
+        poles, residues = mp_pole_expansion(config)
+        v = mp.matrix(2, 2)
+        for lead, res in enumerate(config.reservoirs):
+            mu, d, k_t = mp.mpf(res.mu), mp.mpf(res.bandwidth), mp.mpf(res.k_t)
+            for j, k in itertools.product(range(4), repeat=2):
+                parts = [
+                    (poles[j], False),
+                    (mp.mpc(mu, -d), False),
+                    (mp.conj(poles[k]), True),
+                    (mp.mpc(mu, d), True),
+                ]
+                integral = mp.mpf(0)
+                for m, (p, upper) in enumerate(parts):
+                    gaps = mp.fprod(p - q for n, (q, _) in enumerate(parts) if n != m)
+                    integral += d * d / gaps * _mp_fermi_transform(p, mu, k_t, upper)
+                for a, b in itertools.product(range(2), repeat=2):
+                    v[a, b] += (
+                        res.gamma * residues[j][a, lead]
+                        * mp.conj(residues[k][b, lead]) * integral
+                    )
+        v /= 2 * mp.pi
+        return np.array(v.tolist(), dtype=complex)

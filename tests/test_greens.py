@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy import integrate
@@ -9,6 +10,7 @@ from dqdsim.greens import (
     GreensSolution,
     PoleExpansion,
     TimeGrid,
+    _modes,
     bm_fluctuation,
     compute_fluctuation,
     pole_expansion_lorentzian,
@@ -30,7 +32,12 @@ from dqdsim.model import (
 from dqdsim.spectral import SpectralModel, build_kernel_table, fermi_occupation
 
 from conftest import make_config
-from steady_reference import quad_steady_fluctuation, quad_steady_state_fluctuation
+from steady_reference import (
+    mp_pole_expansion,
+    mp_steady_fluctuation,
+    quad_steady_fluctuation,
+    quad_steady_state_fluctuation,
+)
 
 # cross-validated reference values for the symmetric resonant benchmark
 # (eps = mu = 2, G = 0.5, gamma = 0.5 per lead, d = 2, kT = 0.5)
@@ -221,21 +228,40 @@ class TestPoleExpansion:
         )
 
     def test_poles_satisfy_secular_criterion(self):
-        cfg = make_config(eps1=1.0, eps2=3.5, g=0.8, d=1.2, mu=0.5, k_t=0.2)
-        exp = pole_expansion_lorentzian(cfg)
-        m = build_hamiltonian(cfg.system)
-        assert len(exp.poles) == 4
-        for r in exp.poles:
-            sig = np.diag(
-                [
-                    0.5 * cfg.left.gamma * cfg.left.bandwidth
-                    / (r - cfg.left.mu + 1j * cfg.left.bandwidth),
-                    0.5 * cfg.right.gamma * cfg.right.bandwidth
-                    / (r - cfg.right.mu + 1j * cfg.right.bandwidth),
-                ]
+        """Seeded differential test of the one pole routine on both kinds."""
+        rng = np.random.default_rng(11)
+        configs = [make_config(eps1=1.0, eps2=3.5, g=0.8, d=1.2, mu=0.5, k_t=0.2)]
+        for regime in ("complex_g", "g_zero", "gamma_r_zero", "zero_temperature"):
+            for kind in (SpectralKind.LORENTZIAN, SpectralKind.WIDE_BAND):
+                configs += [_random_config(rng, regime, kind) for _ in range(3)]
+        grid = TimeGrid(5.0, 1000)
+        for cfg in configs:
+            exp = _modes(cfg)
+            m = build_hamiltonian(cfg.system)
+            for r, z in zip(exp.poles, exp.residues):
+                if np.max(np.abs(z)) <= 1e-12:
+                    continue  # a pseudomode no dot sees
+                a = r * np.eye(2) - m - _self_energy(cfg, r)
+                assert abs(np.linalg.det(a)) < 1e-8
+            np.testing.assert_allclose(
+                sum(exp.residues), np.eye(2), rtol=0.0, atol=1e-12
             )
-            a = r * np.eye(2) - m - sig
-            assert abs(np.linalg.det(a)) < 1e-8
+            u = exp.reconstruct(grid.times)
+            if cfg.spectral_kind is SpectralKind.LORENTZIAN:
+                assert len(exp.poles) == 4
+                assert np.max(np.abs(u - solve_dyson(cfg, grid))) < 1e-3
+                continue
+            m_eff = m - 0.5j * gamma_matrix(cfg)
+            np.testing.assert_allclose(
+                np.sort_complex(exp.poles),
+                np.sort_complex(np.linalg.eigvals(m_eff)),
+                rtol=0.0,
+                atol=1e-12,
+            )
+            for i in (0, 300, 1000):
+                np.testing.assert_allclose(
+                    u[i], expm(-1j * m_eff * grid.times[i]), atol=1e-12
+                )
 
     def test_residues_sum_to_identity(self):
         exp = pole_expansion_lorentzian(make_config())
@@ -264,13 +290,18 @@ class TestPoleExpansion:
             assert abs(z[0, 1]) < 1e-10 and abs(z[1, 0]) < 1e-10
 
     def test_large_bandwidth_poles_cluster_on_wbl_modes(self):
-        cfg = make_config(d=1000.0)
-        exp = pole_expansion_lorentzian(cfg)
-        m = build_hamiltonian(cfg.system)
-        modes = np.linalg.eigvals(m - 0.5j * gamma_matrix(cfg))
-        near = sorted(exp.poles, key=lambda p: -p.imag)[:2]
-        for mode in modes:
-            assert min(abs(mode - p) for p in near) < 1e-2
+        # a quartic root finder lost the residue sum (1.000025) from d = 3000 on
+        for d in (1000.0, 3000.0, 1e4, 1e5):
+            cfg = make_config(d=d)
+            exp = pole_expansion_lorentzian(cfg)
+            np.testing.assert_allclose(
+                sum(exp.residues), np.eye(2), rtol=0.0, atol=1e-12
+            )
+            m = build_hamiltonian(cfg.system)
+            modes = np.linalg.eigvals(m - 0.5j * gamma_matrix(cfg))
+            near = sorted(exp.poles, key=lambda p: -p.imag)[:2]
+            for mode in modes:
+                assert min(abs(mode - p) for p in near) < 1e-2
 
     def test_requires_lorentzian(self):
         for kind in (SpectralKind.WIDE_BAND, SpectralKind.CUTOFF_LORENTZIAN):
@@ -317,6 +348,17 @@ class TestSteadyStateFluctuation:
         with pytest.raises(ConfigError):
             steady_state_fluctuation(exp, bad)
 
+    def test_matches_50_digit_reference(self):
+        # criterion-6 operating point; quartic poles put V^s 1.7e-10 off here
+        cfg = make_config(eps1=8.25, eps2=8.25, mu=9.5, d=0.5, k_t=0.5)
+        exp = pole_expansion_lorentzian(cfg)
+        with mp.workdps(50):
+            ref_poles = [complex(p) for p in mp_pole_expansion(cfg)[0]]
+        for p in ref_poles:
+            assert min(abs(p - r) for r in exp.poles) < 1e-12
+        vs = steady_state_fluctuation(exp, cfg)
+        assert np.max(np.abs(vs - mp_steady_fluctuation(cfg))) < 1e-12
+
     def test_weighted_real_pole_is_rejected(self):
         # an undamped mode that still couples to a lead has no steady state
         exp = PoleExpansion(poles=[2.0 + 0.0j], residues=[np.eye(2)])
@@ -324,8 +366,8 @@ class TestSteadyStateFluctuation:
             steady_state_fluctuation(exp, make_config())
 
 
-def _random_lorentzian(rng, regime):
-    """One random Lorentzian config of the named regime."""
+def _random_config(rng, regime, kind=SpectralKind.LORENTZIAN):
+    """One random config of the named regime (Lorentzian unless kind says)."""
     kw = dict(
         eps1=rng.uniform(-3.0, 3.0),
         eps2=rng.uniform(-3.0, 3.0),
@@ -347,7 +389,23 @@ def _random_lorentzian(rng, regime):
     elif regime == "uncoupled_dot":  # g = 0, right lead switched off
         kw["g"] = 0.0
         kw["gamma_r"] = 0.0
-    return make_config(**kw)
+    elif regime == "g_zero":
+        kw["g"] = 0.0
+    elif regime == "gamma_r_zero":
+        kw["gamma_r"] = 0.0
+    return make_config(kind=kind, **kw)
+
+
+def _self_energy(cfg, z):
+    """Sigma(z) continued to a complex z: Lorentzian or wide band."""
+    if cfg.spectral_kind is SpectralKind.WIDE_BAND:
+        return -0.5j * gamma_matrix(cfg)
+    return np.diag(
+        [
+            0.5 * res.gamma * res.bandwidth / (z - res.mu + 1j * res.bandwidth)
+            for res in cfg.reservoirs
+        ]
+    )
 
 
 def _wbl_modes(cfg):
@@ -380,7 +438,7 @@ class TestClosedFormAgainstQuadrature:
     def test_lorentzian(self, seed, regime):
         rng = np.random.default_rng(seed)
         for _ in range(5):
-            cfg = _random_lorentzian(rng, regime)
+            cfg = _random_config(rng, regime)
             exp = pole_expansion_lorentzian(cfg)
             vs = steady_state_fluctuation(exp, cfg)
             ref = quad_steady_state_fluctuation(exp, cfg)

@@ -11,13 +11,15 @@ from dqdsim.spectral import (
     fermi_occupation,
     lead_density,
     lead_self_energy_real,
+)
+
+from conftest import make_config
+from kernel_reference import (
     memory_kernel,
     noise_kernel,
     self_energy_real,
     spectral_density,
 )
-
-from conftest import make_config
 
 
 def model_for(**kwargs) -> SpectralModel:
