@@ -37,7 +37,6 @@ from .model import (
 from .oracle import DiscretizedBath, discretize, exact_greens, localized_eigenstates
 from .spectral import (
     KernelTable,
-    SpectralModel,
     build_kernel_table,
     fermi_occupation,
     lead_density,
@@ -70,7 +69,6 @@ __all__ = [
     "ReservoirParams",
     "SolverError",
     "SpectralKind",
-    "SpectralModel",
     "SystemParams",
     "TimeGrid",
     "bm_fluctuation",

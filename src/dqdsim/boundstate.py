@@ -22,7 +22,7 @@ from .model import (
     adjugate2,
     build_hamiltonian,
 )
-from .spectral import SpectralModel, lead_density, lead_self_energy_real
+from .spectral import lead_density, lead_self_energy_real
 
 EDGE_DISTANCE_MIN = 1e-3
 RESIDUE_NORM_MIN = 1e-6
@@ -79,14 +79,13 @@ def _band_intervals(config: ModelConfig):
 
 def _criterion_raw(config: ModelConfig, omega):
     """Vectorized det[wI - M - Sigma(w)]; caller guarantees out-of-band."""
-    model = SpectralModel.from_config(config)
     m_mat = build_hamiltonian(config.system)
     w = np.asarray(omega, dtype=float)
     sig = [
-        lead_self_energy_real(res, model.kind, w)
+        lead_self_energy_real(res, config.spectral_kind, w)
         if res.gamma > 0.0
         else np.zeros(w.shape)
-        for res in model.reservoirs
+        for res in config.reservoirs
     ]
     return (w - m_mat[0, 0].real - sig[0]) * (w - m_mat[1, 1].real - sig[1]) - abs(
         m_mat[0, 1]
@@ -99,9 +98,8 @@ def criterion(config: ModelConfig, omega: float) -> float:
     Sigma is real there, so the determinant is real. Evaluation inside any
     lead's band is rejected (the determinant would be complex).
     """
-    model = SpectralModel.from_config(config)
-    for res in model.reservoirs:
-        if res.gamma > 0.0 and lead_density(res, model.kind, omega) != 0.0:
+    for res in config.reservoirs:
+        if res.gamma > 0.0 and lead_density(res, config.spectral_kind, omega) != 0.0:
             raise ConfigError(
                 f"omega = {omega} lies inside a spectral band; the"
                 " dissipationless criterion is defined only outside"
@@ -117,12 +115,13 @@ def _residue(config, root):
     d_prime = (vals[0] - 8.0 * vals[1] + 8.0 * vals[2] - vals[3]) / (12.0 * h)
     if abs(d_prime) < 1e-30:
         return None
-    model = SpectralModel.from_config(config)
     m_mat = build_hamiltonian(config.system)
     sig = np.diag(
         [
-            lead_self_energy_real(res, model.kind, root) if res.gamma > 0.0 else 0.0
-            for res in model.reservoirs
+            lead_self_energy_real(res, config.spectral_kind, root)
+            if res.gamma > 0.0
+            else 0.0
+            for res in config.reservoirs
         ]
     )
     a_mat = root * np.eye(2) - m_mat - sig

@@ -9,10 +9,12 @@ key = value lines under [section] headers; all energies in Gamma units.
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -39,33 +41,31 @@ from .model import (
     SystemParams,
 )
 from .oracle import discretize, exact_greens
-from .state import (
-    DensityBlocks,
-    evolve_density,
-    propagator_coefficients,
-    steady_state_density,
-)
+from .state import DensityBlocks, evolve_density, propagator_coefficients
 
-SOLVER_METHODS = ("exact", "wbl", "born_markov", "pole")
-INITIAL_STATES = (
-    "vacuum",
-    "single1",
-    "single2",
-    "bell_plus",
-    "bell_minus",
-    "explicit",
-)
-SWEEP_PARAMS = (
-    "eps1",
-    "eps2",
-    "mu1",
-    "mu2",
-    "g",
-    "d",
-    "k_t",
-    "gamma",
-    "omega_cut",
-)
+# name -> the DensityBlocks it starts from; "explicit" reads [initial] rho*.
+_NAMED_STATES = {
+    "vacuum": DensityBlocks.vacuum,
+    "single1": lambda: DensityBlocks.single(1),
+    "single2": lambda: DensityBlocks.single(2),
+    "bell_plus": lambda: DensityBlocks.bell(+1),
+    "bell_minus": lambda: DensityBlocks.bell(-1),
+}
+INITIAL_STATES = (*_NAMED_STATES, "explicit")
+
+# sweep name -> (ModelConfig parts it sets, the field it sets on each part)
+_SWEEP_FIELDS = {
+    "eps1": (("system",), "eps1"),
+    "eps2": (("system",), "eps2"),
+    "mu1": (("left",), "mu"),
+    "mu2": (("right",), "mu"),
+    "g": (("system",), "g_coupling"),
+    "d": (("left", "right"), "bandwidth"),
+    "k_t": (("left", "right"), "k_t"),
+    "gamma": (("left", "right"), "gamma"),
+    "omega_cut": (("left", "right"), "cutoff"),
+}
+SWEEP_PARAMS = tuple(_SWEEP_FIELDS)
 
 _SECTION_KEYS = {
     "system": {"eps1", "eps2", "g"},
@@ -258,16 +258,8 @@ def _initial_from(table: _Table) -> tuple:
             f"{table.path}: [initial] state must be one of"
             f" {', '.join(INITIAL_STATES)}; got {name!r}"
         )
-    if name == "vacuum":
-        return name, DensityBlocks.vacuum()
-    if name == "single1":
-        return name, DensityBlocks.single(1)
-    if name == "single2":
-        return name, DensityBlocks.single(2)
-    if name == "bell_plus":
-        return name, DensityBlocks.bell(+1)
-    if name == "bell_minus":
-        return name, DensityBlocks.bell(-1)
+    if name in _NAMED_STATES:
+        return name, _NAMED_STATES[name]()
     r1 = np.zeros((2, 2), dtype=complex)
     r2 = np.zeros((2, 2), dtype=complex)
     r1[0, 0] = table.get_float("initial", "rho1_00", 0.0)
@@ -371,90 +363,77 @@ def load_experiment(path: str) -> ExperimentConfig:
 
 
 def _apply_param(model: ModelConfig, name: str, value: float) -> ModelConfig:
-    sys_p, left, right = model.system, model.left, model.right
-    if name == "eps1":
-        sys_p = replace(sys_p, eps1=value)
-    elif name == "eps2":
-        sys_p = replace(sys_p, eps2=value)
-    elif name == "g":
-        sys_p = replace(sys_p, g_coupling=value)
-    elif name == "mu1":
-        left = replace(left, mu=value)
-    elif name == "mu2":
-        right = replace(right, mu=value)
-    elif name == "d":
-        left = replace(left, bandwidth=value)
-        right = replace(right, bandwidth=value)
-    elif name == "k_t":
-        left = replace(left, k_t=value)
-        right = replace(right, k_t=value)
-    elif name == "gamma":
-        left = replace(left, gamma=value)
-        right = replace(right, gamma=value)
-    elif name == "omega_cut":
-        left = replace(left, cutoff=value)
-        right = replace(right, cutoff=value)
-    else:
-        raise ConfigError(f"unknown sweep parameter {name!r}")
-    return ModelConfig(
-        system=sys_p, left=left, right=right, spectral_kind=model.spectral_kind
+    parts, name_field = _SWEEP_FIELDS[name]
+    return replace(
+        model,
+        **{p: replace(getattr(model, p), **{name_field: value}) for p in parts},
     )
 
 
-def _solve_pair(model: ModelConfig, grid: TimeGrid, method: str):
-    """(u_seq, v_seq) for one solver method on one grid."""
-    if method == "exact":
-        sol = solve(model, grid)
-        return sol.u_seq, sol.v_seq
-    if method == "wbl":
-        sol = wbl_greens(model, grid)
-        return sol.u_seq, sol.v_seq
-    if method == "born_markov":
-        sol = wbl_greens(model, grid)
-        v, _ = bm_fluctuation(model, grid)
-        return sol.u_seq, v
-    if method == "pole":
-        expansion = pole_expansion_lorentzian(model)
-        u = expansion.reconstruct(grid.times)
-        v = compute_fluctuation(u, model, grid)
-        return u, v
-    raise ConfigError(f"unknown solver method {method!r}")
-
-
-def _steady_matrix(model: ModelConfig, method: str, grid):
-    """V^s for one solver method; exact falls back to a late-time average."""
-    if method == "pole":
-        return steady_state_fluctuation(pole_expansion_lorentzian(model), model), 0.0
-    if method == "wbl":
-        return wbl_steady_fluctuation(model), 0.0
-    if method == "born_markov":
-        _, v_s = bm_fluctuation(
-            model, grid if grid is not None else TimeGrid(1.0, 2)
+def _late_time_steady(model: ModelConfig, grid):
+    """Exact V^s: the average of V(t) over [0.8 t_max, t_max], and its spread."""
+    if grid is None:
+        raise ConfigError(
+            "steady state of the exact solver needs a [grid] section"
+            " (late-time average over [0.8 t_max, t_max])"
         )
-        return v_s, 0.0
-    if method == "exact":
-        if grid is None:
-            raise ConfigError(
-                "steady state of the exact solver needs a [grid] section"
-                " (late-time average over [0.8 t_max, t_max])"
-            )
-        if model.spectral_kind is SpectralKind.WIDE_BAND:
-            return wbl_steady_fluctuation(model), 0.0
-        u = solve_dyson(model, grid)
-        v = compute_fluctuation(u, model, grid)
-        start = int(math.floor(0.8 * grid.n_steps))
-        window = v[start:]
-        v_s = window.mean(axis=0)
-        spread = float(np.max(np.abs(window - v_s[None]).std(axis=0)))
-        return 0.5 * (v_s + v_s.conj().T), spread
-    raise ConfigError(f"unknown solver method {method!r}")
+    if model.spectral_kind is SpectralKind.WIDE_BAND:
+        return wbl_steady_fluctuation(model), 0.0
+    u = solve_dyson(model, grid)
+    v = compute_fluctuation(u, model, grid)
+    start = int(math.floor(0.8 * grid.n_steps))
+    window = v[start:]
+    v_s = window.mean(axis=0)
+    spread = float(np.max(np.abs(window - v_s[None]).std(axis=0)))
+    return 0.5 * (v_s + v_s.conj().T), spread
+
+
+def _uv(sol):
+    return sol.u_seq, sol.v_seq
+
+
+def _pole_pair(model: ModelConfig, grid: TimeGrid):
+    u = pole_expansion_lorentzian(model).reconstruct(grid.times)
+    return u, compute_fluctuation(u, model, grid)
+
+
+class _Method(NamedTuple):
+    evolve: Callable  # (model, grid) -> (U(t), V(t))
+    steady: Callable  # (model, grid or None) -> (V^s, late-time spread)
+
+
+# Entries look the solvers up in this module when they run, never at
+# import, so a caller that rebinds a module name (a tracer, a test) sees
+# every call.
+_METHODS = {
+    "exact": _Method(lambda model, grid: _uv(solve(model, grid)), _late_time_steady),
+    "wbl": _Method(
+        lambda model, grid: _uv(wbl_greens(model, grid)),
+        lambda model, grid: (wbl_steady_fluctuation(model), 0.0),
+    ),
+    "born_markov": _Method(
+        lambda model, grid: (
+            wbl_greens(model, grid).u_seq,
+            bm_fluctuation(model, grid)[0],
+        ),
+        lambda model, grid: (bm_fluctuation(model, grid or TimeGrid(1.0, 2))[1], 0.0),
+    ),
+    "pole": _Method(
+        _pole_pair,
+        lambda model, grid: (
+            steady_state_fluctuation(pole_expansion_lorentzian(model), model),
+            0.0,
+        ),
+    ),
+}
+SOLVER_METHODS = tuple(_METHODS)
 
 
 def _steady_point(args):
     """Worker: one sweep grid point -> (index, row values)."""
     idx, model, method, grid, axis_values = args
     try:
-        v_s, spread = _steady_matrix(model, method, grid)
+        v_s, spread = _METHODS[method].steady(model, grid)
         eof = steady_state_eof(v_s)
     except (SolverError, InvariantViolation) as exc:
         where = ", ".join(f"axis{i + 1} = {_fmt(v)}" for i, v in enumerate(axis_values))
@@ -476,10 +455,13 @@ def _fmt(x) -> str:
     return str(x)
 
 
+def _header(items) -> list:
+    """The config echo that heads every output: '# section.key = value'."""
+    return [f"# {section}.{key} = {value}" for section, key, value in items]
+
+
 def _emit(path, header_items, columns, rows):
-    lines = []
-    for section, key, value in header_items:
-        lines.append(f"# {section}.{key} = {value}")
+    lines = _header(header_items)
     lines.append("\t".join(columns))
     for row in rows:
         lines.append("\t".join(_fmt(x) for x in row))
@@ -500,7 +482,7 @@ def run_evolution(exp: ExperimentConfig, out_path=None) -> list:
     """Time-series table: t, entanglement, occupations, norms, purity."""
     if exp.grid is None:
         raise ConfigError("evolve needs a [grid] section")
-    u_seq, v_seq = _solve_pair(exp.model, exp.grid, exp.method)
+    u_seq, v_seq = _METHODS[exp.method].evolve(exp.model, exp.grid)
     u_norms = np.linalg.svd(u_seq, compute_uv=False)[:, 0]
     rows = []
     for i, t in enumerate(exp.grid.times):
@@ -532,29 +514,16 @@ def run_sweep(exp: ExperimentConfig, out_path=None, workers: int = 1) -> list:
     """Steady-state grid over one or two swept parameter groups."""
     if not exp.axes:
         raise ConfigError("sweep needs [sweep] axis1 (and optionally axis2)")
-    axes = exp.axes
     tasks = []
-    if len(axes) == 1:
-        for i, val in enumerate(axes[0].values):
-            model = exp.model
-            for name in axes[0].names:
-                model = _apply_param(model, name, float(val))
-            tasks.append((i, model, exp.method, exp.grid, (float(val),)))
-        axis_cols = ["axis1"]
-    else:
-        idx = 0
-        for v1 in axes[0].values:
-            for v2 in axes[1].values:
-                model = exp.model
-                for name in axes[0].names:
-                    model = _apply_param(model, name, float(v1))
-                for name in axes[1].names:
-                    model = _apply_param(model, name, float(v2))
-                tasks.append(
-                    (idx, model, exp.method, exp.grid, (float(v1), float(v2)))
-                )
-                idx += 1
-        axis_cols = ["axis1", "axis2"]
+    points = itertools.product(*(axis.values for axis in exp.axes))
+    for idx, values in enumerate(points):
+        values = tuple(float(v) for v in values)
+        model = exp.model
+        for axis, value in zip(exp.axes, values):
+            for name in axis.names:
+                model = _apply_param(model, name, value)
+        tasks.append((idx, model, exp.method, exp.grid, values))
+    axis_cols = [f"axis{i + 1}" for i in range(len(exp.axes))]
 
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -576,9 +545,7 @@ def run_classify(exp: ExperimentConfig, out_path=None) -> dict:
     """Bound-state census: roots, effectiveness data, relaxation class."""
     roots = find_bound_states(exp.model)
     cls = classify_relaxation(roots)
-    lines = []
-    for section, key, value in exp.raw_items:
-        lines.append(f"# {section}.{key} = {value}")
+    lines = _header(exp.raw_items)
     lines.append("energy\tresidue_norm\tedge_distance")
     for r in roots:
         lines.append(
@@ -603,7 +570,7 @@ def run_verify(exp: ExperimentConfig, out_path=None, modes=None) -> dict:
     if exp.grid is None:
         raise ConfigError("verify needs a [grid] section")
     k = modes if modes is not None else exp.oracle_modes
-    u_seq, v_seq = _solve_pair(exp.model, exp.grid, exp.method)
+    u_seq, v_seq = _METHODS[exp.method].evolve(exp.model, exp.grid)
     bath = discretize(exp.model, k)
     ex = exact_greens(bath, exp.grid)
     du = float(np.max(np.abs(u_seq - ex.u_seq)))

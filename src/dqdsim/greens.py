@@ -32,7 +32,9 @@ from .model import (
     inv2,
 )
 from .spectral import (
-    SpectralModel,
+    _fermi_window,
+    _osc_cap,
+    _panel_nodes,
     build_kernel_table,
     fermi_occupation,
 )
@@ -134,12 +136,11 @@ class PoleExpansion:
 
 
 def _memory_table(config: ModelConfig, grid: TimeGrid, include_noise):
-    model = SpectralModel.from_config(config)
-    if model.kind is SpectralKind.WIDE_BAND:
+    if config.spectral_kind is SpectralKind.WIDE_BAND:
         raise ConfigError(
             "the wide-band memory kernel is a delta function; use wbl_greens"
         )
-    return build_kernel_table(model, grid.times, include_noise=include_noise)
+    return build_kernel_table(config, grid.times, include_noise=include_noise)
 
 
 def solve_dyson(config: ModelConfig, grid: TimeGrid) -> np.ndarray:
@@ -292,6 +293,26 @@ def _fermi_transform(p, mu, k_t, upper):
     return special.psi(0.5 - x)
 
 
+def _weighted_pairs(poles, residues, res, lead):
+    """Pole pairs (j, k) that carry weight on one lead, and their weights.
+
+    Returns the index arrays jj, kk and theta_jk = Gamma_l Z_j P_l Z_k^dag,
+    the outer product of column l of Z_j and Z_k, for every pair above
+    1e-14 Gamma_l. A kept pair with r_j = conj(r_k) is an undamped mode that
+    still couples to the lead, which raises SolverError.
+    """
+    r = np.asarray(poles, dtype=complex)
+    col = np.stack(residues)[:, :, lead]
+    theta = res.gamma * col[:, None, :, None] * np.conj(col)[None, :, None, :]
+    jj, kk = np.nonzero(np.max(np.abs(theta), axis=(2, 3)) > 1e-14 * res.gamma)
+    if jj.size and np.min(np.abs(r[jj] - np.conj(r[kk]))) < 1e-12:
+        raise SolverError(
+            "effectively undamped mode still couples to a lead; the"
+            " steady state is undefined"
+        )
+    return jj, kk, theta[jj, kk]
+
+
 def _steady_from_poles(poles, residues, config: ModelConfig) -> np.ndarray:
     """V^s = (1/2pi) sum_l sum_jk Z_j P_l Z_k^dag int R_ljk(w) nbar_l(w) dw.
 
@@ -301,21 +322,13 @@ def _steady_from_poles(poles, residues, config: ModelConfig) -> np.ndarray:
     sum_m c_m T_l(p_m) exactly; C of _fermi_transform cancels.
     """
     r = np.asarray(poles, dtype=complex)
-    z = np.stack(residues)
     lorentzian = config.spectral_kind is SpectralKind.LORENTZIAN
     v = np.zeros((2, 2), dtype=complex)
     for lead, res in enumerate(config.reservoirs):
-        col = z[:, :, lead]  # Z_j P_l keeps column l of each residue
-        theta = res.gamma * col[:, None, :, None] * np.conj(col)[None, :, None, :]
-        jj, kk = np.nonzero(np.max(np.abs(theta), axis=(2, 3)) > 1e-14 * res.gamma)
+        jj, kk, theta = _weighted_pairs(r, residues, res, lead)
         if jj.size == 0:
             continue
         a, b = r[jj], np.conj(r[kk])
-        if np.min(np.abs(a - b)) < 1e-12:
-            raise SolverError(
-                "effectively undamped mode still couples to a lead; the"
-                " steady state is undefined"
-            )
         lower, upper, numer = [a], [b], 1.0
         if lorentzian:
             d = res.bandwidth
@@ -332,7 +345,7 @@ def _steady_from_poles(poles, residues, config: ModelConfig) -> np.ndarray:
         diag = np.arange(len(p))
         gaps[diag, diag] = 1.0
         c = numer / np.prod(gaps, axis=1)
-        v += np.einsum("p,pab->ab", np.sum(c * t, axis=0), theta[jj, kk])
+        v += np.einsum("p,pab->ab", np.sum(c * t, axis=0), theta)
     v = v / _TWO_PI
     v = 0.5 * (v + dagger(v))
     eigs = np.linalg.eigvalsh(v)
@@ -420,8 +433,10 @@ def _halfline_pair_integrals(lams, mu, times, pairs):
     N_jk  = int_{-inf}^{mu} dw / ((w - lam_j)(w - conj(lam_k)))
     O_jk  = int_{-inf}^{mu} exp(i w t) dw / ((w - lam_j)(w - conj(lam_k)))
 
-    Evaluated only for the requested (j, k) pairs; pruned pairs may involve
-    an undamped mode whose pair integral is singular but carries no weight.
+    Evaluated only for the requested (j, k) pairs: those _weighted_pairs
+    kept, whose |lam_j - conj(lam_k)| it bounded away from 0, and their
+    transposes, which share that gap. Pruned pairs may involve an undamped
+    mode whose pair integral is singular but carries no weight.
     """
     nt = len(times)
     n_jk = np.zeros((2, 2), dtype=complex)
@@ -430,11 +445,6 @@ def _halfline_pair_integrals(lams, mu, times, pairs):
     for j, k in pairs:
         a, b = lams[j], np.conj(lams[k])
         denom = a - b
-        if abs(denom) < 1e-12:
-            raise SolverError(
-                "effectively undamped mode still couples to a lead; no"
-                " wide-band closed form applies"
-            )
         n_jk[j, k] = (np.log(mu - a) - np.log(mu - b) - _TWO_PI * 1j) / denom
         if j not in e_lo:
             e_lo[j] = _halfline_phase_integral(lams[j], mu, times)
@@ -444,23 +454,9 @@ def _halfline_pair_integrals(lams, mu, times, pairs):
     return n_jk, o_jk
 
 
-_THERMAL_WINDOW = 45.0
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(10)
-
-
-def _thermal_panel_nodes(res, t_max):
-    """Gauss-Legendre nodes and weights for nbar - theta(mu - w), split at mu."""
-    half = _THERMAL_WINDOW * res.k_t
-    width = min(res.k_t / 2.0, math.pi / (4.0 * t_max))
-    nodes, weights = [], []
-    for lo, hi in ((res.mu - half, res.mu), (res.mu, res.mu + half)):
-        count = max(2, int(math.ceil((hi - lo) / width)))
-        edges = np.linspace(lo, hi, count + 1)
-        centers = 0.5 * (edges[:-1] + edges[1:])
-        scales = 0.5 * (edges[1:] - edges[:-1])
-        nodes.append((centers[:, None] + scales[:, None] * _GL_NODES).ravel())
-        weights.append((scales[:, None] * _GL_WEIGHTS).ravel())
-    return np.concatenate(nodes), np.concatenate(weights)
+# Elements of one (times x nodes) array of the thermal remainder; the time
+# chunk shrinks as the node count grows, so memory stays flat in t_max k_T.
+_CHUNK_ELEMENTS = 2**19
 
 
 def _cexpm1(z):
@@ -473,20 +469,10 @@ def _cexpm1(z):
     return out
 
 
-def _wbl_lead_fluctuation(lams, projectors, res, lead_index, times):
+def _wbl_lead_fluctuation(lams, residues, res, lead, times):
     """One lead's contribution to V_WBL(t)."""
-    gam_l = np.zeros((2, 2))
-    gam_l[lead_index, lead_index] = res.gamma
-    theta = [
-        [projectors[j] @ gam_l @ dagger(projectors[k]) for k in range(2)]
-        for j in range(2)
-    ]
-    keep = [
-        (j, k)
-        for j in range(2)
-        for k in range(2)
-        if np.max(np.abs(theta[j][k])) > 1e-14 * res.gamma
-    ]
+    jj, kk, theta = _weighted_pairs(lams, residues, res, lead)
+    keep = list(zip(jj.tolist(), kk.tolist()))
     nt = len(times)
     out = np.zeros((nt, 2, 2), dtype=complex)
     if not keep:
@@ -495,35 +481,37 @@ def _wbl_lead_fluctuation(lams, projectors, res, lead_index, times):
     pair_set = set(keep)
     pair_set.update((k, j) for j, k in keep)  # conj(o_jk[k, j]) is used
     n_jk, o_jk = _halfline_pair_integrals(lams, res.mu, times, sorted(pair_set))
-    for j, k in keep:
+    for (j, k), theta_jk in zip(keep, theta):
         a, b = lams[j], np.conj(lams[k])
         c0 = 1.0 + np.exp(1j * (b - a) * times)
         c1 = np.exp(-1j * a * times)
         c2 = np.exp(1j * b * times)
         i_jk = c0 * n_jk[j, k] - c1 * o_jk[j, k] - c2 * np.conj(o_jk[k, j])
-        out += i_jk[:, None, None] * theta[j][k]
+        out += i_jk[:, None, None] * theta_jk
 
     if res.k_t > 0.0:
-        omega, wts = _thermal_panel_nodes(res, float(times[-1]))
+        cap = min(res.k_t / 2.0, _osc_cap(float(times[-1])))
+        omega, wts = _panel_nodes(_fermi_window(res.mu, res.k_t, cap))
         s_val = fermi_occupation(omega, res.mu, res.k_t) - np.where(
             omega < res.mu, 1.0, 0.0
         )
         coef = wts * s_val
         used = {j for j, _ in keep} | {k for _, k in keep}
-        chunk = 512
+        chunk = max(1, _CHUNK_ELEMENTS // omega.size)
         for start in range(0, nt, chunk):
             tt = times[start : start + chunk]
             gam_fac = [None, None]
             for j in used:
                 z = 1j * np.outer(tt, omega - lams[j])
                 gam_fac[j] = _cexpm1(z) / (omega - lams[j])[None, :]
-            for j, k in keep:
+            for (j, k), theta_jk in zip(keep, theta):
+                # temporary first: numpy multiplies a large product in place
+                # into its temporary operand, moved to the left, so with it
+                # already there short and long chunks round alike
                 s_sum = np.einsum(
-                    "w,tw->t", coef, gam_fac[j] * np.conj(gam_fac[k])
+                    "w,tw->t", coef, np.conj(gam_fac[k]) * gam_fac[j]
                 )
-                out[start : start + chunk] += (
-                    s_sum[:, None, None] * theta[j][k]
-                )
+                out[start : start + chunk] += s_sum[:, None, None] * theta_jk
     return out / _TWO_PI
 
 

@@ -24,23 +24,6 @@ _FERMI_RANGE = 45.0
 _OSC_FACTOR = 4.0
 
 
-@dataclass(frozen=True)
-class SpectralModel:
-    """Spectral-density shape plus the two reservoirs it applies to."""
-
-    kind: SpectralKind
-    left: ReservoirParams
-    right: ReservoirParams
-
-    @classmethod
-    def from_config(cls, config: ModelConfig) -> "SpectralModel":
-        return cls(config.spectral_kind, config.left, config.right)
-
-    @property
-    def reservoirs(self) -> tuple[ReservoirParams, ReservoirParams]:
-        return (self.left, self.right)
-
-
 def fermi_occupation(omega, mu: float, k_t: float):
     """Mean occupation of a reservoir level at energy omega.
 
@@ -206,6 +189,12 @@ def _memory_segments(res: ReservoirParams, tau_max: float) -> list:
     return [(mu - res.cutoff, mu + res.cutoff, cap)]
 
 
+def _fermi_window(mu: float, k_t: float, cap: float) -> list:
+    """Panels of width <= cap over mu -/+ _FERMI_RANGE k_t, split at mu."""
+    half = _FERMI_RANGE * k_t
+    return [(mu - half, mu, cap), (mu, mu + half, cap)]
+
+
 def _noise_segments(res: ReservoirParams, kind: SpectralKind, tau_max: float) -> list:
     """Frequency panels for the occupied-weighted kernel table.
 
@@ -216,10 +205,7 @@ def _noise_segments(res: ReservoirParams, kind: SpectralKind, tau_max: float) ->
     base = min(d / 2.0, 0.5, _osc_cap(tau_max))
     fine = min(base, kt / 2.0) if kt > 0.0 else base
     if kind is SpectralKind.LORENTZIAN or math.isinf(res.cutoff):
-        if kt == 0.0:
-            return []
-        half = _FERMI_RANGE * kt
-        return [(mu - half, mu, fine), (mu, mu + half, fine)]
+        return _fermi_window(mu, kt, fine) if kt > 0.0 else []
     # occupation is exponentially small above mu + 45 kT; below mu the whole
     # remaining band contributes with n close to 1
     lo = mu - res.cutoff
@@ -253,30 +239,30 @@ class KernelTable:
             raise ValueError("kernel table requires a tau grid starting at 0")
 
 
-def build_kernel_table(model: SpectralModel, taus: np.ndarray,
+def build_kernel_table(config: ModelConfig, taus: np.ndarray,
                        include_noise: bool = True) -> KernelTable:
     """Tabulate the memory kernels of both leads on a uniform time grid."""
     taus = np.asarray(taus, dtype=float)
     tau_max = float(taus[-1]) if taus.size else 0.0
     memory = np.zeros((taus.size, 2), dtype=complex)
     noise = np.zeros((taus.size, 2), dtype=complex) if include_noise else None
-    if model.kind is SpectralKind.WIDE_BAND:
-        if model.left.gamma == 0.0 and model.right.gamma == 0.0:
+    kind = config.spectral_kind
+    if kind is SpectralKind.WIDE_BAND:
+        if config.left.gamma == 0.0 and config.right.gamma == 0.0:
             return KernelTable(taus, memory, noise)
         raise ConfigError(
             "wide-band kernels are Dirac deltas and are never tabulated; "
             "use the dedicated wide-band propagator instead")
-    for c, res in enumerate(model.reservoirs):
+    for c, res in enumerate(config.reservoirs):
         if res.gamma == 0.0:
             continue
         d, mu = res.bandwidth, res.mu
-        lorentz_like = (model.kind is SpectralKind.LORENTZIAN
-                        or math.isinf(res.cutoff))
+        lorentz_like = kind is SpectralKind.LORENTZIAN or math.isinf(res.cutoff)
         if lorentz_like:
             memory[:, c] = 0.5 * res.gamma * d * np.exp(-1j * mu * taus - d * taus)
         else:
             nodes, w = _panel_nodes(_memory_segments(res, tau_max))
-            coefs = w * lead_density(res, model.kind, nodes) / (2.0 * np.pi)
+            coefs = w * lead_density(res, kind, nodes) / (2.0 * np.pi)
             memory[:, c] = _fourier_sum(nodes, coefs, taus)
         if not include_noise:
             continue
@@ -290,8 +276,8 @@ def build_kernel_table(model: SpectralModel, taus: np.ndarray,
                     * corr / (2.0 * np.pi)
                 noise[:, c] += _fourier_sum(nodes, coefs, taus)
         else:
-            nodes, w = _panel_nodes(_noise_segments(res, model.kind, tau_max))
+            nodes, w = _panel_nodes(_noise_segments(res, kind, tau_max))
             occ = fermi_occupation(nodes, mu, res.k_t)
-            coefs = w * lead_density(res, model.kind, nodes) * occ / (2.0 * np.pi)
+            coefs = w * lead_density(res, kind, nodes) * occ / (2.0 * np.pi)
             noise[:, c] = _fourier_sum(nodes, coefs, taus)
     return KernelTable(taus, memory, noise)

@@ -12,9 +12,8 @@ import math
 import numpy as np
 from scipy import integrate
 
-from dqdsim.model import ConfigError, ReservoirParams, SpectralKind
+from dqdsim.model import ConfigError, ModelConfig, ReservoirParams, SpectralKind
 from dqdsim.spectral import (
-    SpectralModel,
     _half_lorentzian_fourier,
     fermi_occupation,
     lead_density,
@@ -22,15 +21,17 @@ from dqdsim.spectral import (
 )
 
 
-def spectral_density(model: SpectralModel, omega: float) -> np.ndarray:
+def spectral_density(config: ModelConfig, omega: float) -> np.ndarray:
     """Diagonal 2x2 spectral-density matrix J(omega)."""
-    return np.diag([lead_density(r, model.kind, omega) for r in model.reservoirs]).astype(float)
+    kind = config.spectral_kind
+    return np.diag([lead_density(r, kind, omega) for r in config.reservoirs]).astype(float)
 
 
-def self_energy_real(model: SpectralModel, omega: float) -> np.ndarray:
+def self_energy_real(config: ModelConfig, omega: float) -> np.ndarray:
     """Diagonal 2x2 matrix of real self-energies at a real frequency."""
+    kind = config.spectral_kind
     return np.diag(
-        [lead_self_energy_real(r, model.kind, omega) for r in model.reservoirs]
+        [lead_self_energy_real(r, kind, omega) for r in config.reservoirs]
     ).astype(float)
 
 
@@ -106,11 +107,13 @@ def _lead_noise_kernel(res: ReservoirParams, kind: SpectralKind, tau: float) -> 
     return _quad_fourier(weighted, mu - cut, hi, tau, points=pts) / (2.0 * np.pi)
 
 
-def memory_kernel(model: SpectralModel, tau: float) -> np.ndarray:
+def memory_kernel(config: ModelConfig, tau: float) -> np.ndarray:
     """Diagonal 2x2 memory kernel g(tau) = sum_l int J_l e^{-i w tau} dw / 2pi."""
-    return np.diag([_lead_memory_kernel(r, model.kind, tau) for r in model.reservoirs])
+    kind = config.spectral_kind
+    return np.diag([_lead_memory_kernel(r, kind, tau) for r in config.reservoirs])
 
 
-def noise_kernel(model: SpectralModel, tau: float) -> np.ndarray:
+def noise_kernel(config: ModelConfig, tau: float) -> np.ndarray:
     """Diagonal 2x2 occupation-weighted kernel with J_l n_l in place of J_l."""
-    return np.diag([_lead_noise_kernel(r, model.kind, tau) for r in model.reservoirs])
+    kind = config.spectral_kind
+    return np.diag([_lead_noise_kernel(r, kind, tau) for r in config.reservoirs])

@@ -20,7 +20,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from dqdsim.model import build_hamiltonian
-from dqdsim.spectral import SpectralModel, fermi_occupation, lead_density
+from dqdsim.spectral import fermi_occupation, lead_density
 
 _TWO_PI = 2.0 * math.pi
 
@@ -36,13 +36,11 @@ def quad_steady_fluctuation(config, resolvent, poles) -> np.ndarray:
     pole of width 0.006 at the end of an 800-wide panel (k_T = 27, d = 0.36)
     while that panel's integral was off by 2.5e-6.
     """
-    model = SpectralModel.from_config(config)
-
     # diagonal J(w) nbar(w) per lead
     def weight(w):
         out = np.empty(2)
-        for i, res in enumerate(model.reservoirs):
-            out[i] = lead_density(res, model.kind, w) * fermi_occupation(
+        for i, res in enumerate(config.reservoirs):
+            out[i] = lead_density(res, config.spectral_kind, w) * fermi_occupation(
                 w, res.mu, res.k_t
             )
         return out

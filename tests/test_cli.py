@@ -1,3 +1,5 @@
+import dataclasses
+import inspect
 import subprocess
 import sys
 import textwrap
@@ -6,6 +8,7 @@ import numpy as np
 import pytest
 
 from dqdsim import cli
+from dqdsim.model import ModelConfig, ReservoirParams, SpectralKind, SystemParams
 
 BASE = """\
 [system]
@@ -434,3 +437,145 @@ class TestConsoleScript:
         )
         assert proc.returncode == 0, proc.stderr
         assert open(out).read().count("\n") >= 6
+
+
+# sweep name -> the (ModelConfig part, field) pairs it sets, in the order
+# the "unknown parameter" message lists them
+SWEEP_FIELDS = {
+    "eps1": {("system", "eps1")},
+    "eps2": {("system", "eps2")},
+    "mu1": {("left", "mu")},
+    "mu2": {("right", "mu")},
+    "g": {("system", "g_coupling")},
+    "d": {("left", "bandwidth"), ("right", "bandwidth")},
+    "k_t": {("left", "k_t"), ("right", "k_t")},
+    "gamma": {("left", "gamma"), ("right", "gamma")},
+    "omega_cut": {("left", "cutoff"), ("right", "cutoff")},
+}
+
+# method -> the spectral kinds it solves; every other kind is exit 2
+METHOD_KINDS = {
+    "exact": {"lorentzian", "wideband", "cutoff_lorentzian"},
+    "wbl": {"wideband"},
+    "born_markov": {"wideband"},
+    "pole": {"lorentzian"},
+}
+
+
+class TestMethodKindMatrix:
+    @pytest.mark.parametrize("command", ["evolve", "sweep"])
+    @pytest.mark.parametrize("kind", ["lorentzian", "wideband", "cutoff_lorentzian"])
+    @pytest.mark.parametrize("method", sorted(METHOD_KINDS))
+    def test_exit_code(self, tmp_path, capsys, method, kind, command):
+        text = BASE.replace("kind = lorentzian", f"kind = {kind}")
+        if kind == "cutoff_lorentzian":
+            text = text.replace("k_t = 0.5", "k_t = 0.5\nomega_cut = 1.5")
+        cfg = write_cfg(
+            tmp_path,
+            text
+            + f"[grid]\nt_max = 4.0\nn_steps = 80\n[solver]\nmethod = {method}\n"
+            + "[sweep]\naxis1 = eps1,eps2:1.0:3.0:2\n",
+        )
+        out = str(tmp_path / "out.tsv")
+        code = cli.main([command, "--config", cfg, "--out", out])
+        if kind in METHOD_KINDS[method]:
+            assert code == 0
+            _, _, rows = read_table(out)
+            assert len(rows) == (81 if command == "evolve" else 2)
+        else:
+            assert code == 2
+            assert "requires the" in capsys.readouterr().err
+
+
+class TestTables:
+    def test_names_and_their_order(self):
+        # the order is the one every "must be one of" message lists
+        assert cli.SOLVER_METHODS == ("exact", "wbl", "born_markov", "pole")
+        assert set(cli.SOLVER_METHODS) == set(METHOD_KINDS)
+        assert cli.INITIAL_STATES == (
+            "vacuum", "single1", "single2", "bell_plus", "bell_minus", "explicit",
+        )
+        assert cli.SWEEP_PARAMS == tuple(SWEEP_FIELDS)
+
+    @pytest.mark.parametrize("name", list(SWEEP_FIELDS))
+    def test_sweep_name_sets_documented_fields(self, name):
+        base = ModelConfig(
+            system=SystemParams(eps1=1.0, eps2=2.0, g_coupling=0.3),
+            left=ReservoirParams(gamma=0.4, bandwidth=0.6, mu=0.7, k_t=0.8, cutoff=5.0),
+            right=ReservoirParams(gamma=0.9, bandwidth=1.1, mu=1.2, k_t=1.3, cutoff=6.0),
+            spectral_kind=SpectralKind.CUTOFF_LORENTZIAN,
+        )
+        out = cli._apply_param(base, name, 3.25)
+        assert out.spectral_kind is base.spectral_kind
+        for part in ("system", "left", "right"):
+            for f in dataclasses.fields(getattr(base, part)):
+                got = getattr(getattr(out, part), f.name)
+                if (part, f.name) in SWEEP_FIELDS[name]:
+                    assert got == 3.25
+                else:
+                    assert got == getattr(getattr(base, part), f.name)
+
+
+class TestDispatchThroughModuleNames:
+    """The solver table looks dqdsim.cli's names up when it runs.
+
+    A tracer that rebinds those names must see every call; an entry that
+    held a function object taken at import would count nothing.
+    """
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = {}
+        for name, fn in list(vars(cli).items()):
+            if not inspect.isfunction(fn) or fn.__module__ == cli.__name__:
+                continue
+            if not fn.__module__.startswith("dqdsim."):
+                continue
+            counts[name] = 0
+
+            def counted(*args, _fn=fn, _name=name, **kwargs):
+                counts[_name] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(cli, name, counted)
+        return counts
+
+    @staticmethod
+    def expect(calls, **nonzero):
+        assert "wbl_greens" in calls and "steady_state_eof" in calls
+        assert calls == {name: nonzero.get(name, 0) for name in calls}
+
+    def test_pole_sweep(self, tmp_path, calls):
+        cfg = write_cfg(tmp_path, TestSweep.SWEEP.replace(":8", ":3"))
+        assert cli.main(["sweep", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        self.expect(
+            calls,
+            pole_expansion_lorentzian=3,
+            steady_state_fluctuation=3,
+            steady_state_eof=3,
+        )
+
+    def test_wbl_sweep(self, tmp_path, calls):
+        cfg = write_cfg(
+            tmp_path,
+            BASE.replace("kind = lorentzian", "kind = wideband")
+            + "[solver]\nmethod = wbl\n[sweep]\naxis1 = eps1,eps2:0.0:4.0:4\n",
+        )
+        assert cli.main(["sweep", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        self.expect(calls, wbl_steady_fluctuation=4, steady_state_eof=4)
+
+    def test_born_markov_evolve(self, tmp_path, calls):
+        cfg = write_cfg(
+            tmp_path,
+            BASE.replace("kind = lorentzian", "kind = wideband")
+            + "[grid]\nt_max = 2.0\nn_steps = 20\n[solver]\nmethod = born_markov\n",
+        )
+        assert cli.main(["evolve", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        self.expect(
+            calls,
+            wbl_greens=1,
+            bm_fluctuation=1,
+            propagator_coefficients=21,
+            evolve_density=21,
+            fermionic_eof=21,
+        )

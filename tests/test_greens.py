@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from scipy import integrate
 from scipy.linalg import expm
 
+from dqdsim import greens
 from dqdsim.greens import (
     GreensSolution,
     PoleExpansion,
@@ -29,7 +31,7 @@ from dqdsim.model import (
     build_hamiltonian,
     gamma_matrix,
 )
-from dqdsim.spectral import SpectralModel, build_kernel_table, fermi_occupation
+from dqdsim.spectral import build_kernel_table, fermi_occupation
 
 from conftest import make_config
 from steady_reference import (
@@ -170,9 +172,8 @@ class TestComputeFluctuation:
         u = solve_dyson(cfg, grid)
         v = compute_fluctuation(u, cfg, grid)
 
-        model = SpectralModel.from_config(cfg)
         taus = grid.times
-        table = build_kernel_table(model, taus, include_noise=True)
+        table = build_kernel_table(cfg, taus, include_noise=True)
         gt = table.noise  # (n+1, 2) diagonal entries, tau >= 0
         dt = grid.dt
         n = grid.n_steps
@@ -544,6 +545,24 @@ class TestWideBand:
             wbl_greens(sharp, grid).v_seq,
             atol=1e-5,
         )
+
+    def test_thermal_remainder_memory_is_flat(self, monkeypatch):
+        # t_max = 10, k_T = 0.5 puts 5740 nodes in the thermal remainder;
+        # 512-row time chunks of it peaked at 189 MB
+        cfg = make_config(
+            eps1=2.3, eps2=2.3, d=1.0, kind=SpectralKind.WIDE_BAND,
+        )
+        grid = TimeGrid(10.0, 600)
+        tracemalloc.start()
+        try:
+            v = wbl_greens(cfg, grid).v_seq
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64e6
+        # one-row chunks round exactly like the long ones
+        monkeypatch.setattr(greens, "_CHUNK_ELEMENTS", 1)
+        assert np.array_equal(wbl_greens(cfg, grid).v_seq, v)
 
     def test_requires_wideband_kind(self):
         with pytest.raises(ConfigError):

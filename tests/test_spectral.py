@@ -6,7 +6,6 @@ from scipy import integrate
 
 from dqdsim.model import ConfigError, ReservoirParams, SpectralKind
 from dqdsim.spectral import (
-    SpectralModel,
     build_kernel_table,
     fermi_occupation,
     lead_density,
@@ -22,31 +21,27 @@ from kernel_reference import (
 )
 
 
-def model_for(**kwargs) -> SpectralModel:
-    return SpectralModel.from_config(make_config(**kwargs))
-
-
 class TestSpectralDensity:
     def test_lorentzian_peak_and_halfwidth(self):
-        m = model_for(gamma=0.7, d=2.0, mu=1.5)
+        m = make_config(gamma=0.7, d=2.0, mu=1.5)
         j = spectral_density(m, 1.5)
         np.testing.assert_allclose(np.diag(j), [0.7, 0.7], atol=1e-14)
         for w in (1.5 - 2.0, 1.5 + 2.0):
             np.testing.assert_allclose(np.diag(spectral_density(m, w)), [0.35, 0.35])
 
     def test_cutoff_vanishes_outside_band(self):
-        m = model_for(kind=SpectralKind.CUTOFF_LORENTZIAN, cutoff=0.5, mu=2.0)
+        m = make_config(kind=SpectralKind.CUTOFF_LORENTZIAN, cutoff=0.5, mu=2.0)
         for w in (2.0 + 0.5 + 1e-9, 2.0 - 0.5 - 1e-9, 10.0, -10.0):
             assert np.all(spectral_density(m, w) == 0.0)
         assert spectral_density(m, 2.3)[0, 0] > 0.0
 
     def test_wideband_is_flat(self):
-        m = model_for(kind=SpectralKind.WIDE_BAND, gamma=0.9)
+        m = make_config(kind=SpectralKind.WIDE_BAND, gamma=0.9)
         for w in (-50.0, 0.0, 3.0, 400.0):
             np.testing.assert_array_equal(np.diag(spectral_density(m, w)), [0.9, 0.9])
 
     def test_diagonal_and_nonnegative(self, rng):
-        m = model_for(gamma=0.5, d=1.0, mu=-1.0)
+        m = make_config(gamma=0.5, d=1.0, mu=-1.0)
         for w in rng.normal(scale=10.0, size=40):
             j = spectral_density(m, w)
             assert j[0, 1] == 0.0 and j[1, 0] == 0.0
@@ -137,19 +132,19 @@ class TestSelfEnergyReal:
         assert abs(lead_self_energy_real(res, kind, 1e7)) < 1e-5
 
     def test_cutoff_inside_band_rejected(self):
-        m = model_for(kind=SpectralKind.CUTOFF_LORENTZIAN, cutoff=0.5, mu=2.0)
+        m = make_config(kind=SpectralKind.CUTOFF_LORENTZIAN, cutoff=0.5, mu=2.0)
         with pytest.raises(ConfigError):
             self_energy_real(m, 2.2)
 
     def test_matrix_form_is_diagonal(self):
-        m = model_for(mu=1.0, mu_r=3.0)
+        m = make_config(mu=1.0, mu_r=3.0)
         s = self_energy_real(m, 7.0)
         assert s[0, 1] == 0.0 and s[1, 0] == 0.0
 
 
 class TestMemoryKernel:
     def test_lorentzian_closed_form(self):
-        m = model_for(gamma=0.5, d=2.0, mu=1.0)
+        m = make_config(gamma=0.5, d=2.0, mu=1.0)
         np.testing.assert_allclose(
             np.diag(memory_kernel(m, 0.0)), [0.5, 0.5], atol=1e-14
         )
@@ -160,7 +155,7 @@ class TestMemoryKernel:
             )
 
     def test_matches_fourier_quadrature(self):
-        m = model_for(gamma=0.5, d=2.0, mu=1.0)
+        m = make_config(gamma=0.5, d=2.0, mu=1.0)
 
         def envelope(x):
             return 0.5 * 4.0 / (x * x + 4.0)
@@ -179,7 +174,7 @@ class TestMemoryKernel:
             np.testing.assert_allclose(memory_kernel(m, tau)[0, 0], ref, atol=1e-8)
 
     def test_conjugate_symmetry(self):
-        m = model_for(kind=SpectralKind.CUTOFF_LORENTZIAN, cutoff=3.0)
+        m = make_config(kind=SpectralKind.CUTOFF_LORENTZIAN, cutoff=3.0)
         for tau in (0.2, 1.1, 4.0):
             np.testing.assert_allclose(
                 memory_kernel(m, -tau),
@@ -189,8 +184,8 @@ class TestMemoryKernel:
 
     def test_large_cutoff_approaches_lorentzian(self):
         # tail mass beyond the cutoff scales as Gamma d^2 / (pi Omega)
-        sharp = model_for(kind=SpectralKind.CUTOFF_LORENTZIAN, cutoff=2000.0, d=1.0)
-        plain = model_for(kind=SpectralKind.LORENTZIAN, d=1.0)
+        sharp = make_config(kind=SpectralKind.CUTOFF_LORENTZIAN, cutoff=2000.0, d=1.0)
+        plain = make_config(kind=SpectralKind.LORENTZIAN, d=1.0)
         for tau in (0.0, 0.5, 2.0):
             np.testing.assert_allclose(
                 memory_kernel(sharp, tau), memory_kernel(plain, tau), atol=1e-4
@@ -199,7 +194,7 @@ class TestMemoryKernel:
 
 class TestNoiseKernel:
     def test_hot_limit_is_half_memory(self):
-        m = model_for(k_t=1e6, d=1.0, mu=0.0)
+        m = make_config(k_t=1e6, d=1.0, mu=0.0)
         for tau in (0.0, 0.7, 2.5):
             np.testing.assert_allclose(
                 noise_kernel(m, tau), 0.5 * memory_kernel(m, tau), atol=1e-6
@@ -209,7 +204,7 @@ class TestNoiseKernel:
         # J is centered on mu, so exactly half its weight is occupied no
         # matter where the band sits or how hot the reservoir is
         for mu, kt in ((-50.0, 0.1), (0.0, 3.0), (7.0, 0.0)):
-            m = model_for(gamma=0.5, d=1.0, mu=mu, k_t=kt, mu_r=mu)
+            m = make_config(gamma=0.5, d=1.0, mu=mu, k_t=kt, mu_r=mu)
             np.testing.assert_allclose(
                 np.diag(noise_kernel(m, 0.0)), [0.125, 0.125], atol=1e-12
             )
@@ -218,7 +213,7 @@ class TestNoiseKernel:
         # independent decomposition: the even part of J nbar about mu is
         # J/2, the odd part is -J tanh(x / 2kT) / 2 (particle-hole symmetry)
         for mu, kt in ((1.0, 0.5), (-50.0, 0.1), (2.0, 0.01)):
-            m = model_for(gamma=0.5, d=2.0, mu=mu, k_t=kt, mu_r=mu)
+            m = make_config(gamma=0.5, d=2.0, mu=mu, k_t=kt, mu_r=mu)
 
             def envelope(x):
                 return 0.5 * 4.0 / (x * x + 4.0)
@@ -247,7 +242,7 @@ class TestNoiseKernel:
 
 class TestKernelTable:
     def test_matches_pointwise_kernels(self):
-        m = model_for(gamma=0.5, d=2.0, mu=1.0, k_t=0.5)
+        m = make_config(gamma=0.5, d=2.0, mu=1.0, k_t=0.5)
         taus = np.linspace(0.0, 4.0, 9)
         table = build_kernel_table(m, taus, include_noise=True)
         for i, tau in enumerate(taus):
@@ -259,7 +254,7 @@ class TestKernelTable:
             )
 
     def test_cutoff_table_consistent(self):
-        m = model_for(kind=SpectralKind.CUTOFF_LORENTZIAN, cutoff=2.0, k_t=0.3)
+        m = make_config(kind=SpectralKind.CUTOFF_LORENTZIAN, cutoff=2.0, k_t=0.3)
         taus = np.linspace(0.0, 3.0, 7)
         table = build_kernel_table(m, taus, include_noise=True)
         for i, tau in enumerate(taus):
