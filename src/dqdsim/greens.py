@@ -33,6 +33,7 @@ from .model import (
 )
 from .spectral import (
     _fermi_window,
+    _fourier_sum,
     _osc_cap,
     _panel_nodes,
     build_kernel_table,
@@ -454,64 +455,48 @@ def _halfline_pair_integrals(lams, mu, times, pairs):
     return n_jk, o_jk
 
 
-# Elements of one (times x nodes) array of the thermal remainder; the time
-# chunk shrinks as the node count grows, so memory stays flat in t_max k_T.
-_CHUNK_ELEMENTS = 2**19
-
-
-def _cexpm1(z):
-    """expm1 for complex arrays (numpy's expm1 rejects complex input)."""
-    out = np.exp(z) - 1.0
-    small = np.abs(z) < 1e-6
-    if np.any(small):
-        zs = z[small]
-        out[small] = zs * (1.0 + zs * (0.5 + zs / 6.0))
-    return out
-
-
 def _wbl_lead_fluctuation(lams, residues, res, lead, times):
-    """One lead's contribution to V_WBL(t)."""
+    """One lead's contribution to V_WBL on the grid times (zero at t = 0).
+
+    At k_t > 0 the Fermi remainder c_w = (nbar(w) - step(mu - w)) dw on the
+    panel nodes enters the backbone exactly: with a = lam_j, b = conj(lam_k),
+    A_jk = sum_w c_w / ((w - a)(w - b)) joins N_jk and
+    F_jk(t) = sum_w c_w e^{iwt} / ((w - a)(w - b)) joins O_jk(t).
+    """
     jj, kk, theta = _weighted_pairs(lams, residues, res, lead)
     keep = list(zip(jj.tolist(), kk.tolist()))
-    nt = len(times)
-    out = np.zeros((nt, 2, 2), dtype=complex)
+    out = np.zeros((len(times), 2, 2), dtype=complex)
     if not keep:
         return out
 
     pair_set = set(keep)
     pair_set.update((k, j) for j, k in keep)  # conj(o_jk[k, j]) is used
-    n_jk, o_jk = _halfline_pair_integrals(lams, res.mu, times, sorted(pair_set))
-    for (j, k), theta_jk in zip(keep, theta):
-        a, b = lams[j], np.conj(lams[k])
-        c0 = 1.0 + np.exp(1j * (b - a) * times)
-        c1 = np.exp(-1j * a * times)
-        c2 = np.exp(1j * b * times)
-        i_jk = c0 * n_jk[j, k] - c1 * o_jk[j, k] - c2 * np.conj(o_jk[k, j])
-        out += i_jk[:, None, None] * theta_jk
-
+    pairs = sorted(pair_set)
+    t = times[1:]
+    n_jk, o_jk = _halfline_pair_integrals(lams, res.mu, t, pairs)
     if res.k_t > 0.0:
         cap = min(res.k_t / 2.0, _osc_cap(float(times[-1])))
-        omega, wts = _panel_nodes(_fermi_window(res.mu, res.k_t, cap))
-        s_val = fermi_occupation(omega, res.mu, res.k_t) - np.where(
-            omega < res.mu, 1.0, 0.0
-        )
-        coef = wts * s_val
-        used = {j for j, _ in keep} | {k for _, k in keep}
-        chunk = max(1, _CHUNK_ELEMENTS // omega.size)
-        for start in range(0, nt, chunk):
-            tt = times[start : start + chunk]
-            gam_fac = [None, None]
-            for j in used:
-                z = 1j * np.outer(tt, omega - lams[j])
-                gam_fac[j] = _cexpm1(z) / (omega - lams[j])[None, :]
-            for (j, k), theta_jk in zip(keep, theta):
-                # temporary first: numpy multiplies a large product in place
-                # into its temporary operand, moved to the left, so with it
-                # already there short and long chunks round alike
-                s_sum = np.einsum(
-                    "w,tw->t", coef, np.conj(gam_fac[k]) * gam_fac[j]
-                )
-                out[start : start + chunk] += s_sum[:, None, None] * theta_jk
+        omega, coef = _panel_nodes(_fermi_window(res.mu, res.k_t, cap))
+        coef *= fermi_occupation(omega, res.mu, res.k_t) - (omega < res.mu)
+        # rows hold conj(c_w / ((w - a)(w - b))), so the sum gives conj(F_jk);
+        # built in place, the stack is the only (pairs x nodes) array
+        stack = np.empty((len(pairs), omega.size), dtype=complex)
+        for row, (j, k) in zip(stack, pairs):
+            np.subtract(omega, np.conj(lams[j]), out=row)
+            np.divide(coef, row, out=row)
+            row /= omega - lams[k]
+        f = np.conj(_fourier_sum(omega, stack.T, times))  # A_jk = F_jk(0)
+        for col, (j, k) in enumerate(pairs):
+            n_jk[j, k] += f[0, col]
+            o_jk[j, k] += f[1:, col]
+
+    for (j, k), theta_jk in zip(keep, theta):
+        a, b = lams[j], np.conj(lams[k])
+        c0 = 1.0 + np.exp(1j * (b - a) * t)
+        c1 = np.exp(-1j * a * t)
+        c2 = np.exp(1j * b * t)
+        i_jk = c0 * n_jk[j, k] - c1 * o_jk[j, k] - c2 * np.conj(o_jk[k, j])
+        out[1:] += i_jk[:, None, None] * theta_jk
     return out / _TWO_PI
 
 
@@ -523,8 +508,9 @@ def wbl_greens(config: ModelConfig, grid: TimeGrid) -> GreensSolution:
     reduces to logarithms and exponential integrals of the effective-mode
     poles, and the finite-temperature remainder is exponentially confined
     to a few k_T around each chemical potential where fixed Gauss panels
-    resolve it. This keeps V positive semidefinite to rounding, which a
-    truncated frequency window cannot guarantee.
+    resolve it, summed by the kernel tables' factored Fourier sum. This
+    keeps V positive semidefinite to rounding, which a truncated frequency
+    window cannot guarantee.
     """
     if config.spectral_kind is not SpectralKind.WIDE_BAND:
         raise ConfigError("wbl_greens requires the wide-band spectral kind")
@@ -534,17 +520,10 @@ def wbl_greens(config: ModelConfig, grid: TimeGrid) -> GreensSolution:
     u[0] = IDENTITY2  # exact; the projector sum carries rounding noise
 
     v = np.zeros((len(times), 2, 2), dtype=complex)
-    positive = times > 0.0
-    tpos = times[positive]
-    if tpos.size:
-        acc = np.zeros((len(tpos), 2, 2), dtype=complex)
-        for idx, res in enumerate(config.reservoirs):
-            if res.gamma == 0.0:
-                continue
-            acc += _wbl_lead_fluctuation(
-                modes.poles, modes.residues, res, idx, tpos
-            )
-        v[positive] = acc
+    for idx, res in enumerate(config.reservoirs):
+        if res.gamma == 0.0:
+            continue
+        v += _wbl_lead_fluctuation(modes.poles, modes.residues, res, idx, times)
     v = 0.5 * (v + np.conj(np.transpose(v, (0, 2, 1))))
     return GreensSolution(grid, u, v)
 

@@ -162,14 +162,47 @@ def _panel_nodes(segments) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(xs), np.concatenate(ws)
 
 
-def _fourier_sum(nodes: np.ndarray, coefs: np.ndarray, taus: np.ndarray,
-                 chunk: int = 256) -> np.ndarray:
-    """Sum_k coefs[k] e^{-i nodes[k] tau} for every tau, chunked."""
-    out = np.empty(taus.size, dtype=complex)
-    for s in range(0, taus.size, chunk):
-        t = taus[s:s + chunk]
-        out[s:s + chunk] = np.exp(-1j * np.outer(t, nodes)) @ coefs
-    return out
+# Elements of the largest (rows x nodes) array of one Fourier sum; the node
+# chunk shrinks as the rows grow, so memory stays flat in t_max k_T.
+_CHUNK_ELEMENTS = 2**19
+
+
+def _check_grid(taus: np.ndarray) -> None:
+    """Raise ValueError unless taus is tau_m = m dt, m = 0..n, with dt > 0."""
+    if taus.ndim != 1 or taus.size == 0 or taus[0] != 0.0:
+        raise ValueError("kernel table requires a tau grid starting at 0")
+    if taus.size == 1:
+        return
+    tau_max = taus[-1]
+    steps = np.arange(taus.size) * (tau_max / (taus.size - 1))
+    if not (tau_max > 0.0 and np.max(np.abs(taus - steps)) <= 1e-13 * tau_max):
+        raise ValueError("kernel table requires a uniform, increasing tau grid")
+
+
+def _fourier_sum(nodes: np.ndarray, coefs: np.ndarray, taus: np.ndarray) -> np.ndarray:
+    """Sum_k coefs[k] e^{-i nodes[k] tau} on a uniform grid tau_m = m dt.
+
+    coefs is one vector over the nodes, or a (nodes, p) stack of them that
+    shares the exponential tables. With B = ceil(sqrt(n + 1)) and m = a B + b,
+    e^{-i w tau_m} = e^{-i w tau_{aB}} e^{-i w tau_b}: about 2 sqrt(n + 1)
+    exponentials per node, and the node sums run as one matrix product per
+    node chunk.
+    """
+    _check_grid(taus)
+    stack = coefs[:, None] if coefs.ndim == 1 else coefs
+    p = stack.shape[1]
+    cols = math.isqrt(taus.size - 1) + 1
+    rows = -(-taus.size // cols)
+    acc = np.zeros((rows, p, cols), dtype=complex)
+    step = max(1, _CHUNK_ELEMENTS // max(rows * p, cols))
+    for s in range(0, nodes.size, step):
+        w = nodes[s:s + step]
+        outer = np.exp(-1j * np.outer(taus[::cols], w))
+        inner = np.exp(-1j * np.outer(w, taus[:cols]))
+        lhs = outer[:, None, :] * stack[s:s + step].T[None, :, :]
+        acc += (lhs.reshape(rows * p, -1) @ inner).reshape(rows, p, cols)
+    out = acc.transpose(0, 2, 1).reshape(rows * cols, p)[:taus.size]
+    return out.reshape(taus.size) if coefs.ndim == 1 else out
 
 
 def _osc_cap(tau_max: float) -> float:
@@ -235,15 +268,15 @@ class KernelTable:
     noise: np.ndarray | None
 
     def __post_init__(self):
-        if self.taus.ndim != 1 or self.taus[0] != 0.0:
-            raise ValueError("kernel table requires a tau grid starting at 0")
+        _check_grid(self.taus)
 
 
 def build_kernel_table(config: ModelConfig, taus: np.ndarray,
                        include_noise: bool = True) -> KernelTable:
     """Tabulate the memory kernels of both leads on a uniform time grid."""
     taus = np.asarray(taus, dtype=float)
-    tau_max = float(taus[-1]) if taus.size else 0.0
+    _check_grid(taus)
+    tau_max = float(taus[-1])
     memory = np.zeros((taus.size, 2), dtype=complex)
     noise = np.zeros((taus.size, 2), dtype=complex) if include_noise else None
     kind = config.spectral_kind

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from dqdsim.model import (
     ModelConfig,
@@ -10,6 +11,13 @@ from dqdsim.model import (
     SystemParams,
 )
 from dqdsim.state import DensityBlocks
+
+# Property tests draw the same bounded set of examples on every run and
+# keep no example database.
+settings.register_profile(
+    "dqdsim", derandomize=True, database=None, max_examples=60, deadline=None
+)
+settings.load_profile("dqdsim")
 
 
 def make_config(

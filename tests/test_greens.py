@@ -7,7 +7,7 @@ import pytest
 from scipy import integrate
 from scipy.linalg import expm
 
-from dqdsim import greens
+from dqdsim import spectral
 from dqdsim.greens import (
     GreensSolution,
     PoleExpansion,
@@ -34,6 +34,7 @@ from dqdsim.model import (
 from dqdsim.spectral import build_kernel_table, fermi_occupation
 
 from conftest import make_config
+from fourier_reference import wbl_reference_fluctuation
 from steady_reference import (
     mp_pole_expansion,
     mp_steady_fluctuation,
@@ -394,6 +395,10 @@ def _random_config(rng, regime, kind=SpectralKind.LORENTZIAN):
         kw["g"] = 0.0
     elif regime == "gamma_r_zero":
         kw["gamma_r"] = 0.0
+    elif regime == "narrow_hot":  # lines of width <= 0.1 under k_t >= 1
+        kw["gamma"] = rng.uniform(0.01, 0.1)
+        kw["gamma_r"] = rng.uniform(0.01, 0.1)
+        kw["k_t"] = rng.uniform(1.0, 5.0)
     return make_config(kind=kind, **kw)
 
 
@@ -560,9 +565,41 @@ class TestWideBand:
         finally:
             tracemalloc.stop()
         assert peak < 64e6
-        # one-row chunks round exactly like the long ones
-        monkeypatch.setattr(greens, "_CHUNK_ELEMENTS", 1)
-        assert np.array_equal(wbl_greens(cfg, grid).v_seq, v)
+        # one-node chunks sum like the long ones, both to the term-by-term
+        # remainder (a split matrix product rounds differently, so not bitwise)
+        ref = wbl_reference_fluctuation(cfg, grid)
+        assert np.max(np.abs(v - ref)) < 1e-13
+        monkeypatch.setattr(spectral, "_CHUNK_ELEMENTS", 1)
+        assert np.max(np.abs(wbl_greens(cfg, grid).v_seq - ref)) < 1e-13
+
+    def test_thermal_remainder_memory_at_large_node_count(self):
+        # t_max = 400, k_T = 2 puts about 917k nodes in the thermal remainder
+        cfg = make_config(
+            eps1=2.3, eps2=2.3, d=1.0, k_t=2.0, kind=SpectralKind.WIDE_BAND,
+        )
+        tracemalloc.start()
+        try:
+            wbl_greens(cfg, TimeGrid(400.0, 8))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100e6
+
+    @pytest.mark.parametrize(
+        "seed,regime",
+        enumerate(
+            ["narrow_hot", "complex_g", "g_zero", "gamma_r_zero",
+             "zero_temperature", "hot"]
+        ),
+    )
+    def test_matches_term_by_term_remainder(self, seed, regime):
+        rng = np.random.default_rng(100 + seed)
+        for _ in range(3):
+            cfg = _random_config(rng, regime, SpectralKind.WIDE_BAND)
+            grid = TimeGrid(rng.uniform(1.0, 4.0), 48)
+            v = wbl_greens(cfg, grid).v_seq
+            ref = wbl_reference_fluctuation(cfg, grid)
+            assert np.max(np.abs(v - ref)) < 1e-13
 
     def test_requires_wideband_kind(self):
         with pytest.raises(ConfigError):

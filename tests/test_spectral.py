@@ -1,11 +1,17 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy import integrate
 
+from dqdsim import spectral
 from dqdsim.model import ConfigError, ReservoirParams, SpectralKind
 from dqdsim.spectral import (
+    _fourier_sum,
     build_kernel_table,
     fermi_occupation,
     lead_density,
@@ -13,6 +19,7 @@ from dqdsim.spectral import (
 )
 
 from conftest import make_config
+from fourier_reference import direct_fourier_sum
 from kernel_reference import (
     memory_kernel,
     noise_kernel,
@@ -264,3 +271,57 @@ class TestKernelTable:
             np.testing.assert_allclose(
                 np.diag(noise_kernel(m, tau)), table.noise[i], atol=1e-6
             )
+
+
+# grid sizes n + 1: the smallest, perfect squares (B divides them) and primes
+_GRID_SIZES = [1, 2, 3, 4, 9, 16, 100, 1024, 5, 7, 13, 97, 101, 1009]
+
+
+@st.composite
+def _fourier_cases(draw):
+    """Nodes, a coefficient vector or stack, a uniform grid, a chunk bound."""
+    size = draw(st.sampled_from(_GRID_SIZES) | st.integers(1, 1500))
+    tau_max = draw(st.floats(0.01, 100.0))
+    phase_max = draw(st.floats(0.0, 1e3))  # max |w tau| on the grid
+    unit = st.floats(-1.0, 1.0)
+    n_nodes = draw(st.integers(0, 200))
+    nodes = draw(hnp.arrays(float, n_nodes, elements=unit)) * (phase_max / tau_max)
+    shape = (n_nodes,) if draw(st.booleans()) else (n_nodes, draw(st.integers(1, 4)))
+    coefs = draw(hnp.arrays(float, shape, elements=unit)) \
+        + 1j * draw(hnp.arrays(float, shape, elements=unit))
+    taus = np.linspace(0.0, tau_max, size)
+    chunk = draw(st.sampled_from([1, 7, 64, 2**19]))
+    return nodes, coefs, taus, chunk
+
+
+class TestFourierSum:
+    @given(_fourier_cases())
+    def test_factored_matches_direct_sum(self, case):
+        nodes, coefs, taus, chunk = case
+        with mock.patch.object(spectral, "_CHUNK_ELEMENTS", chunk):
+            got = _fourier_sum(nodes, coefs, taus)
+        want = direct_fourier_sum(nodes, coefs, taus)
+        assert got.shape == want.shape
+        # both sums round each phase w tau (the factored one twice, plus the
+        # split of tau): 2 eps max|w tau| bounds that, 4.4e-13 at 10^3
+        phase = np.max(np.abs(nodes), initial=0.0) * taus[-1]
+        tol = 1e-13 + 2.0 * np.finfo(float).eps * phase
+        assert np.all(np.abs(got - want) <= tol * np.sum(np.abs(coefs), axis=0))
+
+    @pytest.mark.parametrize(
+        "taus",
+        [
+            np.array([]),
+            np.array([0.1, 0.2, 0.3]),
+            np.array([0.0, 0.1, 0.3]),
+            np.array([0.0, -0.1, -0.2]),
+            np.array([0.0, 0.0]),
+            np.array([0.0, np.nan]),
+            np.zeros((2, 2)),
+        ],
+    )
+    def test_rejects_grid_that_is_not_uniform_from_zero(self, taus):
+        with pytest.raises(ValueError, match="tau grid"):
+            _fourier_sum(np.array([1.0]), np.array([1.0]), taus)
+        with pytest.raises(ValueError, match="tau grid"):
+            build_kernel_table(make_config(), taus)
