@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .model import (
     ConfigError,
@@ -135,6 +134,8 @@ def find_bound_states(config: ModelConfig) -> list:
     bisection, and drops roots hugging a band edge or carrying negligible
     residue (they hybridize with the continuum and decay anyway).
     """
+    from scipy.optimize import brentq  # deferred: scipy.optimize is slow to import
+
     bands = _band_intervals(config)
     m_mat = build_hamiltonian(config.system)
     eig_m = np.linalg.eigvalsh(m_mat)

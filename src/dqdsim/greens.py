@@ -15,9 +15,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy import linalg as sla
 from scipy import special
-from scipy.signal import fftconvolve
 
 from .model import (
     IDENTITY2,
@@ -182,6 +180,13 @@ def solve_dyson(config: ModelConfig, grid: TimeGrid) -> np.ndarray:
     return u
 
 
+def _causal_convolution(u: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """c[n, a, b] = sum_{k<=n} u[k, a, b] g[n-k, b] by FFT, zero-padded past 2n."""
+    size = 1 << (2 * (len(u) - 1)).bit_length()  # > 2n, so no wrap-around
+    spectrum = np.fft.fft(u, size, axis=0) * np.fft.fft(g, size, axis=0)[:, None, :]
+    return np.fft.ifft(spectrum, axis=0)[: len(u)]
+
+
 def compute_fluctuation(u_seq, config: ModelConfig, grid: TimeGrid) -> np.ndarray:
     """Assemble V(t) = int int U(t-s1) gtilde(s1-s2) U(t-s2)^dag ds1 ds2.
 
@@ -194,14 +199,10 @@ def compute_fluctuation(u_seq, config: ModelConfig, grid: TimeGrid) -> np.ndarra
     table = _memory_table(config, grid, include_noise=True)
     g = table.noise  # (n+1, 2), diagonal kernel samples at lags >= 0
     u = np.asarray(u_seq, dtype=complex)
-    n = grid.n_steps
     dt = grid.dt
 
     # c[n] = sum_k U_k gtilde(t_{n-k}), per diagonal component of the kernel
-    c = np.empty_like(u)
-    for a in range(2):
-        for b in range(2):
-            c[:, a, b] = fftconvolve(u[:, a, b], g[:, b])[: n + 1]
+    c = _causal_convolution(u, g)
 
     u_dag = np.conj(np.transpose(u, (0, 2, 1)))
     # e[n] = gtilde(t_n) U_n^dag   (rows scaled by the kernel)
@@ -557,30 +558,33 @@ def bm_fluctuation(config: ModelConfig, grid: TimeGrid):
 
     V_BM(t) = int_0^t U_WBL(s) nbar(eps, T) Gamma U_WBL(s)^dag ds solved in
     closed form through the Sylvester equation A X + X A^dag = nbar Gamma
-    with A = iM + Gamma/2, giving V_BM(t) = X - U X U^dag exactly.
+    with A = iM + Gamma/2, giving V_BM(t) = X - U X U^dag exactly. With the
+    poles r_j and residues Z_j of M - i Gamma / 2 (_modes), A = i(M - i Gamma/2)
+    and X = sum_jk Z_j nbar Gamma Z_k^dag / (i (r_j - conj(r_k))); pairs with
+    no weight on a lead are skipped, and an undamped one that keeps weight
+    raises SolverError.
     """
     if config.spectral_kind is not SpectralKind.WIDE_BAND:
         raise ConfigError("bm_fluctuation requires the wide-band spectral kind")
-    m_mat = build_hamiltonian(config.system)
-    gam = gamma_matrix(config)
-    occ = np.diag(
-        [
-            fermi_occupation(config.system.eps1, config.left.mu, config.left.k_t),
-            fermi_occupation(config.system.eps2, config.right.mu, config.right.k_t),
-        ]
-    )
-    source = occ @ gam
+    occ = [
+        fermi_occupation(config.system.eps1, config.left.mu, config.left.k_t),
+        fermi_occupation(config.system.eps2, config.right.mu, config.right.k_t),
+    ]
     times = grid.times
-    if np.max(np.abs(source)) == 0.0:
+    if not any(nbar * res.gamma for nbar, res in zip(occ, config.reservoirs)):
         zeros = np.zeros((len(times), 2, 2), dtype=complex)
         return zeros, np.zeros((2, 2), dtype=complex)
 
-    a_mat = 1j * m_mat + 0.5 * gam
-    try:
-        x = sla.solve_sylvester(a_mat, dagger(a_mat), source.astype(complex))
-    except np.linalg.LinAlgError as exc:
-        raise SolverError(f"Born-Markov Sylvester equation is singular: {exc}")
-    u = _modes(config).reconstruct(times)
+    modes = _modes(config)
+    r = np.asarray(modes.poles, dtype=complex)
+    x = np.zeros((2, 2), dtype=complex)
+    for lead, (nbar, res) in enumerate(zip(occ, config.reservoirs)):
+        if nbar * res.gamma == 0.0:
+            continue
+        jj, kk, theta = _weighted_pairs(r, modes.residues, res, lead)
+        gaps = 1j * (r[jj] - np.conj(r[kk]))
+        x += nbar * np.einsum("p,pab->ab", 1.0 / gaps, theta)
+    u = modes.reconstruct(times)
     u_dag = np.conj(np.transpose(u, (0, 2, 1)))
     v = x[None, :, :] - u @ x @ u_dag
     v = 0.5 * (v + np.conj(np.transpose(v, (0, 2, 1))))

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import spectral
 from .greens import GreensSolution, TimeGrid
 from .model import ConfigError, ModelConfig, SpectralKind, build_hamiltonian
 from .spectral import fermi_occupation, lead_density
@@ -28,13 +29,15 @@ class DiscretizedBath:
     """Star-discretized reservoirs around the two dot modes.
 
     energies, couplings, occupations: (2, K) arrays, row l for lead l;
-    couplings are real with |V_k|^2 = J(e_k) de / (2 pi).
+    couplings are real with |V_k|^2 = J(e_k) de / (2 pi). window is the
+    (lo, hi) passed to discretize, or None for each lead's default window.
     """
 
     config: ModelConfig
     energies: np.ndarray
     couplings: np.ndarray
     occupations: np.ndarray
+    window: tuple | None = None
 
     @property
     def modes_per_lead(self) -> int:
@@ -72,6 +75,13 @@ def _default_window(res, kind, modes_per_lead):
     return (res.mu - half, res.mu + half)
 
 
+def _lead_window(res, kind, modes_per_lead, window):
+    """The (lo, hi) window of one lead; an infinite mode count lifts the cap."""
+    if window is None:
+        window = _default_window(res, kind, modes_per_lead)
+    return float(window[0]), float(window[1])
+
+
 def discretize(
     config: ModelConfig, modes_per_lead: int, window=None
 ) -> DiscretizedBath:
@@ -93,10 +103,7 @@ def discretize(
     couplings = np.empty((2, modes_per_lead))
     occupations = np.empty((2, modes_per_lead))
     for lead, res in enumerate(config.reservoirs):
-        win = window if window is not None else _default_window(
-            res, kind, modes_per_lead
-        )
-        lo, hi = float(win[0]), float(win[1])
+        lo, hi = _lead_window(res, kind, modes_per_lead, window)
         if not hi > lo:
             raise ConfigError(f"empty discretization window ({lo}, {hi})")
         if kind is SpectralKind.CUTOFF_LORENTZIAN and res.gamma > 0.0:
@@ -117,7 +124,40 @@ def discretize(
         energies=energies,
         couplings=couplings,
         occupations=occupations,
+        window=window,
     )
+
+
+def _check_recurrence(bath: DiscretizedBath, t_max: float) -> None:
+    """Raise ConfigError if a coupled lead's modes recur within t_max.
+
+    A lead of K modes spaced de apart returns its amplitude to the dots at
+    2 pi / de, so the oracle is only the continuum model before then. The
+    message names the smallest modes_per_lead that clears t_max.
+    """
+    for lead, res in enumerate(bath.config.reservoirs):
+        if res.gamma == 0.0:
+            continue
+        energies = bath.energies[lead]
+        recurrence = 2.0 * math.pi / (energies[1] - energies[0])
+        if t_max < recurrence:
+            continue
+        lo, hi = _lead_window(
+            res, bath.config.spectral_kind, math.inf, bath.window
+        )
+        need = math.floor(t_max * (hi - lo) / (2.0 * math.pi)) + 1
+        raise ConfigError(
+            f"the discretized lead {lead} recurs at t = {recurrence:.4g}, within"
+            f" t_max = {t_max:.4g}; use modes_per_lead >= {need}"
+        )
+
+
+def _eigh(bath: DiscretizedBath):
+    """Eigenpairs of the full Hamiltonian, in real arithmetic when it is real."""
+    h = bath.hamiltonian()
+    if not np.any(h.imag):
+        h = h.real
+    return np.linalg.eigh(h)
 
 
 def exact_greens(bath: DiscretizedBath, grid: TimeGrid) -> GreensSolution:
@@ -125,19 +165,40 @@ def exact_greens(bath: DiscretizedBath, grid: TimeGrid) -> GreensSolution:
 
     U(t) is the dot-block of e^{-iht}; V(t) the dot-block of
     e^{-iht} D e^{iht} with D the initial bath occupations. Both are exact
-    for the discretized Hamiltonian at every t.
-    """
-    h = bath.hamiltonian()
-    evals, q = np.linalg.eigh(h)
-    q_dots = q[:2, :]  # (2, D)
-    phases = np.exp(-1j * np.outer(grid.times, evals))  # (n+1, D)
-    u = np.einsum("ad,td,bd->tab", q_dots, phases, np.conj(q_dots))
-    u[0] = np.eye(2)  # exact; Q Q^dag carries rounding noise
+    for the discretized Hamiltonian at every t before the bath recurs,
+    and a grid past the recurrence raises ConfigError.
 
+    With X(t) = Q_dots e^{-i lambda t}, U = X Q_dots^dag and
+    V = X W X^dag with W = Q^dag D Q. The grid runs in chunks of time rows,
+    each with X stacked to (2 rows, dim) and multiplied by W as one matrix
+    product (two real ones when h is real).
+    """
+    _check_recurrence(bath, grid.t_max)
+    evals, q = _eigh(bath)
+    q_dots = q[:2, :]  # (2, D)
+    q_dots_dag = np.conj(q_dots.T)
     d_b = bath.bath_occupation_diagonal()
     w_mat = (np.conj(q.T) * d_b[None, :]) @ q  # Q^dag D Q, (D, D)
-    x = q_dots[None, :, :] * phases[:, None, :]  # (n+1, 2, D)
-    v = x @ w_mat @ np.conj(np.transpose(x, (0, 2, 1)))
+
+    times = grid.times
+    dim = evals.size
+    u = np.empty((times.size, 2, 2), dtype=complex)
+    v = np.empty_like(u)
+    step = max(1, spectral._CHUNK_ELEMENTS // (2 * dim))
+    for s in range(0, times.size, step):
+        phases = np.exp(-1j * np.outer(times[s:s + step], evals))
+        rows = phases.shape[0]
+        x = (q_dots[None, :, :] * phases[:, None, :]).reshape(2 * rows, dim)
+        if np.isrealobj(w_mat):
+            xw = np.empty_like(x)
+            xw.real = x.real @ w_mat
+            xw.imag = x.imag @ w_mat
+        else:
+            xw = x @ w_mat
+        u[s:s + rows] = (x @ q_dots_dag).reshape(rows, 2, 2)
+        x = x.reshape(rows, 2, dim)
+        v[s:s + rows] = xw.reshape(rows, 2, dim) @ np.conj(x.transpose(0, 2, 1))
+    u[0] = np.eye(2)  # exact; Q Q^dag carries rounding noise
     v = 0.5 * (v + np.conj(np.transpose(v, (0, 2, 1))))
     v[0] = 0.0
     return GreensSolution(grid, u, v)
@@ -154,8 +215,7 @@ def localized_eigenstates(bath: DiscretizedBath, weight_threshold: float = 0.5):
         raise ConfigError(
             f"weight_threshold must lie in (0, 1), got {weight_threshold}"
         )
-    h = bath.hamiltonian()
-    evals, q = np.linalg.eigh(h)
+    evals, q = _eigh(bath)
     weights = np.abs(q[0, :]) ** 2 + np.abs(q[1, :]) ** 2
     picks = weights > weight_threshold
     return [

@@ -1,12 +1,15 @@
 import dataclasses
 import inspect
+import os
 import subprocess
 import sys
 import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dqdsim
 from dqdsim import cli
 from dqdsim.model import ModelConfig, ReservoirParams, SpectralKind, SystemParams
 
@@ -421,6 +424,16 @@ class TestVerify:
         assert cli.main(["verify", "--config", cfg]) == 2
         assert "discretize" in capsys.readouterr().err
 
+    def test_oracle_recurrence_is_a_config_error(self, tmp_path, capsys):
+        # 400 modes over mu +- 40 recur at t = 31.4, inside t_max = 45
+        cfg = write_cfg(
+            tmp_path, BASE + "[grid]\nt_max = 45.0\nn_steps = 450\n"
+        )
+        assert cli.main(["verify", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: the discretized lead 0 recurs")
+        assert "modes_per_lead >= 573" in err
+
 
 class TestConsoleScript:
     def test_installed_entry_point(self, tmp_path):
@@ -437,6 +450,22 @@ class TestConsoleScript:
         )
         assert proc.returncode == 0, proc.stderr
         assert open(out).read().count("\n") >= 6
+
+    def test_import_skips_slow_scipy_modules(self):
+        # scipy.optimize is imported where a root is polished, and the
+        # convolution and Sylvester solve need neither signal nor linalg
+        src = str(Path(dqdsim.__file__).resolve().parents[1])
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, PYTHONPATH=src if not path else src + os.pathsep + path)
+        code = (
+            "import sys, dqdsim.cli; print(sorted(m for m in sys.modules if m in"
+            " ('scipy.signal', 'scipy.linalg', 'scipy.optimize')))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
 
 # sweep name -> the (ModelConfig part, field) pairs it sets, in the order

@@ -5,13 +5,14 @@ import mpmath as mp
 import numpy as np
 import pytest
 from scipy import integrate
-from scipy.linalg import expm
+from scipy.linalg import expm, solve_sylvester
 
-from dqdsim import spectral
+from dqdsim import greens, spectral
 from dqdsim.greens import (
     GreensSolution,
     PoleExpansion,
     TimeGrid,
+    _causal_convolution,
     _modes,
     bm_fluctuation,
     compute_fluctuation,
@@ -190,6 +191,21 @@ class TestComputeFluctuation:
                     acc += wk * wkp * (u[k] * gg[None, :]) @ u[kp].conj().T
             direct[m] = dt * dt * acc
         assert np.max(np.abs(v - direct)) < 1e-13
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 7, 64, 255, 300])
+    def test_causal_convolution_matches_direct_sum(self, n):
+        rng = np.random.default_rng(300 + n)
+        u = rng.normal(size=(n + 1, 2, 2)) + 1j * rng.normal(size=(n + 1, 2, 2))
+        g = rng.normal(size=(n + 1, 2)) + 1j * rng.normal(size=(n + 1, 2))
+        direct = np.zeros_like(u)
+        for m in range(n + 1):
+            for k in range(m + 1):
+                direct[m] += u[k] * g[m - k][None, :]
+        c = _causal_convolution(u, g)
+        assert c.shape == u.shape
+        # rounding of the FFT scales with the summed magnitudes, not the sum
+        bound = np.sum(np.abs(u)) * np.max(np.abs(g))
+        assert np.max(np.abs(c - direct)) < 1e-15 * bound
 
     def test_empty_band_suppresses_fluctuations(self):
         # the band sits 22 Gamma below the dot levels, so only a small
@@ -635,6 +651,35 @@ class TestBornMarkov:
         )
         v_seq, x_steady = bm_fluctuation(cfg, TimeGrid(40.0, 400))
         assert np.max(np.abs(v_seq[-1] - x_steady)) < 1e-7
+
+    @pytest.mark.parametrize(
+        "seed,regime",
+        enumerate(["complex_g", "g_zero", "gamma_r_zero", "zero_temperature"]),
+    )
+    def test_matches_sylvester_solve(self, seed, regime):
+        rng = np.random.default_rng(700 + seed)
+        for _ in range(8):
+            cfg = _random_config(rng, regime, SpectralKind.WIDE_BAND)
+            grid = TimeGrid(rng.uniform(1.0, 5.0), 40)
+            v_seq, x_steady = bm_fluctuation(cfg, grid)
+            gam = gamma_matrix(cfg)
+            occ = np.diag(
+                [fermi_occupation(eps, res.mu, res.k_t) for eps, res in
+                 zip((cfg.system.eps1, cfg.system.eps2), cfg.reservoirs)]
+            )
+            a_mat = 1j * build_hamiltonian(cfg.system) + 0.5 * gam
+            x = solve_sylvester(a_mat, a_mat.conj().T, (occ @ gam).astype(complex))
+            assert np.max(np.abs(x_steady - 0.5 * (x + x.conj().T))) < 1e-12
+            for k in (1, 17, 40):
+                u = expm(-a_mat * grid.times[k])
+                ref = x - u @ x @ u.conj().T
+                assert np.max(np.abs(v_seq[k] - 0.5 * (ref + ref.conj().T))) < 1e-12
+
+    def test_weighted_undamped_pair_is_rejected(self, monkeypatch):
+        undamped = PoleExpansion(poles=[2.0 + 0.0j], residues=[np.eye(2)])
+        monkeypatch.setattr(greens, "_modes", lambda config: undamped)
+        with pytest.raises(SolverError):
+            bm_fluctuation(make_config(kind=SpectralKind.WIDE_BAND), TimeGrid(1.0, 4))
 
     def test_requires_wideband_kind(self):
         with pytest.raises(ConfigError):

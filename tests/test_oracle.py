@@ -1,15 +1,42 @@
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import integrate, linalg
 
+from dqdsim import spectral
 from dqdsim.greens import TimeGrid, solve
 from dqdsim.model import ConfigError, SpectralKind, build_hamiltonian
 from dqdsim.oracle import discretize, exact_greens, localized_eigenstates
 from dqdsim.spectral import fermi_occupation, lead_density
 
 from conftest import make_config
+from oracle_reference import batched_exact_greens
+
+
+def _random_oracle_config(rng, kind, regime):
+    """A seeded config for the oracle: real g unless the regime says."""
+    kw = dict(
+        eps1=rng.uniform(-2.0, 2.0),
+        eps2=rng.uniform(-2.0, 2.0),
+        g=rng.uniform(0.1, 1.5),
+        gamma=rng.uniform(0.1, 1.0),
+        gamma_r=rng.uniform(0.1, 1.0),
+        d=rng.uniform(0.5, 3.0),
+        mu=rng.uniform(-2.0, 2.0),
+        mu_r=rng.uniform(-2.0, 2.0),
+        k_t=rng.uniform(0.05, 1.0),
+        kind=kind,
+    )
+    if kind is SpectralKind.CUTOFF_LORENTZIAN:
+        kw["cutoff"] = rng.uniform(0.5, 3.0)
+    if regime == "complex_g":
+        kw["g"] = kw["g"] * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
+    elif regime == "zero_temperature":
+        kw["k_t"] = 0.0
+    return make_config(**kw)
 
 
 class TestDiscretize:
@@ -113,6 +140,75 @@ class TestExactGreens:
         assert np.max(np.abs(coarse.u_seq - fine.u_seq)) < 2e-3
         assert np.max(np.abs(coarse.v_seq - fine.v_seq)) < 2e-3
 
+    @pytest.mark.parametrize(
+        "seed,kind,regime",
+        [
+            (seed, *case)
+            for seed, case in enumerate(
+                itertools.product(
+                    (SpectralKind.LORENTZIAN, SpectralKind.CUTOFF_LORENTZIAN),
+                    ("real_g", "complex_g", "zero_temperature"),
+                )
+            )
+        ],
+    )
+    @pytest.mark.parametrize(
+        "n_steps,chunk_elements",
+        # one chunk (244 = 2 D for 60 modes per lead, so 2148 rows fit in
+        # one), three chunks with a short last one, and one row per chunk
+        [(200, None), (4500, None), (40, 1)],
+    )
+    def test_matches_batched_reference(
+        self, monkeypatch, seed, kind, regime, n_steps, chunk_elements
+    ):
+        if chunk_elements is not None:
+            monkeypatch.setattr(spectral, "_CHUNK_ELEMENTS", chunk_elements)
+        rng = np.random.default_rng(500 + seed)
+        for _ in range(2):
+            bath = discretize(_random_oracle_config(rng, kind, regime), 60)
+            grid = TimeGrid(rng.uniform(2.0, 10.0), n_steps)
+            sol = exact_greens(bath, grid)
+            ref = batched_exact_greens(bath, grid)
+            assert np.max(np.abs(sol.u_seq - ref.u_seq)) < 1e-12
+            assert np.max(np.abs(sol.v_seq - ref.v_seq)) < 1e-12
+
+    @pytest.mark.parametrize("g", [0.5, 0.5 + 0.3j])
+    def test_memory_stays_in_chunks(self, g):
+        # D = 802 and 3001 times: the batched reference peaks at 301 MB,
+        # holding (n+1, 2, D) arrays; the chunks peak at 40-51 MB
+        bath = discretize(make_config(g=g), 400)
+        tracemalloc.start()
+        try:
+            exact_greens(bath, TimeGrid(10.0, 3000))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 80e6
+
+    def test_recurrence_within_horizon_is_rejected(self):
+        # 2 pi / de = 31.4 at 400 modes (window mu +- 40) and 12 at 100
+        # modes (window capped at mu +- 26.2); t_max = 45 needs
+        # de < 2 pi / 45 on the uncapped window, so 573 modes
+        cfg = make_config(d=2.0, k_t=0.5)
+        grid = TimeGrid(45.0, 90)
+        for modes in (100, 400, 572):
+            with pytest.raises(ConfigError, match="modes_per_lead >= 573"):
+                exact_greens(discretize(cfg, modes), grid)
+        exact_greens(discretize(cfg, 573), grid)
+
+    def test_recurrence_on_explicit_window(self):
+        # window of 60 over 50 modes recurs at 5.24; t_max = 6 needs 58
+        cfg = make_config()
+        grid = TimeGrid(6.0, 60)
+        with pytest.raises(ConfigError, match="modes_per_lead >= 58"):
+            exact_greens(discretize(cfg, 50, window=(-30.0, 30.0)), grid)
+        exact_greens(discretize(cfg, 58, window=(-30.0, 30.0)), grid)
+
+    def test_uncoupled_leads_never_recur(self):
+        cfg = make_config(g=0.7, gamma=0.0, gamma_r=0.0)
+        sol = exact_greens(discretize(cfg, 20), TimeGrid(100.0, 200))
+        assert np.max(np.abs(sol.v_seq)) < 1e-13
+
     def test_agrees_with_volterra_solver(self):
         cfg = make_config()
         grid = TimeGrid(5.0, 2500)
@@ -146,3 +242,22 @@ class TestLocalizedEigenstates:
         assert states[0][0] == pytest.approx(0.9259, abs=2e-3)
         assert states[1][0] == pytest.approx(3.0741, abs=2e-3)
         assert all(w > 0.8 for _, w in states)
+
+    @pytest.mark.parametrize("g", [1.0, 0.6 - 0.8j])
+    def test_matches_complex_eigendecomposition(self, g):
+        # the real path for real h gives the energies and weights of a
+        # complex eigh of the same matrix
+        cfg = make_config(
+            g=g, kind=SpectralKind.CUTOFF_LORENTZIAN, cutoff=0.5, k_t=0.0,
+            d=1.0,
+        )
+        bath = discretize(cfg, 300)
+        evals, q = np.linalg.eigh(bath.hamiltonian())
+        weights = np.abs(q[0, :]) ** 2 + np.abs(q[1, :]) ** 2
+        picks = weights > 0.5
+        states = localized_eigenstates(bath)
+        assert len(states) == 2
+        np.testing.assert_allclose(
+            np.array(states), np.column_stack([evals[picks], weights[picks]]),
+            rtol=0.0, atol=1e-12,
+        )
