@@ -40,7 +40,7 @@ from .model import (
     SpectralKind,
     SystemParams,
 )
-from .oracle import discretize, exact_greens
+from .oracle import _check_recurrence, discretize, exact_greens
 from .state import DensityBlocks, evolve_density, propagator_coefficients
 
 # name -> the DensityBlocks it starts from; "explicit" reads [initial] rho*.
@@ -570,8 +570,10 @@ def run_verify(exp: ExperimentConfig, out_path=None, modes=None) -> dict:
     if exp.grid is None:
         raise ConfigError("verify needs a [grid] section")
     k = modes if modes is not None else exp.oracle_modes
-    u_seq, v_seq = _METHODS[exp.method].evolve(exp.model, exp.grid)
+    # a config the oracle rejects fails before the solver runs
     bath = discretize(exp.model, k)
+    _check_recurrence(bath, exp.grid.t_max)
+    u_seq, v_seq = _METHODS[exp.method].evolve(exp.model, exp.grid)
     ex = exact_greens(bath, exp.grid)
     du = float(np.max(np.abs(u_seq - ex.u_seq)))
     dv = float(np.max(np.abs(v_seq - ex.v_seq)))

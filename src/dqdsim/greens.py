@@ -11,6 +11,7 @@ Lorentzian leads and of M - i Gamma / 2 in the wide band.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -45,6 +46,8 @@ SINGULAR_VALUE_CEIL = 1.0 + 1e-6
 RESIDUE_SUM_TOL = 1e-8
 
 _TWO_PI = 2.0 * math.pi
+# lags below it are summed directly at every Volterra step; a power of two
+_DIRECT_LAGS = 64
 
 
 @dataclass(frozen=True)
@@ -57,8 +60,17 @@ class TimeGrid:
     def __post_init__(self):
         if not (math.isfinite(self.t_max) and self.t_max > 0.0):
             raise ConfigError(f"t_max must be positive and finite, got {self.t_max}")
-        if not (isinstance(self.n_steps, int) and self.n_steps >= 1):
-            raise ConfigError(f"n_steps must be a positive integer, got {self.n_steps}")
+        # any integral type, numpy's too, is stored as a plain int; a bool
+        # passes operator.index but is never a step count
+        try:
+            n_steps = operator.index(self.n_steps)
+        except TypeError:
+            n_steps = 0
+        if isinstance(self.n_steps, bool) or n_steps < 1:
+            raise ConfigError(
+                f"n_steps must be a positive integer, got {self.n_steps!r}"
+            )
+        object.__setattr__(self, "n_steps", int(n_steps))
 
     @property
     def dt(self) -> float:
@@ -148,6 +160,14 @@ def solve_dyson(config: ModelConfig, grid: TimeGrid) -> np.ndarray:
     Product-integration trapezoidal rule, implicit in the newest value; the
     implicit step is a single 2x2 solve. Second order in dt and exactly
     unitary (Cayley form) when the coupling vanishes.
+
+    The history sum sum_j mem[s+1-j] U_j is the blocked convolution of
+    Hairer, Lubich & Schlichte, SIAM J. Sci. Stat. Comput. 6, 532 (1985):
+    lags below _DIRECT_LAGS are summed each step, and lags in
+    [2^k, 2^(k+1)) from each aligned block of 2^k past values join the
+    future steps' sums by one FFT convolution once the block is complete.
+    Every (value, lag) pair is counted once, so it is the same sum
+    reordered, in O(n log^2 n) for any tabulated kernel.
     """
     table = _memory_table(config, grid, include_noise=False)
     mem = table.memory  # (n+1, 2) per-lead diagonal samples
@@ -163,14 +183,29 @@ def solve_dyson(config: ModelConfig, grid: TimeGrid) -> np.ndarray:
     lhs = IDENTITY2 + (dt / 2.0) * i_m + (dt * dt / 4.0) * np.diag(g0)
     lhs_inv = inv2(lhs)
 
+    # far[t]: the part of the history sum at t_t known before step t; the
+    # trapezoid puts weight 1/2 on U_0 at every lag
+    far = 0.5 * mem[:, :, None] * u[0]
     conv = np.zeros((2, 2), dtype=complex)  # trapezoid convolution at t_n
     for step in range(n):
-        # known part of the convolution at t_{n+1}: weight 1/2 on U_0,
-        # full weight on U_1..U_n, the implicit 1/2 g0 U_{n+1} lives in lhs
-        tail = 0.5 * mem[step + 1][:, None] * u[0]
-        if step >= 1:
+        target = step + 1
+        size = _DIRECT_LAGS
+        while target % size == 0:
+            # U_lo..U_{target-1} at lags [size, 2 size) reach t_{lo+size} on
+            lo = max(target - size, 1)
+            block = _causal_convolution(
+                u[lo:target].transpose(0, 2, 1), mem[size : 2 * size]
+            ).transpose(0, 2, 1)[: n + 1 - lo - size]
+            far[lo + size : lo + size + len(block)] += block
+            size *= 2
+        # known part of the convolution at t_{n+1}: far holds U_0 and the
+        # long lags, the short ones are summed here; the implicit
+        # 1/2 g0 U_{n+1} lives in lhs
+        near = min(_DIRECT_LAGS - 1, step)
+        tail = far[target]
+        if near:
             tail = tail + np.einsum(
-                "jl,jlc->lc", mem[1 : step + 1][::-1], u[1 : step + 1]
+                "jl,jlc->lc", mem[1 : near + 1][::-1], u[target - near : target]
             )
         partial = dt * tail
         rhs = u[step] - (dt / 2.0) * (i_m @ u[step]) - (dt / 2.0) * (conv + partial)
@@ -181,10 +216,15 @@ def solve_dyson(config: ModelConfig, grid: TimeGrid) -> np.ndarray:
 
 
 def _causal_convolution(u: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """c[n, a, b] = sum_{k<=n} u[k, a, b] g[n-k, b] by FFT, zero-padded past 2n."""
-    size = 1 << (2 * (len(u) - 1)).bit_length()  # > 2n, so no wrap-around
+    """c[n, a, b] = sum_k u[k, a, b] g[n-k, b] for every n < len(u) + len(g) - 1.
+
+    The full linear convolution by FFT, zero-padded past its length so
+    nothing wraps around.
+    """
+    rows = len(u) + len(g) - 1
+    size = 1 << (rows - 1).bit_length()
     spectrum = np.fft.fft(u, size, axis=0) * np.fft.fft(g, size, axis=0)[:, None, :]
-    return np.fft.ifft(spectrum, axis=0)[: len(u)]
+    return np.fft.ifft(spectrum, axis=0)[:rows]
 
 
 def compute_fluctuation(u_seq, config: ModelConfig, grid: TimeGrid) -> np.ndarray:
@@ -202,7 +242,7 @@ def compute_fluctuation(u_seq, config: ModelConfig, grid: TimeGrid) -> np.ndarra
     dt = grid.dt
 
     # c[n] = sum_k U_k gtilde(t_{n-k}), per diagonal component of the kernel
-    c = _causal_convolution(u, g)
+    c = _causal_convolution(u, g)[: len(u)]
 
     u_dag = np.conj(np.transpose(u, (0, 2, 1)))
     # e[n] = gtilde(t_n) U_n^dag   (rows scaled by the kernel)

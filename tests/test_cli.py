@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import dqdsim
-from dqdsim import cli
+from dqdsim import cli, greens
 from dqdsim.model import ModelConfig, ReservoirParams, SpectralKind, SystemParams
 
 BASE = """\
@@ -424,7 +424,15 @@ class TestVerify:
         assert cli.main(["verify", "--config", cfg]) == 2
         assert "discretize" in capsys.readouterr().err
 
-    def test_oracle_recurrence_is_a_config_error(self, tmp_path, capsys):
+    def test_oracle_recurrence_is_a_config_error(self, tmp_path, capsys, monkeypatch):
+        # the config is rejected before the solver runs: count solve_dyson
+        # wherever it is bound, since the exact method reaches it via solve
+        calls = []
+        for module in (cli, greens):
+            def counted(*args, _solve=module.solve_dyson):
+                calls.append(args)
+                return _solve(*args)
+            monkeypatch.setattr(module, "solve_dyson", counted)
         # 400 modes over mu +- 40 recur at t = 31.4, inside t_max = 45
         cfg = write_cfg(
             tmp_path, BASE + "[grid]\nt_max = 45.0\nn_steps = 450\n"
@@ -433,6 +441,7 @@ class TestVerify:
         err = capsys.readouterr().err
         assert err.startswith("config error: the discretized lead 0 recurs")
         assert "modes_per_lead >= 573" in err
+        assert calls == []
 
 
 class TestConsoleScript:

@@ -1,9 +1,13 @@
+import cmath
 import math
 import tracemalloc
+from unittest import mock
 
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 from scipy.linalg import expm, solve_sylvester
 
@@ -35,6 +39,7 @@ from dqdsim.model import (
 from dqdsim.spectral import build_kernel_table, fermi_occupation
 
 from conftest import make_config
+from dyson_reference import direct_solve_dyson
 from fourier_reference import wbl_reference_fluctuation
 from steady_reference import (
     mp_pole_expansion,
@@ -69,6 +74,66 @@ class TestTimeGrid:
             TimeGrid(-1.0, 10)
         with pytest.raises(ConfigError):
             TimeGrid(1.0, 0)
+
+    @pytest.mark.parametrize("n", [np.int64(80), np.int32(80), np.uint16(80)])
+    def test_numpy_integer_steps_become_a_plain_int(self, n):
+        grid = TimeGrid(10.0, n)
+        assert type(grid.n_steps) is int
+        assert grid == TimeGrid(10.0, 80)
+
+    @pytest.mark.parametrize("n", [True, False, 80.0, 0, np.int64(0), -3, "80"])
+    def test_rejects_steps_that_are_not_a_positive_integer(self, n):
+        with pytest.raises(ConfigError, match="n_steps must be a positive integer"):
+            TimeGrid(10.0, n)
+
+
+# grid sizes n on both sides of the history sum's block boundaries, and primes
+_B0 = greens._DIRECT_LAGS
+_DYSON_SIZES = [
+    1, 2, 3, _B0 - 1, _B0, _B0 + 1, 2 * _B0 - 1, 2 * _B0 + 1, 4 * _B0 - 1,
+    4 * _B0, 4 * _B0 + 1, 32 * _B0 + 1, 97, 1031, 2053, 2999,
+]
+
+
+@st.composite
+def _dyson_cases(draw):
+    """A Lorentzian or cutoff config, real, complex or zero g, maybe
+    Gamma_R = 0, and a grid."""
+    lorentzian = draw(st.booleans())
+    cfg = make_config(
+        eps1=draw(st.floats(0.0, 4.0)),
+        eps2=draw(st.floats(0.0, 4.0)),
+        g=draw(st.sampled_from([0.0, 0.5]) | st.complex_numbers(max_magnitude=1.0)),
+        gamma_r=draw(st.sampled_from([0.0, 0.5])),
+        d=draw(st.floats(0.5, 10.0)),
+        cutoff=math.inf if lorentzian else draw(st.floats(1.0, 5.0)),
+        kind=SpectralKind.LORENTZIAN if lorentzian else SpectralKind.CUTOFF_LORENTZIAN,
+    )
+    n = draw(st.sampled_from(_DYSON_SIZES) | st.integers(1, 3000))
+    return cfg, TimeGrid(draw(st.floats(1.0, 40.0)), n)
+
+
+@st.composite
+def _pole_cases(draw):
+    """Lorentzian leads, complex g, sometimes near-degenerate poles, and a
+    horizon up to 100."""
+    eps1 = draw(st.floats(0.0, 3.0))
+    if draw(st.booleans()):
+        # nearly equal levels, weakly coupled: the poles come in close pairs
+        eps2 = eps1 + draw(st.floats(-1e-2, 1e-2))
+        size = draw(st.floats(1e-3, 1e-2))
+    else:
+        eps2 = draw(st.floats(0.0, 3.0))
+        size = draw(st.floats(0.0, 1.0))
+    cfg = make_config(
+        eps1=eps1,
+        eps2=eps2,
+        g=cmath.rect(size, draw(st.floats(0.0, 2.0 * math.pi))),
+        gamma=draw(st.floats(0.2, 1.0)),
+        d=draw(st.floats(0.5, 10.0)),
+        mu=draw(st.floats(0.0, 3.0)),
+    )
+    return cfg, draw(st.sampled_from([10.0, 25.0, 50.0, 100.0]))
 
 
 class TestGreensSolutionInvariants:
@@ -155,6 +220,25 @@ class TestSolveDyson:
         with pytest.raises(ConfigError):
             solve_dyson(cfg, TimeGrid(1.0, 10))
 
+    @settings(max_examples=40)
+    @given(_dyson_cases())
+    def test_blocked_history_sum_matches_direct_loop(self, case):
+        cfg, grid = case
+        got = solve_dyson(cfg, grid)
+        assert np.max(np.abs(got - direct_solve_dyson(cfg, grid))) <= 1e-12
+
+    @pytest.mark.parametrize("n", _DYSON_SIZES)
+    def test_history_sum_across_block_boundaries(self, n):
+        cfg = make_config(
+            eps2=1.5, g=0.3 + 0.4j, cutoff=3.0, kind=SpectralKind.CUTOFF_LORENTZIAN
+        )
+        grid = TimeGrid(0.01 * n, n)
+        want = direct_solve_dyson(cfg, grid)
+        assert np.max(np.abs(solve_dyson(cfg, grid) - want)) <= 1e-12
+        # with no direct lags the FFT levels alone carry every lag
+        with mock.patch.object(greens, "_DIRECT_LAGS", 1):
+            assert np.max(np.abs(solve_dyson(cfg, grid) - want)) <= 1e-12
+
     def test_large_bandwidth_approaches_wideband(self):
         # the kernel decays on 1/d, so the step must resolve that scale
         lor = make_config(d=1000.0)
@@ -197,15 +281,17 @@ class TestComputeFluctuation:
         rng = np.random.default_rng(300 + n)
         u = rng.normal(size=(n + 1, 2, 2)) + 1j * rng.normal(size=(n + 1, 2, 2))
         g = rng.normal(size=(n + 1, 2)) + 1j * rng.normal(size=(n + 1, 2))
-        direct = np.zeros_like(u)
-        for m in range(n + 1):
-            for k in range(m + 1):
-                direct[m] += u[k] * g[m - k][None, :]
-        c = _causal_convolution(u, g)
-        assert c.shape == u.shape
         # rounding of the FFT scales with the summed magnitudes, not the sum
         bound = np.sum(np.abs(u)) * np.max(np.abs(g))
-        assert np.max(np.abs(c - direct)) < 1e-15 * bound
+        # every row of the linear convolution, for a kernel as long as u and
+        # for a shorter one
+        for kernel in (g, g[: n // 2 + 1]):
+            direct = np.zeros((n + len(kernel), 2, 2), dtype=complex)
+            for k in range(n + 1):
+                direct[k : k + len(kernel)] += u[k] * kernel[:, None, :]
+            c = _causal_convolution(u, kernel)
+            assert c.shape == direct.shape
+            assert np.max(np.abs(c - direct)) < 1e-15 * bound
 
     def test_empty_band_suppresses_fluctuations(self):
         # the band sits 22 Gamma below the dot levels, so only a small
@@ -297,6 +383,22 @@ class TestPoleExpansion:
         u_pole = pole_expansion_lorentzian(cfg).reconstruct(grid.times)
         u_volt = solve_dyson(cfg, grid)
         assert np.max(np.abs(u_pole - u_volt)) < 1e-3
+
+    @settings(max_examples=10)
+    @given(_pole_cases())
+    def test_volterra_converges_to_poles_at_second_order(self, case):
+        cfg, t_max = case
+        fine = TimeGrid(t_max, round(100 * t_max))  # dt = 0.01
+        coarse = TimeGrid(t_max, fine.n_steps // 2)
+        exact = pole_expansion_lorentzian(cfg).reconstruct(fine.times)
+        u_fine = solve_dyson(cfg, fine)
+        u_coarse = solve_dyson(cfg, coarse)
+        err_fine = np.max(np.abs(u_fine - exact))
+        err_coarse = np.max(np.abs(u_coarse - exact[::2]))
+        assert 3.0 < err_coarse / err_fine < 5.0
+        # the dt^2 term cancels; 200 drawn configs stayed under 1.1e-4
+        richardson = (4.0 * u_fine[::2] - u_coarse) / 3.0
+        assert np.max(np.abs(richardson - exact[::2])) < 5e-4
 
     def test_decoupled_channels(self):
         exp = pole_expansion_lorentzian(make_config(g=0.0, eps1=1.0, eps2=3.0))
