@@ -86,7 +86,7 @@ _SECTION_KEYS = {
     },
     "solver": {"method"},
     "sweep": {"axis1", "axis2"},
-    "oracle": {"enabled", "modes", "tol"},
+    "oracle": {"modes", "tol"},
     "output": {"path"},
 }
 
@@ -115,7 +115,6 @@ class ExperimentConfig:
     initial_name: str
     method: str
     axes: list
-    oracle_enabled: bool
     oracle_modes: int
     oracle_tol: float
     output_path: str | None
@@ -225,16 +224,6 @@ class _Table:
             return int(raw)
         except ValueError:
             self._fail(section, key, f"not an integer: {raw!r}")
-
-    def get_bool(self, section, key, default=False):
-        if not self.has(section, key):
-            return bool(default)
-        raw = self.data[(section, key)][0].lower()
-        if raw in ("true", "yes", "on", "1"):
-            return True
-        if raw in ("false", "no", "off", "0"):
-            return False
-        self._fail(section, key, f"not a boolean: {raw!r}")
 
 
 def _reservoir_from(table: _Table, section: str) -> ReservoirParams:
@@ -354,7 +343,6 @@ def load_experiment(path: str) -> ExperimentConfig:
         initial_name=initial_name,
         method=method,
         axes=axes,
-        oracle_enabled=table.get_bool("oracle", "enabled", False),
         oracle_modes=table.get_int("oracle", "modes", 400),
         oracle_tol=table.get_float("oracle", "tol", 1e-2),
         output_path=table.get_str("output", "path", "") or None,
@@ -483,24 +471,18 @@ def run_evolution(exp: ExperimentConfig, out_path=None) -> list:
     if exp.grid is None:
         raise ConfigError("evolve needs a [grid] section")
     u_seq, v_seq = _METHODS[exp.method].evolve(exp.model, exp.grid)
-    u_norms = np.linalg.svd(u_seq, compute_uv=False)[:, 0]
+    u_norms = np.linalg.svd(u_seq, compute_uv=False)[:, 0].tolist()
+    tr_v = np.trace(v_seq, axis1=1, axis2=2).real.tolist()
     rows = []
-    for i, t in enumerate(exp.grid.times):
-        coeffs = propagator_coefficients(u_seq[i], v_seq[i])
-        rho_t = evolve_density(exp.initial, coeffs)
-        eof = fermionic_eof(rho_t)
+    for i, t in enumerate(exp.grid.times.tolist()):
+        try:
+            coeffs = propagator_coefficients(u_seq[i], v_seq[i])
+            rho_t = evolve_density(exp.initial, coeffs)
+            eof = fermionic_eof(rho_t)
+        except (SolverError, InvariantViolation) as exc:
+            raise type(exc)(f"evolve step {i} (t = {_fmt(t)}): {exc}") from exc
         n1, n2 = rho_t.occupations()
-        rows.append(
-            (
-                float(t),
-                eof.value,
-                float(np.trace(v_seq[i]).real),
-                n1,
-                n2,
-                float(u_norms[i]),
-                rho_t.purity(),
-            )
-        )
+        rows.append((t, eof.value, tr_v[i], n1, n2, u_norms[i], rho_t.purity()))
     _emit(
         out_path if out_path is not None else exp.output_path,
         exp.raw_items,

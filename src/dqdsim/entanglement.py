@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .model import InvariantViolation, as_mat2, det2
+from .model import InvariantViolation, as_mat2, det_e, entries2, trace_e
 from .state import DensityBlocks
 
 DEGENERATE_TOL = 1e-12
@@ -23,31 +22,30 @@ class EofResult:
 
 
 def _lambda_k(block) -> tuple:
-    """(lambda, K) of one 2x2 block.
+    """(lambda, K) of one 2x2 block, given as its entries (m00, m01, m10, m11).
 
     The degenerate case (equal diagonals, vanishing off-diagonal) is the
     0/0 point of the lambda formula; there K = 0 identically.
     """
-    diff = (block[0, 0] - block[1, 1]).real
-    off = block[0, 1]
+    diff = (block[0] - block[3]).real
+    off = block[1]
     if abs(diff) < DEGENERATE_TOL and abs(off) < DEGENERATE_TOL:
         return 0.0, 0.0
-    lam = diff / np.sqrt(diff * diff + 4.0 * abs(off) ** 2)
+    lam = diff / math.sqrt(diff * diff + 4.0 * abs(off) ** 2)
     k = 0.0
     for s in (-1.0, +1.0):
         p = 1.0 + s * lam
         if p > 0.0:
-            k += p * np.log2(p / 2.0)
-    return float(lam), float(k)
+            k += p * math.log2(p / 2.0)
+    return lam, k
 
 
 def fermionic_eof(rho: DensityBlocks) -> EofResult:
     """EoF of a valid pair of density blocks: -1/2 sum_s tr(rho_s) K_s."""
-    lam1, k1 = _lambda_k(rho.rho1)
-    lam2, k2 = _lambda_k(rho.rho2)
-    tr1 = np.trace(rho.rho1).real
-    tr2 = np.trace(rho.rho2).real
-    value = -0.5 * (tr1 * k1 + tr2 * k2)
+    r1, r2 = entries2(rho.rho1), entries2(rho.rho2)
+    lam1, k1 = _lambda_k(r1)
+    lam2, k2 = _lambda_k(r2)
+    value = -0.5 * (trace_e(r1).real * k1 + trace_e(r2).real * k2)
     value = _checked_value(value)
     return EofResult(value=value, lam=(lam1, lam2), k_terms=(k1, k2))
 
@@ -58,11 +56,10 @@ def steady_state_eof(v_s) -> float:
     Agrees with fermionic_eof(steady_state_density(v_s)) because the
     stationary rho1 is diagonal, which forces K_1 = 0.
     """
-    v = as_mat2(v_s)
-    det_v = det2(v).real
-    tr_v = np.trace(v).real
-    rho2 = v - det_v * np.eye(2)
-    _, k2 = _lambda_k(rho2)
+    v = entries2(as_mat2(v_s))
+    det_v = det_e(v).real
+    tr_v = trace_e(v).real
+    _, k2 = _lambda_k((v[0] - det_v, v[1], v[2], v[3] - det_v))
     return _checked_value((det_v - 0.5 * tr_v) * k2)
 
 

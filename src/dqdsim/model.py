@@ -19,9 +19,6 @@ import numpy as np
 HERMITICITY_RTOL = 1e-12
 
 IDENTITY2 = np.eye(2, dtype=complex)
-SIGMA_Y = np.array([[0.0, -1j], [1j, 0.0]])
-SIGMA_PLUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-SIGMA_MINUS = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
 
 
 class ConfigError(ValueError):
@@ -48,13 +45,55 @@ def dagger(m: np.ndarray) -> np.ndarray:
     return m.conj().T
 
 
+# 2x2 algebra on entry tuples (m00, m01, m10, m11). The formulas use only
+# + - * and .conjugate(), so they run unchanged on Python scalars (one time
+# step) or on arrays of entries (a whole time grid).
+
+
+def entries2(m: np.ndarray) -> tuple:
+    """(m00, m01, m10, m11) of a 2x2 array, as Python scalars."""
+    (a, b), (c, d) = m.tolist()
+    return a, b, c, d
+
+
+def matrix2(x) -> np.ndarray:
+    """The 2x2 complex array of an entry tuple."""
+    return np.array(x, dtype=complex).reshape(2, 2)
+
+
+def mul_e(x, y) -> tuple:
+    a, b, c, d = x
+    e, f, g, h = y
+    return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+
+
+def dagger_e(x) -> tuple:
+    a, b, c, d = x
+    return (a.conjugate(), c.conjugate(), b.conjugate(), d.conjugate())
+
+
+def det_e(x):
+    a, b, c, d = x
+    return a * d - b * c
+
+
+def trace_e(x):
+    return x[0] + x[3]
+
+
+def adjugate_e(x) -> tuple:
+    """det(x) x^-1, which also equals sigma_y x^T sigma_y."""
+    a, b, c, d = x
+    return (d, -b, -c, a)
+
+
 def det2(m: np.ndarray) -> complex:
     """Determinant of a 2x2 matrix without the LAPACK round trip."""
-    return m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
+    return det_e(entries2(m))
 
 
 def adjugate2(m: np.ndarray) -> np.ndarray:
-    return np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]], dtype=complex)
+    return matrix2(adjugate_e(entries2(m)))
 
 
 def inv2(m: np.ndarray) -> np.ndarray:

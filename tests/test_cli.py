@@ -88,6 +88,15 @@ class TestParseErrors:
         assert cli.main(["evolve", "--config", missing]) == 2
         assert "cannot read config file" in capsys.readouterr().err
 
+    def test_oracle_enabled_is_not_a_key(self, tmp_path, capsys):
+        cfg = write_cfg(
+            tmp_path,
+            BASE + "[grid]\nt_max = 1.0\nn_steps = 10\n[oracle]\nenabled = true\n",
+        )
+        assert cli.main(["verify", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert "unknown key 'enabled' in [oracle] (known: modes, tol)" in err
+
     def test_bad_solver_method(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, BASE + "[solver]\nmethod = magic\n")
         assert cli.main(["evolve", "--config", cfg]) == 2
@@ -236,6 +245,33 @@ class TestEvolve:
         err = capsys.readouterr().err
         assert "invariant violation:" in err
         assert "leaves [0, 1]" in err
+
+
+    @pytest.mark.parametrize(
+        "v_bad, code, message",
+        [
+            (np.eye(2), 3, "solver error: evolve step 7 (t = 0.7): I - V is singular"),
+            (
+                np.diag([1.5, 0.0]),
+                4,
+                "invariant violation: evolve step 7 (t = 0.7): rho1 block has"
+                " negative eigenvalue",
+            ),
+        ],
+    )
+    def test_failing_step_is_named(self, tmp_path, capsys, monkeypatch, v_bad, code, message):
+        def bad_at_step_7(model, grid):
+            n = grid.n_steps + 1
+            u = np.tile(np.eye(2, dtype=complex), (n, 1, 1))
+            v = np.zeros((n, 2, 2), dtype=complex)
+            v[7] = v_bad
+            return u, v
+
+        method = cli._METHODS["exact"]
+        monkeypatch.setitem(cli._METHODS, "exact", method._replace(evolve=bad_at_step_7))
+        cfg = write_cfg(tmp_path, BASE + "[grid]\nt_max = 1.0\nn_steps = 10\n")
+        assert cli.main(["evolve", "--config", cfg]) == code
+        assert message in capsys.readouterr().err
 
 
 class TestSweep:

@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from dqdsim.greens import TimeGrid, solve
+import state_reference as ref
+from dqdsim.cli import _NAMED_STATES
+from dqdsim.greens import (
+    TimeGrid,
+    compute_fluctuation,
+    pole_expansion_lorentzian,
+    solve,
+)
 from dqdsim.model import InvariantViolation, SolverError
 from dqdsim.state import (
     DensityBlocks,
@@ -10,7 +17,7 @@ from dqdsim.state import (
     steady_state_density,
 )
 
-from conftest import make_config, random_density, random_uv_pair
+from conftest import make_config, random_density, random_uv_pair, random_unitary2
 
 
 class TestDensityBlocks:
@@ -160,3 +167,134 @@ class TestSteadyStateDensity:
             target = steady_state_density(v)
             np.testing.assert_allclose(out.rho1, target.rho1, atol=1e-9)
             np.testing.assert_allclose(out.rho2, target.rho2, atol=1e-9)
+
+
+def _outcome(fn):
+    """None when fn() returns, else (exception type, message)."""
+    try:
+        fn()
+    except (InvariantViolation, SolverError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def _assert_matches_reference(u, v, rho, atol=1e-12):
+    """Closed-form coefficients and propagated blocks against the literal ones."""
+    new = propagator_coefficients(u, v)
+    old = ref.propagator_coefficients(u, v)
+    for name in ("j1", "j2", "j3"):
+        np.testing.assert_allclose(getattr(new, name), getattr(old, name), rtol=0, atol=atol)
+    assert abs(new.a - old.a) <= atol
+    out = evolve_density(rho, new)
+    rho1, rho2 = ref.evolve_density(rho, old)
+    np.testing.assert_allclose(out.rho1, rho1, rtol=0, atol=atol)
+    np.testing.assert_allclose(out.rho2, rho2, rtol=0, atol=atol)
+    ref.density_blocks(rho1, rho2)  # the reference accepts what the closed form does
+    assert out.total_trace == pytest.approx(np.trace(rho1).real + np.trace(rho2).real, abs=atol)
+    purity = np.trace(rho1 @ rho1).real + np.trace(rho2 @ rho2).real
+    assert out.purity() == pytest.approx(purity, abs=atol)
+    n_dbl = rho1[1, 1].real
+    assert out.occupations() == pytest.approx(
+        (rho2[0, 0].real + n_dbl, rho2[1, 1].real + n_dbl), abs=atol
+    )
+
+
+class TestClosedFormAgainstReference:
+    """The entry algebra of `state` against `tests/state_reference.py`."""
+
+    def initial_states(self, rng, explicit=2):
+        named = [factory() for factory in _NAMED_STATES.values()]
+        return named + [random_density(rng) for _ in range(explicit)]
+
+    def test_random_uv_pairs(self, rng):
+        for _ in range(250):
+            u, v = random_uv_pair(rng)
+            for rho in self.initial_states(rng, explicit=1):
+                _assert_matches_reference(u, v, rho)
+
+    @pytest.mark.parametrize(
+        "g, eps2, mu_r",
+        [(0.4 + 0.3j, 2.0, 2.0), (-0.2 + 0.7j, 1.4, 2.6), (0.9j, 2.5, 1.5)],
+    )
+    def test_pole_trajectories_with_complex_g(self, rng, g, eps2, mu_r):
+        cfg = make_config(g=g, eps2=eps2, mu_r=mu_r, d=1.5)
+        grid = TimeGrid(10.0, 200)
+        u = pole_expansion_lorentzian(cfg).reconstruct(grid.times)
+        v = compute_fluctuation(u, cfg, grid)
+        states = self.initial_states(rng)
+        for k in range(grid.n_steps + 1):
+            for rho in states:
+                _assert_matches_reference(u[k], v[k], rho)
+
+    def test_identity_and_decayed_ends(self, rng):
+        for rho in self.initial_states(rng):
+            _assert_matches_reference(np.eye(2), np.zeros((2, 2)), rho)
+            _assert_matches_reference(np.zeros((2, 2)), 0.5 * np.eye(2), rho)
+
+
+def _psd_block(rng, lam, mu):
+    """A complex Hermitian block with eigenvalues lam and mu."""
+    q = random_unitary2(rng)
+    m = q @ np.diag([lam, mu]) @ q.conj().T
+    return 0.5 * (m + m.conj().T)
+
+
+class TestChecksAtTolerance:
+    """The closed-form checks accept and reject exactly what eigvalsh did."""
+
+    def assert_same_verdict(self, rho1, rho2, accepted, fragment=""):
+        new = _outcome(lambda: DensityBlocks(rho1, rho2))
+        old = _outcome(lambda: ref.density_blocks(rho1, rho2))
+        assert new == old
+        assert (new is None) == accepted
+        if not accepted:
+            assert new[0] is InvariantViolation
+            assert fragment in new[1]
+
+    @pytest.mark.parametrize("block", ["rho1", "rho2"])
+    @pytest.mark.parametrize("offset, accepted", [(+1e-10, True), (-1e-10, False)])
+    def test_negative_eigenvalue(self, rng, block, offset, accepted):
+        lam = -1e-8 + offset
+        for _ in range(5):
+            m = _psd_block(rng, lam, 0.4)
+            other = np.diag([1.0 - 0.4 - lam, 0.0])
+            pair = (m, other) if block == "rho1" else (other, m)
+            self.assert_same_verdict(
+                *pair, accepted, f"{block} block has negative eigenvalue -1.010e-08"
+            )
+
+    @pytest.mark.parametrize("block", ["rho1", "rho2"])
+    @pytest.mark.parametrize("where", ["diagonal", "off_diagonal"])
+    @pytest.mark.parametrize("offset, accepted", [(-1e-10, True), (+1e-10, False)])
+    def test_hermiticity_gap(self, block, where, offset, accepted):
+        gap = 1e-8 + offset
+        m = np.array([[0.3, 0.1 - 0.05j], [0.1 + 0.05j, 0.2]])
+        if where == "diagonal":
+            m[1, 1] += 0.5j * gap  # |m11 - conj(m11)| = gap
+        else:
+            m[0, 1] += gap
+        other = np.diag([0.4, 0.1])
+        pair = (m, other) if block == "rho1" else (other, m)
+        self.assert_same_verdict(*pair, accepted, f"{block} block is not Hermitian")
+
+    @pytest.mark.parametrize("sign", [+1.0, -1.0])
+    @pytest.mark.parametrize("offset, accepted", [(-1e-10, True), (+1e-10, False)])
+    def test_total_trace(self, rng, sign, offset, accepted):
+        excess = sign * (1e-8 + offset)
+        rho1 = _psd_block(rng, 0.3, 0.2)
+        rho2 = np.diag([0.5 + excess, 0.0])
+        self.assert_same_verdict(rho1, rho2, accepted, "total trace")
+
+    @pytest.mark.parametrize("scale, accepted", [(1.01, True), (0.99, False)])
+    def test_singular_one_minus_v(self, rng, scale, accepted):
+        # det(I - V) = 2^-46 s exactly, with s = 1 - v11
+        s = scale * 1e-14 / 2.0**-46
+        v = np.diag([1.0 - 2.0**-46, 1.0 - s])
+        assert abs(np.linalg.det(np.eye(2) - v) / 1e-14 - scale) < 1e-12
+        for u in (np.eye(2), random_unitary2(rng) * 0.5):
+            new = _outcome(lambda: propagator_coefficients(u, v))
+            old = _outcome(lambda: ref.propagator_coefficients(u, v))
+            assert new == old
+            assert (new is None) == accepted
+            if not accepted:
+                assert new[0] is SolverError and "I - V is singular" in new[1]
