@@ -46,7 +46,8 @@ SINGULAR_VALUE_CEIL = 1.0 + 1e-6
 RESIDUE_SUM_TOL = 1e-8
 
 _TWO_PI = 2.0 * math.pi
-# lags below it are summed directly at every Volterra step; a power of two
+# steps per block of the Volterra solve: lags below it are taken by the
+# block's own matrices, the rest by FFT levels; a power of two
 _DIRECT_LAGS = 64
 
 
@@ -89,6 +90,9 @@ def _check_solution(grid, u_seq, v_seq):
         raise InvariantViolation(
             f"solution shape mismatch: expected ({n}, 2, 2), got {u.shape} and {v.shape}"
         )
+    # every check below is a comparison, and each is false for NaN
+    if not (np.isfinite(u).all() and np.isfinite(v).all()):
+        raise InvariantViolation("U(t) or V(t) has a non-finite entry")
     if not np.allclose(u[0], IDENTITY2, atol=1e-13, rtol=0.0):
         raise InvariantViolation("U(0) != identity")
     if not np.allclose(v[0], 0.0, atol=1e-13, rtol=0.0):
@@ -157,62 +161,96 @@ def _memory_table(config: ModelConfig, grid: TimeGrid, include_noise):
 def solve_dyson(config: ModelConfig, grid: TimeGrid) -> np.ndarray:
     """Propagate U(t) through the memory-kernel Volterra equation.
 
-    Product-integration trapezoidal rule, implicit in the newest value; the
-    implicit step is a single 2x2 solve. Second order in dt and exactly
-    unitary (Cayley form) when the coupling vanishes.
+    Product-integration trapezoidal rule, implicit in the newest value.
+    Second order in dt and exactly unitary (Cayley form) when the coupling
+    vanishes.
 
-    The history sum sum_j mem[s+1-j] U_j is the blocked convolution of
-    Hairer, Lubich & Schlichte, SIAM J. Sci. Stat. Comput. 6, 532 (1985):
-    lags below _DIRECT_LAGS are summed each step, and lags in
+    Over all steps the rule is one block lower-triangular Toeplitz system
+    sum_k T_k U_{t-k} = -F_t in U_1..U_n, with 2x2 blocks
+    T_0 = I + (dt/2) iM + (dt^2/4) mem_0,
+    T_1 = -(I - (dt/2) iM) + (dt^2/2)(mem_1 + mem_0/2), the diagonal
+    T_k = (dt^2/2)(mem_k + mem_{k-1}) for k >= 2, and U_0 only in F_t. It
+    is solved L = _DIRECT_LAGS steps at a time with one precomputed inverse
+    of the in-block triangle: U_block = -T^-1 (F + far) - T^-1 N U_prev,
+    where N holds the lags below L that reach into the previous block.
+    The lags from L on (far) are the blocked convolution of Hairer, Lubich
+    & Schlichte, SIAM J. Sci. Stat. Comput. 6, 532 (1985): lags in
     [2^k, 2^(k+1)) from each aligned block of 2^k past values join the
-    future steps' sums by one FFT convolution once the block is complete.
-    Every (value, lag) pair is counted once, so it is the same sum
-    reordered, in O(n log^2 n) for any tabulated kernel.
+    later blocks' sums by one FFT convolution once the block is complete.
+    Every (value, lag) pair is counted once, in O(n log^2 n) for any
+    tabulated kernel.
     """
     table = _memory_table(config, grid, include_noise=False)
-    mem = table.memory  # (n+1, 2) per-lead diagonal samples
     n = grid.n_steps
     dt = grid.dt
-    m_mat = build_hamiltonian(config.system)
-    i_m = 1j * m_mat
+    size = _DIRECT_LAGS
+    blocks = -(-n // size)
+    # lags past n reach no grid point; zeros keep the first triangle whole
+    mem = np.zeros((max(n + 1, size + 1), 2), dtype=complex)
+    mem[: n + 1] = table.memory  # per-lead diagonal samples
+    i_m = 1j * build_hamiltonian(config.system)
+    minus_b = (dt / 2.0) * i_m - IDENTITY2  # -(I - (dt/2) iM)
+    half = dt * dt / 2.0
 
-    u = np.empty((n + 1, 2, 2), dtype=complex)
+    w = np.zeros_like(mem)  # diagonals of T_k, k >= 2
+    w[1:] = half * (mem[1:] + mem[:-1])
+    lags = w[: size + 1, :, None] * IDENTITY2  # T_0..T_L
+    lags[0] = IDENTITY2 + (dt / 2.0) * i_m + (half / 2.0) * np.diag(mem[0])
+    lags[1] = minus_b + half * np.diag(mem[1] + 0.5 * mem[0])
+
+    # F_t: U_0 = I enters with trapezoid weight 1/2 at every lag, and with
+    # the explicit half of the first step at t_1
+    far = np.zeros((blocks * size + 1, 2, 2), dtype=complex)
+    rows = min(len(far), len(w))
+    far[2:rows, [0, 1], [0, 1]] = 0.5 * w[2:rows]
+    far[1] = minus_b + (half / 2.0) * np.diag(mem[1])
+    # the full T_1 never rides the diagonal FFT levels: at L = 1 it is a
+    # near lag
+    w[:2] = 0.0
+    near_lags = max(size, 2)
+
+    # the in-block triangle T[p, q] = T_{p-q} is block Toeplitz, and so is
+    # its inverse: column X_p = -T_0^-1 sum_{r=1}^p T_r X_{p-r}. Every
+    # block applies the same inverse, so its rounding would add up over the
+    # blocks; the columns are formed in extended precision.
+    inv2(lags[0])  # SolverError when the implicit step is singular
+    ext = lags[:size].astype(np.clongdouble)
+    (a, b), (c, d) = ext[0]
+    col = np.empty_like(ext)
+    col[0] = np.array([[d, -b], [-c, a]]) / (a * d - b * c)
+    for p in range(1, size):
+        col[p] = -col[0] @ np.einsum("rab,rbc->ac", ext[p:0:-1], col[:p])
+    col = col.astype(complex)
+    # N[p, q] = T_{L+p-q} from position q of the previous block while that
+    # lag is below near_lags
+    pos = np.arange(size)
+    gap = pos[:, None] - pos[None, :]
+    zero = np.zeros((2, 2), dtype=complex)
+    tri_inv = np.where((gap >= 0)[..., None, None], col[np.maximum(gap, 0)], zero)
+    back = size + gap
+    reach = (back < near_lags)[..., None, None]
+    near = np.where(reach, lags[np.minimum(back, near_lags - 1)], zero)
+    tri_inv = tri_inv.transpose(0, 2, 1, 3).reshape(2 * size, 2 * size)
+    near = near.transpose(0, 2, 1, 3).reshape(2 * size, 2 * size)
+    solver = -np.hstack([tri_inv, tri_inv @ near])
+
+    u = np.empty_like(far)
     u[0] = IDENTITY2
-
-    g0 = mem[0]
-    lhs = IDENTITY2 + (dt / 2.0) * i_m + (dt * dt / 4.0) * np.diag(g0)
-    lhs_inv = inv2(lhs)
-
-    # far[t]: the part of the history sum at t_t known before step t; the
-    # trapezoid puts weight 1/2 on U_0 at every lag
-    far = 0.5 * mem[:, :, None] * u[0]
-    conv = np.zeros((2, 2), dtype=complex)  # trapezoid convolution at t_n
-    for step in range(n):
-        target = step + 1
-        size = _DIRECT_LAGS
-        while target % size == 0:
-            # U_lo..U_{target-1} at lags [size, 2 size) reach t_{lo+size} on
-            lo = max(target - size, 1)
-            block = _causal_convolution(
-                u[lo:target].transpose(0, 2, 1), mem[size : 2 * size]
-            ).transpose(0, 2, 1)[: n + 1 - lo - size]
-            far[lo + size : lo + size + len(block)] += block
-            size *= 2
-        # known part of the convolution at t_{n+1}: far holds U_0 and the
-        # long lags, the short ones are summed here; the implicit
-        # 1/2 g0 U_{n+1} lives in lhs
-        near = min(_DIRECT_LAGS - 1, step)
-        tail = far[target]
-        if near:
-            tail = tail + np.einsum(
-                "jl,jlc->lc", mem[1 : near + 1][::-1], u[target - near : target]
-            )
-        partial = dt * tail
-        rhs = u[step] - (dt / 2.0) * (i_m @ u[step]) - (dt / 2.0) * (conv + partial)
-        nxt = lhs_inv @ rhs
-        u[step + 1] = nxt
-        conv = partial + dt * 0.5 * g0[:, None] * nxt
-    return u
+    prev = np.zeros((2 * size, 2), dtype=complex)
+    for start in range(1, n + 1, size):
+        done = start + size - 1
+        prev = solver @ np.concatenate([far[start : done + 1].reshape(-1, 2), prev])
+        u[start : done + 1] = prev.reshape(size, 2, 2)
+        level = size
+        while done < n and done % level == 0:
+            # U_lo..U_done at lags [level, 2 level) reach t_{done+1} on
+            lo = done - level + 1
+            conv = _causal_convolution(
+                u[lo : done + 1].transpose(0, 2, 1), w[level : 2 * level]
+            ).transpose(0, 2, 1)[: len(far) - done - 1]
+            far[done + 1 : done + 1 + len(conv)] += conv
+            level *= 2
+    return u[: n + 1]
 
 
 def _causal_convolution(u: np.ndarray, g: np.ndarray) -> np.ndarray:

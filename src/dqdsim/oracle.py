@@ -171,7 +171,9 @@ def exact_greens(bath: DiscretizedBath, grid: TimeGrid) -> GreensSolution:
     With X(t) = Q_dots e^{-i lambda t}, U = X Q_dots^dag and
     V = X W X^dag with W = Q^dag D Q. The grid runs in chunks of time rows,
     each with X stacked to (2 rows, dim) and multiplied by W as one matrix
-    product (two real ones when h is real).
+    product (two real ones when h is real). The phases of a chunk starting
+    at row s are e^{-i lambda t_s} e^{-i lambda t_b} over the chunk's rows
+    b, one table of the latter shared by every chunk.
     """
     _check_recurrence(bath, grid.t_max)
     evals, q = _eigh(bath)
@@ -185,9 +187,10 @@ def exact_greens(bath: DiscretizedBath, grid: TimeGrid) -> GreensSolution:
     u = np.empty((times.size, 2, 2), dtype=complex)
     v = np.empty_like(u)
     step = max(1, spectral._CHUNK_ELEMENTS // (2 * dim))
+    inner = np.exp(-1j * np.outer(times[:step], evals))
     for s in range(0, times.size, step):
-        phases = np.exp(-1j * np.outer(times[s:s + step], evals))
-        rows = phases.shape[0]
+        rows = min(step, times.size - s)
+        phases = np.exp(-1j * times[s] * evals) * inner[:rows]
         x = (q_dots[None, :, :] * phases[:, None, :]).reshape(2 * rows, dim)
         if np.isrealobj(w_mat):
             xw = np.empty_like(x)

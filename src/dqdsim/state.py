@@ -78,6 +78,11 @@ def propagator_coefficients(u, v) -> PropagatorCoefficients:
 def _check_block(name, m):
     m = as_mat2(m)
     a, b, c, d = entries2(m)
+    # a sum is finite only when every entry is; the comparisons below are
+    # all false for NaN
+    total = a + b + c + d
+    if not (math.isfinite(total.real) and math.isfinite(total.imag)):
+        raise InvariantViolation(f"{name} block has a non-finite entry")
     # max |m - m^dag| over the entries; both off-diagonals have the same size
     gap = max(abs(2.0 * a.imag), abs(2.0 * d.imag), abs(b - c.conjugate()))
     if gap > BLOCK_HERMITICITY_TOL:

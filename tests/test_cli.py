@@ -1,4 +1,5 @@
 import dataclasses
+import importlib
 import inspect
 import os
 import subprocess
@@ -256,6 +257,12 @@ class TestEvolve:
                 4,
                 "invariant violation: evolve step 7 (t = 0.7): rho1 block has"
                 " negative eigenvalue",
+            ),
+            (
+                np.array([[np.nan, 0.0], [0.0, 0.2]]),
+                4,
+                "invariant violation: evolve step 7 (t = 0.7): rho1 block has"
+                " a non-finite entry",
             ),
         ],
     )
@@ -590,6 +597,22 @@ class TestTables:
                     assert got == getattr(getattr(base, part), f.name)
 
 
+# the layers perfbench/tracer.py traces, by defining module; the per-pass
+# call counts of its workloads are frozen, and the tests below hold them
+_TRACED_LAYERS = {
+    "spectral": ("build_kernel_table",),
+    "greens": (
+        "solve_dyson", "compute_fluctuation", "pole_expansion_lorentzian",
+        "steady_state_fluctuation", "wbl_steady_fluctuation", "wbl_greens",
+        "bm_fluctuation",
+    ),
+    "oracle": ("discretize", "exact_greens"),
+    "boundstate": ("find_bound_states",),
+    "state": ("propagator_coefficients", "evolve_density"),
+    "entanglement": ("fermionic_eof", "steady_state_eof"),
+}
+
+
 class TestDispatchThroughModuleNames:
     """The solver table looks dqdsim.cli's names up when it runs.
 
@@ -618,6 +641,30 @@ class TestDispatchThroughModuleNames:
     def expect(calls, **nonzero):
         assert "wbl_greens" in calls and "steady_state_eof" in calls
         assert calls == {name: nonzero.get(name, 0) for name in calls}
+
+    @pytest.fixture
+    def layer_calls(self, monkeypatch):
+        """Calls of every layer the benchmark traces, counted at each dqdsim
+        binding, so that calls between modules count too."""
+        modules = [
+            m for name, m in list(sys.modules.items())
+            if m is not None and (name == "dqdsim" or name.startswith("dqdsim."))
+        ]
+        counts = {}
+        for owner, names in _TRACED_LAYERS.items():
+            for name in names:
+                fn = getattr(importlib.import_module(f"dqdsim.{owner}"), name)
+                counts[name] = 0
+
+                def counted(*args, _fn=fn, _name=name, **kwargs):
+                    counts[_name] += 1
+                    return _fn(*args, **kwargs)
+
+                for module in modules:
+                    for attr, value in list(vars(module).items()):
+                        if value is fn:
+                            monkeypatch.setattr(module, attr, counted)
+        return counts
 
     def test_pole_sweep(self, tmp_path, calls):
         cfg = write_cfg(tmp_path, TestSweep.SWEEP.replace(":8", ":3"))
@@ -652,4 +699,42 @@ class TestDispatchThroughModuleNames:
             propagator_coefficients=21,
             evolve_density=21,
             fermionic_eof=21,
+        )
+
+    def test_exact_lorentzian_evolve_layer_counts(self, tmp_path, layer_calls):
+        # the evolve-lorentz workload's counts
+        cfg = write_cfg(
+            tmp_path,
+            BASE + "[grid]\nt_max = 2.0\nn_steps = 20\n[solver]\nmethod = exact\n",
+        )
+        assert cli.main(["evolve", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        self.expect(
+            layer_calls,
+            build_kernel_table=2,
+            solve_dyson=1,
+            compute_fluctuation=1,
+            propagator_coefficients=21,
+            evolve_density=21,
+            fermionic_eof=21,
+        )
+
+    def test_cutoff_classify_and_verify_layer_counts(self, tmp_path, layer_calls):
+        # the gapped-verify workload's counts
+        cfg = write_cfg(
+            tmp_path,
+            CLASSIFY_TWO_ROOT
+            + "[grid]\nt_max = 10.0\nn_steps = 200\n[solver]\nmethod = exact\n"
+            + "[oracle]\nmodes = 100\ntol = 1.0\n",
+        )
+        out = str(tmp_path / "o")
+        assert cli.main(["classify", "--config", cfg, "--out", out]) == 0
+        assert cli.main(["verify", "--config", cfg, "--out", out]) == 0
+        self.expect(
+            layer_calls,
+            find_bound_states=1,
+            build_kernel_table=3,
+            solve_dyson=2,
+            compute_fluctuation=1,
+            discretize=1,
+            exact_greens=1,
         )

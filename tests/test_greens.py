@@ -180,6 +180,17 @@ class TestGreensSolutionInvariants:
         with pytest.raises(InvariantViolation):
             GreensSolution(grid, u, v)
 
+    @pytest.mark.parametrize("stack", ["u", "v"])
+    def test_rejects_nan(self, stack):
+        grid, u, v = self.trivial_solution()
+        bad = np.array([[np.nan, 0.0], [0.0, 0.2]])
+        if stack == "u":
+            u[2] = bad
+        else:
+            v[2] = bad
+        with pytest.raises(InvariantViolation, match="non-finite entry"):
+            GreensSolution(grid, u, v)
+
 
 class TestSolveDyson:
     def test_decoupled_closed_form(self):
@@ -235,9 +246,26 @@ class TestSolveDyson:
         grid = TimeGrid(0.01 * n, n)
         want = direct_solve_dyson(cfg, grid)
         assert np.max(np.abs(solve_dyson(cfg, grid) - want)) <= 1e-12
-        # with no direct lags the FFT levels alone carry every lag
-        with mock.patch.object(greens, "_DIRECT_LAGS", 1):
-            assert np.max(np.abs(solve_dyson(cfg, grid) - want)) <= 1e-12
+        # shorter blocks: at L = 1 the FFT levels carry every lag from 2 on
+        # and the full T_1 is the only near lag
+        for lags in (1, 2, 8):
+            with mock.patch.object(greens, "_DIRECT_LAGS", lags):
+                assert np.max(np.abs(solve_dyson(cfg, grid) - want)) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "cfg, t_max",
+        [
+            (make_config(eps1=2.1, eps2=2.1, g=0.45, mu=1.9), 10.0),
+            (make_config(g=1.0, d=1.0, cutoff=0.5,
+                         kind=SpectralKind.CUTOFF_LORENTZIAN), 50.0),
+        ],
+        ids=["lorentzian", "cutoff"],
+    )
+    def test_matches_extended_precision_reference(self, cfg, t_max):
+        # the same kernel table, stepped in double and in extended precision
+        grid = TimeGrid(t_max, 2000)
+        want = direct_solve_dyson(cfg, grid, dtype=np.clongdouble)
+        assert np.max(np.abs(solve_dyson(cfg, grid) - want)) <= 1e-12
 
     def test_large_bandwidth_approaches_wideband(self):
         # the kernel decays on 1/d, so the step must resolve that scale

@@ -132,6 +132,23 @@ class TestEvolveDensity:
         # resonant with a half-filled band: total charge stays near one
         assert abs(occupied[-1] - 1.0) < 0.05
 
+    def test_nan_fluctuation_is_an_invariant_violation(self):
+        # every other check is a comparison, which NaN passes
+        v = np.array([[np.nan, 0.0], [0.0, 0.2]])
+        coeffs = propagator_coefficients(np.eye(2), v)
+        with pytest.raises(InvariantViolation, match="non-finite entry"):
+            evolve_density(DensityBlocks.bell(), coeffs)
+
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf, complex(0.0, np.nan)])
+    @pytest.mark.parametrize("block", ["rho1", "rho2"])
+    @pytest.mark.parametrize("entry", [(0, 0), (1, 0)])
+    def test_blocks_reject_non_finite_entries(self, bad, block, entry):
+        blocks = {"rho1": np.diag([0.5, 0.0]).astype(complex),
+                  "rho2": np.diag([0.5, 0.0]).astype(complex)}
+        blocks[block][entry] = bad
+        with pytest.raises(InvariantViolation, match=f"{block} block has a non-finite"):
+            DensityBlocks(**blocks)
+
 
 class TestSteadyStateDensity:
     def test_closed_form(self):
