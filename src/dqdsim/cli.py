@@ -21,6 +21,7 @@ import numpy as np
 from .boundstate import classify_relaxation, find_bound_states
 from .entanglement import fermionic_eof, steady_state_eof
 from .greens import (
+    GreensSolution,
     TimeGrid,
     bm_fluctuation,
     compute_fluctuation,
@@ -67,27 +68,45 @@ _SWEEP_FIELDS = {
 }
 SWEEP_PARAMS = tuple(_SWEEP_FIELDS)
 
-_SECTION_KEYS = {
-    "system": {"eps1", "eps2", "g"},
-    "left": {"gamma", "d", "mu", "k_t", "omega_cut"},
-    "right": {"gamma", "d", "mu", "k_t", "omega_cut"},
-    "spectral": {"kind"},
-    "grid": {"t_max", "n_steps"},
+
+def _complex(raw: str) -> complex:
+    return complex(raw.replace(" ", ""))
+
+
+# parser -> the kind of value it expects, as its error message names it
+_EXPECTED = {
+    float: "a number",
+    int: "an integer",
+    _complex: "a real or complex number",
+}
+
+_LEAD_KEYS = {
+    "gamma": (float, 1.0),
+    "d": (float, 0.5),
+    "mu": (float, 0.0),
+    "k_t": (float, 0.0),
+    "omega_cut": (float, math.inf),
+}
+
+# section -> key -> (parser, default); a None default marks a required key
+_KEYS = {
+    "system": {"eps1": (float, None), "eps2": (float, None), "g": (_complex, 0j)},
+    "left": _LEAD_KEYS,
+    "right": _LEAD_KEYS,
+    "spectral": {"kind": (str, "lorentzian")},
+    "grid": {"t_max": (float, None), "n_steps": (int, None)},
     "initial": {
-        "state",
-        "rho1_00",
-        "rho1_11",
-        "rho1_01_re",
-        "rho1_01_im",
-        "rho2_00",
-        "rho2_11",
-        "rho2_01_re",
-        "rho2_01_im",
+        "state": (str, "single1"),
+        **{
+            f"{block}_{entry}": (float, 0.0)
+            for block in ("rho1", "rho2")
+            for entry in ("00", "11", "01_re", "01_im")
+        },
     },
-    "solver": {"method"},
-    "sweep": {"axis1", "axis2"},
-    "oracle": {"modes", "tol"},
-    "output": {"path"},
+    "solver": {"method": (str, "exact")},
+    "sweep": {"axis1": (str, None), "axis2": (str, None)},
+    "oracle": {"modes": (int, 400), "tol": (float, 1e-2)},
+    "output": {"path": (str, "")},
 }
 
 
@@ -112,7 +131,6 @@ class ExperimentConfig:
     model: ModelConfig
     grid: TimeGrid | None
     initial: DensityBlocks
-    initial_name: str
     method: str
     axes: list
     oracle_modes: int
@@ -137,8 +155,8 @@ def _parse_lines(path: str):
             continue
         if line.startswith("[") and line.endswith("]"):
             section = line[1:-1].strip().lower()
-            if section not in _SECTION_KEYS:
-                known = ", ".join(sorted(_SECTION_KEYS))
+            if section not in _KEYS:
+                known = ", ".join(sorted(_KEYS))
                 raise ConfigError(
                     f"{path}:{no}: unknown section [{section}] (known: {known})"
                 )
@@ -150,8 +168,8 @@ def _parse_lines(path: str):
         key, _, value = line.partition("=")
         key = key.strip().lower()
         value = value.strip()
-        if key not in _SECTION_KEYS[section]:
-            known = ", ".join(sorted(_SECTION_KEYS[section]))
+        if key not in _KEYS[section]:
+            known = ", ".join(sorted(_KEYS[section]))
             raise ConfigError(
                 f"{path}:{no}: unknown key {key!r} in [{section}] (known: {known})"
             )
@@ -170,7 +188,6 @@ class _Table:
     def __init__(self, path, items):
         self.path = path
         self.data = {(s, k): (v, no) for s, k, v, no in items}
-        self.items = items
 
     def _fail(self, section, key, message):
         entry = self.data.get((section, key))
@@ -180,7 +197,9 @@ class _Table:
     def has(self, section, key):
         return (section, key) in self.data
 
-    def get_str(self, section, key, default=None):
+    def get(self, section, key):
+        """The parsed value of the key, or its default from _KEYS."""
+        parse, default = _KEYS[section][key]
         entry = self.data.get((section, key))
         if entry is None:
             if default is None:
@@ -188,92 +207,51 @@ class _Table:
                     f"{self.path}: missing required key {key!r} in [{section}]"
                 )
             return default
-        return entry[0]
-
-    def get_float(self, section, key, default=None):
-        if not self.has(section, key):
-            if default is None:
-                raise ConfigError(
-                    f"{self.path}: missing required key {key!r} in [{section}]"
-                )
-            return float(default)
-        raw = self.data[(section, key)][0]
         try:
-            return float(raw)
+            return parse(entry[0])
         except ValueError:
-            self._fail(section, key, f"not a number: {raw!r}")
-
-    def get_complex(self, section, key, default=0.0):
-        if not self.has(section, key):
-            return complex(default)
-        raw = self.data[(section, key)][0]
-        try:
-            return complex(raw.replace(" ", ""))
-        except ValueError:
-            self._fail(section, key, f"not a real or complex number: {raw!r}")
-
-    def get_int(self, section, key, default=None):
-        if not self.has(section, key):
-            if default is None:
-                raise ConfigError(
-                    f"{self.path}: missing required key {key!r} in [{section}]"
-                )
-            return int(default)
-        raw = self.data[(section, key)][0]
-        try:
-            return int(raw)
-        except ValueError:
-            self._fail(section, key, f"not an integer: {raw!r}")
+            self._fail(section, key, f"not {_EXPECTED[parse]}: {entry[0]!r}")
 
 
 def _reservoir_from(table: _Table, section: str) -> ReservoirParams:
-    cut = table.get_float(section, "omega_cut", math.inf)
+    cut = table.get(section, "omega_cut")
     try:
         return ReservoirParams(
-            gamma=table.get_float(section, "gamma", 1.0),
-            bandwidth=table.get_float(section, "d", 0.5),
-            mu=table.get_float(section, "mu", 0.0),
-            k_t=table.get_float(section, "k_t", 0.0),
+            gamma=table.get(section, "gamma"),
+            bandwidth=table.get(section, "d"),
+            mu=table.get(section, "mu"),
+            k_t=table.get(section, "k_t"),
             cutoff=cut,
         )
     except ConfigError as exc:
         raise ConfigError(f"{table.path}: [{section}]: {exc}")
 
 
-def _initial_from(table: _Table) -> tuple:
-    name = table.get_str("initial", "state", "single1").lower()
+def _initial_from(table: _Table) -> DensityBlocks:
+    name = table.get("initial", "state").lower()
     if name not in INITIAL_STATES:
         raise ConfigError(
             f"{table.path}: [initial] state must be one of"
             f" {', '.join(INITIAL_STATES)}; got {name!r}"
         )
     if name in _NAMED_STATES:
-        return name, _NAMED_STATES[name]()
-    r1 = np.zeros((2, 2), dtype=complex)
-    r2 = np.zeros((2, 2), dtype=complex)
-    r1[0, 0] = table.get_float("initial", "rho1_00", 0.0)
-    r1[1, 1] = table.get_float("initial", "rho1_11", 0.0)
-    off1 = table.get_float("initial", "rho1_01_re", 0.0) + 1j * table.get_float(
-        "initial", "rho1_01_im", 0.0
-    )
-    r1[0, 1] = off1
-    r1[1, 0] = np.conj(off1)
-    r2[0, 0] = table.get_float("initial", "rho2_00", 0.0)
-    r2[1, 1] = table.get_float("initial", "rho2_11", 0.0)
-    off2 = table.get_float("initial", "rho2_01_re", 0.0) + 1j * table.get_float(
-        "initial", "rho2_01_im", 0.0
-    )
-    r2[0, 1] = off2
-    r2[1, 0] = np.conj(off2)
+        return _NAMED_STATES[name]()
+    blocks = []
+    for block in ("rho1", "rho2"):
+        p00, p11, re, im = (
+            table.get("initial", f"{block}_{entry}")
+            for entry in ("00", "11", "01_re", "01_im")
+        )
+        off = re + 1j * im
+        blocks.append(np.array([[p00, off], [np.conj(off), p11]], dtype=complex))
     try:
-        return name, DensityBlocks(r1, r2)
+        return DensityBlocks(*blocks)
     except InvariantViolation as exc:
         raise ConfigError(f"{table.path}: [initial] explicit blocks invalid: {exc}")
 
 
 def _axis_from(table: _Table, key: str) -> SweepAxis:
-    raw = table.get_str("sweep", key)
-    parts = raw.split(":")
+    parts = table.get("sweep", key).split(":")
     if len(parts) != 4:
         table._fail("sweep", key, "expected 'names:min:max:steps'")
     names = tuple(n.strip().lower() for n in parts[0].split(","))
@@ -299,11 +277,11 @@ def load_experiment(path: str) -> ExperimentConfig:
     items = _parse_lines(path)
     table = _Table(path, items)
 
-    kind = SpectralKind.from_name(table.get_str("spectral", "kind", "lorentzian"))
+    kind = SpectralKind.from_name(table.get("spectral", "kind"))
     system = SystemParams(
-        eps1=table.get_float("system", "eps1"),
-        eps2=table.get_float("system", "eps2"),
-        g_coupling=table.get_complex("system", "g", 0.0),
+        eps1=table.get("system", "eps1"),
+        eps2=table.get("system", "eps2"),
+        g_coupling=table.get("system", "g"),
     )
     model = ModelConfig(
         system=system,
@@ -315,13 +293,13 @@ def load_experiment(path: str) -> ExperimentConfig:
     grid = None
     if table.has("grid", "t_max") or table.has("grid", "n_steps"):
         grid = TimeGrid(
-            t_max=table.get_float("grid", "t_max"),
-            n_steps=table.get_int("grid", "n_steps"),
+            t_max=table.get("grid", "t_max"),
+            n_steps=table.get("grid", "n_steps"),
         )
 
-    initial_name, initial = _initial_from(table)
+    initial = _initial_from(table)
 
-    method = table.get_str("solver", "method", "exact").lower()
+    method = table.get("solver", "method").lower()
     if method not in SOLVER_METHODS:
         raise ConfigError(
             f"{path}: [solver] method must be one of {', '.join(SOLVER_METHODS)};"
@@ -336,16 +314,20 @@ def load_experiment(path: str) -> ExperimentConfig:
             raise ConfigError(f"{path}: [sweep] axis2 given without axis1")
         axes.append(_axis_from(table, "axis2"))
 
+    modes = table.get("oracle", "modes")
+    tol = table.get("oracle", "tol")
+    # NaN would switch the verify gate off: every comparison with it is false
+    if not tol > 0.0:
+        table._fail("oracle", "tol", f"must be > 0 (inf allowed), got {tol!r}")
     return ExperimentConfig(
         model=model,
         grid=grid,
         initial=initial,
-        initial_name=initial_name,
         method=method,
         axes=axes,
-        oracle_modes=table.get_int("oracle", "modes", 400),
-        oracle_tol=table.get_float("oracle", "tol", 1e-2),
-        output_path=table.get_str("output", "path", "") or None,
+        oracle_modes=modes,
+        oracle_tol=tol,
+        output_path=table.get("output", "path") or None,
         raw_items=[(s, k, v) for s, k, v, _ in items],
     )
 
@@ -367,8 +349,7 @@ def _late_time_steady(model: ModelConfig, grid):
         )
     if model.spectral_kind is SpectralKind.WIDE_BAND:
         return wbl_steady_fluctuation(model), 0.0
-    u = solve_dyson(model, grid)
-    v = compute_fluctuation(u, model, grid)
+    v = solve(model, grid).v_seq
     start = int(math.floor(0.8 * grid.n_steps))
     window = v[start:]
     v_s = window.mean(axis=0)
@@ -376,17 +357,13 @@ def _late_time_steady(model: ModelConfig, grid):
     return 0.5 * (v_s + v_s.conj().T), spread
 
 
-def _uv(sol):
-    return sol.u_seq, sol.v_seq
-
-
-def _pole_pair(model: ModelConfig, grid: TimeGrid):
+def _pole_solution(model: ModelConfig, grid: TimeGrid) -> GreensSolution:
     u = pole_expansion_lorentzian(model).reconstruct(grid.times)
-    return u, compute_fluctuation(u, model, grid)
+    return GreensSolution(grid, u, compute_fluctuation(u, model, grid))
 
 
 class _Method(NamedTuple):
-    evolve: Callable  # (model, grid) -> (U(t), V(t))
+    evolve: Callable  # (model, grid) -> GreensSolution
     steady: Callable  # (model, grid or None) -> (V^s, late-time spread)
 
 
@@ -394,20 +371,19 @@ class _Method(NamedTuple):
 # import, so a caller that rebinds a module name (a tracer, a test) sees
 # every call.
 _METHODS = {
-    "exact": _Method(lambda model, grid: _uv(solve(model, grid)), _late_time_steady),
+    "exact": _Method(lambda model, grid: solve(model, grid), _late_time_steady),
     "wbl": _Method(
-        lambda model, grid: _uv(wbl_greens(model, grid)),
+        lambda model, grid: wbl_greens(model, grid),
         lambda model, grid: (wbl_steady_fluctuation(model), 0.0),
     ),
     "born_markov": _Method(
-        lambda model, grid: (
-            wbl_greens(model, grid).u_seq,
-            bm_fluctuation(model, grid)[0],
+        lambda model, grid: GreensSolution(
+            grid, wbl_greens(model, grid).u_seq, bm_fluctuation(model, grid)[0]
         ),
         lambda model, grid: (bm_fluctuation(model, grid or TimeGrid(1.0, 2))[1], 0.0),
     ),
     "pole": _Method(
-        _pole_pair,
+        _pole_solution,
         lambda model, grid: (
             steady_state_fluctuation(pole_expansion_lorentzian(model), model),
             0.0,
@@ -466,17 +442,17 @@ def _write(path, lines):
         sys.stdout.write(text)
 
 
-def run_evolution(exp: ExperimentConfig, out_path=None) -> list:
+def run_evolution(exp: ExperimentConfig) -> list:
     """Time-series table: t, entanglement, occupations, norms, purity."""
     if exp.grid is None:
         raise ConfigError("evolve needs a [grid] section")
-    u_seq, v_seq = _METHODS[exp.method].evolve(exp.model, exp.grid)
-    u_norms = np.linalg.svd(u_seq, compute_uv=False)[:, 0].tolist()
-    tr_v = np.trace(v_seq, axis1=1, axis2=2).real.tolist()
+    sol = _METHODS[exp.method].evolve(exp.model, exp.grid)
+    u_norms = sol.u_norm.tolist()
+    tr_v = np.trace(sol.v_seq, axis1=1, axis2=2).real.tolist()
     rows = []
     for i, t in enumerate(exp.grid.times.tolist()):
         try:
-            coeffs = propagator_coefficients(u_seq[i], v_seq[i])
+            coeffs = propagator_coefficients(sol.u_seq[i], sol.v_seq[i])
             rho_t = evolve_density(exp.initial, coeffs)
             eof = fermionic_eof(rho_t)
         except (SolverError, InvariantViolation) as exc:
@@ -484,7 +460,7 @@ def run_evolution(exp: ExperimentConfig, out_path=None) -> list:
         n1, n2 = rho_t.occupations()
         rows.append((t, eof.value, tr_v[i], n1, n2, u_norms[i], rho_t.purity()))
     _emit(
-        out_path if out_path is not None else exp.output_path,
+        exp.output_path,
         exp.raw_items,
         ["t", "eof", "tr_v", "n1", "n2", "u_norm", "purity"],
         rows,
@@ -492,7 +468,7 @@ def run_evolution(exp: ExperimentConfig, out_path=None) -> list:
     return rows
 
 
-def run_sweep(exp: ExperimentConfig, out_path=None, workers: int = 1) -> list:
+def run_sweep(exp: ExperimentConfig, workers: int = 1) -> list:
     """Steady-state grid over one or two swept parameter groups."""
     if not exp.axes:
         raise ConfigError("sweep needs [sweep] axis1 (and optionally axis2)")
@@ -515,7 +491,7 @@ def run_sweep(exp: ExperimentConfig, out_path=None, workers: int = 1) -> list:
     results.sort(key=lambda pair: pair[0])
     rows = [row for _, row in results]
     _emit(
-        out_path if out_path is not None else exp.output_path,
+        exp.output_path,
         exp.raw_items,
         axis_cols + ["eof_s", "v00", "v11", "v01_re", "v01_im", "late_time_spread"],
         rows,
@@ -523,7 +499,7 @@ def run_sweep(exp: ExperimentConfig, out_path=None, workers: int = 1) -> list:
     return rows
 
 
-def run_classify(exp: ExperimentConfig, out_path=None) -> dict:
+def run_classify(exp: ExperimentConfig) -> dict:
     """Bound-state census: roots, effectiveness data, relaxation class."""
     roots = find_bound_states(exp.model)
     cls = classify_relaxation(roots)
@@ -543,22 +519,22 @@ def run_classify(exp: ExperimentConfig, out_path=None) -> dict:
         lines.append(f"# late_time_u_norm_max = {_fmt(plateau)}")
     lines.append(f"# effective_roots = {cls.count}")
     lines.append(f"# relaxation_class = {cls.kind.value}")
-    _write(out_path if out_path is not None else exp.output_path, lines)
+    _write(exp.output_path, lines)
     return {"roots": roots, "classification": cls, "plateau": plateau}
 
 
-def run_verify(exp: ExperimentConfig, out_path=None, modes=None) -> dict:
+def run_verify(exp: ExperimentConfig) -> dict:
     """Solver-vs-oracle cross check on the configured grid."""
     if exp.grid is None:
         raise ConfigError("verify needs a [grid] section")
-    k = modes if modes is not None else exp.oracle_modes
+    k = exp.oracle_modes
     # a config the oracle rejects fails before the solver runs
     bath = discretize(exp.model, k)
     _check_recurrence(bath, exp.grid.t_max)
-    u_seq, v_seq = _METHODS[exp.method].evolve(exp.model, exp.grid)
+    sol = _METHODS[exp.method].evolve(exp.model, exp.grid)
     ex = exact_greens(bath, exp.grid)
-    du = float(np.max(np.abs(u_seq - ex.u_seq)))
-    dv = float(np.max(np.abs(v_seq - ex.v_seq)))
+    du = float(np.max(np.abs(sol.u_seq - ex.u_seq)))
+    dv = float(np.max(np.abs(sol.v_seq - ex.v_seq)))
     report = {
         "u_error": du,
         "v_error": dv,
@@ -569,7 +545,7 @@ def run_verify(exp: ExperimentConfig, out_path=None, modes=None) -> dict:
     lines.append(f"max |U - U_oracle| = {_fmt(du)}")
     lines.append(f"max |V - V_oracle| = {_fmt(dv)}")
     lines.append(f"tolerance = {_fmt(exp.oracle_tol)}")
-    _write(out_path if out_path is not None else exp.output_path, lines)
+    _write(exp.output_path, lines)
     if max(du, dv) > exp.oracle_tol:
         raise SolverError(
             f"oracle cross-check failed: U error {du:.3e}, V error {dv:.3e}"
@@ -614,14 +590,18 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         exp = load_experiment(args.config)
+        if args.out is not None:
+            exp = replace(exp, output_path=args.out)
+        if getattr(args, "oracle_modes", None) is not None:
+            exp = replace(exp, oracle_modes=args.oracle_modes)
         if args.command == "evolve":
-            run_evolution(exp, out_path=args.out)
+            run_evolution(exp)
         elif args.command == "sweep":
-            run_sweep(exp, out_path=args.out, workers=args.workers)
+            run_sweep(exp, workers=args.workers)
         elif args.command == "classify":
-            run_classify(exp, out_path=args.out)
+            run_classify(exp)
         elif args.command == "verify":
-            run_verify(exp, out_path=args.out, modes=args.oracle_modes)
+            run_verify(exp)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

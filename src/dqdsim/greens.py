@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -82,7 +82,9 @@ class TimeGrid:
         return np.linspace(0.0, self.t_max, self.n_steps + 1)
 
 
-def _check_solution(grid, u_seq, v_seq):
+def _check_solution(grid, u_seq, v_seq) -> np.ndarray:
+    """Raise InvariantViolation unless (U, V) is physical; return the
+    largest singular value of each U(t)."""
     u = np.asarray(u_seq)
     v = np.asarray(v_seq)
     n = grid.n_steps + 1
@@ -110,20 +112,23 @@ def _check_solution(grid, u_seq, v_seq):
         raise InvariantViolation(
             f"U(t) singular value {svals.max():.8f} exceeds contraction bound"
         )
+    return svals[:, 0]
 
 
 @dataclass
 class GreensSolution:
-    """U(t) and V(t) sampled on a common time grid."""
+    """U(t) and V(t) sampled on a common time grid, checked on construction;
+    u_norm holds the largest singular value of each U(t)."""
 
     grid: TimeGrid
     u_seq: np.ndarray
     v_seq: np.ndarray
+    u_norm: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.u_seq = np.ascontiguousarray(np.asarray(self.u_seq, dtype=complex))
         self.v_seq = np.ascontiguousarray(np.asarray(self.v_seq, dtype=complex))
-        _check_solution(self.grid, self.u_seq, self.v_seq)
+        self.u_norm = _check_solution(self.grid, self.u_seq, self.v_seq)
 
 
 @dataclass

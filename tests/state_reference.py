@@ -2,10 +2,12 @@
 
 `propagator_coefficients`, `evolve_density` and `check_block` are the
 former bodies of `dqdsim.state`, kept as the reference for its closed-form
-entry algebra: sigma matrices, sigma_y transposes, numpy traces and a
-LAPACK `eigvalsh` for the block check. `evolve_density` returns the raw
-blocks (rho1, rho2) so that a test can compare them before any check;
-`density_blocks` applies the former checks to such a pair.
+entry algebra: sigma matrices, sigma_y transposes, numpy traces, LAPACK
+determinants and inverses (`np.linalg.det`, `np.linalg.inv`, not the
+closed forms of `dqdsim.model`) and a LAPACK `eigvalsh` for the block
+check. `evolve_density` returns the raw blocks (rho1, rho2) so that a test
+can compare them before any check; `density_blocks` applies the former
+checks to such a pair.
 """
 
 import numpy as np
@@ -16,8 +18,6 @@ from dqdsim.model import (
     SolverError,
     as_mat2,
     dagger,
-    det2,
-    inv2,
 )
 from dqdsim.state import (
     BLOCK_HERMITICITY_TOL,
@@ -36,12 +36,12 @@ def propagator_coefficients(u, v) -> PropagatorCoefficients:
     u = as_mat2(u)
     v = as_mat2(v)
     one_minus_v = IDENTITY2 - v
-    det_w_inv = det2(one_minus_v)
+    det_w_inv = np.linalg.det(one_minus_v)
     if abs(det_w_inv) < 1e-14:
         raise SolverError(
             "I - V is singular (occupation reached 1); coefficients undefined"
         )
-    w = inv2(one_minus_v)
+    w = np.linalg.inv(one_minus_v)
     return PropagatorCoefficients(
         j1=w @ u,
         j2=w - IDENTITY2,
@@ -83,9 +83,9 @@ def evolve_density(rho0, coeffs):
     j1, j2, j3, a = coeffs.j1, coeffs.j2, coeffs.j3, coeffs.a
     r1, r2 = rho0.rho1, rho0.rho2
 
-    det_j1 = det2(j1)
-    det_j2 = det2(j2)
-    det_j3 = det2(j3)
+    det_j1 = np.linalg.det(j1)
+    det_j2 = np.linalg.det(j2)
+    det_j3 = np.linalg.det(j3)
     p_vac = r1[0, 0]
     p_dbl = r1[1, 1]
     tr_r2_j3 = np.trace(r2 @ j3)

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import textwrap
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -97,6 +98,20 @@ class TestParseErrors:
         assert cli.main(["verify", "--config", cfg]) == 2
         err = capsys.readouterr().err
         assert "unknown key 'enabled' in [oracle] (known: modes, tol)" in err
+
+    @pytest.mark.parametrize("tol", ["nan", "0", "-1e-3"])
+    def test_oracle_tol_must_be_positive(self, tmp_path, capsys, tol):
+        # a NaN tolerance once passed every oracle check: max(du, dv) > nan
+        # is false
+        text = BASE + f"[grid]\nt_max = 2.0\nn_steps = 20\n[oracle]\ntol = {tol}\n"
+        cfg = write_cfg(tmp_path, text)
+        assert cli.main(["verify", "--config", cfg]) == 2
+        line = text.count("\n")
+        assert f"run.cfg:{line}: [oracle] tol: must be > 0" in capsys.readouterr().err
+
+    def test_oracle_tol_may_be_inf(self, tmp_path):
+        cfg = write_cfg(tmp_path, BASE + "[oracle]\ntol = inf\n")
+        assert cli.load_experiment(cfg).oracle_tol == float("inf")
 
     def test_bad_solver_method(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, BASE + "[solver]\nmethod = magic\n")
@@ -219,7 +234,7 @@ class TestEvolve:
         a, b = str(tmp_path / "a.tsv"), str(tmp_path / "b.tsv")
         assert cli.main(["evolve", "--config", cfg, "--out", a]) == 0
         assert cli.main(["evolve", "--config", cfg, "--out", b]) == 0
-        assert open(a, "rb").read() == open(b, "rb").read()
+        assert Path(a).read_bytes() == Path(b).read_bytes()
 
     def test_invariant_violation_exit_code(self, tmp_path, capsys):
         # a grid far too coarse for this coupling makes the quadrature
@@ -268,17 +283,47 @@ class TestEvolve:
     )
     def test_failing_step_is_named(self, tmp_path, capsys, monkeypatch, v_bad, code, message):
         def bad_at_step_7(model, grid):
+            # unchecked, unlike a GreensSolution: the step loop must name it
             n = grid.n_steps + 1
             u = np.tile(np.eye(2, dtype=complex), (n, 1, 1))
             v = np.zeros((n, 2, 2), dtype=complex)
             v[7] = v_bad
-            return u, v
+            return SimpleNamespace(u_seq=u, v_seq=v, u_norm=np.ones(n))
 
         method = cli._METHODS["exact"]
         monkeypatch.setitem(cli._METHODS, "exact", method._replace(evolve=bad_at_step_7))
         cfg = write_cfg(tmp_path, BASE + "[grid]\nt_max = 1.0\nn_steps = 10\n")
         assert cli.main(["evolve", "--config", cfg]) == code
         assert message in capsys.readouterr().err
+
+
+class TestEverySolutionIsChecked:
+    @pytest.mark.parametrize(
+        "method, kind, name, fake",
+        [
+            ("pole", "lorentzian", "compute_fluctuation", lambda v: v),
+            ("born_markov", "wideband", "bm_fluctuation", lambda v: (v, v[-1])),
+        ],
+    )
+    def test_v_outside_unit_interval_exits_4(
+        self, tmp_path, capsys, monkeypatch, method, kind, name, fake
+    ):
+        def bad_v(*args):
+            grid = args[-1]  # both solvers take the grid last
+            v = np.zeros((grid.n_steps + 1, 2, 2), dtype=complex)
+            v[5] = np.diag([1.5, 0.0])
+            return fake(v)
+
+        monkeypatch.setattr(cli, name, bad_v)
+        cfg = write_cfg(
+            tmp_path,
+            BASE.replace("kind = lorentzian", f"kind = {kind}")
+            + f"[grid]\nt_max = 1.0\nn_steps = 10\n[solver]\nmethod = {method}\n",
+        )
+        assert cli.main(["evolve", "--config", cfg]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("invariant violation: V(t) spectrum")
+        assert "leaves [0, 1]" in err
 
 
 class TestSweep:
@@ -310,7 +355,7 @@ class TestSweep:
             cli.main(["sweep", "--config", cfg, "--out", b, "--workers", "2"])
             == 0
         )
-        assert open(a, "rb").read() == open(b, "rb").read()
+        assert Path(a).read_bytes() == Path(b).read_bytes()
 
     def test_two_axes_grid(self, tmp_path):
         cfg = write_cfg(
@@ -394,7 +439,7 @@ class TestClassify:
         )
         out = str(tmp_path / "cls.txt")
         assert cli.main(["classify", "--config", cfg, "--out", out]) == 0
-        text = open(out).read()
+        text = Path(out).read_text()
         assert "# effective_roots = 2" in text
         assert "# relaxation_class = OscillatingQuantumMemory" in text
         data = [
@@ -418,7 +463,7 @@ class TestClassify:
         cfg = write_cfg(tmp_path, text)
         out = str(tmp_path / "cls0.txt")
         assert cli.main(["classify", "--config", cfg, "--out", out]) == 0
-        body = open(out).read()
+        body = Path(out).read_text()
         assert "# effective_roots = 0" in body
         assert "# relaxation_class = ThermalLike" in body
         assert "# late_time_u_norm_max" not in body
@@ -501,7 +546,7 @@ class TestConsoleScript:
             capture_output=True, text=True,
         )
         assert proc.returncode == 0, proc.stderr
-        assert open(out).read().count("\n") >= 6
+        assert Path(out).read_text().count("\n") >= 6
 
     def test_import_skips_slow_scipy_modules(self):
         # scipy.optimize is imported where a root is polished, and the
@@ -566,6 +611,90 @@ class TestMethodKindMatrix:
         else:
             assert code == 2
             assert "requires the" in capsys.readouterr().err
+
+
+# a config that loads, with every required key set, explicit initial
+# blocks (a named state leaves the rho entries unread) and both sweep axes
+KEY_BASE = {
+    "system": {"eps1": "2.0", "eps2": "2.0"},
+    "grid": {"t_max": "1.0", "n_steps": "10"},
+    "initial": {
+        "state": "explicit",
+        "rho1_00": "0.25",
+        "rho1_11": "0.25",
+        "rho2_00": "0.25",
+        "rho2_11": "0.25",
+    },
+    "sweep": {"axis1": "g:0:1:2", "axis2": "mu1:0:1:2"},
+}
+
+# (section, key) -> the values that give the key another value than in
+# KEY_BASE; a diagonal entry moves weight off its partner to keep trace 1
+KEY_CHANGES = {
+    ("system", "eps1"): {"eps1": "1.5"},
+    ("system", "eps2"): {"eps2": "1.5"},
+    ("system", "g"): {"g": "0.3+0.1j"},
+    **{
+        (lead, key): {key: value}
+        for lead in ("left", "right")
+        for key, value in (
+            ("gamma", "0.7"), ("d", "3.0"), ("mu", "1.0"), ("k_t", "0.2"),
+            ("omega_cut", "4.0"),
+        )
+    },
+    ("spectral", "kind"): {"kind": "wideband"},
+    ("grid", "t_max"): {"t_max": "2.0"},
+    ("grid", "n_steps"): {"n_steps": "20"},
+    ("initial", "state"): {"state": "vacuum"},
+    **{
+        ("initial", f"{block}_{entry}"): {
+            f"{block}_{entry}": "0.5", f"{block}_{partner}": "0.0"
+        }
+        for block in ("rho1", "rho2")
+        for entry, partner in (("00", "11"), ("11", "00"))
+    },
+    **{
+        ("initial", f"{block}_01_{part}"): {f"{block}_01_{part}": "0.1"}
+        for block in ("rho1", "rho2")
+        for part in ("re", "im")
+    },
+    ("solver", "method"): {"method": "pole"},
+    ("sweep", "axis1"): {"axis1": "eps1:0:1:2"},
+    ("sweep", "axis2"): {"axis2": "mu2:0:1:2"},
+    ("oracle", "modes"): {"modes": "100"},
+    ("oracle", "tol"): {"tol": "0.5"},
+    ("output", "path"): {"path": "table.tsv"},
+}
+
+
+def _key_config(tmp_path, section=None, change=None):
+    """An ExperimentConfig's fields, less the config echo, from KEY_BASE
+    with one section's keys changed."""
+    table = {s: dict(keys) for s, keys in KEY_BASE.items()}
+    if section is not None:
+        table.setdefault(section, {}).update(change)
+    text = "".join(
+        f"[{s}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+        for s, keys in table.items()
+    )
+    exp = cli.load_experiment(write_cfg(tmp_path, text))
+    got = {f.name: getattr(exp, f.name) for f in dataclasses.fields(exp)}
+    del got["raw_items"]
+    got["initial"] = (exp.initial.rho1.tolist(), exp.initial.rho2.tolist())
+    return got
+
+
+class TestKeyTable:
+    def test_every_key_has_a_change(self):
+        assert set(KEY_CHANGES) == {(s, k) for s in cli._KEYS for k in cli._KEYS[s]}
+
+    @pytest.mark.parametrize(
+        "section, key", [(s, k) for s, keys in cli._KEYS.items() for k in keys]
+    )
+    def test_every_key_reaches_the_config(self, tmp_path, section, key):
+        # a key the parser accepts but the loader never reads fails here
+        base = _key_config(tmp_path)
+        assert _key_config(tmp_path, section, KEY_CHANGES[section, key]) != base
 
 
 class TestTables:

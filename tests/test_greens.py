@@ -6,7 +6,7 @@ from unittest import mock
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 from scipy.linalg import expm, solve_sylvester
@@ -111,6 +111,21 @@ def _dyson_cases(draw):
     )
     n = draw(st.sampled_from(_DYSON_SIZES) | st.integers(1, 3000))
     return cfg, TimeGrid(draw(st.floats(1.0, 40.0)), n)
+
+
+@st.composite
+def _wide_band_limit_cases(draw):
+    """Two unequal leads, real or complex g, and k_T = 0 or not."""
+    return dict(
+        eps1=draw(st.floats(-3.0, 3.0)),
+        eps2=draw(st.floats(-3.0, 3.0)),
+        g=draw(st.floats(-1.5, 1.5) | st.complex_numbers(max_magnitude=1.5)),
+        gamma=draw(st.floats(0.1, 1.0)),
+        gamma_r=draw(st.floats(0.1, 1.0)),
+        mu=draw(st.floats(-3.0, 3.0)),
+        mu_r=draw(st.floats(-3.0, 3.0)),
+        k_t=draw(st.just(0.0) | st.floats(0.05, 2.0)),
+    )
 
 
 @st.composite
@@ -679,6 +694,36 @@ class TestWideBand:
         wbl = make_config(eps1=1.5, mu=2.3, k_t=kt, kind=SpectralKind.WIDE_BAND)
         vs_lor = steady_state_fluctuation(pole_expansion_lorentzian(lor), lor)
         assert np.max(np.abs(vs_lor - wbl_steady_fluctuation(wbl))) < 2e-4
+
+    @settings(max_examples=20)
+    @given(_wide_band_limit_cases())
+    @example(
+        dict(eps1=2.1, eps2=1.9, g=0.5, gamma=0.5, gamma_r=0.7, mu=2.0, mu_r=1.5, k_t=0.5)
+    )
+    def test_lorentzian_approaches_wide_band_at_first_order(self, params):
+        # The Lorentzian self-energy is the flat one up to O(1/d), so each
+        # doubling of d halves the gap in U(t) and in V^s. The series starts
+        # at d = 500: where the 1/d term is small, the 1/d^2 term still shows
+        # at d = 250 (V^s ratio 0.554 at eps = 0, g = 1.5, Gamma = (0.25,
+        # 0.125), mu = (-2, 2), k_T = 0).
+        wbl = make_config(kind=SpectralKind.WIDE_BAND, **params)
+        grid = TimeGrid(10.0, 100)
+        u_wbl = wbl_greens(wbl, grid).u_seq
+        vs_wbl = wbl_steady_fluctuation(wbl)
+        gaps = []
+        for d in (500.0, 1000.0, 2000.0, 4000.0):
+            lor = make_config(d=d, **params)
+            exp = pole_expansion_lorentzian(lor)
+            du = np.max(np.abs(exp.reconstruct(grid.times) - u_wbl))
+            dv = np.max(np.abs(steady_state_fluctuation(exp, lor) - vs_wbl))
+            gaps.append((du, dv))
+        gaps = np.array(gaps)  # rows: d; columns: U, V^s
+        # where symmetry cancels every order (eps = mu = 0, g = 0 gives
+        # V^s = I/2 on both routes) the gap is rounding and stays there
+        exact = gaps[0] < 1e-12
+        assert np.all(gaps[:, exact] < 1e-12)
+        ratios = gaps[1:, ~exact] / gaps[:-1, ~exact]
+        np.testing.assert_allclose(ratios, 0.5, rtol=0.0, atol=0.05)
 
     def test_fluctuation_approaches_steady(self):
         cfg = make_config(kind=SpectralKind.WIDE_BAND)
