@@ -242,6 +242,7 @@ def solve_dyson(config: ModelConfig, grid: TimeGrid) -> np.ndarray:
     u = np.empty_like(far)
     u[0] = IDENTITY2
     prev = np.zeros((2 * size, 2), dtype=complex)
+    spectra = {}  # each level's kernel spectrum, formed when it first fires
     for start in range(1, n + 1, size):
         done = start + size - 1
         prev = solver @ np.concatenate([far[start : done + 1].reshape(-1, 2), prev])
@@ -250,24 +251,32 @@ def solve_dyson(config: ModelConfig, grid: TimeGrid) -> np.ndarray:
         while done < n and done % level == 0:
             # U_lo..U_done at lags [level, 2 level) reach t_{done+1} on
             lo = done - level + 1
+            kernel = w[level : 2 * level]
+            if level not in spectra:
+                spectra[level] = _kernel_spectrum(level, kernel)
             conv = _causal_convolution(
-                u[lo : done + 1].transpose(0, 2, 1), w[level : 2 * level]
+                u[lo : done + 1].transpose(0, 2, 1), kernel, spectra[level]
             ).transpose(0, 2, 1)[: len(far) - done - 1]
             far[done + 1 : done + 1 + len(conv)] += conv
             level *= 2
     return u[: n + 1]
 
 
-def _causal_convolution(u: np.ndarray, g: np.ndarray) -> np.ndarray:
+def _kernel_spectrum(rows: int, g: np.ndarray) -> np.ndarray:
+    """FFT of g at the padded length of its convolution with rows values."""
+    return np.fft.fft(g, 1 << (rows + len(g) - 2).bit_length(), axis=0)
+
+
+def _causal_convolution(u: np.ndarray, g: np.ndarray, g_hat=None) -> np.ndarray:
     """c[n, a, b] = sum_k u[k, a, b] g[n-k, b] for every n < len(u) + len(g) - 1.
 
     The full linear convolution by FFT, zero-padded past its length so
-    nothing wraps around.
+    nothing wraps around. g_hat, if given, is _kernel_spectrum(len(u), g).
     """
-    rows = len(u) + len(g) - 1
-    size = 1 << (rows - 1).bit_length()
-    spectrum = np.fft.fft(u, size, axis=0) * np.fft.fft(g, size, axis=0)[:, None, :]
-    return np.fft.ifft(spectrum, axis=0)[:rows]
+    if g_hat is None:
+        g_hat = _kernel_spectrum(len(u), g)
+    spectrum = np.fft.fft(u, len(g_hat), axis=0) * g_hat[:, None, :]
+    return np.fft.ifft(spectrum, axis=0)[: len(u) + len(g) - 1]
 
 
 def compute_fluctuation(u_seq, config: ModelConfig, grid: TimeGrid) -> np.ndarray:

@@ -1,9 +1,11 @@
 """The discretized-bath oracle as one batched product per time step.
 
-`batched_exact_greens` is the oracle's former body, kept verbatim as the
-reference for the chunked one in `dqdsim.oracle`: one complex `eigh` of h,
-then (n+1) batched (2 x D) @ (D x D) products for V. It holds every
-(n+1, 2, D) intermediate at once, so it is for small and mid-size checks.
+`batched_exact_greens` is the reference for `dqdsim.oracle.exact_greens`,
+which expands the phases in Chebyshev polynomials of time: here every
+phase e^{-i lambda t} is taken exactly at every grid time. One complex
+`eigh` of h, then (n+1) batched (2 x D) @ (D x D) products for V. It holds
+every (n+1, 2, D) intermediate at once, so it is for small and mid-size
+checks.
 """
 
 import numpy as np

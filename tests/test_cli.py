@@ -532,6 +532,13 @@ class TestVerify:
         assert calls == []
 
 
+def _src_env():
+    """The environment with this checkout's src first on PYTHONPATH."""
+    src = str(Path(dqdsim.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    return dict(os.environ, PYTHONPATH=src if not path else src + os.pathsep + path)
+
+
 class TestConsoleScript:
     def test_installed_entry_point(self, tmp_path):
         cfg = write_cfg(
@@ -543,7 +550,7 @@ class TestConsoleScript:
         proc = subprocess.run(
             [sys.executable, "-m", "dqdsim.cli", "evolve", "--config", cfg,
              "--out", out],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=_src_env(),
         )
         assert proc.returncode == 0, proc.stderr
         assert Path(out).read_text().count("\n") >= 6
@@ -551,15 +558,13 @@ class TestConsoleScript:
     def test_import_skips_slow_scipy_modules(self):
         # scipy.optimize is imported where a root is polished, and the
         # convolution and Sylvester solve need neither signal nor linalg
-        src = str(Path(dqdsim.__file__).resolve().parents[1])
-        path = os.environ.get("PYTHONPATH")
-        env = dict(os.environ, PYTHONPATH=src if not path else src + os.pathsep + path)
         code = (
             "import sys, dqdsim.cli; print(sorted(m for m in sys.modules if m in"
             " ('scipy.signal', 'scipy.linalg', 'scipy.optimize')))"
         )
         proc = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, env=env
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            env=_src_env(),
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"

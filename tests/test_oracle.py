@@ -4,11 +4,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy import integrate, linalg
+from scipy import integrate, linalg, special
 
-from dqdsim import spectral
+from dqdsim import oracle, spectral
 from dqdsim.greens import TimeGrid, solve
-from dqdsim.model import ConfigError, SpectralKind, build_hamiltonian
+from dqdsim.model import ConfigError, SolverError, SpectralKind, build_hamiltonian
 from dqdsim.oracle import discretize, exact_greens, localized_eigenstates
 from dqdsim.spectral import fermi_occupation, lead_density
 
@@ -36,7 +36,25 @@ def _random_oracle_config(rng, kind, regime):
         kw["g"] = kw["g"] * np.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
     elif regime == "zero_temperature":
         kw["k_t"] = 0.0
+    elif regime == "right_uncoupled":
+        kw["gamma_r"] = 0.0
     return make_config(**kw)
+
+
+def _recurrence_time(bath):
+    """2 pi / de of the coupled lead that recurs first."""
+    return min(
+        2.0 * math.pi / (e[1] - e[0])
+        for e, res in zip(bath.energies, bath.config.reservoirs)
+        if res.gamma > 0.0
+    )
+
+
+def _expansion_order(bath, t_max):
+    """The Chebyshev order exact_greens uses on this bath and horizon."""
+    evals, q = np.linalg.eigh(bath.hamiltonian())
+    evals = evals[np.abs(q[0]) ** 2 + np.abs(q[1]) ** 2 > oracle._WEIGHT_FLOOR]
+    return oracle._chebyshev_order(0.25 * (evals.max() - evals.min()) * t_max)
 
 
 class TestDiscretize:
@@ -154,8 +172,9 @@ class TestExactGreens:
     )
     @pytest.mark.parametrize(
         "n_steps,chunk_elements",
-        # one chunk (244 = 2 D for 60 modes per lead, so 2148 rows fit in
-        # one), three chunks with a short last one, and one row per chunk
+        # one chunk (at most 243 Chebyshev ranks 2P - 1 here, so 201 rows
+        # fit in one), one to three chunks with a short last one, and one
+        # row per chunk
         [(200, None), (4500, None), (40, 1)],
     )
     def test_matches_batched_reference(
@@ -172,18 +191,50 @@ class TestExactGreens:
             assert np.max(np.abs(sol.u_seq - ref.u_seq)) < 1e-12
             assert np.max(np.abs(sol.v_seq - ref.v_seq)) < 1e-12
 
+    @pytest.mark.parametrize(
+        "seed,kind,regime",
+        [
+            (seed, *case)
+            for seed, case in enumerate(
+                itertools.product(
+                    (SpectralKind.LORENTZIAN, SpectralKind.CUTOFF_LORENTZIAN),
+                    ("real_g", "complex_g", "zero_temperature", "right_uncoupled"),
+                )
+            )
+        ],
+    )
+    @pytest.mark.parametrize("n_steps", [400, 5])
+    def test_matches_batched_reference_near_recurrence(
+        self, seed, kind, regime, n_steps
+    ):
+        # a horizon at 0.9 of the recurrence time gives the largest
+        # expansion order (P of 130 to 280 here); 5 steps is a coarse grid
+        # with fewer times than terms
+        rng = np.random.default_rng(900 + seed)
+        bath = discretize(_random_oracle_config(rng, kind, regime), 60)
+        grid = TimeGrid(0.9 * _recurrence_time(bath), n_steps)
+        if n_steps == 5:
+            assert _expansion_order(bath, grid.t_max) > n_steps + 1
+        sol = exact_greens(bath, grid)
+        ref = batched_exact_greens(bath, grid)
+        assert np.max(np.abs(sol.u_seq - ref.u_seq)) < 1e-12
+        assert np.max(np.abs(sol.v_seq - ref.v_seq)) < 1e-12
+
     @pytest.mark.parametrize("g", [0.5, 0.5 + 0.3j])
     def test_memory_stays_in_chunks(self, g):
         # D = 802 and 3001 times: the batched reference peaks at 301 MB,
-        # holding (n+1, 2, D) arrays; the chunks peak at 40-51 MB
+        # holding (n+1, 2, D) arrays. At t_max = 10 (P = 261) the
+        # expansion peaks at 22-31 MB; at 0.9 of the recurrence time
+        # (P = 651) its (2P x 2P) coefficient products take it to 61 MB
         bath = discretize(make_config(g=g), 400)
-        tracemalloc.start()
-        try:
-            exact_greens(bath, TimeGrid(10.0, 3000))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 80e6
+        for t_max in (10.0, 0.9 * _recurrence_time(bath)):
+            tracemalloc.start()
+            try:
+                exact_greens(bath, TimeGrid(t_max, 3000))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 80e6
 
     def test_recurrence_within_horizon_is_rejected(self):
         # 2 pi / de = 31.4 at 400 modes (window mu +- 40) and 12 at 100
@@ -208,6 +259,38 @@ class TestExactGreens:
         cfg = make_config(g=0.7, gamma=0.0, gamma_r=0.0)
         sol = exact_greens(discretize(cfg, 20), TimeGrid(100.0, 200))
         assert np.max(np.abs(sol.v_seq)) < 1e-13
+
+    def test_truncated_expansion_fails_loudly(self, monkeypatch):
+        # the gapped census config: P = 59 at t_max = 50; three terms fewer
+        # leave dropped terms summing to 2.1e-13, above the stated 1e-13
+        cfg = make_config(
+            g=1.0, kind=SpectralKind.CUTOFF_LORENTZIAN, cutoff=0.5, d=1.0
+        )
+        bath = discretize(cfg, 100)
+        grid = TimeGrid(50.0, 500)
+        exact_greens(bath, grid)
+        order = oracle._chebyshev_order
+        monkeypatch.setattr(oracle, "_chebyshev_order", lambda w: order(w) - 3)
+        with pytest.raises(SolverError, match="phases is truncated"):
+            exact_greens(bath, grid)
+
+    @pytest.mark.parametrize("width", [0.0, 1e-9, 0.3, 3.0, 27.0, 100.0, 600.0])
+    def test_phase_coefficients_match_jacobi_anger(self, width):
+        # b_p = (2 - delta_p0) (-i)^p J_p(w) e^{-iw}, and the terms dropped
+        # past the order sum below the stated tail
+        order = oracle._chebyshev_order(width)
+        omega = np.linspace(-width, width, 101)
+        ranks = np.arange(order)[:, None]
+        exact = (
+            np.where(ranks == 0, 1.0, 2.0) * (-1j) ** ranks
+            * special.jv(ranks, omega) * np.exp(-1j * omega)
+        )
+        np.testing.assert_allclose(
+            oracle._phase_coefficients(omega, order), exact, rtol=0.0, atol=1e-13
+        )
+        dropped = special.jv(np.arange(order, order + 300)[:, None], omega)
+        assert np.max(np.sum(2.0 * np.abs(dropped), axis=0)) <= oracle._PHASE_TAIL
+        assert order == 1 if width == 0.0 else order > width
 
     def test_agrees_with_volterra_solver(self):
         cfg = make_config()
