@@ -23,6 +23,7 @@ from .entanglement import fermionic_eof, steady_state_eof
 from .greens import (
     GreensSolution,
     TimeGrid,
+    _bm_stationary,
     bm_fluctuation,
     compute_fluctuation,
     pole_expansion_lorentzian,
@@ -341,14 +342,17 @@ def _apply_param(model: ModelConfig, name: str, value: float) -> ModelConfig:
 
 
 def _late_time_steady(model: ModelConfig, grid):
-    """Exact V^s: the average of V(t) over [0.8 t_max, t_max], and its spread."""
+    """Exact V^s: the average of V(t) over [0.8 t_max, t_max], and its spread.
+
+    The wide band's V^s is a closed form and reads no grid.
+    """
+    if model.spectral_kind is SpectralKind.WIDE_BAND:
+        return wbl_steady_fluctuation(model), 0.0
     if grid is None:
         raise ConfigError(
             "steady state of the exact solver needs a [grid] section"
             " (late-time average over [0.8 t_max, t_max])"
         )
-    if model.spectral_kind is SpectralKind.WIDE_BAND:
-        return wbl_steady_fluctuation(model), 0.0
     v = solve(model, grid).v_seq
     start = int(math.floor(0.8 * grid.n_steps))
     window = v[start:]
@@ -380,7 +384,7 @@ _METHODS = {
         lambda model, grid: GreensSolution(
             grid, wbl_greens(model, grid).u_seq, bm_fluctuation(model, grid)[0]
         ),
-        lambda model, grid: (bm_fluctuation(model, grid or TimeGrid(1.0, 2))[1], 0.0),
+        lambda model, grid: (_bm_stationary(model)[1], 0.0),
     ),
     "pole": _Method(
         _pole_solution,

@@ -31,10 +31,11 @@ from .model import (
     inv2,
 )
 from .spectral import (
-    _fermi_window,
+    _TWO_PI,
+    _fermi_remainder,
     _fourier_sum,
+    _halfline_pair_integrals,
     _osc_cap,
-    _panel_nodes,
     build_kernel_table,
     fermi_occupation,
 )
@@ -45,7 +46,6 @@ EIGENVALUE_CEIL = 1.0 + 1e-8
 SINGULAR_VALUE_CEIL = 1.0 + 1e-6
 RESIDUE_SUM_TOL = 1e-8
 
-_TWO_PI = 2.0 * math.pi
 # steps per block of the Volterra solve: lags below it are taken by the
 # block's own matrices, the rest by FFT levels; a power of two
 _DIRECT_LAGS = 64
@@ -474,80 +474,6 @@ def steady_state_fluctuation(
 # ---------------------------------------------------------------------------
 
 
-def _scaled_exp1(w):
-    """exp(w) E1(w) for complex w, stable at large |w|.
-
-    Direct evaluation below |w| = 50; the 2F0-style asymptotic tail above,
-    where scipy's exp1 would overflow for Re w << 0.
-    """
-    w = np.asarray(w, dtype=complex)
-    out = np.empty(w.shape, dtype=complex)
-    small = np.abs(w) < 50.0
-    ws = w[small]
-    out[small] = np.exp(ws) * special.exp1(ws)
-    wl = w[~small]
-    if wl.size:
-        acc = np.zeros_like(wl)
-        term = np.ones_like(wl)
-        for k in range(1, 26):
-            term = term * (-k) / wl
-            acc = acc + term
-        out[~small] = (1.0 + acc) / wl
-    return out
-
-
-def _halfline_phase_integral(lam, mu, times):
-    """E(lam; t) = int_{-inf}^{mu} exp(i w t) / (w - lam) dw for t > 0.
-
-    Written through the scaled exponential integral so the result stays
-    bounded at large t |mu - lam|. For poles in the upper half plane the
-    principal branch must be corrected by the 2 pi i residue jump once the
-    E1 argument crosses its cut; the region rule below was pinned against
-    high-precision quadrature.
-    """
-    t = np.asarray(times, dtype=float)
-    zeta = mu - lam
-    w = -1j * t * zeta
-    if abs(zeta) == 0.0:
-        raise SolverError("half-line integral evaluated at its singular point")
-    # keep the from-above boundary value when the argument lands on the cut
-    on_cut = (np.abs(w.imag) < 1e-300) & (w.real < 0.0)
-    if np.any(on_cut):
-        w = np.where(on_cut, w + 1e-300j, w)
-    val = -np.exp(1j * mu * t) * _scaled_exp1(w)
-    if lam.imag > 0.0 and zeta.real > 0.0:
-        # the cut of E1 was crossed while continuing from w -> -i inf
-        val = val + _TWO_PI * 1j * np.exp(1j * lam * t)
-    return val
-
-
-def _halfline_pair_integrals(lams, mu, times, pairs):
-    """N_jk and O_jk(t) building blocks of the zero-temperature backbone.
-
-    N_jk  = int_{-inf}^{mu} dw / ((w - lam_j)(w - conj(lam_k)))
-    O_jk  = int_{-inf}^{mu} exp(i w t) dw / ((w - lam_j)(w - conj(lam_k)))
-
-    Evaluated only for the requested (j, k) pairs: those _weighted_pairs
-    kept, whose |lam_j - conj(lam_k)| it bounded away from 0, and their
-    transposes, which share that gap. Pruned pairs may involve an undamped
-    mode whose pair integral is singular but carries no weight.
-    """
-    nt = len(times)
-    n_jk = np.zeros((2, 2), dtype=complex)
-    o_jk = np.zeros((2, 2, nt), dtype=complex)
-    e_lo, e_hi = {}, {}
-    for j, k in pairs:
-        a, b = lams[j], np.conj(lams[k])
-        denom = a - b
-        n_jk[j, k] = (np.log(mu - a) - np.log(mu - b) - _TWO_PI * 1j) / denom
-        if j not in e_lo:
-            e_lo[j] = _halfline_phase_integral(lams[j], mu, times)
-        if k not in e_hi:
-            e_hi[k] = _halfline_phase_integral(np.conj(lams[k]), mu, times)
-        o_jk[j, k] = (e_lo[j] - e_hi[k]) / denom
-    return n_jk, o_jk
-
-
 def _wbl_lead_fluctuation(lams, residues, res, lead, times):
     """One lead's contribution to V_WBL on the grid times (zero at t = 0).
 
@@ -569,8 +495,7 @@ def _wbl_lead_fluctuation(lams, residues, res, lead, times):
     n_jk, o_jk = _halfline_pair_integrals(lams, res.mu, t, pairs)
     if res.k_t > 0.0:
         cap = min(res.k_t / 2.0, _osc_cap(float(times[-1])))
-        omega, coef = _panel_nodes(_fermi_window(res.mu, res.k_t, cap))
-        coef *= fermi_occupation(omega, res.mu, res.k_t) - (omega < res.mu)
+        omega, coef = _fermi_remainder(res, cap)
         # rows hold conj(c_w / ((w - a)(w - b))), so the sum gives conj(F_jk);
         # built in place, the stack is the only (pairs x nodes) array
         stack = np.empty((len(pairs), omega.size), dtype=complex)
@@ -645,6 +570,31 @@ def wbl_steady_fluctuation(config: ModelConfig) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _bm_stationary(config: ModelConfig):
+    """The modes of M - i Gamma / 2 and the Hermitian X of bm_fluctuation.
+
+    modes is None, and X zero, when no lead is both coupled and occupied.
+    """
+    if config.spectral_kind is not SpectralKind.WIDE_BAND:
+        raise ConfigError("bm_fluctuation requires the wide-band spectral kind")
+    occ = [
+        fermi_occupation(config.system.eps1, config.left.mu, config.left.k_t),
+        fermi_occupation(config.system.eps2, config.right.mu, config.right.k_t),
+    ]
+    x = np.zeros((2, 2), dtype=complex)
+    if not any(nbar * res.gamma for nbar, res in zip(occ, config.reservoirs)):
+        return None, x
+    modes = _modes(config)
+    r = np.asarray(modes.poles, dtype=complex)
+    for lead, (nbar, res) in enumerate(zip(occ, config.reservoirs)):
+        if nbar * res.gamma == 0.0:
+            continue
+        jj, kk, theta = _weighted_pairs(r, modes.residues, res, lead)
+        gaps = 1j * (r[jj] - np.conj(r[kk]))
+        x += nbar * np.einsum("p,pab->ab", 1.0 / gaps, theta)
+    return modes, 0.5 * (x + dagger(x))
+
+
 def bm_fluctuation(config: ModelConfig, grid: TimeGrid):
     """Born-Markov fluctuation V_BM(t) and its stationary value.
 
@@ -656,30 +606,13 @@ def bm_fluctuation(config: ModelConfig, grid: TimeGrid):
     no weight on a lead are skipped, and an undamped one that keeps weight
     raises SolverError.
     """
-    if config.spectral_kind is not SpectralKind.WIDE_BAND:
-        raise ConfigError("bm_fluctuation requires the wide-band spectral kind")
-    occ = [
-        fermi_occupation(config.system.eps1, config.left.mu, config.left.k_t),
-        fermi_occupation(config.system.eps2, config.right.mu, config.right.k_t),
-    ]
+    modes, x = _bm_stationary(config)
     times = grid.times
-    if not any(nbar * res.gamma for nbar, res in zip(occ, config.reservoirs)):
-        zeros = np.zeros((len(times), 2, 2), dtype=complex)
-        return zeros, np.zeros((2, 2), dtype=complex)
-
-    modes = _modes(config)
-    r = np.asarray(modes.poles, dtype=complex)
-    x = np.zeros((2, 2), dtype=complex)
-    for lead, (nbar, res) in enumerate(zip(occ, config.reservoirs)):
-        if nbar * res.gamma == 0.0:
-            continue
-        jj, kk, theta = _weighted_pairs(r, modes.residues, res, lead)
-        gaps = 1j * (r[jj] - np.conj(r[kk]))
-        x += nbar * np.einsum("p,pab->ab", 1.0 / gaps, theta)
+    if modes is None:
+        return np.zeros((len(times), 2, 2), dtype=complex), x
     u = modes.reconstruct(times)
     u_dag = np.conj(np.transpose(u, (0, 2, 1)))
     v = x[None, :, :] - u @ x @ u_dag
     v = 0.5 * (v + np.conj(np.transpose(v, (0, 2, 1))))
     v[0] = 0.0
-    x = 0.5 * (x + dagger(x))
     return v, x

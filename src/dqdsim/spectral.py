@@ -3,6 +3,8 @@
 Every reservoir couples diagonally to its own mode, so the spectral
 density, the real self-energy and the two memory kernels are all 2x2
 diagonal matrices.  Energies are in units of Gamma, times in 1/Gamma.
+The sharp-Fermi-sea integrals over (-inf, mu] of a pair of poles serve
+both the wide band's V and a Lorentzian lead's noise kernel.
 """
 
 from __future__ import annotations
@@ -13,10 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .model import ConfigError, ModelConfig, ReservoirParams, SpectralKind
+from .model import ConfigError, ModelConfig, ReservoirParams, SolverError, SpectralKind
 
 GL_ORDER = 10
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(GL_ORDER)
+_TWO_PI = 2.0 * math.pi
 
 # Fermi tails are dead beyond this many k_t from mu.
 _FERMI_RANGE = 45.0
@@ -88,58 +91,85 @@ def lead_self_energy_real(res: ReservoirParams, kind: SpectralKind, omega):
 
 
 # ---------------------------------------------------------------------------
-# scaled exponential integrals (stable for large arguments)
+# sharp-Fermi-sea pole integrals over the half line (-inf, mu]
 
-def _e1_scaled(x: np.ndarray) -> np.ndarray:
-    """exp(x) * E1(x) for x > 0, overflow-free."""
-    x = np.asarray(x, dtype=float)
-    out = np.empty_like(x)
-    small = x < 50.0
-    xs = x[small]
-    out[small] = np.exp(xs) * special.exp1(xs)
-    xl = x[~small]
-    acc = np.zeros_like(xl)
-    term = 1.0 / xl
-    for k in range(25):
-        acc = acc + term
-        term = term * (-(k + 1.0)) / xl
-    out[~small] = acc
-    return out
+def _scaled_exp1(w):
+    """exp(w) E1(w) for complex w, stable at large |w|.
 
-
-def _ei_scaled(x: np.ndarray) -> np.ndarray:
-    """exp(-x) * Ei(x) for x > 0, overflow-free."""
-    x = np.asarray(x, dtype=float)
-    out = np.empty_like(x)
-    small = x < 50.0
-    xs = x[small]
-    out[small] = np.exp(-xs) * special.expi(xs)
-    xl = x[~small]
-    acc = np.zeros_like(xl)
-    term = 1.0 / xl
-    for k in range(25):
-        acc = acc + term
-        term = term * (k + 1.0) / xl
-    out[~small] = acc
-    return out
-
-
-def _half_lorentzian_fourier(res: ReservoirParams, taus: np.ndarray) -> np.ndarray:
-    """Exact integral of J_l(w) e^{-i w tau} / 2pi over w in (-inf, mu].
-
-    This is the zero-temperature noise kernel of one Lorentzian lead.
-    Valid for tau >= 0; negative tau follows from conjugation by the caller.
+    Direct evaluation below |w| = 50; the 2F0-style asymptotic tail above,
+    where scipy's exp1 would overflow for Re w << 0. Arguments within
+    1e-300 of the real axis take scipy's real exp1 and expi, and on the
+    negative axis the value from above the cut, E1(-x + i0) = -Ei(x) - i pi.
     """
-    taus = np.asarray(taus, dtype=float)
-    d = res.bandwidth
-    x = d * taus
-    c = np.empty(taus.shape, dtype=complex)
-    zero = x == 0.0
-    c[zero] = np.pi / (2.0 * d)
-    xs = x[~zero]
-    c[~zero] = (-_e1_scaled(xs) - _ei_scaled(xs) + 1j * np.pi * np.exp(-xs)) / (2j * d)
-    pref = res.gamma * d * d / (2.0 * np.pi)
-    return pref * np.exp(-1j * res.mu * taus) * c
+    w = np.asarray(w, dtype=complex)
+    out = np.empty(w.shape, dtype=complex)
+    x = w.real
+    real = np.abs(w.imag) < 1e-300
+    w = np.where(real, x, w)
+    small = np.abs(w) < 50.0
+    cut = real & (x < 0.0)
+    pos, neg, off = small & real & ~cut, small & cut, small & ~real
+    out[pos] = np.exp(x[pos]) * special.exp1(x[pos])
+    out[neg] = -np.exp(x[neg]) * special.expi(-x[neg])
+    out[off] = np.exp(w[off]) * special.exp1(w[off])
+    wl = w[~small]
+    if wl.size:
+        acc = np.zeros_like(wl)
+        term = np.ones_like(wl)
+        for k in range(1, 26):
+            term = term * (-k) / wl
+            acc = acc + term
+        out[~small] = (1.0 + acc) / wl
+    out[cut] -= 1j * np.pi * np.exp(x[cut])
+    return out
+
+
+def _halfline_phase_integral(lam, mu, t, phase):
+    """E(lam; t) = int_{-inf}^{mu} exp(i w t) / (w - lam) dw for t > 0,
+    given phase = exp(i mu t).
+
+    Written through the scaled exponential integral so the result stays
+    bounded at large t |mu - lam|. For poles in the upper half plane the
+    principal branch must be corrected by the 2 pi i residue jump once the
+    E1 argument crosses its cut; the region rule below was pinned against
+    high-precision quadrature.
+    """
+    zeta = mu - lam
+    if abs(zeta) == 0.0:
+        raise SolverError("half-line integral evaluated at its singular point")
+    val = -phase * _scaled_exp1(-1j * zeta * t)
+    if lam.imag > 0.0 and zeta.real > 0.0:
+        # the cut of E1 was crossed while continuing from w -> -i inf
+        val = val + _TWO_PI * 1j * np.exp(1j * lam * t)
+    return val
+
+
+def _halfline_pair_integrals(lams, mu, times, pairs):
+    """N_jk and O_jk(t) building blocks of the zero-temperature backbone.
+
+    N_jk  = int_{-inf}^{mu} dw / ((w - lam_j)(w - conj(lam_k)))
+    O_jk  = int_{-inf}^{mu} exp(i w t) dw / ((w - lam_j)(w - conj(lam_k)))
+
+    Evaluated only for the requested (j, k) pairs, whose gap
+    |lam_j - conj(lam_k)| the caller keeps away from 0: the wide band's
+    weighted mode pairs and their transposes, or a Lorentzian lead's
+    pseudomode pole mu - i d with itself.
+    """
+    t = np.asarray(times, dtype=float)
+    phase = np.exp(1j * mu * t)
+    n_jk = np.zeros((2, 2), dtype=complex)
+    o_jk = np.zeros((2, 2, t.size), dtype=complex)
+    e_lo, e_hi = {}, {}
+    for j, k in pairs:
+        a, b = lams[j], np.conj(lams[k])
+        denom = a - b
+        n_jk[j, k] = (np.log(mu - a) - np.log(mu - b) - _TWO_PI * 1j) / denom
+        if j not in e_lo:
+            e_lo[j] = _halfline_phase_integral(lams[j], mu, t, phase)
+        if k not in e_hi:
+            e_hi[k] = _halfline_phase_integral(np.conj(lams[k]), mu, t, phase)
+        o_jk[j, k] = (e_lo[j] - e_hi[k]) / denom
+    return n_jk, o_jk
 
 
 # ---------------------------------------------------------------------------
@@ -211,34 +241,21 @@ def _osc_cap(tau_max: float) -> float:
     return math.pi / (_OSC_FACTOR * tau_max)
 
 
-def _memory_segments(res: ReservoirParams, tau_max: float) -> list:
-    """Frequency panels for the cutoff-band memory-kernel table.
-
-    Only called for a finite cutoff; the band must be covered in full
-    because its hard edge carries real spectral weight.
-    """
-    mu = res.mu
-    cap = min(res.bandwidth / 2.0, 0.5, _osc_cap(tau_max))
-    return [(mu - res.cutoff, mu + res.cutoff, cap)]
-
-
-def _fermi_window(mu: float, k_t: float, cap: float) -> list:
-    """Panels of width <= cap over mu -/+ _FERMI_RANGE k_t, split at mu."""
+def _fermi_remainder(res: ReservoirParams, cap: float):
+    """Nodes of panels of width <= cap over mu -/+ _FERMI_RANGE k_t, split
+    at mu, and their weights c_w = w (nbar(w) - step(mu - w)): the
+    finite-temperature remainder of one lead's sharp Fermi sea."""
+    mu, k_t = res.mu, res.k_t
     half = _FERMI_RANGE * k_t
-    return [(mu - half, mu, cap), (mu, mu + half, cap)]
+    nodes, w = _panel_nodes([(mu - half, mu, cap), (mu, mu + half, cap)])
+    return nodes, w * (fermi_occupation(nodes, mu, k_t) - (nodes < mu))
 
 
-def _noise_segments(res: ReservoirParams, kind: SpectralKind, tau_max: float) -> list:
-    """Frequency panels for the occupied-weighted kernel table.
-
-    For the pure Lorentzian only the finite-temperature correction
-    n - step(mu - w) is integrated here; the step part has a closed form.
-    """
-    d, mu, kt = res.bandwidth, res.mu, res.k_t
-    base = min(d / 2.0, 0.5, _osc_cap(tau_max))
+def _noise_segments(res: ReservoirParams, base: float) -> list:
+    """Frequency panels for the occupied-weighted table of a finite cutoff,
+    of width <= base, and <= k_t / 2 within 14 k_t of mu."""
+    mu, kt = res.mu, res.k_t
     fine = min(base, kt / 2.0) if kt > 0.0 else base
-    if kind is SpectralKind.LORENTZIAN or math.isinf(res.cutoff):
-        return _fermi_window(mu, kt, fine) if kt > 0.0 else []
     # occupation is exponentially small above mu + 45 kT; below mu the whole
     # remaining band contributes with n close to 1
     lo = mu - res.cutoff
@@ -290,26 +307,31 @@ def build_kernel_table(config: ModelConfig, taus: np.ndarray,
         if res.gamma == 0.0:
             continue
         d, mu = res.bandwidth, res.mu
+        # panels resolve J's peak and the fastest phase on the grid
+        base = min(d / 2.0, 0.5, _osc_cap(tau_max))
         lorentz_like = kind is SpectralKind.LORENTZIAN or math.isinf(res.cutoff)
         if lorentz_like:
             memory[:, c] = 0.5 * res.gamma * d * np.exp(-1j * mu * taus - d * taus)
         else:
-            nodes, w = _panel_nodes(_memory_segments(res, tau_max))
+            # the whole band: its hard edge carries real spectral weight
+            nodes, w = _panel_nodes([(mu - res.cutoff, mu + res.cutoff, base)])
             coefs = w * lead_density(res, kind, nodes) / (2.0 * np.pi)
             memory[:, c] = _fourier_sum(nodes, coefs, taus)
         if not include_noise:
             continue
         if lorentz_like:
-            noise[:, c] = _half_lorentzian_fourier(res, taus)
-            segs = _noise_segments(res, SpectralKind.LORENTZIAN, tau_max)
-            if segs:
-                nodes, w = _panel_nodes(segs)
-                corr = fermi_occupation(nodes, mu, res.k_t) - (nodes < mu)
-                coefs = w * lead_density(res, SpectralKind.LORENTZIAN, nodes) \
-                    * corr / (2.0 * np.pi)
+            # the sharp sea is the wide band's pair integral at the
+            # pseudomode pole a = mu - i d: J = Gamma d^2 / ((w - a)(w - conj(a)))
+            n_jk, o_jk = _halfline_pair_integrals([mu - 1j * d], mu, taus[1:], [(0, 0)])
+            pref = res.gamma * d * d / _TWO_PI
+            noise[0, c] = pref * np.conj(n_jk[0, 0])
+            noise[1:, c] = pref * np.conj(o_jk[0, 0])
+            if res.k_t > 0.0:
+                nodes, c_w = _fermi_remainder(res, min(base, res.k_t / 2.0))
+                coefs = c_w * lead_density(res, SpectralKind.LORENTZIAN, nodes) / _TWO_PI
                 noise[:, c] += _fourier_sum(nodes, coefs, taus)
         else:
-            nodes, w = _panel_nodes(_noise_segments(res, kind, tau_max))
+            nodes, w = _panel_nodes(_noise_segments(res, base))
             occ = fermi_occupation(nodes, mu, res.k_t)
             coefs = w * lead_density(res, kind, nodes) * occ / (2.0 * np.pi)
             noise[:, c] = _fourier_sum(nodes, coefs, taus)

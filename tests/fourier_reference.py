@@ -12,17 +12,8 @@ work through the time grid in chunks.
 
 import numpy as np
 
-from dqdsim.greens import (
-    _halfline_pair_integrals,
-    _modes,
-    _weighted_pairs,
-)
-from dqdsim.spectral import (
-    _fermi_window,
-    _osc_cap,
-    _panel_nodes,
-    fermi_occupation,
-)
+from dqdsim.greens import _modes, _weighted_pairs
+from dqdsim.spectral import _fermi_remainder, _halfline_pair_integrals, _osc_cap
 
 _CHUNK_ELEMENTS = 2**19
 
@@ -71,11 +62,7 @@ def _lead_fluctuation(lams, residues, res, lead, times):
 
     if res.k_t > 0.0:
         cap = min(res.k_t / 2.0, _osc_cap(float(times[-1])))
-        omega, wts = _panel_nodes(_fermi_window(res.mu, res.k_t, cap))
-        s_val = fermi_occupation(omega, res.mu, res.k_t) - np.where(
-            omega < res.mu, 1.0, 0.0
-        )
-        coef = wts * s_val
+        omega, coef = _fermi_remainder(res, cap)
         used = {j for j, _ in keep} | {k for _, k in keep}
         chunk = max(1, _CHUNK_ELEMENTS // omega.size)
         for start in range(0, nt, chunk):

@@ -4,21 +4,70 @@ Adaptive-quadrature versions of the memory and noise kernels, one lag at a
 time: slower than dqdsim.spectral.build_kernel_table but free of its
 frequency window and panel widths, so the tests check the tables against
 them. Also the 2x2 diagonal matrices J(w) and Re Sigma(w) built from the
-per-lead functions of dqdsim.spectral.
+per-lead functions of dqdsim.spectral, and the zero-temperature noise
+kernel of a Lorentzian lead in closed form through the real exponential
+integrals E1 and Ei, the reference for the table's pole-integral column.
 """
 
 import math
 
 import numpy as np
-from scipy import integrate
+from scipy import integrate, special
 
 from dqdsim.model import ConfigError, ModelConfig, ReservoirParams, SpectralKind
-from dqdsim.spectral import (
-    _half_lorentzian_fourier,
-    fermi_occupation,
-    lead_density,
-    lead_self_energy_real,
-)
+from dqdsim.spectral import fermi_occupation, lead_density, lead_self_energy_real
+
+
+def _e1_scaled(x: np.ndarray) -> np.ndarray:
+    """exp(x) * E1(x) for x > 0, overflow-free."""
+    x = np.asarray(x, dtype=float)
+    out = np.empty_like(x)
+    small = x < 50.0
+    xs = x[small]
+    out[small] = np.exp(xs) * special.exp1(xs)
+    xl = x[~small]
+    acc = np.zeros_like(xl)
+    term = 1.0 / xl
+    for k in range(25):
+        acc = acc + term
+        term = term * (-(k + 1.0)) / xl
+    out[~small] = acc
+    return out
+
+
+def _ei_scaled(x: np.ndarray) -> np.ndarray:
+    """exp(-x) * Ei(x) for x > 0, overflow-free."""
+    x = np.asarray(x, dtype=float)
+    out = np.empty_like(x)
+    small = x < 50.0
+    xs = x[small]
+    out[small] = np.exp(-xs) * special.expi(xs)
+    xl = x[~small]
+    acc = np.zeros_like(xl)
+    term = 1.0 / xl
+    for k in range(25):
+        acc = acc + term
+        term = term * (k + 1.0) / xl
+    out[~small] = acc
+    return out
+
+
+def _half_lorentzian_fourier(res: ReservoirParams, taus: np.ndarray) -> np.ndarray:
+    """Exact integral of J_l(w) e^{-i w tau} / 2pi over w in (-inf, mu].
+
+    This is the zero-temperature noise kernel of one Lorentzian lead.
+    Valid for tau >= 0; negative tau follows from conjugation by the caller.
+    """
+    taus = np.asarray(taus, dtype=float)
+    d = res.bandwidth
+    x = d * taus
+    c = np.empty(taus.shape, dtype=complex)
+    zero = x == 0.0
+    c[zero] = np.pi / (2.0 * d)
+    xs = x[~zero]
+    c[~zero] = (-_e1_scaled(xs) - _ei_scaled(xs) + 1j * np.pi * np.exp(-xs)) / (2j * d)
+    pref = res.gamma * d * d / (2.0 * np.pi)
+    return pref * np.exp(-1j * res.mu * taus) * c
 
 
 def spectral_density(config: ModelConfig, omega: float) -> np.ndarray:

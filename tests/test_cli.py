@@ -392,6 +392,37 @@ class TestSweep:
         assert cli.main(["sweep", "--config", cfg]) == 2
         assert "late-time average" in capsys.readouterr().err
 
+    def test_exact_wideband_steady_needs_no_grid(self, tmp_path):
+        # the wide band's exact V^s is its closed form, as for wbl
+        body = (
+            BASE.replace("kind = lorentzian", "kind = wideband")
+            + "[sweep]\naxis1 = eps1,eps2:1.0:3.0:3\n"
+        )
+        rows = {}
+        for method in ("exact", "wbl"):
+            cfg = write_cfg(tmp_path, body + f"[solver]\nmethod = {method}\n", f"{method}.cfg")
+            out = str(tmp_path / f"{method}.tsv")
+            assert cli.main(["sweep", "--config", cfg, "--out", out]) == 0
+            rows[method] = read_table(out)[2]
+        assert len(rows["exact"]) == 3
+        assert rows["exact"] == rows["wbl"]
+
+    def test_born_markov_steady_ignores_grid(self, tmp_path):
+        body = (
+            BASE.replace("kind = lorentzian", "kind = wideband")
+            + "[solver]\nmethod = born_markov\n[sweep]\naxis1 = eps1,eps2:1.0:3.0:3\n"
+        )
+        tables = []
+        for name, grid in (("bare", ""), ("grid", "[grid]\nt_max = 50.0\nn_steps = 8000\n")):
+            cfg = write_cfg(tmp_path, body + grid, f"{name}.cfg")
+            out = tmp_path / f"{name}.tsv"
+            assert cli.main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+            tables.append(out.read_text().splitlines())
+        # the config echo differs by the grid keys; the rows may not
+        rows = [[line for line in t if not line.startswith("#")] for t in tables]
+        assert len(rows[0]) == 4
+        assert rows[0] == rows[1]
+
     def test_exact_steady_matches_pole(self, tmp_path):
         body = BASE + "[sweep]\naxis1 = g:0.5:1.5:2\n"
         cfg_e = write_cfg(
@@ -818,6 +849,17 @@ class TestDispatchThroughModuleNames:
         )
         assert cli.main(["sweep", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
         self.expect(calls, wbl_steady_fluctuation=4, steady_state_eof=4)
+
+    def test_born_markov_sweep_builds_no_time_series(self, tmp_path, calls):
+        # the steady route forms X alone, never V(t) on the run's grid
+        cfg = write_cfg(
+            tmp_path,
+            BASE.replace("kind = lorentzian", "kind = wideband")
+            + "[grid]\nt_max = 2.0\nn_steps = 20\n[solver]\nmethod = born_markov\n"
+            + "[sweep]\naxis1 = eps1,eps2:0.0:4.0:3\n",
+        )
+        assert cli.main(["sweep", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        self.expect(calls, _bm_stationary=3, steady_state_eof=3)
 
     def test_born_markov_evolve(self, tmp_path, calls):
         cfg = write_cfg(

@@ -1,17 +1,19 @@
 import math
 from unittest import mock
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
-from scipy import integrate
+from scipy import integrate, special
 
 from dqdsim import spectral
 from dqdsim.model import ConfigError, ReservoirParams, SpectralKind
 from dqdsim.spectral import (
     _fourier_sum,
+    _scaled_exp1,
     build_kernel_table,
     fermi_occupation,
     lead_density,
@@ -21,6 +23,7 @@ from dqdsim.spectral import (
 from conftest import make_config
 from fourier_reference import direct_fourier_sum
 from kernel_reference import (
+    _half_lorentzian_fourier,
     memory_kernel,
     noise_kernel,
     self_energy_real,
@@ -271,6 +274,52 @@ class TestKernelTable:
             np.testing.assert_allclose(
                 np.diag(noise_kernel(m, tau)), table.noise[i], atol=1e-6
             )
+
+
+class TestLorentzianSeaColumn:
+    """A Lorentzian lead's zero-temperature noise column is the wide band's
+    half-line pair integral at the pseudomode pole mu - i d."""
+
+    @pytest.mark.parametrize("kind", [SpectralKind.LORENTZIAN, SpectralKind.CUTOFF_LORENTZIAN])
+    @pytest.mark.parametrize("d", [1e-3, 0.5, 2.0, 300.0])
+    def test_matches_e1_ei_closed_form(self, d, kind):
+        # tau d runs to 100, across the switch to the asymptotic series at 50
+        m = make_config(
+            d=d, k_t=0.0, mu=1.3, mu_r=-0.4, gamma=0.5, gamma_r=0.8, kind=kind
+        )
+        taus = np.linspace(0.0, 100.0 / d, 401)
+        noise = build_kernel_table(m, taus).noise
+        for c, res in enumerate(m.reservoirs):
+            np.testing.assert_allclose(
+                noise[:, c], _half_lorentzian_fourier(res, taus), rtol=1e-14, atol=0.0
+            )
+
+
+class TestScaledExp1:
+    X = np.geomspace(1e-6, 700.0, 300)  # both sides of |w| = 50
+
+    def test_positive_real_axis(self):
+        got = _scaled_exp1(self.X.astype(complex))
+        assert np.all(got.imag == 0.0)
+        np.testing.assert_allclose(got, np.exp(self.X) * special.exp1(self.X + 0j), rtol=1e-12)
+
+    def test_negative_real_axis_from_above_the_cut(self):
+        w = -self.X.astype(complex)
+        above = np.exp(w) * special.exp1(w + 1e-300j)
+        np.testing.assert_allclose(_scaled_exp1(w), above, rtol=1e-12)
+        # within 1e-300 of the axis, either side, is on the axis
+        for imag in (-0.0, -1e-301, 1e-301):
+            np.testing.assert_array_equal(_scaled_exp1(w + 1j * imag), _scaled_exp1(w))
+
+    def test_off_axis_values(self, rng):
+        r = np.concatenate([rng.uniform(0.01, 49.9, 200), rng.uniform(50.0, 500.0, 100)])
+        w = r * np.exp(1j * rng.uniform(-math.pi, math.pi, r.size))
+        got = _scaled_exp1(w)
+        small = r < 50.0
+        np.testing.assert_array_equal(got[small], np.exp(w[small]) * special.exp1(w[small]))
+        with mpmath.workdps(30):
+            tail = [complex(mpmath.exp(z) * mpmath.e1(z)) for z in w[~small]]
+        np.testing.assert_allclose(got[~small], tail, rtol=1e-14)
 
 
 # grid sizes n + 1: the smallest, perfect squares (B divides them) and primes
