@@ -14,18 +14,11 @@ from enum import Enum
 
 import numpy as np
 
-from .model import (
-    ConfigError,
-    ModelConfig,
-    SpectralKind,
-    adjugate2,
-    build_hamiltonian,
-)
-from .spectral import lead_density, lead_self_energy_real
+from .model import ConfigError, ModelConfig, SpectralKind
+from .spectral import lead_self_energy_real
 
 EDGE_DISTANCE_MIN = 1e-3
 RESIDUE_NORM_MIN = 1e-6
-SCAN_STEP = 1e-3
 ROOT_XTOL = 1e-10
 _EDGE_MARGIN = 1e-9
 
@@ -76,107 +69,95 @@ def _band_intervals(config: ModelConfig):
     return merged
 
 
-def _criterion_raw(config: ModelConfig, omega):
-    """Vectorized det[wI - M - Sigma(w)]; caller guarantees out-of-band."""
-    m_mat = build_hamiltonian(config.system)
+def _diagonal(config: ModelConfig, omega):
+    """f_l = w - eps_l - Sigma_l(w), the diagonal of A(w) = wI - M - Sigma(w).
+
+    Outside every band each Sigma_l is real and strictly decreasing, so
+    f_l rises with slope >= 1; lead_self_energy_real rejects w inside a band.
+    """
     w = np.asarray(omega, dtype=float)
-    sig = [
-        lead_self_energy_real(res, config.spectral_kind, w)
+    eps = (config.system.eps1, config.system.eps2)
+    return tuple(
+        w - e - lead_self_energy_real(res, config.spectral_kind, w)
         if res.gamma > 0.0
-        else np.zeros(w.shape)
-        for res in config.reservoirs
-    ]
-    return (w - m_mat[0, 0].real - sig[0]) * (w - m_mat[1, 1].real - sig[1]) - abs(
-        m_mat[0, 1]
-    ) ** 2
+        else w - e
+        for e, res in zip(eps, config.reservoirs)
+    )
+
+
+def _branches(config: ModelConfig, omega):
+    """Eigenvalues (lambda_-, lambda_+) of A(w), each rising with slope >= 1.
+
+    A'(w) = I - Sigma'(w) >= I out of band, and eigenvalues are monotone in A.
+    """
+    f1, f2 = _diagonal(config, omega)
+    mean = 0.5 * (f1 + f2)
+    half = np.hypot(0.5 * (f1 - f2), abs(config.system.g_coupling))
+    return mean - half, mean + half
 
 
 def criterion(config: ModelConfig, omega: float) -> float:
-    """det[wI - M - Sigma(w)] evaluated where the spectral density vanishes.
+    """det[wI - M - Sigma(w)] = lambda_- lambda_+ where the spectral density vanishes.
 
-    Sigma is real there, so the determinant is real. Evaluation inside any
-    lead's band is rejected (the determinant would be complex).
+    Sigma is real there, so the determinant is real. A spectrum without a
+    gap, or evaluation inside any lead's band, is rejected (the
+    determinant would be complex).
     """
-    for res in config.reservoirs:
-        if res.gamma > 0.0 and lead_density(res, config.spectral_kind, omega) != 0.0:
-            raise ConfigError(
-                f"omega = {omega} lies inside a spectral band; the"
-                " dissipationless criterion is defined only outside"
-            )
-    return float(_criterion_raw(config, float(omega)))
+    _band_intervals(config)
+    lam_lo, lam_hi = _branches(config, float(omega))
+    return float(lam_lo * lam_hi)
 
 
 def _residue(config, root):
     """adj(A) / D'(w) at a simple real root, D' by a five-point stencil."""
     h = 1e-5
     offsets = np.array([-2.0, -1.0, 1.0, 2.0]) * h
-    vals = _criterion_raw(config, root + offsets)
+    lam_lo, lam_hi = _branches(config, root + offsets)
+    vals = lam_lo * lam_hi
     d_prime = (vals[0] - 8.0 * vals[1] + 8.0 * vals[2] - vals[3]) / (12.0 * h)
     if abs(d_prime) < 1e-30:
         return None
-    m_mat = build_hamiltonian(config.system)
-    sig = np.diag(
-        [
-            lead_self_energy_real(res, config.spectral_kind, root)
-            if res.gamma > 0.0
-            else 0.0
-            for res in config.reservoirs
-        ]
-    )
-    a_mat = root * np.eye(2) - m_mat - sig
-    return adjugate2(a_mat) / d_prime
+    f1, f2 = _diagonal(config, root)
+    g = complex(config.system.g_coupling)
+    return np.array([[f2, g], [g.conjugate(), f1]]) / d_prime
 
 
 def find_bound_states(config: ModelConfig) -> list:
     """All effective real roots of the criterion outside the bands.
 
-    Scans each out-of-band interval for sign changes, polishes by
-    bisection, and drops roots hugging a band edge or carrying negligible
-    residue (they hybridize with the continuum and decay anyway).
+    In each gap between the merged bands both branches lambda_-/+ rise
+    with slope >= 1, so each crosses zero at most once there: one brentq
+    per branch per gap whose ends bracket a sign change. An open gap's far
+    end comes from the slope bound: a branch is <= -1 at c - |lambda(c)| - 1
+    and >= 1 at c + |lambda(c)| + 1. Roots hugging a band edge or carrying
+    negligible residue are dropped (they hybridize with the continuum and
+    decay anyway).
     """
     from scipy.optimize import brentq  # deferred: scipy.optimize is slow to import
 
     bands = _band_intervals(config)
-    m_mat = build_hamiltonian(config.system)
-    eig_m = np.linalg.eigvalsh(m_mat)
-    gamma_total = config.left.gamma + config.right.gamma
-    pad = 10.0 * gamma_total + 1.0
-
-    if bands:
-        anchor_lo = min(bands[0][0], eig_m.min()) - pad
-        anchor_hi = max(bands[-1][1], eig_m.max()) + pad
-    else:  # both leads decoupled: bare parabola, roots at the M eigenvalues
-        anchor_lo, anchor_hi = eig_m.min() - pad, eig_m.max() + pad
-
     edge_points = [b for band in bands for b in band]
-    gaps = []
-    edge = anchor_lo
-    for lo, hi in bands:
-        gaps.append((edge, lo))
-        edge = hi
-    gaps.append((edge, anchor_hi))
+    starts = [-math.inf] + [hi + _EDGE_MARGIN for _, hi in bands]
+    ends = [lo - _EDGE_MARGIN for lo, _ in bands] + [math.inf]
 
     roots = []
-    for lo, hi in gaps:
-        a = lo + (_EDGE_MARGIN if lo in edge_points else 0.0)
-        b = hi - (_EDGE_MARGIN if hi in edge_points else 0.0)
+    for a, b in zip(starts, ends):
         if not b > a:
             continue
-        count = max(8, int(math.ceil((b - a) / SCAN_STEP)))
-        xs = np.linspace(a, b, count + 1)
-        vals = _criterion_raw(config, xs)
-        sign_flip = vals[:-1] * vals[1:] < 0.0
-        for i in np.flatnonzero(vals == 0.0):
-            roots.append(float(xs[i]))
-        for i in np.flatnonzero(sign_flip):
-            root = brentq(
-                lambda w: float(_criterion_raw(config, w)),
-                xs[i],
-                xs[i + 1],
-                xtol=ROOT_XTOL,
-            )
-            roots.append(float(root))
-    roots = sorted(set(roots))
+        for k in (0, 1):
+
+            def branch(w, k=k):
+                return float(_branches(config, w)[k])
+
+            lo, hi = a, b
+            if math.isinf(lo):
+                anchor = hi if math.isfinite(hi) else 0.0
+                lo = anchor - abs(branch(anchor)) - 1.0
+            if math.isinf(hi):
+                hi = lo + abs(branch(lo)) + 1.0
+            if branch(lo) < 0.0 < branch(hi):
+                roots.append(brentq(branch, lo, hi, xtol=ROOT_XTOL))
+    roots.sort()
 
     out = []
     for root in roots:

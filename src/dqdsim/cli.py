@@ -270,6 +270,10 @@ def _axis_from(table: _Table, key: str) -> SweepAxis:
         table._fail("sweep", key, "min/max must be numbers, steps an integer")
     if steps < 1:
         table._fail("sweep", key, f"steps must be >= 1, got {steps}")
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        table._fail("sweep", key, f"min/max must be finite, got {lo!r}, {hi!r}")
+    if steps == 1 and lo != hi:
+        table._fail("sweep", key, f"one step needs min == max, got {lo!r}, {hi!r}")
     return SweepAxis(names=names, lo=lo, hi=hi, steps=steps)
 
 
@@ -404,8 +408,7 @@ def _steady_point(args):
         v_s, spread = _METHODS[method].steady(model, grid)
         eof = steady_state_eof(v_s)
     except (SolverError, InvariantViolation) as exc:
-        where = ", ".join(f"axis{i + 1} = {_fmt(v)}" for i, v in enumerate(axis_values))
-        raise type(exc)(f"sweep point {idx} ({where}): {exc}") from exc
+        raise type(exc)(f"{_point_label(idx, axis_values)}: {exc}") from exc
     row = list(axis_values) + [
         eof,
         v_s[0, 0].real,
@@ -415,6 +418,11 @@ def _steady_point(args):
         spread,
     ]
     return idx, row
+
+
+def _point_label(idx, axis_values) -> str:
+    where = ", ".join(f"axis{i + 1} = {_fmt(v)}" for i, v in enumerate(axis_values))
+    return f"sweep point {idx} ({where})"
 
 
 def _fmt(x) -> str:
@@ -481,9 +489,12 @@ def run_sweep(exp: ExperimentConfig, workers: int = 1) -> list:
     for idx, values in enumerate(points):
         values = tuple(float(v) for v in values)
         model = exp.model
-        for axis, value in zip(exp.axes, values):
-            for name in axis.names:
-                model = _apply_param(model, name, value)
+        try:
+            for axis, value in zip(exp.axes, values):
+                for name in axis.names:
+                    model = _apply_param(model, name, value)
+        except ConfigError as exc:
+            raise ConfigError(f"{_point_label(idx, values)}: {exc}") from exc
         tasks.append((idx, model, exp.method, exp.grid, values))
     axis_cols = [f"axis{i + 1}" for i in range(len(exp.axes))]
 

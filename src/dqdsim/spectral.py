@@ -69,22 +69,19 @@ def lead_self_energy_real(res: ReservoirParams, kind: SpectralKind, omega):
     w = np.asarray(omega, dtype=float)
     x = w - res.mu
     d = res.bandwidth
+    cut = res.cutoff
     if kind is SpectralKind.WIDE_BAND:
         out = np.zeros(w.shape)
-    elif kind is SpectralKind.LORENTZIAN:
+    elif kind is SpectralKind.LORENTZIAN or math.isinf(cut):
         out = res.gamma * d * x / (2.0 * (d * d + x * x))
     else:
-        cut = res.cutoff
-        if math.isinf(cut):
-            out = res.gamma * d * x / (2.0 * (d * d + x * x))
-        else:
-            if np.any(np.abs(x) <= cut):
-                raise ConfigError(
-                    "real self-energy of a cutoff-Lorentzian lead is only "
-                    "available outside the band |omega - mu| > cutoff")
-            j_env = res.gamma * d * d / (x * x + d * d)
-            out = j_env / (2.0 * np.pi) * (
-                np.log((x + cut) / (x - cut)) + 2.0 * x / d * math.atan(cut / d))
+        if np.any(np.abs(x) <= cut):
+            raise ConfigError(
+                "real self-energy of a cutoff-Lorentzian lead is only "
+                "available outside the band |omega - mu| > cutoff")
+        j_env = res.gamma * d * d / (x * x + d * d)
+        out = j_env / (2.0 * np.pi) * (
+            np.log((x + cut) / (x - cut)) + 2.0 * x / d * math.atan(cut / d))
     if np.ndim(omega) == 0:
         return float(out)
     return out

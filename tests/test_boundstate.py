@@ -1,15 +1,27 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import boundstate_reference
 from dqdsim.boundstate import (
     BoundStateRoot,
     RelaxationKind,
+    _band_intervals,
+    _branches,
     classify_relaxation,
     criterion,
     find_bound_states,
 )
-from dqdsim.model import ConfigError, SpectralKind
+from dqdsim.model import (
+    ConfigError,
+    ModelConfig,
+    ReservoirParams,
+    SpectralKind,
+    SystemParams,
+)
 from dqdsim.oracle import discretize, localized_eigenstates
+from dqdsim.spectral import lead_self_energy_real
 
 from conftest import make_config
 
@@ -25,6 +37,32 @@ def cutoff_config(**kwargs):
 # diagonalization of the discretized Hamiltonian
 TWO_ROOT = dict(eps1=2.0, eps2=2.0, g=1.0, gamma=0.5, d=1.0, mu=2.0, cutoff=0.5)
 TWO_ROOT_ENERGIES = (0.925927526, 3.074072474)
+
+
+@st.composite
+def _cutoff_configs(draw):
+    """Two cutoff leads with their own band, some decoupled, and any g."""
+
+    def lead():
+        return ReservoirParams(
+            gamma=draw(st.just(0.0) | st.floats(0.01, 1.5)),
+            bandwidth=draw(st.floats(0.2, 3.0)),
+            mu=draw(st.floats(-2.0, 4.0)),
+            k_t=0.0,
+            cutoff=draw(st.floats(0.05, 2.5)),
+        )
+
+    system = SystemParams(
+        eps1=draw(st.floats(-3.0, 5.0)),
+        eps2=draw(st.floats(-3.0, 5.0)),
+        g_coupling=draw(st.floats(-1.5, 1.5) | st.complex_numbers(max_magnitude=1.5)),
+    )
+    return ModelConfig(
+        system=system,
+        left=lead(),
+        right=lead(),
+        spectral_kind=SpectralKind.CUTOFF_LORENTZIAN,
+    )
 
 
 class TestCriterion:
@@ -52,6 +90,31 @@ class TestCriterion:
         for w in (-50.0, 60.0):
             bare = (w - 2.0) ** 2 - 1.0
             assert criterion(cfg, w) == pytest.approx(bare, rel=1e-2)
+
+
+class TestBranches:
+    @settings(max_examples=80)
+    @given(_cutoff_configs(), st.data())
+    def test_self_energy_falls_and_branches_rise_in_every_gap(self, cfg, data):
+        # the root search brackets each branch once per gap on this
+        bands = _band_intervals(cfg)
+        edges = [-30.0] + [e for band in bands for e in band] + [30.0]
+        a, b = data.draw(st.sampled_from(list(zip(edges[::2], edges[1::2]))))
+        a, b = a + 1e-6, b - 1e-6
+        w1 = data.draw(st.floats(a, b))
+        w2 = data.draw(st.floats(w1, b))
+        if w2 - w1 < 1e-6:
+            w2 = w1 + 1e-6
+            if w2 > b:
+                return
+        for res in cfg.reservoirs:
+            if res.gamma > 0.0:
+                sig1, sig2 = (
+                    lead_self_energy_real(res, cfg.spectral_kind, w) for w in (w1, w2)
+                )
+                assert sig2 < sig1
+        rise = np.subtract(_branches(cfg, w2), _branches(cfg, w1))
+        assert np.all(rise >= (w2 - w1) - 1e-12)
 
 
 class TestFindBoundStates:
@@ -93,6 +156,38 @@ class TestFindBoundStates:
         roots = find_bound_states(cfg)
         assert len(roots) == 1
         assert roots[0].energy == pytest.approx(0.943753, abs=1e-5)
+
+    @pytest.mark.parametrize("g", [1e-4, 1e-6])
+    def test_near_degenerate_pair(self, g):
+        # identical dots: A's eigenvalues are f -/+ |g|, so the two roots sit
+        # about 2|g| / f' apart, and f' = 1 / (2 max|residue|); a fixed-step
+        # scan of det A cancels the pair inside one cell
+        cfg = cutoff_config(
+            eps1=3.5, eps2=3.5, g=g, gamma=0.5, d=1.0, mu=2.0, cutoff=0.5
+        )
+        roots = sorted(find_bound_states(cfg), key=lambda r: r.energy)
+        assert len(roots) == 2
+        weight = np.max(np.abs(roots[0].residue_weight))
+        splitting = roots[1].energy - roots[0].energy
+        assert splitting == pytest.approx(4.0 * g * weight, rel=1e-3)
+        assert (
+            classify_relaxation(roots).kind
+            is RelaxationKind.OSCILLATING_QUANTUM_MEMORY
+        )
+
+    @settings(max_examples=80)
+    @given(_cutoff_configs())
+    def test_finds_every_scan_root(self, cfg):
+        found = [r.energy for r in find_bound_states(cfg)]
+        for r in boundstate_reference.find_bound_states(cfg):
+            assert any(abs(r.energy - e) <= 1e-9 for e in found)
+        # each found root flips D's sign, twice flipped for a pair within
+        # delta (a double root when g = 0 and the dots are identical)
+        delta = 1e-7
+        for e in found:
+            pair = sum(abs(e2 - e) <= delta for e2 in found)
+            flips = criterion(cfg, e - delta) * criterion(cfg, e + delta)
+            assert flips * (-1) ** pair > 0.0
 
     def test_matches_oracle_localized_states(self):
         cfg = cutoff_config(**TWO_ROOT)

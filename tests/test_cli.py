@@ -146,6 +146,22 @@ class TestParseErrors:
         assert cli.main(["sweep", "--config", cfg]) == 2
         assert "unknown parameter 'zeta'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "axis,fragment",
+        [
+            ("eps1,eps2:0.0:10.0:1", "one step needs min == max, got 0.0, 10.0"),
+            ("eps1:nan:1.0:3", "min/max must be finite, got nan, 1.0"),
+            ("eps1:0.0:1e400:3", "min/max must be finite, got 0.0, inf"),
+        ],
+    )
+    def test_axis_bounds_rejected_with_line(self, tmp_path, capsys, axis, fragment):
+        text = BASE + f"[solver]\nmethod = pole\n[sweep]\naxis1 = {axis}\n"
+        cfg = write_cfg(tmp_path, text)
+        assert cli.main(["sweep", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert f"run.cfg:24: [sweep] axis1: {fragment}" in err
+        assert "Warning" not in err
+
     def test_evolve_needs_grid(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, BASE)
         assert cli.main(["evolve", "--config", cfg]) == 2
@@ -387,6 +403,24 @@ class TestSweep:
         err = capsys.readouterr().err
         assert "solver error: sweep point 4 (axis1 = 0, axis2 = 1): no damping" in err
 
+    def test_invalid_point_value_is_named(self, tmp_path, capsys):
+        cfg = write_cfg(
+            tmp_path, BASE + "[solver]\nmethod = pole\n[sweep]\naxis1 = d:-1:1:3\n"
+        )
+        assert cli.main(["sweep", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert "config error: sweep point 0 (axis1 = -1): bandwidth must be" in err
+
+    def test_single_step_axis_runs_its_one_value(self, tmp_path):
+        cfg = write_cfg(
+            tmp_path,
+            BASE + "[solver]\nmethod = pole\n[sweep]\naxis1 = eps1,eps2:2.5:2.5:1\n",
+        )
+        out = str(tmp_path / "one.tsv")
+        assert cli.main(["sweep", "--config", cfg, "--out", out]) == 0
+        _, _, rows = read_table(out)
+        assert [r[0] for r in rows] == [2.5]
+
     def test_exact_steady_needs_grid(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, BASE + "[sweep]\naxis1 = g:0.5:1.0:2\n")
         assert cli.main(["sweep", "--config", cfg]) == 2
@@ -498,6 +532,20 @@ class TestClassify:
         assert "# effective_roots = 0" in body
         assert "# relaxation_class = ThermalLike" in body
         assert "# late_time_u_norm_max" not in body
+
+
+    @pytest.mark.parametrize("g", ["0.0001", "1e-06"])
+    def test_near_degenerate_pair_oscillates(self, tmp_path, g):
+        # both levels at 3.5 hybridize into two out-of-band roots about 2g
+        # apart; a fixed-step scan of det A saw neither
+        text = CLASSIFY_TWO_ROOT.replace("eps1 = 2.0", "eps1 = 3.5")
+        text = text.replace("eps2 = 2.0", "eps2 = 3.5").replace("g = 1.0", f"g = {g}")
+        cfg = write_cfg(tmp_path, text)
+        out = str(tmp_path / "cls2.txt")
+        assert cli.main(["classify", "--config", cfg, "--out", out]) == 0
+        body = Path(out).read_text()
+        assert "# effective_roots = 2" in body
+        assert "# relaxation_class = OscillatingQuantumMemory" in body
 
 
 class TestVerify:
