@@ -35,7 +35,8 @@ from .spectral import (
     _fermi_remainder,
     _fourier_sum,
     _halfline_pair_integrals,
-    _osc_cap,
+    _matsubara_closure,
+    _near_rows,
     build_kernel_table,
     fermi_occupation,
 )
@@ -477,10 +478,16 @@ def steady_state_fluctuation(
 def _wbl_lead_fluctuation(lams, residues, res, lead, times):
     """One lead's contribution to V_WBL on the grid times (zero at t = 0).
 
-    At k_t > 0 the Fermi remainder c_w = (nbar(w) - step(mu - w)) dw on the
-    panel nodes enters the backbone exactly: with a = lam_j, b = conj(lam_k),
-    A_jk = sum_w c_w / ((w - a)(w - b)) joins N_jk and
-    F_jk(t) = sum_w c_w e^{iwt} / ((w - a)(w - b)) joins O_jk(t).
+    With a = lam_j and b = conj(lam_k), the pair integrates
+    (c0 - c1 e^{iwt} - c2 e^{-iwt}) nbar(w) / ((w - a)(w - b)) over w, from
+    the thermal N_jk and O_jk(t). On rows t < tau* = 1/k_t they are the
+    sharp sea's N_jk and O_jk(t) plus the Fermi remainder
+    c_w = (nbar(w) - step(mu - w)) dw on the panel nodes: A_jk =
+    sum_w c_w / ((w - a)(w - b)) joins N_jk and F_jk(t) =
+    sum_w c_w e^{iwt} / ((w - a)(w - b)) joins O_jk(t), both from the same
+    panels, so that the pair's cancellation at small t survives. Past tau*,
+    O_jk(t) is the contour closure of _matsubara_closure and N_jk the
+    digamma form of _fermi_transform, exact to rounding.
     """
     jj, kk, theta = _weighted_pairs(lams, residues, res, lead)
     keep = list(zip(jj.tolist(), kk.tolist()))
@@ -492,10 +499,13 @@ def _wbl_lead_fluctuation(lams, residues, res, lead, times):
     pair_set.update((k, j) for j, k in keep)  # conj(o_jk[k, j]) is used
     pairs = sorted(pair_set)
     t = times[1:]
-    n_jk, o_jk = _halfline_pair_integrals(lams, res.mu, t, pairs)
+    near = _near_rows(times, res.k_t) - 1  # rows of t before tau*
+    n_jk, o_near = _halfline_pair_integrals(lams, res.mu, t[:near], pairs)
+    o_jk = np.zeros((2, 2, t.size), dtype=complex)
+    o_jk[:, :, :near] = o_near
+    n_far = np.zeros((2, 2), dtype=complex)
     if res.k_t > 0.0:
-        cap = min(res.k_t / 2.0, _osc_cap(float(times[-1])))
-        omega, coef = _fermi_remainder(res, cap)
+        omega, coef = _fermi_remainder(res, res.k_t / 2.0)
         # rows hold conj(c_w / ((w - a)(w - b))), so the sum gives conj(F_jk);
         # built in place, the stack is the only (pairs x nodes) array
         stack = np.empty((len(pairs), omega.size), dtype=complex)
@@ -503,17 +513,24 @@ def _wbl_lead_fluctuation(lams, residues, res, lead, times):
             np.subtract(omega, np.conj(lams[j]), out=row)
             np.divide(coef, row, out=row)
             row /= omega - lams[k]
-        f = np.conj(_fourier_sum(omega, stack.T, times))  # A_jk = F_jk(0)
+        f = np.conj(_fourier_sum(omega, stack.T, times[:near + 1]))  # A_jk = F_jk(0)
         for col, (j, k) in enumerate(pairs):
             n_jk[j, k] += f[0, col]
-            o_jk[j, k] += f[1:, col]
+            o_jk[j, k, :near] += f[1:, col]
+            if near < t.size:
+                a, b = lams[j], np.conj(lams[k])
+                o_jk[j, k, near:] = _matsubara_closure(a, b, res.mu, res.k_t, t[near:])
+                n_far[j, k] = (_fermi_transform(a, res.mu, res.k_t, False)
+                               - _fermi_transform(b, res.mu, res.k_t, True)) / (a - b)
 
     for (j, k), theta_jk in zip(keep, theta):
         a, b = lams[j], np.conj(lams[k])
         c0 = 1.0 + np.exp(1j * (b - a) * t)
         c1 = np.exp(-1j * a * t)
         c2 = np.exp(1j * b * t)
-        i_jk = c0 * n_jk[j, k] - c1 * o_jk[j, k] - c2 * np.conj(o_jk[k, j])
+        n_t = np.full(t.size, n_jk[j, k])
+        n_t[near:] = n_far[j, k]
+        i_jk = c0 * n_t - c1 * o_jk[j, k] - c2 * np.conj(o_jk[k, j])
         out[1:] += i_jk[:, None, None] * theta_jk
     return out / _TWO_PI
 
@@ -522,13 +539,15 @@ def wbl_greens(config: ModelConfig, grid: TimeGrid) -> GreensSolution:
     """Wide-band-limit solution: U = exp(-(iM + Gamma/2) t), V by the
     frequency integral of the flat-spectrum closed form.
 
-    The frequency integral is taken exactly: its sharp-Fermi-sea part
-    reduces to logarithms and exponential integrals of the effective-mode
-    poles, and the finite-temperature remainder is exponentially confined
-    to a few k_T around each chemical potential where fixed Gauss panels
-    resolve it, summed by the kernel tables' factored Fourier sum. This
-    keeps V positive semidefinite to rounding, which a truncated frequency
-    window cannot guarantee.
+    The frequency integral is taken exactly. On rows t < tau* = 1/k_T its
+    sharp-Fermi-sea part reduces to logarithms and exponential integrals of
+    the effective-mode poles, and the finite-temperature remainder is
+    exponentially confined to a few k_T around each chemical potential,
+    where Gauss panels of width k_T / 2 resolve it, summed by the kernel
+    tables' factored Fourier sum. Past tau* the whole thermal integral
+    closes on the conjugate mode pole and the Matsubara poles. This keeps V
+    positive semidefinite to rounding, which a truncated frequency window
+    cannot guarantee, and its cost flat in t_max at a fixed step count.
     """
     if config.spectral_kind is not SpectralKind.WIDE_BAND:
         raise ConfigError("wbl_greens requires the wide-band spectral kind")

@@ -31,16 +31,22 @@ def fermi_occupation(omega, mu: float, k_t: float):
     """Mean occupation of a reservoir level at energy omega.
 
     k_t = 0 gives the sharp step (value 1/2 exactly at omega = mu).
-    Accepts scalars or arrays and preserves the input shape.
+    Accepts scalars or arrays and preserves the input shape. At k_t > 0 a
+    complex omega gives the continuation 1 / (e^x + 1), x = (omega - mu) / k_t,
+    with Re x clipped to +/-700 so that nothing overflows.
     """
-    w = np.asarray(omega, dtype=float)
+    w = np.asarray(omega)
+    w = w if np.iscomplexobj(w) else w.astype(float)
     if k_t == 0.0:
+        if np.iscomplexobj(w):
+            raise ValueError("the sharp Fermi step takes real energies only")
         out = np.where(w < mu, 1.0, np.where(w > mu, 0.0, 0.5))
     else:
-        x = np.clip((w - mu) / k_t, -700.0, 700.0)
+        x = np.array((w - mu) / k_t)
+        np.clip(x.real, -700.0, 700.0, out=x.real)
         out = 1.0 / (np.exp(x) + 1.0)
     if np.ndim(omega) == 0:
-        return float(out)
+        return out.item()
     return out
 
 
@@ -241,11 +247,78 @@ def _osc_cap(tau_max: float) -> float:
 def _fermi_remainder(res: ReservoirParams, cap: float):
     """Nodes of panels of width <= cap over mu -/+ _FERMI_RANGE k_t, split
     at mu, and their weights c_w = w (nbar(w) - step(mu - w)): the
-    finite-temperature remainder of one lead's sharp Fermi sea."""
+    finite-temperature remainder of one lead's sharp Fermi sea.
+
+    The kernels sum it only on rows tau < tau* = 1/k_t (_near_rows), where
+    cap = k_t / 2 keeps the phase of e^{i w tau} under 1/2 per panel, so the
+    node count does not depend on the horizon; _matsubara_closure takes the
+    rows past tau*.
+    """
     mu, k_t = res.mu, res.k_t
     half = _FERMI_RANGE * k_t
     nodes, w = _panel_nodes([(mu - half, mu, cap), (mu, mu + half, cap)])
     return nodes, w * (fermi_occupation(nodes, mu, k_t) - (nodes < mu))
+
+
+def _near_rows(taus: np.ndarray, k_t: float) -> int:
+    """Number of grid rows with tau < tau* = 1/k_t: all of them at k_t = 0."""
+    if k_t == 0.0:
+        return taus.size
+    return int(np.searchsorted(taus, 1.0 / k_t))
+
+
+# Matsubara poles kept past tau* = 1/k_t, where the first one dropped carries
+# e^{-pi k_t (2M + 1) t} <= e^{-pi (2M + 1)} <= 1e-17.
+_MATSUBARA_TERMS = math.ceil((17.0 * math.log(10.0) / math.pi - 1.0) / 2.0)
+# 1/x - 1/expm1(x) = 1/2 - sum_k B_2k x^(2k-1) / (2k)!, to 1e-17 for |x| < 1/2
+_REGULAR_SERIES = (special.bernoulli(16)[2::2]
+                   / [math.factorial(2 * k) for k in range(1, 9)])[::-1]
+
+
+def _exp_divdiff(x: complex, y: complex, t: np.ndarray) -> np.ndarray:
+    """(e^{ixt} - e^{iyt}) / (x - y) for t >= 0, finite as x -> y.
+
+    Written as e^{iyt} i t exprel(i (x - y) t) from the point lower in the
+    plane, so that the exponential never grows.
+    """
+    if x.imag < y.imag:
+        x, y = y, x
+    z = 1j * (x - y) * t
+    rel = np.ones_like(z)
+    nz = z != 0.0
+    rel[nz] = np.expm1(z[nz]) / z[nz]
+    return np.exp(1j * y * t) * 1j * t * rel
+
+
+def _matsubara_closure(a: complex, b: complex, mu: float, k_t: float,
+                       times: np.ndarray) -> np.ndarray:
+    """int n(w) e^{iwt} dw / ((w - a)(w - b)) over the real line, for k_t > 0,
+    t >= 1/k_t, a in the lower and b in the upper half plane.
+
+    The contour closes in the upper half plane: 2 pi i times the residue at
+    b and those at the Matsubara poles w_m = mu + i pi k_t (2m + 1),
+    m < _MATSUBARA_TERMS, where n has residue -k_t (Croy & Saalmann, PRB 80,
+    073102 (2009)). b and its nearest w_m enter as one pair,
+    r(b) f(b) - k_t f[w_m, b] with f(z) = e^{izt} / (z - a) and
+    r = n + k_t / (z - w_m) the regular part of n at w_m: it stays finite
+    where b meets w_m and the two residues diverge.
+    """
+    t = np.asarray(times, dtype=float)
+    nu = math.pi * k_t
+    m_b = max(0, round((b.imag / nu - 1.0) / 2.0))
+    w = mu + 1j * nu * (2 * m_b + 1)
+    delta = (b - w) / k_t
+    if abs(delta) < 0.5:
+        reg = 0.5 - delta * np.polyval(_REGULAR_SERIES, delta * delta)
+    else:
+        reg = 1.0 / delta + fermi_occupation(b, mu, k_t)
+    f_b = np.exp(1j * b * t) / (b - a)
+    total = reg * f_b - k_t * (_exp_divdiff(w, b, t) - f_b) / (w - a)
+    for m in range(_MATSUBARA_TERMS):
+        if m != m_b:
+            w = mu + 1j * nu * (2 * m + 1)
+            total -= k_t * np.exp(1j * w * t) / ((w - a) * (w - b))
+    return _TWO_PI * 1j * total
 
 
 def _noise_segments(res: ReservoirParams, base: float) -> list:
@@ -287,7 +360,15 @@ class KernelTable:
 
 def build_kernel_table(config: ModelConfig, taus: np.ndarray,
                        include_noise: bool = True) -> KernelTable:
-    """Tabulate the memory kernels of both leads on a uniform time grid."""
+    """Tabulate the memory kernels of both leads on a uniform time grid.
+
+    A Lorentzian (or infinite-cutoff) lead's noise column is the sharp sea's
+    pair integral at J's pole plus, at k_t > 0, the Fermi remainder on
+    panels of width <= k_t / 2 on rows tau < tau* = 1/k_t, and the contour
+    closure of the whole thermal integral past tau*: its work does not grow
+    with the horizon. A finite cutoff takes both kernels on panels over the
+    band, of width <= pi / (4 tau_max).
+    """
     taus = np.asarray(taus, dtype=float)
     _check_grid(taus)
     tau_max = float(taus[-1])
@@ -318,15 +399,21 @@ def build_kernel_table(config: ModelConfig, taus: np.ndarray,
             continue
         if lorentz_like:
             # the sharp sea is the wide band's pair integral at the
-            # pseudomode pole a = mu - i d: J = Gamma d^2 / ((w - a)(w - conj(a)))
-            n_jk, o_jk = _halfline_pair_integrals([mu - 1j * d], mu, taus[1:], [(0, 0)])
+            # pseudomode pole a = mu - i d: J = Gamma d^2 / ((w - a)(w - conj(a)));
+            # past tau* = 1/k_t the whole thermal integral is its closure
+            a = mu - 1j * d
+            near = _near_rows(taus, res.k_t)
+            n_jk, o_jk = _halfline_pair_integrals([a], mu, taus[1:near], [(0, 0)])
             pref = res.gamma * d * d / _TWO_PI
             noise[0, c] = pref * np.conj(n_jk[0, 0])
-            noise[1:, c] = pref * np.conj(o_jk[0, 0])
+            noise[1:near, c] = pref * np.conj(o_jk[0, 0])
             if res.k_t > 0.0:
-                nodes, c_w = _fermi_remainder(res, min(base, res.k_t / 2.0))
+                nodes, c_w = _fermi_remainder(res, min(d / 2.0, 0.5, res.k_t / 2.0))
                 coefs = c_w * lead_density(res, SpectralKind.LORENTZIAN, nodes) / _TWO_PI
-                noise[:, c] += _fourier_sum(nodes, coefs, taus)
+                noise[:near, c] += _fourier_sum(nodes, coefs, taus[:near])
+                if near < taus.size:
+                    closure = _matsubara_closure(a, np.conj(a), mu, res.k_t, taus[near:])
+                    noise[near:, c] = pref * np.conj(closure)
         else:
             nodes, w = _panel_nodes(_noise_segments(res, base))
             occ = fermi_occupation(nodes, mu, res.k_t)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from dqdsim import greens, spectral
 from dqdsim.model import (
     ModelConfig,
     ReservoirParams,
@@ -91,6 +92,38 @@ def random_density(rng: np.random.Generator) -> DensityBlocks:
         blocks.append(u @ np.diag(rng.uniform(0.1, 1.0, size=2)) @ u.conj().T)
     total = np.trace(blocks[0]).real + np.trace(blocks[1]).real
     return DensityBlocks(rho1=blocks[0] / total, rho2=blocks[1] / total)
+
+
+def count_kernel_work(monkeypatch):
+    """Record (rows, nodes) of each _fourier_sum and the size of each E1
+    argument, from spectral and from greens."""
+    work = {"sums": [], "e1": []}
+    fourier_sum, scaled_exp1 = spectral._fourier_sum, spectral._scaled_exp1
+
+    def counted_sum(nodes, coefs, taus):
+        work["sums"].append((taus.size, nodes.size))
+        return fourier_sum(nodes, coefs, taus)
+
+    def counted_e1(w):
+        work["e1"].append(np.size(w))
+        return scaled_exp1(w)
+
+    monkeypatch.setattr(spectral, "_fourier_sum", counted_sum)
+    monkeypatch.setattr(greens, "_fourier_sum", counted_sum)
+    monkeypatch.setattr(spectral, "_scaled_exp1", counted_e1)
+    return work
+
+
+def assert_flat_work(work, runs):
+    """The work of each of `runs` equal runs is no more than the first's:
+    the same sums over the same nodes, on no more rows, and the same E1
+    calls on no more arguments."""
+    sums = np.array(work["sums"]).reshape(runs, -1, 2)
+    e1 = np.array(work["e1"]).reshape(runs, -1)
+    assert sums.size and e1.size
+    assert np.all(sums[:, :, 1] == sums[0, :, 1])
+    assert np.all(sums[:, :, 0] <= sums[0, :, 0])
+    assert np.all(e1 <= e1[0])
 
 
 @pytest.fixture

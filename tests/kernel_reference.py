@@ -6,7 +6,9 @@ frequency window and panel widths, so the tests check the tables against
 them. Also the 2x2 diagonal matrices J(w) and Re Sigma(w) built from the
 per-lead functions of dqdsim.spectral, and the zero-temperature noise
 kernel of a Lorentzian lead in closed form through the real exponential
-integrals E1 and Ei, the reference for the table's pole-integral column.
+integrals E1 and Ei, the reference for the table's pole-integral column,
+and the table's noise column as the package summed it before the Matsubara
+closure: the sharp sea plus the Fermi remainder on panels on every row.
 """
 
 import math
@@ -15,7 +17,16 @@ import numpy as np
 from scipy import integrate, special
 
 from dqdsim.model import ConfigError, ModelConfig, ReservoirParams, SpectralKind
-from dqdsim.spectral import fermi_occupation, lead_density, lead_self_energy_real
+from dqdsim.spectral import (
+    _TWO_PI,
+    _fermi_remainder,
+    _fourier_sum,
+    _halfline_pair_integrals,
+    _osc_cap,
+    fermi_occupation,
+    lead_density,
+    lead_self_energy_real,
+)
 
 
 def _e1_scaled(x: np.ndarray) -> np.ndarray:
@@ -68,6 +79,24 @@ def _half_lorentzian_fourier(res: ReservoirParams, taus: np.ndarray) -> np.ndarr
     c[~zero] = (-_e1_scaled(xs) - _ei_scaled(xs) + 1j * np.pi * np.exp(-xs)) / (2j * d)
     pref = res.gamma * d * d / (2.0 * np.pi)
     return pref * np.exp(-1j * res.mu * taus) * c
+
+
+def panel_noise_column(res: ReservoirParams, taus: np.ndarray) -> np.ndarray:
+    """A Lorentzian lead's noise column on the uniform grid taus, with the
+    Fermi remainder on panels of width <= pi / (4 tau_max) on every row."""
+    tau_max = float(taus[-1])
+    noise = np.zeros(taus.size, dtype=complex)
+    d, mu = res.bandwidth, res.mu
+    base = min(d / 2.0, 0.5, _osc_cap(tau_max))
+    n_jk, o_jk = _halfline_pair_integrals([mu - 1j * d], mu, taus[1:], [(0, 0)])
+    pref = res.gamma * d * d / _TWO_PI
+    noise[0] = pref * np.conj(n_jk[0, 0])
+    noise[1:] = pref * np.conj(o_jk[0, 0])
+    if res.k_t > 0.0:
+        nodes, c_w = _fermi_remainder(res, min(base, res.k_t / 2.0))
+        coefs = c_w * lead_density(res, SpectralKind.LORENTZIAN, nodes) / _TWO_PI
+        noise += _fourier_sum(nodes, coefs, taus)
+    return noise
 
 
 def spectral_density(config: ModelConfig, omega: float) -> np.ndarray:

@@ -36,9 +36,9 @@ from dqdsim.model import (
     build_hamiltonian,
     gamma_matrix,
 )
-from dqdsim.spectral import build_kernel_table, fermi_occupation
+from dqdsim.spectral import _TWO_PI, build_kernel_table, fermi_occupation
 
-from conftest import make_config
+from conftest import assert_flat_work, count_kernel_work, make_config
 from dyson_reference import direct_solve_dyson
 from fourier_reference import wbl_reference_fluctuation
 from steady_reference import (
@@ -126,6 +126,28 @@ def _wide_band_limit_cases(draw):
         mu_r=draw(st.floats(-3.0, 3.0)),
         k_t=draw(st.just(0.0) | st.floats(0.05, 2.0)),
     )
+
+
+@st.composite
+def _wide_band_closure_cases(draw):
+    """Wide-band configs and grids from the regimes the Matsubara closure must
+    cover: k_T from 0.05 to 20, tau* = 1/k_T from below dt to past t_max,
+    Gamma down to 0.01, complex g, g = 0 and Gamma_R = 0."""
+    k_t = draw(st.sampled_from([0.05, 0.5, 2.0, 20.0]))
+    g = draw(st.sampled_from([0.0, 0.5, 0.4 * cmath.exp(1.1j)]))
+    cfg = make_config(
+        eps1=draw(st.floats(-3.0, 3.0)),
+        eps2=draw(st.floats(-3.0, 3.0)),
+        g=g,
+        gamma=draw(st.sampled_from([0.01, 0.5])),
+        gamma_r=draw(st.sampled_from([0.0, 0.01, 0.8])),
+        mu=draw(st.floats(-3.0, 3.0)),
+        mu_r=draw(st.floats(-3.0, 3.0)),
+        k_t=k_t,
+        kind=SpectralKind.WIDE_BAND,
+    )
+    grid = TimeGrid(draw(st.sampled_from([0.05, 1.0, 6.0])), draw(st.sampled_from([1, 9, 48])))
+    return cfg, grid
 
 
 @st.composite
@@ -764,7 +786,9 @@ class TestWideBand:
         assert np.max(np.abs(wbl_greens(cfg, grid).v_seq - ref)) < 1e-13
 
     def test_thermal_remainder_memory_at_large_node_count(self):
-        # t_max = 400, k_T = 2 puts about 917k nodes in the thermal remainder
+        # at t_max = 400, k_T = 2 panels of width pi / (4 t_max) held about
+        # 917k nodes; with panels only below tau* = 1/k_T they hold 1800, and
+        # the Matsubara closure takes all the rows past tau*
         cfg = make_config(
             eps1=2.3, eps2=2.3, d=1.0, k_t=2.0, kind=SpectralKind.WIDE_BAND,
         )
@@ -791,6 +815,62 @@ class TestWideBand:
             v = wbl_greens(cfg, grid).v_seq
             ref = wbl_reference_fluctuation(cfg, grid)
             assert np.max(np.abs(v - ref)) < 1e-13
+
+    @settings(max_examples=30)
+    @given(_wide_band_closure_cases())
+    def test_closure_matches_term_by_term_remainder(self, case):
+        cfg, grid = case
+        v = wbl_greens(cfg, grid).v_seq
+        assert np.max(np.abs(v - wbl_reference_fluctuation(cfg, grid))) < 1e-13
+
+    @settings(max_examples=20)
+    @given(
+        st.sampled_from([0, 1]),
+        st.sampled_from([0.1, 0.5]),
+        st.integers(3, 12),
+        st.floats(-2.0, 2.0),
+    )
+    def test_conjugate_pole_on_a_matsubara_pole(self, m, k_t, digits, mu):
+        # g = 0 and eps1 = mu put the left mode's conj(lam) = mu + i Gamma_L / 2
+        # on the Matsubara pole w_m at Gamma_L = 2 pi k_T (2m + 1), where
+        # either residue alone diverges; their sum is finite
+        gamma0 = _TWO_PI * k_t * (2 * m + 1)
+        grid = TimeGrid(4.0 / k_t, 64)
+        vs, refs = {}, {}
+        for h in (0.0, 10.0 ** -digits, -(10.0 ** -digits)):
+            cfg = make_config(
+                eps1=mu, eps2=mu + 0.7, g=0.0, gamma=gamma0 + h, gamma_r=0.0,
+                mu=mu, k_t=k_t, kind=SpectralKind.WIDE_BAND,
+            )
+            vs[h] = wbl_greens(cfg, grid).v_seq
+            refs[h] = wbl_reference_fluctuation(cfg, grid)
+            assert np.max(np.abs(vs[h] - refs[h])) < 1e-13
+        # both sides reach the value at the point, as the panel reference does
+        for h in vs:
+            step = np.max(np.abs(refs[h] - refs[0.0]))
+            assert np.max(np.abs(vs[h] - vs[0.0])) <= 2.0 * step + 1e-12
+
+    def test_long_horizon_reaches_steady_state(self):
+        # the modes decay like e^{-t/4} and the Matsubara terms like
+        # e^{-2 pi t}: from t = 200 on, V(t) is V^s to rounding
+        cfg = make_config(
+            eps1=2.3, eps2=2.3, d=1.0, k_t=2.0, kind=SpectralKind.WIDE_BAND,
+        )
+        grid = TimeGrid(400.0, 400)
+        v = wbl_greens(cfg, grid).v_seq
+        late = grid.times >= 200.0
+        assert np.max(np.abs(v[late] - wbl_steady_fluctuation(cfg))) < 1e-14
+
+    def test_thermal_work_is_flat_in_the_horizon(self, monkeypatch):
+        # at fixed n the panels' nodes, the rows they serve and the E1 calls
+        # do not grow with t_max: only rows t < 1/k_T take them
+        cfg = make_config(
+            eps1=2.3, eps2=2.1, k_t=2.0, kind=SpectralKind.WIDE_BAND,
+        )
+        work = count_kernel_work(monkeypatch)
+        for t_max in (10.0, 100.0, 400.0):
+            wbl_greens(cfg, TimeGrid(t_max, 800))
+        assert_flat_work(work, 3)
 
     def test_requires_wideband_kind(self):
         with pytest.raises(ConfigError):

@@ -4,7 +4,7 @@ from unittest import mock
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy import integrate, special
@@ -20,12 +20,13 @@ from dqdsim.spectral import (
     lead_self_energy_real,
 )
 
-from conftest import make_config
+from conftest import assert_flat_work, count_kernel_work, make_config
 from fourier_reference import direct_fourier_sum
 from kernel_reference import (
     _half_lorentzian_fourier,
     memory_kernel,
     noise_kernel,
+    panel_noise_column,
     self_energy_real,
     spectral_density,
 )
@@ -84,6 +85,31 @@ class TestFermiOccupation:
         x = np.linspace(0.0, 8.0, 50)
         total = fermi_occupation(1.0 + x, 1.0, 0.6) + fermi_occupation(1.0 - x, 1.0, 0.6)
         np.testing.assert_allclose(total, 1.0, atol=1e-12)
+
+    def test_complex_energies_match_direct_formula(self, rng):
+        # x = (z - mu) / k_T as the function forms it, out to Re x = +/-700
+        mu, kt = 0.3, 0.7
+        x = np.concatenate([rng.uniform(-40.0, 40.0, 200), [700.0, -700.0, 699.5]])
+        x = x + 1j * np.concatenate([rng.uniform(-30.0, 30.0, 200), [0.3, 2.0, -5.0]])
+        z = mu + kt * x
+        got = fermi_occupation(z, mu, kt)
+        assert got.dtype == complex
+        with mpmath.workdps(40):
+            want = [complex(1 / (mpmath.exp(mpmath.mpc(w)) + 1)) for w in (z - mu) / kt]
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+        assert fermi_occupation(complex(z[0]), mu, kt) == got[0]
+
+    def test_complex_energies_do_not_overflow(self):
+        z = np.array([700.0, -700.0, 1e4, -1e4]) + 1j * np.array([0.5, 3.0, 1.0, -2.0])
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            n = fermi_occupation(z, 0.0, 1.0)
+        assert np.all(np.isfinite(n))
+        np.testing.assert_allclose(n[[1, 3]], 1.0, rtol=0.0, atol=1e-300)
+        assert np.all(np.abs(n[[0, 2]]) < 1e-300)
+
+    def test_complex_energies_need_a_temperature(self):
+        with pytest.raises(ValueError, match="real energies"):
+            fermi_occupation(1.0 + 1.0j, 0.0, 0.0)
 
 
 class TestSelfEnergyReal:
@@ -293,6 +319,73 @@ class TestLorentzianSeaColumn:
             np.testing.assert_allclose(
                 noise[:, c], _half_lorentzian_fourier(res, taus), rtol=1e-14, atol=0.0
             )
+
+
+@st.composite
+def _closure_cases(draw):
+    """A Lorentzian config and grid from the regimes the closure must cover:
+    k_T from 0.05 to 20 and k_T >> d, tau* = 1/k_T from below dt to past
+    t_max, Gamma down to 0.01, one lead switched off."""
+    k_t = draw(st.sampled_from([0.05, 0.5, 2.0, 20.0]))
+    d = draw(st.sampled_from([0.1, 0.7, 2.0, 5.0]))
+    gamma = draw(st.sampled_from([0.01, 0.5, 2.0]))
+    gamma_r = draw(st.sampled_from([0.0, 0.3]))
+    mu = draw(st.floats(-3.0, 3.0))
+    t_max = draw(st.sampled_from([0.04, 1.0, 8.0]))
+    n = draw(st.sampled_from([1, 7, 64]))
+    cfg = make_config(d=d, gamma=gamma, gamma_r=gamma_r, mu=mu, mu_r=-mu, k_t=k_t)
+    return cfg, np.linspace(0.0, t_max, n + 1)
+
+
+class TestMatsubaraClosure:
+    """Past tau* = 1/k_T a Lorentzian lead's noise column is the residue at
+    J's pole mu - i d plus the Matsubara sum; before it, the sharp sea plus
+    the Fermi remainder on panels of width k_T / 2. Both must match the
+    column summed on panels on every row, the package's design before the
+    closure."""
+
+    @given(_closure_cases())
+    def test_matches_all_panel_column(self, case):
+        cfg, taus = case
+        noise = build_kernel_table(cfg, taus).noise
+        for c, res in enumerate(cfg.reservoirs):
+            if res.gamma > 0.0:
+                ref = panel_noise_column(res, taus)
+                assert np.max(np.abs(noise[:, c] - ref)) < 1e-13
+
+    @settings(max_examples=30)
+    @given(
+        st.sampled_from([0, 1]),
+        st.sampled_from([0.05, 0.5, 2.0]),
+        st.integers(3, 12),
+        st.floats(0.5, 2.0),
+    )
+    def test_pole_on_a_matsubara_pole(self, m, k_t, digits, gamma):
+        # at d = pi k_T (2m + 1) J's pole mu + i d (of the conjugated
+        # integrand) sits on the Matsubara pole w_m, and either residue alone
+        # diverges like 1/(d - pi k_T (2m + 1)); their sum is finite
+        d0 = math.pi * k_t * (2 * m + 1)
+        taus = np.linspace(0.0, 6.0 / k_t, 97)
+        cols = {}
+        for h in (0.0, 10.0 ** -digits, -(10.0 ** -digits)):
+            cfg = make_config(d=d0 + h, gamma=gamma, mu=0.4, k_t=k_t)
+            cols[h] = build_kernel_table(cfg, taus).noise[:, 0]
+            ref = panel_noise_column(cfg.left, taus)
+            assert np.max(np.abs(cols[h] - ref)) < 1e-13
+        # |dJ/dd| integrates to pi Gamma over w and the column carries
+        # 1 / 2 pi, so it moves by at most Gamma |h| / 2 at every lag: both
+        # sides reach the value at d0
+        for h, col in cols.items():
+            assert np.max(np.abs(col - cols[0.0])) <= gamma * abs(h) / 2.0 + 1e-12
+
+    def test_work_is_flat_in_the_horizon(self, monkeypatch):
+        # at fixed n the panels' nodes, the rows they serve and the E1 calls
+        # do not grow with t_max: only rows tau < 1/k_T take them
+        cfg = make_config(d=2.0, mu=2.0, k_t=2.0)
+        work = count_kernel_work(monkeypatch)
+        for t_max in (10.0, 100.0, 400.0):
+            build_kernel_table(cfg, np.linspace(0.0, t_max, 801))
+        assert_flat_work(work, 3)
 
 
 class TestScaledExp1:
