@@ -108,18 +108,22 @@ def criterion(config: ModelConfig, omega: float) -> float:
     return float(lam_lo * lam_hi)
 
 
-def _residue(config, root):
-    """adj(A) / D'(w) at a simple real root, D' by a five-point stencil."""
+def _residue(config, root, branch):
+    """Z = v v^dag / (v^dag diag(f1', f2') v) at a root of branch (0 or 1).
+
+    v is that branch's unit eigenvector of A = [[f1, -g], [-conj(g), f2]]
+    and the denominator its slope, >= 1 out of band; each f_l' by a
+    five-point stencil. v does not depend on how close the other branch's
+    root lies, so a near-degenerate or double root splits its weight.
+    """
     h = 1e-5
+    stencil = np.array([1.0, -8.0, 8.0, -1.0]) / (12.0 * h)
     offsets = np.array([-2.0, -1.0, 1.0, 2.0]) * h
-    lam_lo, lam_hi = _branches(config, root + offsets)
-    vals = lam_lo * lam_hi
-    d_prime = (vals[0] - 8.0 * vals[1] + 8.0 * vals[2] - vals[3]) / (12.0 * h)
-    if abs(d_prime) < 1e-30:
-        return None
+    slopes = np.array([stencil @ f for f in _diagonal(config, root + offsets)])
     f1, f2 = _diagonal(config, root)
     g = complex(config.system.g_coupling)
-    return np.array([[f2, g], [g.conjugate(), f1]]) / d_prime
+    v = np.linalg.eigh(np.array([[f1, -g], [-g.conjugate(), f2]]))[1][:, branch]
+    return np.outer(v, v.conj()) / (np.abs(v) ** 2 @ slopes)
 
 
 def find_bound_states(config: ModelConfig) -> list:
@@ -156,18 +160,18 @@ def find_bound_states(config: ModelConfig) -> list:
             if math.isinf(hi):
                 hi = lo + abs(branch(lo)) + 1.0
             if branch(lo) < 0.0 < branch(hi):
-                roots.append(brentq(branch, lo, hi, xtol=ROOT_XTOL))
+                roots.append((brentq(branch, lo, hi, xtol=ROOT_XTOL), k))
     roots.sort()
 
     out = []
-    for root in roots:
+    for root, k in roots:
         edge_distance = (
             min(abs(root - e) for e in edge_points) if edge_points else math.inf
         )
         if edge_distance < EDGE_DISTANCE_MIN:
             continue
-        residue = _residue(config, root)
-        if residue is None or np.max(np.abs(residue)) < RESIDUE_NORM_MIN:
+        residue = _residue(config, root, k)
+        if np.max(np.abs(residue)) < RESIDUE_NORM_MIN:
             continue
         out.append(
             BoundStateRoot(

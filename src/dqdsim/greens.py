@@ -32,11 +32,8 @@ from .model import (
 )
 from .spectral import (
     _TWO_PI,
-    _fermi_remainder,
-    _fourier_sum,
-    _halfline_pair_integrals,
-    _matsubara_closure,
     _near_rows,
+    _thermal_pair_table,
     build_kernel_table,
     fermi_occupation,
 )
@@ -480,13 +477,10 @@ def _wbl_lead_fluctuation(lams, residues, res, lead, times):
 
     With a = lam_j and b = conj(lam_k), the pair integrates
     (c0 - c1 e^{iwt} - c2 e^{-iwt}) nbar(w) / ((w - a)(w - b)) over w, from
-    the thermal N_jk and O_jk(t). On rows t < tau* = 1/k_t they are the
-    sharp sea's N_jk and O_jk(t) plus the Fermi remainder
-    c_w = (nbar(w) - step(mu - w)) dw on the panel nodes: A_jk =
-    sum_w c_w / ((w - a)(w - b)) joins N_jk and F_jk(t) =
-    sum_w c_w e^{iwt} / ((w - a)(w - b)) joins O_jk(t), both from the same
-    panels, so that the pair's cancellation at small t survives. Past tau*,
-    O_jk(t) is the contour closure of _matsubara_closure and N_jk the
+    the thermal N_jk and O_jk(t) of _thermal_pair_table. On rows
+    t < tau* = 1/k_t the table's N_jk (its column 0) and O_jk(t) share
+    their Fermi-remainder panels, so that the pair's cancellation at small
+    t survives, and panels of width k_t / 2 suffice; past tau* N_jk is the
     digamma form of _fermi_transform, exact to rounding.
     """
     jj, kk, theta = _weighted_pairs(lams, residues, res, lead)
@@ -496,41 +490,21 @@ def _wbl_lead_fluctuation(lams, residues, res, lead, times):
         return out
 
     pair_set = set(keep)
-    pair_set.update((k, j) for j, k in keep)  # conj(o_jk[k, j]) is used
+    pair_set.update((k, j) for j, k in keep)  # conj(I_kj) is used
     pairs = sorted(pair_set)
+    table = dict(zip(pairs, _thermal_pair_table(lams, pairs, res, times, res.k_t / 2.0)))
     t = times[1:]
     near = _near_rows(times, res.k_t) - 1  # rows of t before tau*
-    n_jk, o_near = _halfline_pair_integrals(lams, res.mu, t[:near], pairs)
-    o_jk = np.zeros((2, 2, t.size), dtype=complex)
-    o_jk[:, :, :near] = o_near
-    n_far = np.zeros((2, 2), dtype=complex)
-    if res.k_t > 0.0:
-        omega, coef = _fermi_remainder(res, res.k_t / 2.0)
-        # rows hold conj(c_w / ((w - a)(w - b))), so the sum gives conj(F_jk);
-        # built in place, the stack is the only (pairs x nodes) array
-        stack = np.empty((len(pairs), omega.size), dtype=complex)
-        for row, (j, k) in zip(stack, pairs):
-            np.subtract(omega, np.conj(lams[j]), out=row)
-            np.divide(coef, row, out=row)
-            row /= omega - lams[k]
-        f = np.conj(_fourier_sum(omega, stack.T, times[:near + 1]))  # A_jk = F_jk(0)
-        for col, (j, k) in enumerate(pairs):
-            n_jk[j, k] += f[0, col]
-            o_jk[j, k, :near] += f[1:, col]
-            if near < t.size:
-                a, b = lams[j], np.conj(lams[k])
-                o_jk[j, k, near:] = _matsubara_closure(a, b, res.mu, res.k_t, t[near:])
-                n_far[j, k] = (_fermi_transform(a, res.mu, res.k_t, False)
-                               - _fermi_transform(b, res.mu, res.k_t, True)) / (a - b)
-
     for (j, k), theta_jk in zip(keep, theta):
         a, b = lams[j], np.conj(lams[k])
         c0 = 1.0 + np.exp(1j * (b - a) * t)
         c1 = np.exp(-1j * a * t)
         c2 = np.exp(1j * b * t)
-        n_t = np.full(t.size, n_jk[j, k])
-        n_t[near:] = n_far[j, k]
-        i_jk = c0 * n_t - c1 * o_jk[j, k] - c2 * np.conj(o_jk[k, j])
+        n_t = np.full(t.size, table[j, k][0])
+        if near < t.size:
+            n_t[near:] = (_fermi_transform(a, res.mu, res.k_t, False)
+                          - _fermi_transform(b, res.mu, res.k_t, True)) / (a - b)
+        i_jk = c0 * n_t - c1 * table[j, k][1:] - c2 * np.conj(table[k, j][1:])
         out[1:] += i_jk[:, None, None] * theta_jk
     return out / _TWO_PI
 

@@ -3,8 +3,10 @@
 Every reservoir couples diagonally to its own mode, so the spectral
 density, the real self-energy and the two memory kernels are all 2x2
 diagonal matrices.  Energies are in units of Gamma, times in 1/Gamma.
-The sharp-Fermi-sea integrals over (-inf, mu] of a pair of poles serve
-both the wide band's V and a Lorentzian lead's noise kernel.
+One thermal pole-pair table, _thermal_pair_table, takes every integral of
+nbar(w) e^{iwt} over a pair of poles: the wide band's V and a Lorentzian
+lead's noise kernel both read it. A finite-cutoff lead takes both kernels
+from one panel node set over its band.
 """
 
 from __future__ import annotations
@@ -154,9 +156,8 @@ def _halfline_pair_integrals(lams, mu, times, pairs):
     O_jk  = int_{-inf}^{mu} exp(i w t) dw / ((w - lam_j)(w - conj(lam_k)))
 
     Evaluated only for the requested (j, k) pairs, whose gap
-    |lam_j - conj(lam_k)| the caller keeps away from 0: the wide band's
-    weighted mode pairs and their transposes, or a Lorentzian lead's
-    pseudomode pole mu - i d with itself.
+    |lam_j - conj(lam_k)| the caller keeps away from 0. Its one caller is
+    _thermal_pair_table, which adds the Fermi remainder to both.
     """
     t = np.asarray(times, dtype=float)
     phase = np.exp(1j * mu * t)
@@ -249,10 +250,10 @@ def _fermi_remainder(res: ReservoirParams, cap: float):
     at mu, and their weights c_w = w (nbar(w) - step(mu - w)): the
     finite-temperature remainder of one lead's sharp Fermi sea.
 
-    The kernels sum it only on rows tau < tau* = 1/k_t (_near_rows), where
-    cap = k_t / 2 keeps the phase of e^{i w tau} under 1/2 per panel, so the
-    node count does not depend on the horizon; _matsubara_closure takes the
-    rows past tau*.
+    _thermal_pair_table sums it only on rows tau < tau* = 1/k_t
+    (_near_rows), where cap <= k_t / 2 keeps the phase of e^{i w tau} under
+    1/2 per panel, so the node count does not depend on the horizon;
+    _matsubara_closure takes the rows past tau*.
     """
     mu, k_t = res.mu, res.k_t
     half = _FERMI_RANGE * k_t
@@ -321,24 +322,40 @@ def _matsubara_closure(a: complex, b: complex, mu: float, k_t: float,
     return _TWO_PI * 1j * total
 
 
-def _noise_segments(res: ReservoirParams, base: float) -> list:
-    """Frequency panels for the occupied-weighted table of a finite cutoff,
-    of width <= base, and <= k_t / 2 within 14 k_t of mu."""
-    mu, kt = res.mu, res.k_t
-    fine = min(base, kt / 2.0) if kt > 0.0 else base
-    # occupation is exponentially small above mu + 45 kT; below mu the whole
-    # remaining band contributes with n close to 1
-    lo = mu - res.cutoff
-    hi = mu + min(res.cutoff, _FERMI_RANGE * kt)
-    if kt == 0.0:
-        return [(lo, mu, base)]
-    edge = 14.0 * kt
-    return [
-        (lo, max(lo, mu - edge), base),
-        (max(lo, mu - edge), mu, fine),
-        (mu, min(hi, mu + edge), fine),
-        (min(hi, mu + edge), hi, base),
-    ]
+def _thermal_pair_table(lams, pairs, res: ReservoirParams, taus: np.ndarray,
+                        cap: float) -> np.ndarray:
+    """I_jk(tau) = int nbar(w) e^{i w tau} dw / ((w - lam_j)(w - conj(lam_k)))
+    for each requested pair (j, k) on the grid taus: row p holds pair p, and
+    its column 0 is N_jk.
+
+    Rows tau < tau* = 1/k_t take the sharp sea's N_jk and O_jk(tau) plus the
+    Fermi remainder on panels of width <= cap, all from one Fourier sum, so
+    that a caller's cancelling combinations of N and O keep their
+    cancellation; rows past tau* take _matsubara_closure. The pair gaps
+    |lam_j - conj(lam_k)| must stay away from 0.
+    """
+    mu, k_t = res.mu, res.k_t
+    near = _near_rows(taus, k_t)
+    n_jk, o_jk = _halfline_pair_integrals(lams, mu, taus[1:near], pairs)
+    out = np.empty((len(pairs), taus.size), dtype=complex)
+    for row, (j, k) in zip(out, pairs):
+        row[0] = n_jk[j, k]
+        row[1:near] = o_jk[j, k]
+    if k_t == 0.0:
+        return out
+    omega, coef = _fermi_remainder(res, cap)
+    # rows hold conj(c_w / ((w - a)(w - b))), so the sum gives the conjugate
+    # of the remainder; built in place, the stack is the only (pairs x nodes)
+    # array
+    stack = np.empty((len(pairs), omega.size), dtype=complex)
+    for row, (j, k) in zip(stack, pairs):
+        np.subtract(omega, np.conj(lams[j]), out=row)
+        np.divide(coef, row, out=row)
+        row /= omega - lams[k]
+    out[:, :near] += np.conj(_fourier_sum(omega, stack.T, taus[:near])).T
+    for row, (j, k) in zip(out, pairs):
+        row[near:] = _matsubara_closure(lams[j], np.conj(lams[k]), mu, k_t, taus[near:])
+    return out
 
 
 @dataclass(frozen=True)
@@ -362,12 +379,11 @@ def build_kernel_table(config: ModelConfig, taus: np.ndarray,
                        include_noise: bool = True) -> KernelTable:
     """Tabulate the memory kernels of both leads on a uniform time grid.
 
-    A Lorentzian (or infinite-cutoff) lead's noise column is the sharp sea's
-    pair integral at J's pole plus, at k_t > 0, the Fermi remainder on
-    panels of width <= k_t / 2 on rows tau < tau* = 1/k_t, and the contour
-    closure of the whole thermal integral past tau*: its work does not grow
-    with the horizon. A finite cutoff takes both kernels on panels over the
-    band, of width <= pi / (4 tau_max).
+    A Lorentzian (or infinite-cutoff) lead's memory column is closed form,
+    and its noise column is _thermal_pair_table at J's pole mu - i d, whose
+    work does not grow with the horizon. A finite cutoff takes both columns
+    from one Fourier sum over one node set on the band, of panel width
+    <= pi / (4 tau_max), and <= k_t / 2 within 14 k_t of mu.
     """
     taus = np.asarray(taus, dtype=float)
     _check_grid(taus)
@@ -385,38 +401,29 @@ def build_kernel_table(config: ModelConfig, taus: np.ndarray,
         if res.gamma == 0.0:
             continue
         d, mu = res.bandwidth, res.mu
-        # panels resolve J's peak and the fastest phase on the grid
-        base = min(d / 2.0, 0.5, _osc_cap(tau_max))
-        lorentz_like = kind is SpectralKind.LORENTZIAN or math.isinf(res.cutoff)
-        if lorentz_like:
+        if kind is SpectralKind.LORENTZIAN or math.isinf(res.cutoff):
             memory[:, c] = 0.5 * res.gamma * d * np.exp(-1j * mu * taus - d * taus)
-        else:
-            # the whole band: its hard edge carries real spectral weight
-            nodes, w = _panel_nodes([(mu - res.cutoff, mu + res.cutoff, base)])
-            coefs = w * lead_density(res, kind, nodes) / (2.0 * np.pi)
-            memory[:, c] = _fourier_sum(nodes, coefs, taus)
-        if not include_noise:
+            if include_noise:
+                # J = Gamma d^2 / ((w - a)(w - conj(a))) at the pseudomode
+                # pole a = mu - i d; the panels resolve J's peak
+                cap = min(d / 2.0, 0.5, res.k_t / 2.0)
+                table = _thermal_pair_table([mu - 1j * d], [(0, 0)], res, taus, cap)
+                noise[:, c] = res.gamma * d * d / _TWO_PI * np.conj(table[0])
             continue
-        if lorentz_like:
-            # the sharp sea is the wide band's pair integral at the
-            # pseudomode pole a = mu - i d: J = Gamma d^2 / ((w - a)(w - conj(a)));
-            # past tau* = 1/k_t the whole thermal integral is its closure
-            a = mu - 1j * d
-            near = _near_rows(taus, res.k_t)
-            n_jk, o_jk = _halfline_pair_integrals([a], mu, taus[1:near], [(0, 0)])
-            pref = res.gamma * d * d / _TWO_PI
-            noise[0, c] = pref * np.conj(n_jk[0, 0])
-            noise[1:near, c] = pref * np.conj(o_jk[0, 0])
-            if res.k_t > 0.0:
-                nodes, c_w = _fermi_remainder(res, min(d / 2.0, 0.5, res.k_t / 2.0))
-                coefs = c_w * lead_density(res, SpectralKind.LORENTZIAN, nodes) / _TWO_PI
-                noise[:near, c] += _fourier_sum(nodes, coefs, taus[:near])
-                if near < taus.size:
-                    closure = _matsubara_closure(a, np.conj(a), mu, res.k_t, taus[near:])
-                    noise[near:, c] = pref * np.conj(closure)
-        else:
-            nodes, w = _panel_nodes(_noise_segments(res, base))
+        # one node set for both columns over the whole band (its hard edge
+        # carries real spectral weight), split at mu: panels resolve J's
+        # peak and the fastest phase on the grid, and within 14 k_t of mu
+        # the Fermi edge
+        cut, edge = res.cutoff, min(res.cutoff, 14.0 * res.k_t)
+        base = min(d / 2.0, 0.5, _osc_cap(tau_max))
+        fine = min(base, res.k_t / 2.0)
+        nodes, w = _panel_nodes([(mu - cut, mu - edge, base), (mu - edge, mu, fine),
+                                 (mu, mu + edge, fine), (mu + edge, mu + cut, base)])
+        coefs = w * lead_density(res, kind, nodes) / _TWO_PI
+        if include_noise:
             occ = fermi_occupation(nodes, mu, res.k_t)
-            coefs = w * lead_density(res, kind, nodes) * occ / (2.0 * np.pi)
-            noise[:, c] = _fourier_sum(nodes, coefs, taus)
+            both = _fourier_sum(nodes, np.stack([coefs, coefs * occ], axis=1), taus)
+            memory[:, c], noise[:, c] = both.T
+        else:
+            memory[:, c] = _fourier_sum(nodes, coefs, taus)
     return KernelTable(taus, memory, noise)

@@ -20,6 +20,7 @@ from dqdsim.boundstate import (
     _EDGE_MARGIN,
     BoundStateRoot,
     _band_intervals,
+    _branches,
     _residue,
 )
 from dqdsim.model import ModelConfig, build_hamiltonian
@@ -101,8 +102,10 @@ def find_bound_states(config: ModelConfig) -> list:
         )
         if edge_distance < EDGE_DISTANCE_MIN:
             continue
-        residue = _residue(config, root)
-        if residue is None or np.max(np.abs(residue)) < RESIDUE_NORM_MIN:
+        # the scan does not know the branch: take the one nearer zero
+        lam_lo, lam_hi = _branches(config, root)
+        residue = _residue(config, root, int(abs(lam_hi) < abs(lam_lo)))
+        if np.max(np.abs(residue)) < RESIDUE_NORM_MIN:
             continue
         out.append(
             BoundStateRoot(

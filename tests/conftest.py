@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from dqdsim import greens, spectral
+from dqdsim import spectral
 from dqdsim.model import (
     ModelConfig,
     ReservoirParams,
@@ -96,7 +96,7 @@ def random_density(rng: np.random.Generator) -> DensityBlocks:
 
 def count_kernel_work(monkeypatch):
     """Record (rows, nodes) of each _fourier_sum and the size of each E1
-    argument, from spectral and from greens."""
+    argument; every kernel sum, the wide band's too, runs in spectral."""
     work = {"sums": [], "e1": []}
     fourier_sum, scaled_exp1 = spectral._fourier_sum, spectral._scaled_exp1
 
@@ -109,7 +109,6 @@ def count_kernel_work(monkeypatch):
         return scaled_exp1(w)
 
     monkeypatch.setattr(spectral, "_fourier_sum", counted_sum)
-    monkeypatch.setattr(greens, "_fourier_sum", counted_sum)
     monkeypatch.setattr(spectral, "_scaled_exp1", counted_e1)
     return work
 

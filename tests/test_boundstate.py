@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import integrate
 
 import boundstate_reference
 from dqdsim.boundstate import (
@@ -21,7 +22,7 @@ from dqdsim.model import (
     SystemParams,
 )
 from dqdsim.oracle import discretize, localized_eigenstates
-from dqdsim.spectral import lead_self_energy_real
+from dqdsim.spectral import lead_density, lead_self_energy_real
 
 from conftest import make_config
 
@@ -197,6 +198,46 @@ class TestFindBoundStates:
         for root, (energy, weight) in zip(roots, states):
             assert abs(root.energy - energy) < 1e-3
             assert weight > 0.5
+
+
+def _decoupled_slope(res, omega):
+    """f'(w) = 1 - Sigma'(w) of a dot on one cutoff lead, out of band, from
+    Sigma'(w) = -(1 / 2 pi) int J(x) / (w - x)^2 dx over the band."""
+    val, _ = integrate.quad(
+        lambda x: lead_density(res, SpectralKind.CUTOFF_LORENTZIAN, x) / (omega - x) ** 2,
+        res.mu - res.cutoff, res.mu + res.cutoff, epsabs=0.0, epsrel=1e-12)
+    return 1.0 + val / (2.0 * np.pi)
+
+
+class TestResidue:
+    """A root's weight is v v^dag over its branch's slope v^dag diag(f1', f2') v,
+    with v the branch's eigenvector of A: identical dots and leads put
+    v = (1, -/+1) / sqrt(2) at any g > 0, and split the decoupled weight
+    1 / f' of each dot between the two roots."""
+
+    LEADS = dict(gamma=0.5, d=1.0, mu=2.0, cutoff=0.5)
+
+    def test_pair_closer_than_the_root_tolerance_splits_the_weight(self):
+        # at g = 1e-12 the roots lie 4e-12 apart, well inside ROOT_XTOL
+        cfg = cutoff_config(eps1=4.2, eps2=4.2, g=1e-12, **self.LEADS)
+        roots = find_bound_states(cfg)
+        assert len(roots) == 2
+        slope = _decoupled_slope(cfg.left, roots[0].energy)
+        for r in roots:
+            np.testing.assert_allclose(np.abs(r.residue_weight), 0.5 / slope, rtol=1e-8)
+        total = roots[0].residue_weight + roots[1].residue_weight
+        np.testing.assert_allclose(total, np.eye(2) / slope, atol=1e-8)
+
+    def test_exact_double_root(self):
+        # at g = 0 both branches vanish at one energy, each dot's own level
+        cfg = cutoff_config(eps1=3.5, eps2=3.5, g=0.0, **self.LEADS)
+        roots = find_bound_states(cfg)
+        assert len(roots) == 2
+        slope = _decoupled_slope(cfg.left, roots[0].energy)
+        total = roots[0].residue_weight + roots[1].residue_weight
+        np.testing.assert_allclose(total, np.eye(2) / slope, atol=1e-8)
+        for r in roots:
+            assert np.trace(r.residue_weight).real == pytest.approx(1.0 / slope, rel=1e-8)
 
 
 class TestClassifyRelaxation:

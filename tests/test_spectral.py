@@ -302,6 +302,33 @@ class TestKernelTable:
             )
 
 
+    @pytest.mark.parametrize(
+        "k_t, cutoff", [(0.0, 2.0), (0.01, 2.0), (0.3, 2.0), (0.3, 20.0)])
+    def test_cutoff_band_nodes_match_quadrature(self, k_t, cutoff):
+        # one node set serves both columns: fine panels within 14 k_T of mu,
+        # coarse ones out to the band edge, past mu + 45 k_T at k_T = 0.01
+        # and at cutoff 20
+        m = make_config(kind=SpectralKind.CUTOFF_LORENTZIAN, cutoff=cutoff,
+                        k_t=k_t, d=2.0, mu=1.0, mu_r=-0.5)
+        taus = np.linspace(0.0, 6.0, 13)
+        table = build_kernel_table(m, taus, include_noise=True)
+        memory_only = build_kernel_table(m, taus, include_noise=False).memory
+        np.testing.assert_allclose(memory_only, table.memory, rtol=0.0, atol=1e-15)
+        for i, tau in enumerate(taus):
+            np.testing.assert_allclose(
+                np.diag(memory_kernel(m, tau)), table.memory[i], rtol=0.0, atol=1e-13
+            )
+            np.testing.assert_allclose(
+                np.diag(noise_kernel(m, tau)), table.noise[i], rtol=0.0, atol=1e-10
+            )
+
+    def test_cutoff_lead_takes_one_fourier_sum(self, monkeypatch):
+        # memory and noise columns share one node set and one sum per lead
+        m = make_config(kind=SpectralKind.CUTOFF_LORENTZIAN, cutoff=2.0, k_t=0.3)
+        work = count_kernel_work(monkeypatch)
+        build_kernel_table(m, np.linspace(0.0, 3.0, 7), include_noise=True)
+        assert len(work["sums"]) == 2
+
 class TestLorentzianSeaColumn:
     """A Lorentzian lead's zero-temperature noise column is the wide band's
     half-line pair integral at the pseudomode pole mu - i d."""
