@@ -14,13 +14,17 @@ from enum import Enum
 
 import numpy as np
 
-from .model import ConfigError, ModelConfig, SpectralKind
+from .model import ConfigError, ModelConfig, SolverError, SpectralKind
 from .spectral import lead_self_energy_real
 
 EDGE_DISTANCE_MIN = 1e-3
 RESIDUE_NORM_MIN = 1e-6
 ROOT_XTOL = 1e-10
 _EDGE_MARGIN = 1e-9
+# scipy brentq's defaults: relative tolerance 4 eps, 100 steps (bisection
+# alone takes a bracket of 1e3 to ROOT_XTOL in 44)
+_ROOT_RTOL = 4.0 * float(np.finfo(float).eps)
+_MAX_STEPS = 100
 
 
 @dataclass(frozen=True)
@@ -126,19 +130,45 @@ def _residue(config, root, branch):
     return np.outer(v, v.conj()) / (np.abs(v) ** 2 @ slopes)
 
 
+def _branch_root(branch, lo, f_lo, hi, f_hi):
+    """The zero of branch on (lo, hi), where it rises with slope >= 1 from
+    f_lo = branch(lo) < 0 to f_hi = branch(hi) > 0.
+
+    Newton steps on the slope of the secant through the last two iterates,
+    held >= 1 by the slope bound; a step that leaves the bracket [lo, hi]
+    of the sign change bisects it instead. Stops once a step moves the
+    iterate by at most ROOT_XTOL + _ROOT_RTOL |w|.
+    """
+    w0, f0, w1, f1 = lo, f_lo, hi, f_hi
+    for _ in range(_MAX_STEPS):
+        w = w1 - f1 / max((f1 - f0) / (w1 - w0), 1.0)
+        if not lo <= w <= hi:
+            w = 0.5 * (lo + hi)
+        if abs(w - w1) <= ROOT_XTOL + _ROOT_RTOL * abs(w):
+            return w
+        f = branch(w)
+        if f == 0.0:
+            return w
+        if f < 0.0:
+            lo = w
+        else:
+            hi = w
+        w0, f0, w1, f1 = w1, f1, w, f
+    raise SolverError(f"bound-state root search did not converge on [{lo!r}, {hi!r}]")
+
+
 def find_bound_states(config: ModelConfig) -> list:
     """All effective real roots of the criterion outside the bands.
 
     In each gap between the merged bands both branches lambda_-/+ rise
-    with slope >= 1, so each crosses zero at most once there: one brentq
-    per branch per gap whose ends bracket a sign change. An open gap's far
-    end comes from the slope bound: a branch is <= -1 at c - |lambda(c)| - 1
-    and >= 1 at c + |lambda(c)| + 1. Roots hugging a band edge or carrying
-    negligible residue are dropped (they hybridize with the continuum and
-    decay anyway).
+    with slope >= 1, so each crosses zero at most once there: one
+    safeguarded Newton search (_branch_root) per branch per gap whose ends
+    bracket a sign change. An open gap's far end comes from the slope
+    bound: a branch is <= -1 at c - |lambda(c)| - 1 and >= 1 at
+    c + |lambda(c)| + 1. Roots hugging a band edge or carrying negligible
+    residue are dropped (they hybridize with the continuum and decay
+    anyway).
     """
-    from scipy.optimize import brentq  # deferred: scipy.optimize is slow to import
-
     bands = _band_intervals(config)
     edge_points = [b for band in bands for b in band]
     starts = [-math.inf] + [hi + _EDGE_MARGIN for _, hi in bands]
@@ -159,8 +189,9 @@ def find_bound_states(config: ModelConfig) -> list:
                 lo = anchor - abs(branch(anchor)) - 1.0
             if math.isinf(hi):
                 hi = lo + abs(branch(lo)) + 1.0
-            if branch(lo) < 0.0 < branch(hi):
-                roots.append((brentq(branch, lo, hi, xtol=ROOT_XTOL), k))
+            f_lo, f_hi = branch(lo), branch(hi)
+            if f_lo < 0.0 < f_hi:
+                roots.append((_branch_root(branch, lo, f_lo, hi, f_hi), k))
     roots.sort()
 
     out = []
@@ -184,12 +215,16 @@ def find_bound_states(config: ModelConfig) -> list:
 
 
 def classify_relaxation(roots) -> RelaxationClass:
-    """Scenario from the effective-root count: 0 thermal-like, 1 memory, 2+ oscillating."""
-    n = len(roots)
-    if n == 0:
+    """Scenario from the distinct root energies: none thermal-like, one
+    memory, two or more oscillating (bound states at one energy do not beat
+    against each other). Energies within ROOT_XTOL count as one; the count
+    keeps every root, with multiplicity."""
+    energies = sorted(r.energy for r in roots)
+    distinct = len(energies) - sum(b - a <= ROOT_XTOL for a, b in zip(energies, energies[1:]))
+    if distinct == 0:
         kind = RelaxationKind.THERMAL_LIKE
-    elif n == 1:
+    elif distinct == 1:
         kind = RelaxationKind.QUANTUM_MEMORY
     else:
         kind = RelaxationKind.OSCILLATING_QUANTUM_MEMORY
-    return RelaxationClass(kind=kind, count=n)
+    return RelaxationClass(kind=kind, count=len(roots))

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy import special
 
 from .model import (
     IDENTITY2,
@@ -32,6 +31,7 @@ from .model import (
 )
 from .spectral import (
     _TWO_PI,
+    _digamma,
     _near_rows,
     _thermal_pair_table,
     build_kernel_table,
@@ -372,17 +372,30 @@ def pole_expansion_lorentzian(config: ModelConfig) -> PoleExpansion:
     return _modes(config)
 
 
-def _fermi_transform(p, mu, k_t, upper):
-    """T(p) with int nbar(w) / (w - p) dw = T(p) + C, C independent of p.
+def _fermi_transforms(groups):
+    """T_l at poles q of the closed lower half plane and at conj(q), for each
+    (q, reservoir) group, with int nbar_l(w) / (w - p) dw = T_l(p) + C_l and
+    C_l independent of p; both concatenated over the groups.
 
-    upper selects the branch for poles from the upper half plane.
+    At k_t = 0, T_l(q) = ln(mu_l - q) - i pi and T_l(conj q) = conj T_l(q).
+    At k_t > 0, T_l(q) = psi(1/2 - x) with x = (q - mu_l) / (2 pi i k_t), where
+    Re(1/2 - x) >= 1/2, and psi(conj z) = conj psi(z) gives
+    T_l(conj q) = conj T_l(q) + i pi; one _digamma call serves every group.
     """
-    if k_t == 0.0:
-        return np.log(mu - p) + (1j * math.pi if upper else -1j * math.pi)
-    x = (p - mu) / (2j * math.pi * k_t)
-    if upper:
-        return special.psi(0.5 + x) + 1j * math.pi
-    return special.psi(0.5 - x)
+    hot = [0.5 - (q - res.mu) / (2j * math.pi * res.k_t) for q, res in groups if res.k_t > 0.0]
+    psi = _digamma(np.concatenate(hot)) if hot else None
+    lower, upper, start = [], [], 0
+    for q, res in groups:
+        if res.k_t == 0.0:
+            # -inf at an undamped mode on mu, which no weighted pair reads
+            with np.errstate(divide="ignore"):
+                lower.append(np.log(res.mu - q) - 1j * math.pi)
+            upper.append(np.conj(lower[-1]))
+        else:
+            lower.append(psi[start:start + q.size])
+            upper.append(np.conj(lower[-1]) + 1j * math.pi)
+            start += q.size
+    return np.concatenate(lower), np.concatenate(upper)
 
 
 def _weighted_pairs(poles, residues, res, lead):
@@ -411,33 +424,42 @@ def _steady_from_poles(poles, residues, config: ModelConfig) -> np.ndarray:
     R_ljk is rational with simple poles r_j, conj(r_k) (and mu_l -/+ i d_l
     for a Lorentzian lead) and decays at least like 1/w^2, so its
     partial-fraction coefficients c_m sum to zero and the integral is
-    sum_m c_m T_l(p_m) exactly; C of _fermi_transform cancels.
+    sum_m c_m T_l(p_m) exactly; C_l of _fermi_transforms cancels.
     """
     r = np.asarray(poles, dtype=complex)
     lorentzian = config.spectral_kind is SpectralKind.LORENTZIAN
-    v = np.zeros((2, 2), dtype=complex)
+    # R's lower poles on lead l, q_l: every mode and, for a Lorentzian lead,
+    # mu_l - i d_l; its upper poles are their conjugates. The q_l lie end to
+    # end, and each row of `rows` picks one pole of R per kept pair, the
+    # lower ones first.
+    groups, rows, numer, theta = [], [], [], []
     for lead, res in enumerate(config.reservoirs):
-        jj, kk, theta = _weighted_pairs(r, residues, res, lead)
-        if jj.size == 0:
+        j, k, th = _weighted_pairs(r, residues, res, lead)
+        if j.size == 0:
             continue
-        a, b = r[jj], np.conj(r[kk])
-        lower, upper, numer = [a], [b], 1.0
+        start = sum(q.size for q, _ in groups)
+        d = res.bandwidth
         if lorentzian:
-            d = res.bandwidth
-            lower.append(np.full(a.shape, res.mu - 1j * d))
-            upper.append(np.full(a.shape, res.mu + 1j * d))
-            numer = d * d
-        lower, upper = np.stack(lower), np.stack(upper)
-        p = np.concatenate([lower, upper])  # (poles of R, kept pairs)
-        t = np.concatenate(
-            [_fermi_transform(lower, res.mu, res.k_t, False),
-             _fermi_transform(upper, res.mu, res.k_t, True)]
-        )
+            groups.append((np.append(r, res.mu - 1j * d), res))
+            pole = np.full(j.size, start + r.size)
+            rows.append([start + j, pole, start + k, pole])
+        else:
+            groups.append((r, res))
+            rows.append([start + j, start + k])
+        numer.append(np.full(j.size, d * d if lorentzian else 1.0))
+        theta.append(th)
+    v = np.zeros((2, 2), dtype=complex)
+    if groups:
+        q = np.concatenate([q for q, _ in groups])
+        t_lo, t_hi = _fermi_transforms(groups)
+        lower, upper = np.split(np.hstack(rows), 2)
+        p = np.concatenate([q[lower], np.conj(q[upper])])  # (poles of R, kept pairs)
+        t = np.concatenate([t_lo[lower], t_hi[upper]])
         gaps = p[:, None, :] - p[None, :, :]
         diag = np.arange(len(p))
         gaps[diag, diag] = 1.0
-        c = numer / np.prod(gaps, axis=1)
-        v += np.einsum("p,pab->ab", np.sum(c * t, axis=0), theta)
+        c = np.concatenate(numer) / np.prod(gaps, axis=1)
+        v = np.einsum("p,pab->ab", np.sum(c * t, axis=0), np.concatenate(theta))
     v = v / _TWO_PI
     v = 0.5 * (v + dagger(v))
     eigs = np.linalg.eigvalsh(v)
@@ -481,7 +503,7 @@ def _wbl_lead_fluctuation(lams, residues, res, lead, times):
     t < tau* = 1/k_t the table's N_jk (its column 0) and O_jk(t) share
     their Fermi-remainder panels, so that the pair's cancellation at small
     t survives, and panels of width k_t / 2 suffice; past tau* N_jk is the
-    digamma form of _fermi_transform, exact to rounding.
+    digamma form of _fermi_transforms, exact to rounding.
     """
     jj, kk, theta = _weighted_pairs(lams, residues, res, lead)
     keep = list(zip(jj.tolist(), kk.tolist()))
@@ -495,6 +517,8 @@ def _wbl_lead_fluctuation(lams, residues, res, lead, times):
     table = dict(zip(pairs, _thermal_pair_table(lams, pairs, res, times, res.k_t / 2.0)))
     t = times[1:]
     near = _near_rows(times, res.k_t) - 1  # rows of t before tau*
+    if near < t.size:
+        t_lo, t_hi = _fermi_transforms([(np.asarray(lams), res)])
     for (j, k), theta_jk in zip(keep, theta):
         a, b = lams[j], np.conj(lams[k])
         c0 = 1.0 + np.exp(1j * (b - a) * t)
@@ -502,8 +526,7 @@ def _wbl_lead_fluctuation(lams, residues, res, lead, times):
         c2 = np.exp(1j * b * t)
         n_t = np.full(t.size, table[j, k][0])
         if near < t.size:
-            n_t[near:] = (_fermi_transform(a, res.mu, res.k_t, False)
-                          - _fermi_transform(b, res.mu, res.k_t, True)) / (a - b)
+            n_t[near:] = (t_lo[j] - t_hi[k]) / (a - b)
         i_jk = c0 * n_t - c1 * table[j, k][1:] - c2 * np.conj(table[k, j][1:])
         out[1:] += i_jk[:, None, None] * theta_jk
     return out / _TWO_PI

@@ -1,4 +1,5 @@
-"""Reservoir spectral densities, Fermi occupations, self-energies, kernels.
+"""Reservoir spectral densities, Fermi occupations, self-energies, kernels,
+and the special functions their closed forms need (digamma, e^w E1(w)).
 
 Every reservoir couples diagonally to its own mode, so the spectral
 density, the real self-energy and the two memory kernels are all 2x2
@@ -15,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .model import ConfigError, ModelConfig, ReservoirParams, SolverError, SpectralKind
 
@@ -96,27 +96,68 @@ def lead_self_energy_real(res: ReservoirParams, kind: SpectralKind, omega):
 
 
 # ---------------------------------------------------------------------------
-# sharp-Fermi-sea pole integrals over the half line (-inf, mu]
+# special functions: digamma and the scaled exponential integral
+
+# Bernoulli numbers B_2, B_4, ..., B_16
+_BERNOULLI = (1 / 6, -1 / 30, 1 / 42, -1 / 30, 5 / 66, -691 / 2730, 7 / 6, -3617 / 510)
+# psi(z) = psi(z + N) - sum_{k<N} 1/(z + k): past |z + N| >= N + 1/2 = 16.5 the
+# Stirling series' next term, B_14 / (14 w^14), is below 1e-17
+_PSI_SHIFT = np.arange(16.0)
+_STIRLING = np.array([b / (2 * n) for n, b in enumerate(_BERNOULLI[:6], 1)])
+_STIRLING_POWERS = np.arange(1, 7)
+_EULER_GAMMA = 0.5772156649015329
+# Ein(w) = sum_{k>=1} (-1)^(k+1) w^k / (k k!), highest order first; a call
+# sums the lowest 2.5 max|w| + 20 terms, 145 at the series' limit |w| = 50
+_EIN = [(-1.0) ** (k + 1) / (k * math.factorial(k)) for k in range(145, 0, -1)] + [0.0]
+# depth of the continued fraction, 3.5e-16 relative where |w| + Re w >= 2.5
+_CF_DEPTH = 80
+
+
+def _digamma(z):
+    """psi(z) for complex z with Re z >= 1/2, within 1e-15 max(1, |psi|).
+
+    Shifted by N = 16, psi(z) = psi(z + N) - sum_{k<N} 1/(z + k), then the
+    Stirling series psi(w) = ln w - 1/(2w) - sum_n B_2n / (2n w^2n), n <= 6.
+    The half plane never needs the reflection formula.
+    """
+    w = z + _PSI_SHIFT.size
+    u = 1.0 / w
+    return (np.log(w) - 0.5 * u - ((u * u)[..., None] ** _STIRLING_POWERS) @ _STIRLING
+            - (1.0 / (z[..., None] + _PSI_SHIFT)).sum(axis=-1))
+
 
 def _scaled_exp1(w):
-    """exp(w) E1(w) for complex w, stable at large |w|.
+    """exp(w) E1(w) for complex w, stable at large |w|, to about 2e-15 relative.
 
-    Direct evaluation below |w| = 50; the 2F0-style asymptotic tail above,
-    where scipy's exp1 would overflow for Re w << 0. Arguments within
-    1e-300 of the real axis take scipy's real exp1 and expi, and on the
-    negative axis the value from above the cut, E1(-x + i0) = -Ei(x) - i pi.
+    Near the negative axis, |w| + Re w < 2.5, exp(w) (-gamma - ln w + Ein(w))
+    by the power series Ein, whose terms there exceed the sum by at most
+    e^2.5; elsewhere below |w| = 50 the even continued fraction
+    1/(w + 1 - 1/(w + 3 - 4/(w + 5 - ...))); past it the 2F0-style
+    asymptotic tail. Arguments within 1e-300 of the real axis are on it, and
+    on the negative axis take the value from above the cut,
+    E1(-x + i0) = -Ei(x) - i pi.
     """
     w = np.asarray(w, dtype=complex)
+    w = np.where(np.abs(w.imag) < 1e-300, w.real + 0j, w)
     out = np.empty(w.shape, dtype=complex)
-    x = w.real
-    real = np.abs(w.imag) < 1e-300
-    w = np.where(real, x, w)
-    small = np.abs(w) < 50.0
-    cut = real & (x < 0.0)
-    pos, neg, off = small & real & ~cut, small & cut, small & ~real
-    out[pos] = np.exp(x[pos]) * special.exp1(x[pos])
-    out[neg] = -np.exp(x[neg]) * special.expi(-x[neg])
-    out[off] = np.exp(w[off]) * special.exp1(w[off])
+    r = np.abs(w)
+    small = r < 50.0
+    series = small & (r + w.real < 2.5)
+    frac = small & ~series
+    ws = w[series]
+    if ws.size:
+        depth = int(2.5 * np.max(r[series])) + 20
+        ein = np.zeros_like(ws)
+        for c in _EIN[-depth - 1:]:  # Horner
+            ein *= ws
+            ein += c
+        out[series] = np.exp(ws) * (ein - _EULER_GAMMA - np.log(ws))
+    wf = w[frac]
+    if wf.size:
+        f = wf + (2 * _CF_DEPTH + 1)
+        for k in range(_CF_DEPTH, 0, -1):
+            f = (wf + (2 * k - 1)) - (k * k) / f
+        out[frac] = 1.0 / f
     wl = w[~small]
     if wl.size:
         acc = np.zeros_like(wl)
@@ -125,9 +166,11 @@ def _scaled_exp1(w):
             term = term * (-k) / wl
             acc = acc + term
         out[~small] = (1.0 + acc) / wl
-    out[cut] -= 1j * np.pi * np.exp(x[cut])
     return out
 
+
+# ---------------------------------------------------------------------------
+# sharp-Fermi-sea pole integrals over the half line (-inf, mu]
 
 def _halfline_phase_integral(lam, mu, t, phase):
     """E(lam; t) = int_{-inf}^{mu} exp(i w t) / (w - lam) dw for t > 0,
@@ -272,8 +315,7 @@ def _near_rows(taus: np.ndarray, k_t: float) -> int:
 # e^{-pi k_t (2M + 1) t} <= e^{-pi (2M + 1)} <= 1e-17.
 _MATSUBARA_TERMS = math.ceil((17.0 * math.log(10.0) / math.pi - 1.0) / 2.0)
 # 1/x - 1/expm1(x) = 1/2 - sum_k B_2k x^(2k-1) / (2k)!, to 1e-17 for |x| < 1/2
-_REGULAR_SERIES = (special.bernoulli(16)[2::2]
-                   / [math.factorial(2 * k) for k in range(1, 9)])[::-1]
+_REGULAR_SERIES = [b / math.factorial(2 * k) for k, b in enumerate(_BERNOULLI, 1)][::-1]
 
 
 def _exp_divdiff(x: complex, y: complex, t: np.ndarray) -> np.ndarray:

@@ -5,6 +5,9 @@ each out-of-band interval, padded by 10 Gamma + 1 beyond the outermost
 band and M eigenvalue, and polishes each sign change by brentq. Two roots
 inside one scan cell cancel and are missed. The library brackets each
 eigenvalue branch per gap instead; tests check it against this scan.
+
+`branch_roots_brentq` is that per-branch bracket polished by scipy's
+brentq, the reference for the library's safeguarded Newton search.
 """
 
 from __future__ import annotations
@@ -115,3 +118,35 @@ def find_bound_states(config: ModelConfig) -> list:
             )
         )
     return out
+
+
+def branch_roots_brentq(config: ModelConfig) -> list:
+    """Sorted roots of both eigenvalue branches in every gap, by brentq.
+
+    The library's brackets: in each gap between the merged bands (ends
+    _EDGE_MARGIN inside) a branch rises with slope >= 1, and an open gap's
+    far end comes from that bound. No root is dropped.
+    """
+    from scipy.optimize import brentq  # deferred: scipy.optimize is slow to import
+
+    bands = _band_intervals(config)
+    starts = [-math.inf] + [hi + _EDGE_MARGIN for _, hi in bands]
+    ends = [lo - _EDGE_MARGIN for lo, _ in bands] + [math.inf]
+    roots = []
+    for a, b in zip(starts, ends):
+        if not b > a:
+            continue
+        for k in (0, 1):
+
+            def branch(w, k=k):
+                return float(_branches(config, w)[k])
+
+            lo, hi = a, b
+            if math.isinf(lo):
+                anchor = hi if math.isfinite(hi) else 0.0
+                lo = anchor - abs(branch(anchor)) - 1.0
+            if math.isinf(hi):
+                hi = lo + abs(branch(lo)) + 1.0
+            if branch(lo) < 0.0 < branch(hi):
+                roots.append(brentq(branch, lo, hi, xtol=ROOT_XTOL))
+    return sorted(roots)

@@ -6,13 +6,14 @@ frequency window and panel widths, so the tests check the tables against
 them. Also the 2x2 diagonal matrices J(w) and Re Sigma(w) built from the
 per-lead functions of dqdsim.spectral, and the zero-temperature noise
 kernel of a Lorentzian lead in closed form through the real exponential
-integrals E1 and Ei, the reference for the table's pole-integral column,
+integrals E1 and Ei (Ei from mpmath), the reference for the table's pole-integral column,
 and the table's noise column as the package summed it before the Matsubara
 closure: the sharp sea plus the Fermi remainder on panels on every row.
 """
 
 import math
 
+import mpmath
 import numpy as np
 from scipy import integrate, special
 
@@ -47,12 +48,16 @@ def _e1_scaled(x: np.ndarray) -> np.ndarray:
 
 
 def _ei_scaled(x: np.ndarray) -> np.ndarray:
-    """exp(-x) * Ei(x) for x > 0, overflow-free."""
+    """exp(-x) * Ei(x) for x > 0, overflow-free.
+
+    mpmath at 40 digits below x = 50: scipy's expi is up to 2.4e-14
+    relative off near x = 40.
+    """
     x = np.asarray(x, dtype=float)
     out = np.empty_like(x)
     small = x < 50.0
-    xs = x[small]
-    out[small] = np.exp(-xs) * special.expi(xs)
+    with mpmath.workdps(40):
+        out[small] = [float(mpmath.exp(-v) * mpmath.ei(v)) for v in x[small]]
     xl = x[~small]
     acc = np.zeros_like(xl)
     term = 1.0 / xl

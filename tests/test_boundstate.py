@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,9 +8,11 @@ from scipy import integrate
 
 import boundstate_reference
 from dqdsim.boundstate import (
+    ROOT_XTOL,
     BoundStateRoot,
     RelaxationKind,
     _band_intervals,
+    _branch_root,
     _branches,
     classify_relaxation,
     criterion,
@@ -18,6 +22,7 @@ from dqdsim.model import (
     ConfigError,
     ModelConfig,
     ReservoirParams,
+    SolverError,
     SpectralKind,
     SystemParams,
 )
@@ -25,6 +30,7 @@ from dqdsim.oracle import discretize, localized_eigenstates
 from dqdsim.spectral import lead_density, lead_self_energy_real
 
 from conftest import make_config
+from test_acceptance import CENSUS, _census_config
 
 
 def cutoff_config(**kwargs):
@@ -190,6 +196,34 @@ class TestFindBoundStates:
             flips = criterion(cfg, e - delta) * criterion(cfg, e + delta)
             assert flips * (-1) ** pair > 0.0
 
+    @pytest.mark.parametrize("row", range(len(CENSUS)))
+    def test_census_roots_are_brentq_roots(self, row):
+        # rows with 0, 1 and 2 roots; brentq also polishes the roots that
+        # hug a band edge, which both searches then drop
+        *params, expected = CENSUS[row]
+        assert len(_roots_within_xtol_of_brentq(_census_config(*params))) == expected
+
+    @pytest.mark.parametrize("g", [1e-4, 1e-6])
+    def test_near_degenerate_pair_is_brentq_pair(self, g):
+        cfg = cutoff_config(eps1=3.5, eps2=3.5, g=g, gamma=0.5, d=1.0, mu=2.0, cutoff=0.5)
+        found = _roots_within_xtol_of_brentq(cfg)
+        np.testing.assert_allclose(
+            found, boundstate_reference.branch_roots_brentq(cfg), rtol=0.0, atol=ROOT_XTOL)
+
+    @settings(max_examples=80)
+    @given(_cutoff_configs())
+    def test_every_root_is_a_brentq_root(self, cfg):
+        _roots_within_xtol_of_brentq(cfg)
+
+    def test_root_search_that_does_not_converge_raises(self):
+        # a jump of 2e30 at 0.3 breaks the slope bound: each step only halves
+        # the bracket, and 1e30 does not narrow to ROOT_XTOL within the cap
+        def jump(w):
+            return math.copysign(1e30, w - 0.3)
+
+        with pytest.raises(SolverError, match="did not converge"):
+            _branch_root(jump, -1e40, -1e30, 1e40, 1e30)
+
     def test_matches_oracle_localized_states(self):
         cfg = cutoff_config(**TWO_ROOT)
         roots = sorted(find_bound_states(cfg), key=lambda r: r.energy)
@@ -198,6 +232,16 @@ class TestFindBoundStates:
         for root, (energy, weight) in zip(roots, states):
             assert abs(root.energy - energy) < 1e-3
             assert weight > 0.5
+
+
+def _roots_within_xtol_of_brentq(cfg):
+    """The found energies, each checked to lie within ROOT_XTOL of a root of
+    the per-branch brentq search."""
+    want = np.array(boundstate_reference.branch_roots_brentq(cfg))
+    found = [r.energy for r in find_bound_states(cfg)]
+    for e in found:
+        assert np.min(np.abs(want - e)) <= ROOT_XTOL
+    return found
 
 
 def _decoupled_slope(res, omega):
@@ -251,9 +295,24 @@ class TestClassifyRelaxation:
         one = classify_relaxation([fake])
         assert one.kind is RelaxationKind.QUANTUM_MEMORY and one.count == 1
 
-        two = classify_relaxation([fake, fake])
+        other = BoundStateRoot(
+            energy=1.5, residue_weight=0.5 * np.eye(2), edge_distance=1.0
+        )
+        two = classify_relaxation([fake, other])
         assert two.kind is RelaxationKind.OSCILLATING_QUANTUM_MEMORY
         assert two.count == 2
+
+        # two bound states at one energy do not beat: one level, two roots
+        double = classify_relaxation([fake, fake])
+        assert double.kind is RelaxationKind.QUANTUM_MEMORY
+        assert double.count == 2
+
+    def test_exact_double_root_is_quantum_memory(self):
+        cfg = cutoff_config(eps1=3.5, eps2=3.5, g=0.0, gamma=0.5, d=1.0, mu=2.0, cutoff=0.5)
+        roots = find_bound_states(cfg)
+        assert [r.energy for r in roots] == pytest.approx([3.5492876363163757] * 2, abs=ROOT_XTOL)
+        cls = classify_relaxation(roots)
+        assert cls.kind is RelaxationKind.QUANTUM_MEMORY and cls.count == 2
 
     def test_end_to_end_scenarios(self):
         weak = cutoff_config(eps1=2.0, eps2=2.0, g=0.2, cutoff=3.0, gamma=0.5, d=1.0)

@@ -635,11 +635,10 @@ class TestConsoleScript:
         assert Path(out).read_text().count("\n") >= 6
 
     def test_import_skips_slow_scipy_modules(self):
-        # scipy.optimize is imported where a root is polished, and the
-        # convolution and Sylvester solve need neither signal nor linalg
+        # the package needs numpy alone: no scipy module is loaded
         code = (
-            "import sys, dqdsim.cli; print(sorted(m for m in sys.modules if m in"
-            " ('scipy.signal', 'scipy.linalg', 'scipy.optimize')))"
+            "import sys, dqdsim.cli; print(sorted(m for m in sys.modules"
+            " if m == 'scipy' or m.startswith('scipy.')))"
         )
         proc = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True,
@@ -647,6 +646,36 @@ class TestConsoleScript:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    def test_commands_run_without_scipy(self, tmp_path):
+        # with scipy blocked, every closed form still runs: E1 in the kernel
+        # tables and the wide band, digamma in the steady states, the root
+        # search in classify
+        lorentz = BASE + "[grid]\nt_max = 4.0\nn_steps = 40\n[solver]\nmethod = exact\n"
+        wide = (BASE.replace("kind = lorentzian", "kind = wideband")
+                + "[grid]\nt_max = 4.0\nn_steps = 40\n[solver]\nmethod = wbl\n")
+        runs = [
+            ("evolve", write_cfg(tmp_path, lorentz, "lorentz.cfg")),
+            ("evolve", write_cfg(tmp_path, wide, "wide.cfg")),
+            ("sweep", write_cfg(tmp_path, TestSweep.SWEEP, "sweep.cfg")),
+            ("classify", write_cfg(
+                tmp_path, CLASSIFY_TWO_ROOT + "[grid]\nt_max = 5.0\nn_steps = 100\n",
+                "classify.cfg")),
+        ]
+        argvs = [[sub, "--config", cfg, "--out", str(tmp_path / f"{i}.out")]
+                 for i, (sub, cfg) in enumerate(runs)]
+        code = (
+            "import sys; sys.modules['scipy'] = None\n"
+            "from dqdsim import cli\n"
+            f"sys.exit(max(cli.main(argv) for argv in {argvs!r}))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            env=_src_env(),
+        )
+        assert proc.returncode == 0, proc.stderr
+        for i in range(len(runs)):
+            assert (tmp_path / f"{i}.out").read_text().count("\n") > 5
 
 
 # sweep name -> the (ModelConfig part, field) pairs it sets, in the order

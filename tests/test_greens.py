@@ -550,6 +550,18 @@ class TestSteadyStateFluctuation:
         with pytest.raises(SolverError):
             steady_state_fluctuation(exp, make_config())
 
+    @pytest.mark.parametrize("kind", [SpectralKind.LORENTZIAN, SpectralKind.WIDE_BAND])
+    def test_decoupled_mode_on_the_fermi_level(self, kind):
+        # dot 2 is cut off at eps2 = mu = 2 and k_T = 0: its undamped pole
+        # sits on the log's branch point but carries no weight; dot 1, on
+        # resonance with a symmetric lead, is half filled
+        cfg = make_config(g=0.0, gamma_r=0.0, k_t=0.0, kind=kind)
+        if kind is SpectralKind.LORENTZIAN:
+            vs = steady_state_fluctuation(pole_expansion_lorentzian(cfg), cfg)
+        else:
+            vs = wbl_steady_fluctuation(cfg)
+        np.testing.assert_allclose(vs, np.diag([0.5, 0.0]), rtol=0.0, atol=1e-12)
+
 
 def _random_config(rng, regime, kind=SpectralKind.LORENTZIAN):
     """One random config of the named regime (Lorentzian unless kind says)."""

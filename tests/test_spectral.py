@@ -12,6 +12,7 @@ from scipy import integrate, special
 from dqdsim import spectral
 from dqdsim.model import ConfigError, ReservoirParams, SpectralKind
 from dqdsim.spectral import (
+    _digamma,
     _fourier_sum,
     _scaled_exp1,
     build_kernel_table,
@@ -434,12 +435,73 @@ class TestScaledExp1:
     def test_off_axis_values(self, rng):
         r = np.concatenate([rng.uniform(0.01, 49.9, 200), rng.uniform(50.0, 500.0, 100)])
         w = r * np.exp(1j * rng.uniform(-math.pi, math.pi, r.size))
-        got = _scaled_exp1(w)
-        small = r < 50.0
-        np.testing.assert_array_equal(got[small], np.exp(w[small]) * special.exp1(w[small]))
-        with mpmath.workdps(30):
-            tail = [complex(mpmath.exp(z) * mpmath.e1(z)) for z in w[~small]]
-        np.testing.assert_allclose(got[~small], tail, rtol=1e-14)
+        np.testing.assert_allclose(_scaled_exp1(w), _mp_scaled_exp1(w), rtol=1e-14, atol=0.0)
+
+    @settings(max_examples=300)
+    @given(st.one_of(
+        # the whole plane on both sides of |w| = 50
+        st.builds(lambda r, a: r * complex(math.cos(a), math.sin(a)),
+                  st.floats(1e-6, 80.0), st.floats(-math.pi, math.pi)),
+        # the negative axis out to x = 45, on it and just off it
+        st.builds(complex, st.floats(-45.0, -1e-6),
+                  st.sampled_from([0.0, 1e-12, -1e-12, 1e-3, -1e-3]) | st.floats(-8.0, 8.0)),
+        # |w| = 4-5 next to the positive axis, and the line 4.5 + i eps
+        st.builds(lambda r, a: r * complex(math.cos(a), math.sin(a)),
+                  st.floats(4.0, 5.0), st.floats(-0.05, 0.05)),
+        st.builds(lambda e: complex(4.5, e), st.floats(-1e-3, 1e-3)),
+        # the switch from series to continued fraction, |w| + Re w = s
+        st.builds(lambda y, s: complex((s * s - y * y) / (2.0 * s), y),
+                  st.floats(-45.0, 45.0), st.floats(2.3, 2.7)),
+    ))
+    def test_matches_mpmath(self, w):
+        # 40-digit reference; on the negative axis the value above the cut
+        got = _scaled_exp1(np.array([w]))[0]
+        want = _mp_scaled_exp1(np.array([w]))[0]
+        assert abs(got - want) <= 1e-14 * abs(want)
+
+
+def _mp_scaled_exp1(w):
+    """exp(w) E1(w) at 40 digits; within 1e-300 of the negative real axis the
+    value from above the cut, E1(-x + i0) = -Ei(x) - i pi."""
+    out = []
+    with mpmath.workdps(40):
+        for v in w:
+            if abs(v.imag) < 1e-300 and v.real < 0.0:
+                x = mpmath.mpf(-v.real)
+                out.append(complex(mpmath.exp(-x) * (-mpmath.ei(x) - 1j * mpmath.pi)))
+            else:
+                z = mpmath.mpc(v)
+                out.append(complex(mpmath.exp(z) * mpmath.e1(z)))
+    return np.array(out)
+
+
+class TestDigamma:
+    """psi(z) on Re z >= 1/2, where _fermi_transforms evaluates it, within
+    4e-15 max(1, |psi|) of mpmath: absolute near the zero at 1.4616,
+    relative past |psi| = 1."""
+
+    @staticmethod
+    def assert_close(z):
+        got = _digamma(np.asarray(z, dtype=complex))
+        with mpmath.workdps(40):
+            want = np.array([complex(mpmath.digamma(mpmath.mpc(v))) for v in np.ravel(z)])
+        assert got.shape == np.shape(z)
+        assert np.all(np.abs(np.ravel(got) - want) <= 4e-15 * np.maximum(1.0, np.abs(want)))
+
+    @given(st.floats(-8.0, 4.0), st.floats(-8.0, 6.0), st.booleans())
+    def test_matches_mpmath(self, log_re, log_im, below):
+        # Re z from 1/2 to 1e4 and |Im z| up to 1e6: 1/2 - x with
+        # x = (q - mu) / (2 pi i k_t) for k_t down to 1e-3
+        im = 10.0**log_im
+        self.assert_close([complex(0.5 + 10.0**log_re, -im if below else im)])
+
+    @given(st.floats(-0.01, 0.01), st.floats(-0.01, 0.01))
+    def test_near_the_real_zero(self, dx, dy):
+        self.assert_close([complex(1.4616321449683623 + dx, dy)])
+
+    def test_batch_shape(self, rng):
+        z = 0.5 + rng.uniform(0.0, 30.0, (3, 4)) + 1j * rng.uniform(-30.0, 30.0, (3, 4))
+        self.assert_close(z)
 
 
 # grid sizes n + 1: the smallest, perfect squares (B divides them) and primes
