@@ -20,7 +20,6 @@ from .spectral import lead_self_energy_real
 EDGE_DISTANCE_MIN = 1e-3
 RESIDUE_NORM_MIN = 1e-6
 ROOT_XTOL = 1e-10
-_EDGE_MARGIN = 1e-9
 # scipy brentq's defaults: relative tolerance 4 eps, 100 steps (bisection
 # alone takes a bracket of 1e3 to ROOT_XTOL in 44)
 _ROOT_RTOL = 4.0 * float(np.finfo(float).eps)
@@ -165,14 +164,14 @@ def find_bound_states(config: ModelConfig) -> list:
     safeguarded Newton search (_branch_root) per branch per gap whose ends
     bracket a sign change. An open gap's far end comes from the slope
     bound: a branch is <= -1 at c - |lambda(c)| - 1 and >= 1 at
-    c + |lambda(c)| + 1. Roots hugging a band edge or carrying negligible
-    residue are dropped (they hybridize with the continuum and decay
-    anyway).
+    c + |lambda(c)| + 1. The gaps end EDGE_DISTANCE_MIN short of each band
+    edge, and roots carrying negligible residue are dropped: roots hugging
+    an edge or without weight hybridize with the continuum and decay anyway.
     """
     bands = _band_intervals(config)
     edge_points = [b for band in bands for b in band]
-    starts = [-math.inf] + [hi + _EDGE_MARGIN for _, hi in bands]
-    ends = [lo - _EDGE_MARGIN for lo, _ in bands] + [math.inf]
+    starts = [-math.inf] + [hi + EDGE_DISTANCE_MIN for _, hi in bands]
+    ends = [lo - EDGE_DISTANCE_MIN for lo, _ in bands] + [math.inf]
 
     roots = []
     for a, b in zip(starts, ends):
@@ -199,8 +198,6 @@ def find_bound_states(config: ModelConfig) -> list:
         edge_distance = (
             min(abs(root - e) for e in edge_points) if edge_points else math.inf
         )
-        if edge_distance < EDGE_DISTANCE_MIN:
-            continue
         residue = _residue(config, root, k)
         if np.max(np.abs(residue)) < RESIDUE_NORM_MIN:
             continue

@@ -31,8 +31,8 @@ from .model import (
 )
 from .spectral import (
     _TWO_PI,
-    _digamma,
     _near_rows,
+    _pair_integrals,
     _thermal_pair_table,
     build_kernel_table,
     fermi_occupation,
@@ -372,94 +372,59 @@ def pole_expansion_lorentzian(config: ModelConfig) -> PoleExpansion:
     return _modes(config)
 
 
-def _fermi_transforms(groups):
-    """T_l at poles q of the closed lower half plane and at conj(q), for each
-    (q, reservoir) group, with int nbar_l(w) / (w - p) dw = T_l(p) + C_l and
-    C_l independent of p; both concatenated over the groups.
+def _weighted_pairs(poles, residues, config: ModelConfig, leads=(0, 1)):
+    """The pole pairs that carry weight on each coupled lead, from one stack
+    of the residues.
 
-    At k_t = 0, T_l(q) = ln(mu_l - q) - i pi and T_l(conj q) = conj T_l(q).
-    At k_t > 0, T_l(q) = psi(1/2 - x) with x = (q - mu_l) / (2 pi i k_t), where
-    Re(1/2 - x) >= 1/2, and psi(conj z) = conj psi(z) gives
-    T_l(conj q) = conj T_l(q) + i pi; one _digamma call serves every group.
-    """
-    hot = [0.5 - (q - res.mu) / (2j * math.pi * res.k_t) for q, res in groups if res.k_t > 0.0]
-    psi = _digamma(np.concatenate(hot)) if hot else None
-    lower, upper, start = [], [], 0
-    for q, res in groups:
-        if res.k_t == 0.0:
-            # -inf at an undamped mode on mu, which no weighted pair reads
-            with np.errstate(divide="ignore"):
-                lower.append(np.log(res.mu - q) - 1j * math.pi)
-            upper.append(np.conj(lower[-1]))
-        else:
-            lower.append(psi[start:start + q.size])
-            upper.append(np.conj(lower[-1]) + 1j * math.pi)
-            start += q.size
-    return np.concatenate(lower), np.concatenate(upper)
-
-
-def _weighted_pairs(poles, residues, res, lead):
-    """Pole pairs (j, k) that carry weight on one lead, and their weights.
-
-    Returns the index arrays jj, kk and theta_jk = Gamma_l Z_j P_l Z_k^dag,
-    the outer product of column l of Z_j and Z_k, for every pair above
-    1e-14 Gamma_l. A kept pair with r_j = conj(r_k) is an undamped mode that
-    still couples to the lead, which raises SolverError.
+    Returns (lead, lams, jj, kk, theta) for every lead in leads with
+    Gamma_l > 0: theta_jk = Gamma_l c_j c_k^dag for the pairs of poles
+    lams_j, lams_k above 1e-14 Gamma_l. In the wide band lams are the poles
+    r_j and c_j = Z_j P_l, column l of Z_j. A Lorentzian lead is the wide
+    band of its pseudomode q_l = mu_l - i d_l (Garraway, PRA 55, 2290
+    (1997)): S(w) P_l d_l / (w - q_l) = sum_j c_j (1/(w - r_j) - 1/(w - q_l))
+    with c_j = Z_j P_l d_l / (r_j - q_l), zero for a pole that rounds onto
+    q_l. S(q_l) P_l = 0 makes the sum of the c_j vanish; q_l is kept as a
+    last pole with column -sum_j c_j, pruned unless rounding in a pole near
+    q_l leaves weight on it. A kept pair with lams_j = conj(lams_k) is an
+    undamped mode that still couples to the lead, which raises SolverError.
     """
     r = np.asarray(poles, dtype=complex)
-    col = np.stack(residues)[:, :, lead]
-    theta = res.gamma * col[:, None, :, None] * np.conj(col)[None, :, None, :]
-    jj, kk = np.nonzero(np.max(np.abs(theta), axis=(2, 3)) > 1e-14 * res.gamma)
-    if jj.size and np.min(np.abs(r[jj] - np.conj(r[kk]))) < 1e-12:
-        raise SolverError(
-            "effectively undamped mode still couples to a lead; the"
-            " steady state is undefined"
-        )
-    return jj, kk, theta[jj, kk]
+    leads = [lead for lead in leads if config.reservoirs[lead].gamma > 0.0]
+    coupled = [config.reservoirs[lead] for lead in leads]
+    col = np.stack(residues)[:, :, leads].transpose(2, 0, 1)  # (lead, pole, dot)
+    lams = np.broadcast_to(r, (len(leads), r.size))
+    if config.spectral_kind is SpectralKind.LORENTZIAN:
+        q = np.array([[res.mu - 1j * res.bandwidth] for res in coupled])
+        gap = r - q
+        d = np.array([[res.bandwidth] for res in coupled])
+        col = col * np.divide(d, gap, out=np.zeros_like(gap), where=gap != 0.0)[..., None]
+        col = np.concatenate([col, -col.sum(axis=1, keepdims=True)], axis=1)
+        lams = np.hstack([lams, q])
+    gamma = np.array([res.gamma for res in coupled])
+    theta = (gamma[:, None, None, None, None] * col[:, :, None, :, None]
+             * np.conj(col)[:, None, :, None, :])
+    out = []
+    for lead, lam, scale, th in zip(leads, lams, gamma, theta):
+        jj, kk = np.nonzero(np.max(np.abs(th), axis=(2, 3)) > 1e-14 * scale)
+        if jj.size and np.min(np.abs(lam[jj] - np.conj(lam[kk]))) < 1e-12:
+            raise SolverError(
+                "effectively undamped mode still couples to a lead; the"
+                " steady state is undefined"
+            )
+        out.append((lead, lam, jj, kk, th[jj, kk]))
+    return out
 
 
 def _steady_from_poles(poles, residues, config: ModelConfig) -> np.ndarray:
-    """V^s = (1/2pi) sum_l sum_jk Z_j P_l Z_k^dag int R_ljk(w) nbar_l(w) dw.
+    """V^s = (1/2pi) sum_l sum_jk theta_ljk N_l(lams_j, conj(lams_k)).
 
-    R_ljk is rational with simple poles r_j, conj(r_k) (and mu_l -/+ i d_l
-    for a Lorentzian lead) and decays at least like 1/w^2, so its
-    partial-fraction coefficients c_m sum to zero and the integral is
-    sum_m c_m T_l(p_m) exactly; C_l of _fermi_transforms cancels.
+    theta_ljk and the poles lams are those of _weighted_pairs, a Lorentzian
+    lead being the wide band of its pseudomode, and N_l is _pair_integrals.
     """
-    r = np.asarray(poles, dtype=complex)
-    lorentzian = config.spectral_kind is SpectralKind.LORENTZIAN
-    # R's lower poles on lead l, q_l: every mode and, for a Lorentzian lead,
-    # mu_l - i d_l; its upper poles are their conjugates. The q_l lie end to
-    # end, and each row of `rows` picks one pole of R per kept pair, the
-    # lower ones first.
-    groups, rows, numer, theta = [], [], [], []
-    for lead, res in enumerate(config.reservoirs):
-        j, k, th = _weighted_pairs(r, residues, res, lead)
-        if j.size == 0:
-            continue
-        start = sum(q.size for q, _ in groups)
-        d = res.bandwidth
-        if lorentzian:
-            groups.append((np.append(r, res.mu - 1j * d), res))
-            pole = np.full(j.size, start + r.size)
-            rows.append([start + j, pole, start + k, pole])
-        else:
-            groups.append((r, res))
-            rows.append([start + j, start + k])
-        numer.append(np.full(j.size, d * d if lorentzian else 1.0))
-        theta.append(th)
     v = np.zeros((2, 2), dtype=complex)
-    if groups:
-        q = np.concatenate([q for q, _ in groups])
-        t_lo, t_hi = _fermi_transforms(groups)
-        lower, upper = np.split(np.hstack(rows), 2)
-        p = np.concatenate([q[lower], np.conj(q[upper])])  # (poles of R, kept pairs)
-        t = np.concatenate([t_lo[lower], t_hi[upper]])
-        gaps = p[:, None, :] - p[None, :, :]
-        diag = np.arange(len(p))
-        gaps[diag, diag] = 1.0
-        c = np.concatenate(numer) / np.prod(gaps, axis=1)
-        v = np.einsum("p,pab->ab", np.sum(c * t, axis=0), np.concatenate(theta))
+    for lead, lams, jj, kk, theta in _weighted_pairs(poles, residues, config):
+        res = config.reservoirs[lead]
+        v += np.einsum("p,pab->ab", _pair_integrals(lams, jj, kk, res.mu, res.k_t), theta)
     v = v / _TWO_PI
     v = 0.5 * (v + dagger(v))
     eigs = np.linalg.eigvalsh(v)
@@ -475,14 +440,17 @@ def steady_state_fluctuation(
 ) -> np.ndarray:
     """V^s = int v(w) dw with v = S(w) J(w) nbar(w) S(w)^dag / (2 pi).
 
-    Exact in closed form: with S(w) = sum_j Z_j / (w - r_j) and the
-    Lorentzian J_l = Gamma_l d_l^2 / ((w - mu_l)^2 + d_l^2), each term
-    Z_j P_l Z_k^dag of the integrand is a rational function with poles r_j,
-    conj(r_k), mu_l -/+ i d_l times the Fermi factor, and the integral of
-    each of its partial fractions is a digamma (a logarithm at k_t = 0).
-    Pole pairs (j, k) with no weight on lead l are skipped; a real pole
-    pair r_j = conj(r_k) that keeps weight has no steady state and raises
-    SolverError.
+    Exact in closed form, with S(w) = sum_j Z_j / (w - r_j): the Lorentzian
+    J_l = Gamma_l d_l^2 / ((w - q_l)(w - conj(q_l))), q_l = mu_l - i d_l, is
+    the wide band of one pseudomode. S(q_l) P_l = 0, so
+    S(w) P_l d_l / (w - q_l) = sum_j c_j / (w - r_j) with
+    c_j = Z_j P_l d_l / (r_j - q_l) (q_l stays as one more pole only if
+    rounding in the residues breaks that identity; see _weighted_pairs),
+    and each term Gamma_l c_j c_k^dag of the integrand is a flat-band pair
+    over r_j and conj(r_k) times the Fermi factor, whose integral is a
+    difference of digammas (of logarithms at k_t = 0). Pole pairs (j, k)
+    with no weight on lead l are skipped; a real pole pair r_j = conj(r_k)
+    that keeps weight has no steady state and raises SolverError.
     """
     if config.spectral_kind is not SpectralKind.LORENTZIAN:
         raise ConfigError("the pole-expansion steady state requires the Lorentzian spectrum")
@@ -494,8 +462,9 @@ def steady_state_fluctuation(
 # ---------------------------------------------------------------------------
 
 
-def _wbl_lead_fluctuation(lams, residues, res, lead, times):
-    """One lead's contribution to V_WBL on the grid times (zero at t = 0).
+def _wbl_lead_fluctuation(lams, jj, kk, theta, res, times):
+    """One lead's contribution to V_WBL on the grid times (zero at t = 0),
+    from its weighted pairs jj, kk, theta (_weighted_pairs).
 
     With a = lam_j and b = conj(lam_k), the pair integrates
     (c0 - c1 e^{iwt} - c2 e^{-iwt}) nbar(w) / ((w - a)(w - b)) over w, from
@@ -503,9 +472,8 @@ def _wbl_lead_fluctuation(lams, residues, res, lead, times):
     t < tau* = 1/k_t the table's N_jk (its column 0) and O_jk(t) share
     their Fermi-remainder panels, so that the pair's cancellation at small
     t survives, and panels of width k_t / 2 suffice; past tau* N_jk is the
-    digamma form of _fermi_transforms, exact to rounding.
+    digamma form of _pair_integrals, exact to rounding.
     """
-    jj, kk, theta = _weighted_pairs(lams, residues, res, lead)
     keep = list(zip(jj.tolist(), kk.tolist()))
     out = np.zeros((len(times), 2, 2), dtype=complex)
     if not keep:
@@ -517,16 +485,14 @@ def _wbl_lead_fluctuation(lams, residues, res, lead, times):
     table = dict(zip(pairs, _thermal_pair_table(lams, pairs, res, times, res.k_t / 2.0)))
     t = times[1:]
     near = _near_rows(times, res.k_t) - 1  # rows of t before tau*
-    if near < t.size:
-        t_lo, t_hi = _fermi_transforms([(np.asarray(lams), res)])
-    for (j, k), theta_jk in zip(keep, theta):
+    n_far = _pair_integrals(lams, jj, kk, res.mu, res.k_t)
+    for (j, k), theta_jk, n_jk in zip(keep, theta, n_far):
         a, b = lams[j], np.conj(lams[k])
         c0 = 1.0 + np.exp(1j * (b - a) * t)
         c1 = np.exp(-1j * a * t)
         c2 = np.exp(1j * b * t)
         n_t = np.full(t.size, table[j, k][0])
-        if near < t.size:
-            n_t[near:] = (t_lo[j] - t_hi[k]) / (a - b)
+        n_t[near:] = n_jk
         i_jk = c0 * n_t - c1 * table[j, k][1:] - c2 * np.conj(table[k, j][1:])
         out[1:] += i_jk[:, None, None] * theta_jk
     return out / _TWO_PI
@@ -554,10 +520,8 @@ def wbl_greens(config: ModelConfig, grid: TimeGrid) -> GreensSolution:
     u[0] = IDENTITY2  # exact; the projector sum carries rounding noise
 
     v = np.zeros((len(times), 2, 2), dtype=complex)
-    for idx, res in enumerate(config.reservoirs):
-        if res.gamma == 0.0:
-            continue
-        v += _wbl_lead_fluctuation(modes.poles, modes.residues, res, idx, times)
+    for lead, lams, jj, kk, theta in _weighted_pairs(modes.poles, modes.residues, config):
+        v += _wbl_lead_fluctuation(lams, jj, kk, theta, config.reservoirs[lead], times)
     v = 0.5 * (v + np.conj(np.transpose(v, (0, 2, 1))))
     return GreensSolution(grid, u, v)
 
@@ -568,10 +532,10 @@ def wbl_steady_fluctuation(config: ModelConfig) -> np.ndarray:
     Exact in closed form from the effective-Hamiltonian modes
     U(t) = sum_j P_j exp(-i lam_j t): with a flat spectrum each term
     P_j Gamma_l P_k^dag of the integrand is Gamma_l over the poles lam_j
-    and conj(lam_k) times the Fermi factor, and the integral of each of its
-    partial fractions is a digamma (a logarithm at k_t = 0). Mode pairs
-    with no weight on a lead are skipped, so an undamped mode on an
-    uncoupled lead is allowed; one that keeps weight raises SolverError.
+    and conj(lam_k) times the Fermi factor, whose integral is a difference
+    of digammas (of logarithms at k_t = 0). Mode pairs with no weight on a
+    lead are skipped, so an undamped mode on an uncoupled lead is allowed;
+    one that keeps weight raises SolverError.
     """
     if config.spectral_kind is not SpectralKind.WIDE_BAND:
         raise ConfigError("wbl_steady_fluctuation requires the wide-band spectral kind")
@@ -598,16 +562,15 @@ def _bm_stationary(config: ModelConfig):
         fermi_occupation(config.system.eps2, config.right.mu, config.right.k_t),
     ]
     x = np.zeros((2, 2), dtype=complex)
-    if not any(nbar * res.gamma for nbar, res in zip(occ, config.reservoirs)):
+    # an empty lead is skipped before the undamped-mode guard can see it
+    sources = [lead for lead, (nbar, res) in enumerate(zip(occ, config.reservoirs))
+               if nbar * res.gamma != 0.0]
+    if not sources:
         return None, x
     modes = _modes(config)
-    r = np.asarray(modes.poles, dtype=complex)
-    for lead, (nbar, res) in enumerate(zip(occ, config.reservoirs)):
-        if nbar * res.gamma == 0.0:
-            continue
-        jj, kk, theta = _weighted_pairs(r, modes.residues, res, lead)
+    for lead, r, jj, kk, theta in _weighted_pairs(modes.poles, modes.residues, config, sources):
         gaps = 1j * (r[jj] - np.conj(r[kk]))
-        x += nbar * np.einsum("p,pab->ab", 1.0 / gaps, theta)
+        x += occ[lead] * np.einsum("p,pab->ab", 1.0 / gaps, theta)
     return modes, 0.5 * (x + dagger(x))
 
 

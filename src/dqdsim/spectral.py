@@ -170,6 +170,29 @@ def _scaled_exp1(w):
 
 
 # ---------------------------------------------------------------------------
+# pole-pair integrals of the Fermi factor
+
+def _pair_integrals(poles, jj, kk, mu, k_t):
+    """N_p = int nbar(w) dw / ((w - a_p)(w - b_p)) over the real line, for
+    a_p = poles[jj[p]] in the closed lower half plane and
+    b_p = conj(poles[kk[p]]), with a_p != b_p.
+
+    N = (T(a) - T(b)) / (a - b), where int nbar(w) / (w - z) dw = T(z) + C
+    and C, independent of z, cancels. At k_t = 0, T(a) = ln(mu - a) - i pi
+    and T(b) = ln(mu - b) + i pi. At k_t > 0, T(a) = psi(1/2 - x) with
+    x = (a - mu) / (2 pi i k_t), where Re(1/2 - x) >= 1/2, and
+    psi(conj z) = conj psi(z) gives T(b) = conj T(conj b) + i pi (Croy &
+    Saalmann, PRB 80, 073102 (2009)); one _digamma call serves every pair.
+    """
+    r = np.asarray(poles, dtype=complex)
+    a, b = r[jj], np.conj(r[kk])
+    if k_t == 0.0:
+        return (np.log(mu - a) - np.log(mu - b) - _TWO_PI * 1j) / (a - b)
+    psi = _digamma(0.5 - (r - mu) / (2j * math.pi * k_t))
+    return (psi[jj] - (np.conj(psi[kk]) + 1j * math.pi)) / (a - b)
+
+
+# ---------------------------------------------------------------------------
 # sharp-Fermi-sea pole integrals over the half line (-inf, mu]
 
 def _halfline_phase_integral(lam, mu, t, phase):
@@ -193,30 +216,22 @@ def _halfline_phase_integral(lam, mu, t, phase):
 
 
 def _halfline_pair_integrals(lams, mu, times, pairs):
-    """N_jk and O_jk(t) building blocks of the zero-temperature backbone.
+    """N_p and O_p(t) building blocks of the zero-temperature backbone, one
+    row per requested pair p = (j, k):
 
-    N_jk  = int_{-inf}^{mu} dw / ((w - lam_j)(w - conj(lam_k)))
-    O_jk  = int_{-inf}^{mu} exp(i w t) dw / ((w - lam_j)(w - conj(lam_k)))
+    N_p  = int_{-inf}^{mu} dw / ((w - lam_j)(w - conj(lam_k)))
+    O_p  = int_{-inf}^{mu} exp(i w t) dw / ((w - lam_j)(w - conj(lam_k)))
 
-    Evaluated only for the requested (j, k) pairs, whose gap
-    |lam_j - conj(lam_k)| the caller keeps away from 0. Its one caller is
-    _thermal_pair_table, which adds the Fermi remainder to both.
+    The caller keeps each gap |lam_j - conj(lam_k)| away from 0. Its one
+    caller is _thermal_pair_table, which adds the Fermi remainder to both.
     """
     t = np.asarray(times, dtype=float)
     phase = np.exp(1j * mu * t)
-    n_jk = np.zeros((2, 2), dtype=complex)
-    o_jk = np.zeros((2, 2, t.size), dtype=complex)
-    e_lo, e_hi = {}, {}
-    for j, k in pairs:
-        a, b = lams[j], np.conj(lams[k])
-        denom = a - b
-        n_jk[j, k] = (np.log(mu - a) - np.log(mu - b) - _TWO_PI * 1j) / denom
-        if j not in e_lo:
-            e_lo[j] = _halfline_phase_integral(lams[j], mu, t, phase)
-        if k not in e_hi:
-            e_hi[k] = _halfline_phase_integral(np.conj(lams[k]), mu, t, phase)
-        o_jk[j, k] = (e_lo[j] - e_hi[k]) / denom
-    return n_jk, o_jk
+    jj, kk = np.transpose(pairs)
+    e_lo = {j: _halfline_phase_integral(lams[j], mu, t, phase) for j in set(jj)}
+    e_hi = {k: _halfline_phase_integral(np.conj(lams[k]), mu, t, phase) for k in set(kk)}
+    o = [(e_lo[j] - e_hi[k]) / (lams[j] - np.conj(lams[k])) for j, k in pairs]
+    return _pair_integrals(lams, jj, kk, mu, 0.0), np.array(o)
 
 
 # ---------------------------------------------------------------------------
@@ -378,11 +393,8 @@ def _thermal_pair_table(lams, pairs, res: ReservoirParams, taus: np.ndarray,
     """
     mu, k_t = res.mu, res.k_t
     near = _near_rows(taus, k_t)
-    n_jk, o_jk = _halfline_pair_integrals(lams, mu, taus[1:near], pairs)
     out = np.empty((len(pairs), taus.size), dtype=complex)
-    for row, (j, k) in zip(out, pairs):
-        row[0] = n_jk[j, k]
-        row[1:near] = o_jk[j, k]
+    out[:, 0], out[:, 1:near] = _halfline_pair_integrals(lams, mu, taus[1:near], pairs)
     if k_t == 0.0:
         return out
     omega, coef = _fermi_remainder(res, cap)

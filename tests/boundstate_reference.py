@@ -20,7 +20,6 @@ from dqdsim.boundstate import (
     EDGE_DISTANCE_MIN,
     RESIDUE_NORM_MIN,
     ROOT_XTOL,
-    _EDGE_MARGIN,
     BoundStateRoot,
     _band_intervals,
     _branches,
@@ -30,6 +29,8 @@ from dqdsim.model import ModelConfig, build_hamiltonian
 from dqdsim.spectral import lead_self_energy_real
 
 SCAN_STEP = 1e-3
+# both searches start this far from a band edge, where Sigma diverges
+_EDGE_MARGIN = 1e-9
 
 
 def _criterion_raw(config: ModelConfig, omega):
@@ -123,9 +124,10 @@ def find_bound_states(config: ModelConfig) -> list:
 def branch_roots_brentq(config: ModelConfig) -> list:
     """Sorted roots of both eigenvalue branches in every gap, by brentq.
 
-    The library's brackets: in each gap between the merged bands (ends
-    _EDGE_MARGIN inside) a branch rises with slope >= 1, and an open gap's
-    far end comes from that bound. No root is dropped.
+    The library's brackets, with ends _EDGE_MARGIN rather than
+    EDGE_DISTANCE_MIN inside each gap between the merged bands: a branch
+    rises with slope >= 1 there, and an open gap's far end comes from that
+    bound. No root is dropped, edge-hugging ones included.
     """
     from scipy.optimize import brentq  # deferred: scipy.optimize is slow to import
 

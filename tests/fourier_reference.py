@@ -40,9 +40,9 @@ def _cexpm1(z):
     return out
 
 
-def _lead_fluctuation(lams, residues, res, lead, times):
-    """One lead's V_WBL on times > 0, remainder summed term by term."""
-    jj, kk, theta = _weighted_pairs(lams, residues, res, lead)
+def _lead_fluctuation(lams, jj, kk, theta, res, times):
+    """One lead's V_WBL on times > 0 from its weighted pairs, remainder
+    summed term by term."""
     keep = list(zip(jj.tolist(), kk.tolist()))
     nt = len(times)
     out = np.zeros((nt, 2, 2), dtype=complex)
@@ -51,7 +51,9 @@ def _lead_fluctuation(lams, residues, res, lead, times):
 
     pair_set = set(keep)
     pair_set.update((k, j) for j, k in keep)
-    n_jk, o_jk = _halfline_pair_integrals(lams, res.mu, times, sorted(pair_set))
+    pairs = sorted(pair_set)
+    n_p, o_p = _halfline_pair_integrals(lams, res.mu, times, pairs)
+    n_jk, o_jk = dict(zip(pairs, n_p)), dict(zip(pairs, o_p))
     for (j, k), theta_jk in zip(keep, theta):
         a, b = lams[j], np.conj(lams[k])
         c0 = 1.0 + np.exp(1j * (b - a) * times)
@@ -84,10 +86,6 @@ def wbl_reference_fluctuation(config, grid):
     modes = _modes(config)
     times = grid.times
     v = np.zeros((len(times), 2, 2), dtype=complex)
-    for lead, res in enumerate(config.reservoirs):
-        if res.gamma == 0.0:
-            continue
-        v[1:] += _lead_fluctuation(
-            modes.poles, modes.residues, res, lead, times[1:]
-        )
+    for lead, lams, jj, kk, theta in _weighted_pairs(modes.poles, modes.residues, config):
+        v[1:] += _lead_fluctuation(lams, jj, kk, theta, config.reservoirs[lead], times[1:])
     return 0.5 * (v + np.conj(np.transpose(v, (0, 2, 1))))

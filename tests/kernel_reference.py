@@ -93,10 +93,10 @@ def panel_noise_column(res: ReservoirParams, taus: np.ndarray) -> np.ndarray:
     noise = np.zeros(taus.size, dtype=complex)
     d, mu = res.bandwidth, res.mu
     base = min(d / 2.0, 0.5, _osc_cap(tau_max))
-    n_jk, o_jk = _halfline_pair_integrals([mu - 1j * d], mu, taus[1:], [(0, 0)])
+    n_p, o_p = _halfline_pair_integrals([mu - 1j * d], mu, taus[1:], [(0, 0)])
     pref = res.gamma * d * d / _TWO_PI
-    noise[0] = pref * np.conj(n_jk[0, 0])
-    noise[1:] = pref * np.conj(o_jk[0, 0])
+    noise[0] = pref * np.conj(n_p[0])
+    noise[1:] = pref * np.conj(o_p[0])
     if res.k_t > 0.0:
         nodes, c_w = _fermi_remainder(res, min(base, res.k_t / 2.0))
         coefs = c_w * lead_density(res, SpectralKind.LORENTZIAN, nodes) / _TWO_PI

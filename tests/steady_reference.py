@@ -10,6 +10,11 @@ reference is good to about that absolute accuracy.
 For the Lorentzian kind there is also a 50-digit reference: the pole
 expansion from mpmath's eigen-decomposition of the pseudomode generator,
 and V^s from it as an exact sum of digammas, both at mpmath's precision.
+
+four_pole_steady_fluctuation is the closed form that dqdsim.greens used
+before it read a Lorentzian lead as the wide band of its pseudomode: the
+partial fractions of each pair's integrand over its four poles r_j,
+conj(r_k), mu_l -/+ i d_l, in double precision.
 """
 
 import itertools
@@ -19,8 +24,16 @@ import mpmath as mp
 import numpy as np
 from scipy.integrate import quad
 
-from dqdsim.model import build_hamiltonian
-from dqdsim.spectral import fermi_occupation, lead_density
+from dqdsim.greens import EIGENVALUE_CEIL, EIGENVALUE_FLOOR
+from dqdsim.model import (
+    InvariantViolation,
+    ModelConfig,
+    SolverError,
+    SpectralKind,
+    build_hamiltonian,
+    dagger,
+)
+from dqdsim.spectral import _digamma, fermi_occupation, lead_density
 
 _TWO_PI = 2.0 * math.pi
 
@@ -141,18 +154,24 @@ def mp_steady_fluctuation(config, dps=50) -> np.ndarray:
         poles, residues = mp_pole_expansion(config)
         v = mp.matrix(2, 2)
         for lead, res in enumerate(config.reservoirs):
+            if res.gamma == 0:
+                continue
             mu, d, k_t = mp.mpf(res.mu), mp.mpf(res.bandwidth), mp.mpf(res.k_t)
-            for j, k in itertools.product(range(4), repeat=2):
-                parts = [
-                    (poles[j], False),
-                    (mp.mpc(mu, -d), False),
-                    (mp.conj(poles[k]), True),
-                    (mp.mpc(mu, d), True),
-                ]
+            # a pole without weight on the lead, such as an uncoupled lead's
+            # pseudomode at mu_l - i d_l, may meet another pole of R
+            live = [j for j in range(4) if residues[j][0, lead] or residues[j][1, lead]]
+            q = mp.mpc(mu, -d)
+            # (pole, T) of R's lower and upper poles, each T computed once
+            lower = {j: (p, _mp_fermi_transform(p, mu, k_t, False))
+                     for j, p in [(j, poles[j]) for j in live] + [("q", q)]}
+            upper = {j: (mp.conj(p), _mp_fermi_transform(mp.conj(p), mu, k_t, True))
+                     for j, (p, _) in lower.items()}
+            for j, k in itertools.product(live, repeat=2):
+                parts = [lower[j], lower["q"], upper[k], upper["q"]]
                 integral = mp.mpf(0)
-                for m, (p, upper) in enumerate(parts):
-                    gaps = mp.fprod(p - q for n, (q, _) in enumerate(parts) if n != m)
-                    integral += d * d / gaps * _mp_fermi_transform(p, mu, k_t, upper)
+                for m, (p, t) in enumerate(parts):
+                    gaps = mp.fprod(p - z for n, (z, _) in enumerate(parts) if n != m)
+                    integral += d * d / gaps * t
                 for a, b in itertools.product(range(2), repeat=2):
                     v[a, b] += (
                         res.gamma * residues[j][a, lead]
@@ -160,3 +179,101 @@ def mp_steady_fluctuation(config, dps=50) -> np.ndarray:
                     )
         v /= 2 * mp.pi
         return np.array(v.tolist(), dtype=complex)
+
+
+def _fermi_transforms(groups):
+    """T_l at poles q of the closed lower half plane and at conj(q), for each
+    (q, reservoir) group, with int nbar_l(w) / (w - p) dw = T_l(p) + C_l and
+    C_l independent of p; both concatenated over the groups.
+
+    At k_t = 0, T_l(q) = ln(mu_l - q) - i pi and T_l(conj q) = conj T_l(q).
+    At k_t > 0, T_l(q) = psi(1/2 - x) with x = (q - mu_l) / (2 pi i k_t), where
+    Re(1/2 - x) >= 1/2, and psi(conj z) = conj psi(z) gives
+    T_l(conj q) = conj T_l(q) + i pi; one _digamma call serves every group.
+    """
+    hot = [0.5 - (q - res.mu) / (2j * math.pi * res.k_t) for q, res in groups if res.k_t > 0.0]
+    psi = _digamma(np.concatenate(hot)) if hot else None
+    lower, upper, start = [], [], 0
+    for q, res in groups:
+        if res.k_t == 0.0:
+            # -inf at an undamped mode on mu, which no weighted pair reads
+            with np.errstate(divide="ignore"):
+                lower.append(np.log(res.mu - q) - 1j * math.pi)
+            upper.append(np.conj(lower[-1]))
+        else:
+            lower.append(psi[start:start + q.size])
+            upper.append(np.conj(lower[-1]) + 1j * math.pi)
+            start += q.size
+    return np.concatenate(lower), np.concatenate(upper)
+
+
+def _weighted_pairs(poles, residues, res, lead):
+    """Pole pairs (j, k) that carry weight on one lead, and their weights.
+
+    Returns the index arrays jj, kk and theta_jk = Gamma_l Z_j P_l Z_k^dag,
+    the outer product of column l of Z_j and Z_k, for every pair above
+    1e-14 Gamma_l. A kept pair with r_j = conj(r_k) is an undamped mode that
+    still couples to the lead, which raises SolverError.
+    """
+    r = np.asarray(poles, dtype=complex)
+    col = np.stack(residues)[:, :, lead]
+    theta = res.gamma * col[:, None, :, None] * np.conj(col)[None, :, None, :]
+    jj, kk = np.nonzero(np.max(np.abs(theta), axis=(2, 3)) > 1e-14 * res.gamma)
+    if jj.size and np.min(np.abs(r[jj] - np.conj(r[kk]))) < 1e-12:
+        raise SolverError(
+            "effectively undamped mode still couples to a lead; the"
+            " steady state is undefined"
+        )
+    return jj, kk, theta[jj, kk]
+
+
+def four_pole_steady_fluctuation(poles, residues, config: ModelConfig) -> np.ndarray:
+    """V^s = (1/2pi) sum_l sum_jk Z_j P_l Z_k^dag int R_ljk(w) nbar_l(w) dw.
+
+    R_ljk is rational with simple poles r_j, conj(r_k) (and mu_l -/+ i d_l
+    for a Lorentzian lead) and decays at least like 1/w^2, so its
+    partial-fraction coefficients c_m sum to zero and the integral is
+    sum_m c_m T_l(p_m) exactly; C_l of _fermi_transforms cancels.
+    """
+    r = np.asarray(poles, dtype=complex)
+    lorentzian = config.spectral_kind is SpectralKind.LORENTZIAN
+    # R's lower poles on lead l, q_l: every mode and, for a Lorentzian lead,
+    # mu_l - i d_l; its upper poles are their conjugates. The q_l lie end to
+    # end, and each row of `rows` picks one pole of R per kept pair, the
+    # lower ones first.
+    groups, rows, numer, theta = [], [], [], []
+    for lead, res in enumerate(config.reservoirs):
+        j, k, th = _weighted_pairs(r, residues, res, lead)
+        if j.size == 0:
+            continue
+        start = sum(q.size for q, _ in groups)
+        d = res.bandwidth
+        if lorentzian:
+            groups.append((np.append(r, res.mu - 1j * d), res))
+            pole = np.full(j.size, start + r.size)
+            rows.append([start + j, pole, start + k, pole])
+        else:
+            groups.append((r, res))
+            rows.append([start + j, start + k])
+        numer.append(np.full(j.size, d * d if lorentzian else 1.0))
+        theta.append(th)
+    v = np.zeros((2, 2), dtype=complex)
+    if groups:
+        q = np.concatenate([q for q, _ in groups])
+        t_lo, t_hi = _fermi_transforms(groups)
+        lower, upper = np.split(np.hstack(rows), 2)
+        p = np.concatenate([q[lower], np.conj(q[upper])])  # (poles of R, kept pairs)
+        t = np.concatenate([t_lo[lower], t_hi[upper]])
+        gaps = p[:, None, :] - p[None, :, :]
+        diag = np.arange(len(p))
+        gaps[diag, diag] = 1.0
+        c = np.concatenate(numer) / np.prod(gaps, axis=1)
+        v = np.einsum("p,pab->ab", np.sum(c * t, axis=0), np.concatenate(theta))
+    v = v / _TWO_PI
+    v = 0.5 * (v + dagger(v))
+    eigs = np.linalg.eigvalsh(v)
+    if eigs.min() < EIGENVALUE_FLOOR or eigs.max() > EIGENVALUE_CEIL:
+        raise InvariantViolation(
+            f"steady fluctuation spectrum [{eigs.min():.3e}, {eigs.max():.3e}] leaves [0, 1]"
+        )
+    return v

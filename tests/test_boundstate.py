@@ -199,7 +199,7 @@ class TestFindBoundStates:
     @pytest.mark.parametrize("row", range(len(CENSUS)))
     def test_census_roots_are_brentq_roots(self, row):
         # rows with 0, 1 and 2 roots; brentq also polishes the roots that
-        # hug a band edge, which both searches then drop
+        # hug a band edge, which the library's brackets leave out
         *params, expected = CENSUS[row]
         assert len(_roots_within_xtol_of_brentq(_census_config(*params))) == expected
 

@@ -42,6 +42,7 @@ from conftest import assert_flat_work, count_kernel_work, make_config
 from dyson_reference import direct_solve_dyson
 from fourier_reference import wbl_reference_fluctuation
 from steady_reference import (
+    four_pole_steady_fluctuation,
     mp_pole_expansion,
     mp_steady_fluctuation,
     quad_steady_fluctuation,
@@ -563,6 +564,70 @@ class TestSteadyStateFluctuation:
         np.testing.assert_allclose(vs, np.diag([0.5, 0.0]), rtol=0.0, atol=1e-12)
 
 
+class TestPseudomodeForm:
+    """The Lorentzian V^s read as the wide band of each lead's pseudomode.
+
+    On the poles of _modes it matches the four-pole partial fractions of
+    steady_reference.four_pole_steady_fluctuation to 1e-13, and on the
+    poles of a 30-digit eigen-decomposition, rounded to double, it matches
+    the 30-digit V^s to 1e-13: on _modes' own poles the double
+    eigen-decomposition alone puts both forms up to about 4e-12 off the
+    30-digit V^s at d = 0.05. The draws are
+    uniform, so none sits on an exceptional point, where the eigenvectors
+    are defective and no two forms agree. Half the draws share mu between
+    the leads, so that a weakly coupled lead's pseudomode pole lies next to
+    the other lead's q_l, or on it when Gamma_R = 0. Where the guard
+    rejects a nearly undamped mode on a pole set (g = 0 and Gamma_R <= 1e-10,
+    and at g = 0, Gamma_R = 1e-12 the width can round to either side of
+    it), the four-pole form must reject it too.
+    """
+
+    TOL = 1e-13
+
+    @pytest.mark.parametrize("coupling", ["real", "zero", "complex"])
+    @pytest.mark.parametrize(
+        "seed,gamma_r", enumerate([0.0, 1e-12, 1e-10, 1e-8, 1e-6, 1e-2])
+    )
+    def test_matches_four_pole_and_30_digit_forms(self, seed, gamma_r, coupling):
+        rng = np.random.default_rng(1700 + 10 * seed + "rzc".index(coupling[0]))
+        for d, k_t in [(d, k_t) for d in (0.05, 1.0, 50.0) for k_t in (0.0, 0.5, 30.0 * d)]:
+            phase = {"real": 1.0, "zero": 0.0, "complex": cmath.exp(1j * rng.uniform(0, 6.3))}
+            mu = rng.uniform(-3.0, 3.0)
+            cfg = make_config(
+                eps1=rng.uniform(-3.0, 3.0),
+                eps2=rng.uniform(-3.0, 3.0),
+                g=phase[coupling] * rng.uniform(0.1, 2.0),
+                gamma=rng.uniform(0.1, 2.0),
+                gamma_r=gamma_r,
+                d=d,
+                mu=mu,
+                mu_r=mu if rng.random() < 0.5 else rng.uniform(-3.0, 3.0),
+                k_t=k_t,
+            )
+            exp = pole_expansion_lorentzian(cfg)
+            self.assert_agrees(exp, cfg, four_pole_steady_fluctuation)
+            with mp.workdps(30):
+                poles, residues = mp_pole_expansion(cfg)
+            exact = PoleExpansion(
+                [complex(p) for p in poles],
+                [np.array(z.tolist(), dtype=complex) for z in residues],
+            )
+            self.assert_agrees(
+                exact, cfg, lambda *_: mp_steady_fluctuation(cfg, dps=30)
+            )
+
+    def assert_agrees(self, exp, cfg, reference):
+        """V^s on exp within TOL of reference(poles, residues, cfg), or a
+        SolverError from both forms."""
+        try:
+            vs = steady_state_fluctuation(exp, cfg)
+        except SolverError:
+            with pytest.raises(SolverError):
+                four_pole_steady_fluctuation(exp.poles, exp.residues, cfg)
+            return
+        assert np.max(np.abs(vs - reference(exp.poles, exp.residues, cfg))) < self.TOL
+
+
 def _random_config(rng, regime, kind=SpectralKind.LORENTZIAN):
     """One random config of the named regime (Lorentzian unless kind says)."""
     kw = dict(
@@ -941,6 +1006,16 @@ class TestBornMarkov:
                 u = expm(-a_mat * grid.times[k])
                 ref = x - u @ x @ u.conj().T
                 assert np.max(np.abs(v_seq[k] - 0.5 * (ref + ref.conj().T))) < 1e-12
+
+    def test_empty_lead_is_skipped_before_the_undamped_mode_guard(self):
+        # the left lead holds no electron at eps1 = 1 > mu = 0, so its nearly
+        # undamped mode (width 1e-13) never reaches the guard
+        cfg = make_config(
+            eps1=1.0, eps2=2.0, g=0.0, gamma=1e-13, mu=0.0, gamma_r=0.5, mu_r=3.0,
+            k_t=0.0, kind=SpectralKind.WIDE_BAND,
+        )
+        _, x_steady = bm_fluctuation(cfg, TimeGrid(1.0, 4))
+        np.testing.assert_allclose(x_steady, np.diag([0.0, 1.0]), rtol=0.0, atol=1e-15)
 
     def test_weighted_undamped_pair_is_rejected(self, monkeypatch):
         undamped = PoleExpansion(poles=[2.0 + 0.0j], residues=[np.eye(2)])

@@ -476,7 +476,7 @@ def _mp_scaled_exp1(w):
 
 
 class TestDigamma:
-    """psi(z) on Re z >= 1/2, where _fermi_transforms evaluates it, within
+    """psi(z) on Re z >= 1/2, where _pair_integrals evaluates it, within
     4e-15 max(1, |psi|) of mpmath: absolute near the zero at 1.4616,
     relative past |psi| = 1."""
 
