@@ -111,18 +111,36 @@ def criterion(config: ModelConfig, omega: float) -> float:
     return float(lam_lo * lam_hi)
 
 
+def _slopes(config: ModelConfig, omega: float) -> np.ndarray:
+    """f_l' = 1 - Sigma_l'(w) of _diagonal, in closed form out of band.
+
+    The cutoff Lorentzian's Sigma_l = j(x) B(x) / 2pi, with x = w - mu_l,
+    j = Gamma_l d^2 / (x^2 + d^2) and B = ln((x + c)/(x - c)) + (2x/d) atan(c/d),
+    has j' = -2x j / (x^2 + d^2) and B' = 2 atan(c/d) / d - 2c / (x^2 - c^2).
+    """
+    out = []
+    for res in config.reservoirs:
+        if res.gamma == 0.0:
+            out.append(1.0)
+            continue
+        x = omega - res.mu
+        d, c = res.bandwidth, res.cutoff
+        sigma = lead_self_energy_real(res, config.spectral_kind, omega)
+        j = res.gamma * d * d / (x * x + d * d)
+        b_slope = 2.0 * math.atan(c / d) / d - 2.0 * c / (x * x - c * c)
+        out.append(1.0 + 2.0 * x * sigma / (x * x + d * d) - j * b_slope / (2.0 * math.pi))
+    return np.array(out)
+
+
 def _residue(config, root, branch):
     """Z = v v^dag / (v^dag diag(f1', f2') v) at a root of branch (0 or 1).
 
     v is that branch's unit eigenvector of A = [[f1, -g], [-conj(g), f2]]
-    and the denominator its slope, >= 1 out of band; each f_l' by a
-    five-point stencil. v does not depend on how close the other branch's
+    and the denominator its slope, >= 1 out of band, from the closed-form
+    f_l' of _slopes. v does not depend on how close the other branch's
     root lies, so a near-degenerate or double root splits its weight.
     """
-    h = 1e-5
-    stencil = np.array([1.0, -8.0, 8.0, -1.0]) / (12.0 * h)
-    offsets = np.array([-2.0, -1.0, 1.0, 2.0]) * h
-    slopes = np.array([stencil @ f for f in _diagonal(config, root + offsets)])
+    slopes = _slopes(config, root)
     f1, f2 = _diagonal(config, root)
     g = complex(config.system.g_coupling)
     v = np.linalg.eigh(np.array([[f1, -g], [-g.conjugate(), f2]]))[1][:, branch]

@@ -44,11 +44,6 @@ EIGENVALUE_CEIL = 1.0 + 1e-8
 SINGULAR_VALUE_CEIL = 1.0 + 1e-6
 RESIDUE_SUM_TOL = 1e-8
 
-# steps per block of the Volterra solve: lags below it are taken by the
-# block's own matrices, the rest by FFT levels; a power of two
-_DIRECT_LAGS = 64
-
-
 @dataclass(frozen=True)
 class TimeGrid:
     """Uniform time grid on [0, t_max] with n_steps intervals."""
@@ -172,109 +167,63 @@ def solve_dyson(config: ModelConfig, grid: TimeGrid) -> np.ndarray:
     sum_k T_k U_{t-k} = -F_t in U_1..U_n, with 2x2 blocks
     T_0 = I + (dt/2) iM + (dt^2/4) mem_0,
     T_1 = -(I - (dt/2) iM) + (dt^2/2)(mem_1 + mem_0/2), the diagonal
-    T_k = (dt^2/2)(mem_k + mem_{k-1}) for k >= 2, and U_0 only in F_t. It
-    is solved L = _DIRECT_LAGS steps at a time with one precomputed inverse
-    of the in-block triangle: U_block = -T^-1 (F + far) - T^-1 N U_prev,
-    where N holds the lags below L that reach into the previous block.
-    The lags from L on (far) are the blocked convolution of Hairer, Lubich
-    & Schlichte, SIAM J. Sci. Stat. Comput. 6, 532 (1985): lags in
-    [2^k, 2^(k+1)) from each aligned block of 2^k past values join the
-    later blocks' sums by one FFT convolution once the block is complete.
-    Every (value, lag) pair is counted once, in O(n log^2 n) for any
-    tabulated kernel.
+    T_k = (dt^2/2)(mem_k + mem_{k-1}) for k >= 2, and U_0 only in F_t. As
+    power series T(z) (U(z) - I) = -F(z), so U(z) = I - X(z) F(z) with
+    X = T^-1 mod z^n, found by Newton doubling from X = T_0^-1:
+    X <- X - X (T X - I) mod z^2m, O(n log n) in all (Brent & Kung,
+    J. ACM 25, 581 (1978)). Newton corrects the rounding of earlier
+    coefficients only through the residual T X - I; its near lags T_0 and
+    T_1 are taken exactly, so that FFT rounding of order eps |T_1| does not
+    build up along an undamped mode, and only the O(dt^2) memory lags go
+    through the FFT product.
     """
     table = _memory_table(config, grid, include_noise=False)
     n = grid.n_steps
     dt = grid.dt
-    size = _DIRECT_LAGS
-    blocks = -(-n // size)
-    # lags past n reach no grid point; zeros keep the first triangle whole
-    mem = np.zeros((max(n + 1, size + 1), 2), dtype=complex)
-    mem[: n + 1] = table.memory  # per-lead diagonal samples
+    mem = table.memory  # (n+1, 2) per-lead diagonal samples
     i_m = 1j * build_hamiltonian(config.system)
     minus_b = (dt / 2.0) * i_m - IDENTITY2  # -(I - (dt/2) iM)
     half = dt * dt / 2.0
 
-    w = np.zeros_like(mem)  # diagonals of T_k, k >= 2
-    w[1:] = half * (mem[1:] + mem[:-1])
-    lags = w[: size + 1, :, None] * IDENTITY2  # T_0..T_L
-    lags[0] = IDENTITY2 + (dt / 2.0) * i_m + (half / 2.0) * np.diag(mem[0])
-    lags[1] = minus_b + half * np.diag(mem[1] + 0.5 * mem[0])
-
+    t = np.zeros((n + 1, 2, 2), dtype=complex)  # T_0..T_n
+    t[1:, [0, 1], [0, 1]] = half * (mem[1:] + mem[:-1])
     # F_t: U_0 = I enters with trapezoid weight 1/2 at every lag, and with
     # the explicit half of the first step at t_1
-    far = np.zeros((blocks * size + 1, 2, 2), dtype=complex)
-    rows = min(len(far), len(w))
-    far[2:rows, [0, 1], [0, 1]] = 0.5 * w[2:rows]
-    far[1] = minus_b + (half / 2.0) * np.diag(mem[1])
-    # the full T_1 never rides the diagonal FFT levels: at L = 1 it is a
-    # near lag
-    w[:2] = 0.0
-    near_lags = max(size, 2)
+    f = 0.5 * t
+    f[1] = minus_b + (half / 2.0) * np.diag(mem[1])
+    t[0] = IDENTITY2 + (dt / 2.0) * i_m + (half / 2.0) * np.diag(mem[0])
+    t[1] = minus_b + half * np.diag(mem[1] + 0.5 * mem[0])
 
-    # the in-block triangle T[p, q] = T_{p-q} is block Toeplitz, and so is
-    # its inverse: column X_p = -T_0^-1 sum_{r=1}^p T_r X_{p-r}. Every
-    # block applies the same inverse, so its rounding would add up over the
-    # blocks; the columns are formed in extended precision.
-    inv2(lags[0])  # SolverError when the implicit step is singular
-    ext = lags[:size].astype(np.clongdouble)
-    (a, b), (c, d) = ext[0]
-    col = np.empty_like(ext)
-    col[0] = np.array([[d, -b], [-c, a]]) / (a * d - b * c)
-    for p in range(1, size):
-        col[p] = -col[0] @ np.einsum("rab,rbc->ac", ext[p:0:-1], col[:p])
-    col = col.astype(complex)
-    # N[p, q] = T_{L+p-q} from position q of the previous block while that
-    # lag is below near_lags
-    pos = np.arange(size)
-    gap = pos[:, None] - pos[None, :]
-    zero = np.zeros((2, 2), dtype=complex)
-    tri_inv = np.where((gap >= 0)[..., None, None], col[np.maximum(gap, 0)], zero)
-    back = size + gap
-    reach = (back < near_lags)[..., None, None]
-    near = np.where(reach, lags[np.minimum(back, near_lags - 1)], zero)
-    tri_inv = tri_inv.transpose(0, 2, 1, 3).reshape(2 * size, 2 * size)
-    near = near.transpose(0, 2, 1, 3).reshape(2 * size, 2 * size)
-    solver = -np.hstack([tri_inv, tri_inv @ near])
-
-    u = np.empty_like(far)
+    x = inv2(t[0])[None]  # SolverError when the implicit step is singular
+    while len(x) < n:
+        m = len(x)
+        size = min(2 * m, n)
+        resid = np.zeros((size, 2, 2), dtype=complex)  # T X - I mod z^size
+        resid[:m] = np.einsum("ab,mbc->mac", t[0], x)
+        resid[1 : m + 1] += np.einsum("ab,mbc->mac", t[1], x)
+        resid[2:] += _series_product(t[2:size], x, size - 2)
+        resid[0] -= IDENTITY2
+        step = _series_product(x, resid, size)
+        step[:m] -= x
+        x = -step
+    u = -_series_product(x, f, n + 1)
     u[0] = IDENTITY2
-    prev = np.zeros((2 * size, 2), dtype=complex)
-    spectra = {}  # each level's kernel spectrum, formed when it first fires
-    for start in range(1, n + 1, size):
-        done = start + size - 1
-        prev = solver @ np.concatenate([far[start : done + 1].reshape(-1, 2), prev])
-        u[start : done + 1] = prev.reshape(size, 2, 2)
-        level = size
-        while done < n and done % level == 0:
-            # U_lo..U_done at lags [level, 2 level) reach t_{done+1} on
-            lo = done - level + 1
-            kernel = w[level : 2 * level]
-            if level not in spectra:
-                spectra[level] = _kernel_spectrum(level, kernel)
-            conv = _causal_convolution(
-                u[lo : done + 1].transpose(0, 2, 1), kernel, spectra[level]
-            ).transpose(0, 2, 1)[: len(far) - done - 1]
-            far[done + 1 : done + 1 + len(conv)] += conv
-            level *= 2
-    return u[: n + 1]
+    return u
 
 
-def _kernel_spectrum(rows: int, g: np.ndarray) -> np.ndarray:
-    """FFT of g at the padded length of its convolution with rows values."""
-    return np.fft.fft(g, 1 << (rows + len(g) - 2).bit_length(), axis=0)
+def _series_product(a: np.ndarray, b: np.ndarray, rows: int) -> np.ndarray:
+    """Rows [0, rows) of the product a(z) b(z) of two 2x2 matrix power series,
+    c[k] = sum_j a[j] @ b[k-j], for rows <= len(a) + len(b) - 1.
 
-
-def _causal_convolution(u: np.ndarray, g: np.ndarray, g_hat=None) -> np.ndarray:
-    """c[n, a, b] = sum_k u[k, a, b] g[n-k, b] for every n < len(u) + len(g) - 1.
-
-    The full linear convolution by FFT, zero-padded past its length so
-    nothing wraps around. g_hat, if given, is _kernel_spectrum(len(u), g).
+    One FFT, zero-padded to a length 2^i or 3 2^i past the full product, so
+    that nothing wraps around.
     """
-    if g_hat is None:
-        g_hat = _kernel_spectrum(len(u), g)
-    spectrum = np.fft.fft(u, len(g_hat), axis=0) * g_hat[:, None, :]
-    return np.fft.ifft(spectrum, axis=0)[: len(u) + len(g) - 1]
+    length = len(a) + len(b) - 1
+    size = min(1 << (length - 1).bit_length(), 3 << ((length - 1) // 3).bit_length())
+    spectra = (np.fft.fft(np.ascontiguousarray(s.transpose(1, 2, 0)), size) for s in (a, b))
+    c = np.einsum("iks,kjs->ijs", *spectra)
+    np.fft.ifft(c, out=c)
+    return np.ascontiguousarray(c[..., :rows].transpose(2, 0, 1))
 
 
 def compute_fluctuation(u_seq, config: ModelConfig, grid: TimeGrid) -> np.ndarray:
@@ -291,8 +240,8 @@ def compute_fluctuation(u_seq, config: ModelConfig, grid: TimeGrid) -> np.ndarra
     u = np.asarray(u_seq, dtype=complex)
     dt = grid.dt
 
-    # c[n] = sum_k U_k gtilde(t_{n-k}), per diagonal component of the kernel
-    c = _causal_convolution(u, g)[: len(u)]
+    # c[n] = sum_k U_k gtilde(t_{n-k}), the kernel a diagonal matrix series
+    c = _series_product(u, g[:, :, None] * IDENTITY2, len(u))
 
     u_dag = np.conj(np.transpose(u, (0, 2, 1)))
     # e[n] = gtilde(t_n) U_n^dag   (rows scaled by the kernel)
@@ -350,6 +299,12 @@ def _modes(config: ModelConfig) -> PoleExpansion:
              [coupling, np.diag([r.mu - 1j * r.bandwidth for r in leads])]]
         )
     poles, vecs = np.linalg.eig(generator)
+    # the generator's anti-Hermitian part is diagonal, so each width is the
+    # Rayleigh quotient of its eigenvector: a sum of terms of one sign, as
+    # accurate relative to itself as a small width needs, where eig fixes
+    # Im r only to about eps |r|
+    weight = np.abs(vecs) ** 2
+    poles = poles.real + 1j * (np.diag(generator).imag @ weight) / weight.sum(axis=0)
     if np.linalg.cond(vecs) > 1e8:
         raise SolverError(
             "defective pole configuration; perturb the parameters slightly"
@@ -387,9 +342,12 @@ def _weighted_pairs(poles, residues, config: ModelConfig, leads=(0, 1)):
     last pole with column -sum_j c_j, pruned unless rounding in a pole near
     q_l leaves weight on it. A kept pair with lams_j = conj(lams_k) is an
     undamped mode that still couples to the lead, which raises SolverError.
+    With no lead coupled the list is empty.
     """
     r = np.asarray(poles, dtype=complex)
     leads = [lead for lead in leads if config.reservoirs[lead].gamma > 0.0]
+    if not leads:
+        return []
     coupled = [config.reservoirs[lead] for lead in leads]
     col = np.stack(residues)[:, :, leads].transpose(2, 0, 1)  # (lead, pole, dot)
     lams = np.broadcast_to(r, (len(leads), r.size))
@@ -420,9 +378,13 @@ def _steady_from_poles(poles, residues, config: ModelConfig) -> np.ndarray:
 
     theta_ljk and the poles lams are those of _weighted_pairs, a Lorentzian
     lead being the wide band of its pseudomode, and N_l is _pair_integrals.
+    With no lead coupled nothing damps the dots and SolverError is raised.
     """
+    pairs = _weighted_pairs(poles, residues, config)
+    if not pairs:
+        raise SolverError("no damping: no lead is coupled, so the steady state is undefined")
     v = np.zeros((2, 2), dtype=complex)
-    for lead, lams, jj, kk, theta in _weighted_pairs(poles, residues, config):
+    for lead, lams, jj, kk, theta in pairs:
         res = config.reservoirs[lead]
         v += np.einsum("p,pab->ab", _pair_integrals(lams, jj, kk, res.mu, res.k_t), theta)
     v = v / _TWO_PI
@@ -539,8 +501,6 @@ def wbl_steady_fluctuation(config: ModelConfig) -> np.ndarray:
     """
     if config.spectral_kind is not SpectralKind.WIDE_BAND:
         raise ConfigError("wbl_steady_fluctuation requires the wide-band spectral kind")
-    if not any(res.gamma for res in config.reservoirs):
-        raise SolverError("no damping: the wide-band steady state is undefined")
     modes = _modes(config)
     return _steady_from_poles(modes.poles, modes.residues, config)
 

@@ -1,9 +1,9 @@
 """The Volterra solve with its history sum taken afresh at every step.
 
 `direct_solve_dyson` is the package's former per-step `solve_dyson` body,
-kept as the reference for the block solve in `dqdsim.greens`: at step s it
-forms sum_j mem[s+1-j] U_j over every past value and solves one 2x2
-system, so it costs O(n^2) and is for small and mid-size grids. With
+kept as the reference for the series-inversion solve in `dqdsim.greens`:
+at step s it forms sum_j mem[s+1-j] U_j over every past value and solves
+one 2x2 system, so it costs O(n^2) and is for small and mid-size grids. With
 dtype=np.clongdouble it runs the same steps in extended precision on the
 same kernel table, a reference for the rounding of the double solves.
 """

@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +15,7 @@ from dqdsim.boundstate import (
     _band_intervals,
     _branch_root,
     _branches,
+    _diagonal,
     classify_relaxation,
     criterion,
     find_bound_states,
@@ -253,6 +255,19 @@ def _decoupled_slope(res, omega):
     return 1.0 + val / (2.0 * np.pi)
 
 
+def _mp_slope(res, omega):
+    """f'(w) = 1 - Sigma'(w) of a cutoff lead by mpmath.diff of its
+    self-energy at the working precision."""
+    mu, d, c, gamma = (mp.mpf(v) for v in (res.mu, res.bandwidth, res.cutoff, res.gamma))
+
+    def sigma(w):
+        x = w - mu
+        bracket = mp.log((x + c) / (x - c)) + 2 * x / d * mp.atan(c / d)
+        return gamma * d * d / (x * x + d * d) * bracket / (2 * mp.pi)
+
+    return 1 - mp.diff(sigma, mp.mpf(omega))
+
+
 class TestResidue:
     """A root's weight is v v^dag over its branch's slope v^dag diag(f1', f2') v,
     with v the branch's eigenvector of A: identical dots and leads put
@@ -282,6 +297,21 @@ class TestResidue:
         np.testing.assert_allclose(total, np.eye(2) / slope, atol=1e-8)
         for r in roots:
             assert np.trace(r.residue_weight).real == pytest.approx(1.0 / slope, rel=1e-8)
+
+    @pytest.mark.parametrize("row", range(len(CENSUS)))
+    def test_census_weights_on_30_digit_slopes(self, row):
+        # the weight v v^dag / (v^dag diag(f1', f2') v) with each f_l' from
+        # mpmath.diff at 30 digits and v the root's eigenvector of A
+        cfg = _census_config(*CENSUS[row][:-1])
+        g = complex(cfg.system.g_coupling)
+        for root in find_bound_states(cfg):
+            with mp.workdps(30):
+                slopes = np.array([float(_mp_slope(res, root.energy)) for res in cfg.reservoirs])
+            f1, f2 = _diagonal(cfg, root.energy)
+            lams, vecs = np.linalg.eigh(np.array([[f1, -g], [-g.conjugate(), f2]]))
+            v = vecs[:, np.argmin(np.abs(lams))]
+            want = np.outer(v, v.conj()) / (np.abs(v) ** 2 @ slopes)
+            assert np.max(np.abs(root.residue_weight - want)) < 1e-14
 
 
 class TestClassifyRelaxation:

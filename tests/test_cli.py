@@ -389,13 +389,18 @@ class TestSweep:
             [r[0] for r in rows], [1, 1, 1, 2, 2, 2, 3, 3, 3]
         )
 
-    @pytest.mark.parametrize("workers", ["1", "2"])
-    def test_failing_point_is_named(self, tmp_path, capsys, workers):
+    @pytest.mark.parametrize(
+        "workers, method",
+        [("1", "wbl"), ("2", "wbl"), ("1", "pole"), ("2", "pole")],
+        ids=["1", "2", "pole-1", "pole-2"],
+    )
+    def test_failing_point_is_named(self, tmp_path, capsys, workers, method):
         # the last gamma value switches both leads off: no steady state
+        kind = "wideband" if method == "wbl" else "lorentzian"
         cfg = write_cfg(
             tmp_path,
-            BASE.replace("kind = lorentzian", "kind = wideband")
-            + "[solver]\nmethod = wbl\n"
+            BASE.replace("kind = lorentzian", f"kind = {kind}")
+            + f"[solver]\nmethod = {method}\n"
             + "[sweep]\naxis1 = gamma:1.0:0.0:3\naxis2 = eps1,eps2:1.0:3.0:2\n",
         )
         argv = ["sweep", "--config", cfg, "--workers", workers]
