@@ -41,6 +41,7 @@ from .model import (
     SolverError,
     SpectralKind,
     SystemParams,
+    max_singular_e,
 )
 from .oracle import _check_recurrence, discretize, exact_greens
 from .state import DensityBlocks, evolve_density, propagator_coefficients
@@ -439,8 +440,9 @@ def _header(items) -> list:
 def _emit(path, header_items, columns, rows):
     lines = _header(header_items)
     lines.append("\t".join(columns))
-    for row in rows:
-        lines.append("\t".join(_fmt(x) for x in row))
+    # every value in a row is a float, which _fmt formats with this template
+    row_format = "\t".join(["{:.12g}"] * len(columns))
+    lines.extend(row_format.format(*row) for row in rows)
     _write(path, lines)
 
 
@@ -528,7 +530,7 @@ def run_classify(exp: ExperimentConfig) -> dict:
     plateau = None
     if exp.grid is not None:
         u = solve_dyson(exp.model, exp.grid)
-        norms = np.linalg.svd(u, compute_uv=False)[:, 0]
+        norms = max_singular_e(u.reshape(-1, 4).T)
         start = int(math.floor(0.8 * exp.grid.n_steps))
         plateau = float(norms[start:].max())
         lines.append(f"# late_time_u_norm_max = {_fmt(plateau)}")

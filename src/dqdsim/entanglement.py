@@ -42,7 +42,7 @@ def _lambda_k(block) -> tuple:
 
 def fermionic_eof(rho: DensityBlocks) -> EofResult:
     """EoF of a valid pair of density blocks: -1/2 sum_s tr(rho_s) K_s."""
-    r1, r2 = entries2(rho.rho1), entries2(rho.rho2)
+    r1, r2 = rho._e1, rho._e2
     lam1, k1 = _lambda_k(r1)
     lam2, k2 = _lambda_k(r2)
     value = -0.5 * (trace_e(r1).real * k1 + trace_e(r2).real * k2)

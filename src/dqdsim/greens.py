@@ -26,8 +26,11 @@ from .model import (
     SpectralKind,
     build_hamiltonian,
     dagger,
+    entries2,
     gamma_matrix,
+    hermitian_eigs_e,
     inv2,
+    max_singular_e,
 )
 from .spectral import (
     _TWO_PI,
@@ -95,17 +98,19 @@ def _check_solution(grid, u_seq, v_seq) -> np.ndarray:
     herm_err = np.max(np.abs(v - np.conj(np.transpose(v, (0, 2, 1)))))
     if herm_err > HERMITICITY_TOL:
         raise InvariantViolation(f"V(t) not Hermitian: max deviation {herm_err:.3e}")
-    eigs = np.linalg.eigvalsh(0.5 * (v + np.conj(np.transpose(v, (0, 2, 1)))))
-    if eigs.min() < EIGENVALUE_FLOOR or eigs.max() > EIGENVALUE_CEIL:
+    # the 2x2 spectra in closed form, on the entries of the whole grid
+    lam_min, lam_max = hermitian_eigs_e(v.reshape(-1, 4).T)
+    lo, hi = lam_min.min(), lam_max.max()
+    if lo < EIGENVALUE_FLOOR or hi > EIGENVALUE_CEIL:
         raise InvariantViolation(
-            f"V(t) spectrum [{eigs.min():.3e}, {eigs.max():.3e}] leaves [0, 1]"
+            f"V(t) spectrum [{lo:.3e}, {hi:.3e}] leaves [0, 1]"
         )
-    svals = np.linalg.svd(u, compute_uv=False)
-    if svals.max() > SINGULAR_VALUE_CEIL:
+    s_max = max_singular_e(u.reshape(-1, 4).T)
+    if s_max.max() > SINGULAR_VALUE_CEIL:
         raise InvariantViolation(
-            f"U(t) singular value {svals.max():.8f} exceeds contraction bound"
+            f"U(t) singular value {s_max.max():.8f} exceeds contraction bound"
         )
-    return svals[:, 0]
+    return s_max
 
 
 @dataclass
@@ -185,23 +190,24 @@ def solve_dyson(config: ModelConfig, grid: TimeGrid) -> np.ndarray:
     minus_b = (dt / 2.0) * i_m - IDENTITY2  # -(I - (dt/2) iM)
     half = dt * dt / 2.0
 
-    t = np.zeros((n + 1, 2, 2), dtype=complex)  # T_0..T_n
-    t[1:, [0, 1], [0, 1]] = half * (mem[1:] + mem[:-1])
+    lags = np.zeros((n + 1, 2), dtype=complex)  # diagonals of T_k, k >= 2
+    lags[2:] = half * (mem[2:] + mem[1:-1])
     # F_t: U_0 = I enters with trapezoid weight 1/2 at every lag, and with
     # the explicit half of the first step at t_1
-    f = 0.5 * t
+    f = np.zeros((n + 1, 2, 2), dtype=complex)
+    f[:, [0, 1], [0, 1]] = 0.5 * lags
     f[1] = minus_b + (half / 2.0) * np.diag(mem[1])
-    t[0] = IDENTITY2 + (dt / 2.0) * i_m + (half / 2.0) * np.diag(mem[0])
-    t[1] = minus_b + half * np.diag(mem[1] + 0.5 * mem[0])
+    t0 = IDENTITY2 + (dt / 2.0) * i_m + (half / 2.0) * np.diag(mem[0])
+    t1 = minus_b + half * np.diag(mem[1] + 0.5 * mem[0])
 
-    x = inv2(t[0])[None]  # SolverError when the implicit step is singular
+    x = inv2(t0)[None]  # SolverError when the implicit step is singular
     while len(x) < n:
         m = len(x)
         size = min(2 * m, n)
         resid = np.zeros((size, 2, 2), dtype=complex)  # T X - I mod z^size
-        resid[:m] = np.einsum("ab,mbc->mac", t[0], x)
-        resid[1 : m + 1] += np.einsum("ab,mbc->mac", t[1], x)
-        resid[2:] += _series_product(t[2:size], x, size - 2)
+        resid[:m] = np.einsum("ab,mbc->mac", t0, x)
+        resid[1 : m + 1] += np.einsum("ab,mbc->mac", t1, x)
+        resid[2:] += _series_product(lags[2:size], x, size - 2)
         resid[0] -= IDENTITY2
         step = _series_product(x, resid, size)
         step[:m] -= x
@@ -211,17 +217,27 @@ def solve_dyson(config: ModelConfig, grid: TimeGrid) -> np.ndarray:
     return u
 
 
+# (a.ndim, b.ndim) -> the einsum of two spectra; an ndim of 2 is a diagonal
+_PRODUCT_SUBSCRIPTS = {
+    (3, 3): "iks,kjs->ijs",
+    (2, 3): "is,ijs->ijs",
+    (3, 2): "ijs,js->ijs",
+}
+
+
 def _series_product(a: np.ndarray, b: np.ndarray, rows: int) -> np.ndarray:
     """Rows [0, rows) of the product a(z) b(z) of two 2x2 matrix power series,
     c[k] = sum_j a[j] @ b[k-j], for rows <= len(a) + len(b) - 1.
 
     One FFT, zero-padded to a length 2^i or 3 2^i past the full product, so
-    that nothing wraps around.
+    that nothing wraps around. A diagonal series may be passed as its
+    (len, 2) diagonals; it is transformed on those two channels alone and
+    scales the rows (as a) or the columns (as b) of the other's spectrum.
     """
     length = len(a) + len(b) - 1
     size = min(1 << (length - 1).bit_length(), 3 << ((length - 1) // 3).bit_length())
-    spectra = (np.fft.fft(np.ascontiguousarray(s.transpose(1, 2, 0)), size) for s in (a, b))
-    c = np.einsum("iks,kjs->ijs", *spectra)
+    fa, fb = (np.fft.fft(np.ascontiguousarray(np.moveaxis(s, 0, -1)), size) for s in (a, b))
+    c = np.einsum(_PRODUCT_SUBSCRIPTS[a.ndim, b.ndim], fa, fb)
     np.fft.ifft(c, out=c)
     return np.ascontiguousarray(c[..., :rows].transpose(2, 0, 1))
 
@@ -241,7 +257,7 @@ def compute_fluctuation(u_seq, config: ModelConfig, grid: TimeGrid) -> np.ndarra
     dt = grid.dt
 
     # c[n] = sum_k U_k gtilde(t_{n-k}), the kernel a diagonal matrix series
-    c = _series_product(u, g[:, :, None] * IDENTITY2, len(u))
+    c = _series_product(u, g, len(u))
 
     u_dag = np.conj(np.transpose(u, (0, 2, 1)))
     # e[n] = gtilde(t_n) U_n^dag   (rows scaled by the kernel)
@@ -389,10 +405,10 @@ def _steady_from_poles(poles, residues, config: ModelConfig) -> np.ndarray:
         v += np.einsum("p,pab->ab", _pair_integrals(lams, jj, kk, res.mu, res.k_t), theta)
     v = v / _TWO_PI
     v = 0.5 * (v + dagger(v))
-    eigs = np.linalg.eigvalsh(v)
-    if eigs.min() < EIGENVALUE_FLOOR or eigs.max() > EIGENVALUE_CEIL:
+    lo, hi = hermitian_eigs_e(entries2(v))
+    if lo < EIGENVALUE_FLOOR or hi > EIGENVALUE_CEIL:
         raise InvariantViolation(
-            f"steady fluctuation spectrum [{eigs.min():.3e}, {eigs.max():.3e}] leaves [0, 1]"
+            f"steady fluctuation spectrum [{lo:.3e}, {hi:.3e}] leaves [0, 1]"
         )
     return v
 

@@ -46,8 +46,9 @@ def dagger(m: np.ndarray) -> np.ndarray:
 
 
 # 2x2 algebra on entry tuples (m00, m01, m10, m11). The formulas use only
-# + - * and .conjugate(), so they run unchanged on Python scalars (one time
-# step) or on arrays of entries (a whole time grid).
+# + - *, ** 0.5, .real and .conjugate(), so they run unchanged on Python
+# scalars (one time step) or on arrays of entries (a whole time grid, such
+# as m.reshape(-1, 4).T of an (n, 2, 2) stack).
 
 
 def entries2(m: np.ndarray) -> tuple:
@@ -85,6 +86,23 @@ def adjugate_e(x) -> tuple:
     """det(x) x^-1, which also equals sigma_y x^T sigma_y."""
     a, b, c, d = x
     return (d, -b, -c, a)
+
+
+def hermitian_eigs_e(x) -> tuple:
+    """(lambda_min, lambda_max) of the Hermitian part [[p, q], [q*, r]] of x:
+    (p + r)/2 -+ sqrt(((p - r)/2)^2 + |q|^2), real."""
+    a, b, c, d = x
+    mid = 0.5 * (a.real + d.real)
+    half = 0.5 * (a.real - d.real)
+    q = 0.5 * (b + c.conjugate())
+    rad = (half * half + (q * q.conjugate()).real) ** 0.5
+    return mid - rad, mid + rad
+
+
+def max_singular_e(x):
+    """Largest singular value of x: the square root of the larger eigenvalue
+    of x^dag x, a sum of non-negative terms with no cancellation."""
+    return hermitian_eigs_e(mul_e(dagger_e(x), x))[1] ** 0.5
 
 
 def det2(m: np.ndarray) -> complex:

@@ -19,15 +19,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (
-    IDENTITY2,
     InvariantViolation,
     SolverError,
     adjugate_e,
     as_mat2,
     dagger_e,
-    det2,
     det_e,
     entries2,
+    hermitian_eigs_e,
     matrix2,
     mul_e,
     trace_e,
@@ -40,24 +39,25 @@ BLOCK_HERMITICITY_TOL = 1e-8
 
 @dataclass
 class PropagatorCoefficients:
-    """J1, J2, J3 and the normalization A of the Gaussian propagator."""
+    """J1, J2, J3 as entry tuples (m00, m01, m10, m11) and the normalization A
+    of the Gaussian propagator."""
 
-    j1: np.ndarray
-    j2: np.ndarray
-    j3: np.ndarray
+    j1: tuple
+    j2: tuple
+    j3: tuple
     a: complex
 
 
 def propagator_coefficients(u, v) -> PropagatorCoefficients:
-    """Coefficients (J1, J2, J3, A) from a propagator pair (U, V).
+    """Coefficients (J1, J2, J3, A) from a propagator pair of 2x2 arrays (U, V).
 
     W = (I - V)^-1, J1 = W U, J2 = W - I, J3 = U^dag W U - I, A = 1/det W.
     The inverse fails only at a fully occupied point (V eigenvalue 1). For
     a valid V (0 <= V <= I) no entry of I - V exceeds 1 in size, so the
     absolute test on det(I - V) is also inv2's relative one.
     """
-    u = entries2(as_mat2(u))
-    v00, v01, v10, v11 = entries2(as_mat2(v))
+    u = entries2(u)
+    v00, v01, v10, v11 = entries2(v)
     one_minus_v = (1.0 - v00, -v01, -v10, 1.0 - v11)
     det_w_inv = det_e(one_minus_v)
     if abs(det_w_inv) < 1e-14:
@@ -68,16 +68,16 @@ def propagator_coefficients(u, v) -> PropagatorCoefficients:
     j1 = mul_e(w, u)
     j3 = mul_e(dagger_e(u), j1)
     return PropagatorCoefficients(
-        j1=matrix2(j1),
-        j2=matrix2((w[0] - 1.0, w[1], w[2], w[3] - 1.0)),
-        j3=matrix2((j3[0] - 1.0, j3[1], j3[2], j3[3] - 1.0)),
+        j1=j1,
+        j2=(w[0] - 1.0, w[1], w[2], w[3] - 1.0),
+        j3=(j3[0] - 1.0, j3[1], j3[2], j3[3] - 1.0),
         a=complex(det_w_inv),
     )
 
 
-def _check_block(name, m):
-    m = as_mat2(m)
-    a, b, c, d = entries2(m)
+def _check_block(name, x):
+    """The entry tuple x of a valid block, or InvariantViolation."""
+    a, b, c, d = x
     # a sum is finite only when every entry is; the comparisons below are
     # all false for NaN
     total = a + b + c + d
@@ -87,44 +87,62 @@ def _check_block(name, m):
     gap = max(abs(2.0 * a.imag), abs(2.0 * d.imag), abs(b - c.conjugate()))
     if gap > BLOCK_HERMITICITY_TOL:
         raise InvariantViolation(f"{name} block is not Hermitian")
-    # smaller eigenvalue of the Hermitian part [[p, q], [q*, r]]
-    p, r = a.real, d.real
-    q = 0.5 * (b + c.conjugate())
-    lam_min = 0.5 * (p + r) - math.hypot(0.5 * (p - r), abs(q))
+    lam_min = hermitian_eigs_e(x)[0]
     if lam_min < -POSITIVITY_TOL:
         raise InvariantViolation(
             f"{name} block has negative eigenvalue {lam_min:.3e}"
         )
-    return m
+    return x
 
 
-@dataclass
 class DensityBlocks:
-    """rho1 over {|vac>, |1_1 1_2>}, rho2 over {|1_1>, |1_2>}."""
+    """rho1 over {|vac>, |1_1 1_2>}, rho2 over {|1_1>, |1_2>}.
 
-    rho1: np.ndarray
-    rho2: np.ndarray
+    Built from two 2x2 array-likes and checked once. Each block is kept as
+    its entry tuple (m00, m01, m10, m11) of Python scalars, which the
+    per-step algebra reads directly; rho1 and rho2 return the blocks as 2x2
+    complex arrays.
+    """
 
-    def __post_init__(self):
-        self.rho1 = _check_block("rho1", self.rho1)
-        self.rho2 = _check_block("rho2", self.rho2)
+    __slots__ = ("_e1", "_e2")
+
+    def __init__(self, rho1, rho2):
+        self._set(entries2(as_mat2(rho1)), entries2(as_mat2(rho2)))
+
+    @classmethod
+    def _of_entries(cls, e1, e2) -> "DensityBlocks":
+        """The checked blocks of two entry tuples."""
+        blocks = cls.__new__(cls)
+        blocks._set(e1, e2)
+        return blocks
+
+    def _set(self, e1, e2):
+        self._e1 = _check_block("rho1", e1)
+        self._e2 = _check_block("rho2", e2)
         total = self.total_trace
         if abs(total - 1.0) > TRACE_TOL:
             raise InvariantViolation(f"total trace {total} != 1")
 
     @property
+    def rho1(self) -> np.ndarray:
+        return matrix2(self._e1)
+
+    @property
+    def rho2(self) -> np.ndarray:
+        return matrix2(self._e2)
+
+    @property
     def total_trace(self) -> float:
-        return trace_e(entries2(self.rho1)).real + trace_e(entries2(self.rho2)).real
+        return trace_e(self._e1).real + trace_e(self._e2).real
 
     def occupations(self):
         """Mean occupation of each mode (single + double contributions)."""
-        p_double = entries2(self.rho1)[3].real
-        a, _, _, d = entries2(self.rho2)
-        return (a.real + p_double, d.real + p_double)
+        p_double = self._e1[3].real
+        return (self._e2[0].real + p_double, self._e2[3].real + p_double)
 
     def purity(self) -> float:
         """Tr rho^2 of the block-diagonal four-level state."""
-        r1, r2 = entries2(self.rho1), entries2(self.rho2)
+        r1, r2 = self._e1, self._e2
         return trace_e(mul_e(r1, r1)).real + trace_e(mul_e(r2, r2)).real
 
     @classmethod
@@ -166,10 +184,9 @@ def evolve_density(
     in the tests as the reference. The identity coefficients (I, 0, 0, 1)
     return the input unchanged.
     """
-    j1, j2, j3 = entries2(coeffs.j1), entries2(coeffs.j2), entries2(coeffs.j3)
-    a = coeffs.a
-    p_vac, x01, x10, p_dbl = entries2(rho0.rho1)
-    r2 = entries2(rho0.rho2)
+    j1, j2, j3, a = coeffs.j1, coeffs.j2, coeffs.j3, coeffs.a
+    p_vac, x01, x10, p_dbl = rho0._e1
+    r2 = rho0._e2
 
     det_j1 = det_e(j1)
     s3 = adjugate_e(j3)  # sigma_y J3^T sigma_y
@@ -189,7 +206,7 @@ def evolve_density(
     m2 = tuple(x - p_dbl * y for x, y in zip(r2, s3))
     n2 = mul_e(mul_e(j1, m2), dagger_e(j1))
     rho2 = tuple(a * (x + c * y) for x, y in zip(n2, j2))
-    return DensityBlocks(matrix2(rho1), matrix2(rho2))
+    return DensityBlocks._of_entries(rho1, rho2)
 
 
 def steady_state_density(v_s) -> DensityBlocks:
@@ -198,9 +215,9 @@ def steady_state_density(v_s) -> DensityBlocks:
     rho1 = diag(1 + det V - tr V, det V), rho2 = V - (det V) I; the
     vacuum/double coherence is exactly zero in the steady state.
     """
-    v = as_mat2(v_s)
-    det_v = det2(v).real
-    tr_v = np.trace(v).real
-    rho1 = np.diag([1.0 + det_v - tr_v, det_v]).astype(complex)
-    rho2 = v - det_v * IDENTITY2
-    return DensityBlocks(rho1, rho2)
+    v = entries2(as_mat2(v_s))
+    det_v = det_e(v).real
+    tr_v = trace_e(v).real
+    rho1 = (complex(1.0 + det_v - tr_v), 0j, 0j, complex(det_v))
+    rho2 = (v[0] - det_v, v[1], v[2], v[3] - det_v)
+    return DensityBlocks._of_entries(rho1, rho2)

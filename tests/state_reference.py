@@ -7,7 +7,9 @@ determinants and inverses (`np.linalg.det`, `np.linalg.inv`, not the
 closed forms of `dqdsim.model`) and a LAPACK `eigvalsh` for the block
 check. `evolve_density` returns the raw blocks (rho1, rho2) so that a test
 can compare them before any check; `density_blocks` applies the former
-checks to such a pair.
+checks to such a pair. `PropagatorCoefficients` holds J1, J2 and J3 as
+entry tuples, so the reference converts them with `entries2`/`matrix2` at
+its boundary and multiplies 2x2 arrays inside.
 """
 
 import numpy as np
@@ -18,6 +20,8 @@ from dqdsim.model import (
     SolverError,
     as_mat2,
     dagger,
+    entries2,
+    matrix2,
 )
 from dqdsim.state import (
     BLOCK_HERMITICITY_TOL,
@@ -43,9 +47,9 @@ def propagator_coefficients(u, v) -> PropagatorCoefficients:
         )
     w = np.linalg.inv(one_minus_v)
     return PropagatorCoefficients(
-        j1=w @ u,
-        j2=w - IDENTITY2,
-        j3=dagger(u) @ w @ u - IDENTITY2,
+        j1=entries2(w @ u),
+        j2=entries2(w - IDENTITY2),
+        j3=entries2(dagger(u) @ w @ u - IDENTITY2),
         a=complex(det_w_inv),
     )
 
@@ -80,7 +84,8 @@ def evolve_density(rho0, coeffs):
     transposes is where sign errors hide. The identity coefficients
     (I, 0, 0, 1) return the input unchanged.
     """
-    j1, j2, j3, a = coeffs.j1, coeffs.j2, coeffs.j3, coeffs.a
+    j1, j2, j3 = (matrix2(coeffs.j1), matrix2(coeffs.j2), matrix2(coeffs.j3))
+    a = coeffs.a
     r1, r2 = rho0.rho1, rho0.rho2
 
     det_j1 = np.linalg.det(j1)

@@ -15,6 +15,8 @@ import dqdsim
 from dqdsim import cli, greens
 from dqdsim.model import ModelConfig, ReservoirParams, SpectralKind, SystemParams
 
+import state_reference as ref
+
 BASE = """\
 [system]
 eps1 = 2.0
@@ -311,6 +313,71 @@ class TestEvolve:
         cfg = write_cfg(tmp_path, BASE + "[grid]\nt_max = 1.0\nn_steps = 10\n")
         assert cli.main(["evolve", "--config", cfg]) == code
         assert message in capsys.readouterr().err
+
+
+_EXPLICIT_STATE = """\
+[initial]
+state = explicit
+rho1_00 = 0.3
+rho1_11 = 0.1
+rho1_01_re = 0.05
+rho1_01_im = 0.08
+rho2_00 = 0.35
+rho2_11 = 0.25
+rho2_01_re = 0.1
+rho2_01_im = -0.12
+"""
+
+
+def _numpy_eof(rho1, rho2):
+    """-1/2 sum_s tr(rho_s) K_s with lambda_s = (p - r) / (e_max - e_min)
+    from eigvalsh, zero where a block is degenerate, the clamp left out."""
+    total = 0.0
+    for block in (rho1, rho2):
+        diff = (block[0, 0] - block[1, 1]).real
+        if abs(diff) < 1e-12 and abs(block[0, 1]) < 1e-12:
+            continue
+        e = np.linalg.eigvalsh(0.5 * (block + block.conj().T))
+        lam = diff / (e[1] - e[0])
+        k = sum(p * np.log2(p / 2.0) for p in (1.0 - lam, 1.0 + lam) if p > 0.0)
+        total -= 0.5 * np.trace(block).real * k
+    return max(total, 0.0)
+
+
+class TestRowAssembly:
+    """run_evolution's rows against a literal loop: the matrix-product
+    propagation of tests/state_reference.py, a numpy EoF and svd norms."""
+
+    @pytest.mark.parametrize("method", ["exact", "wbl", "born_markov", "pole"])
+    @pytest.mark.parametrize("state", cli.INITIAL_STATES)
+    def test_rows_match_literal_loop(self, tmp_path, method, state):
+        kind = "wideband" if method in ("wbl", "born_markov") else "lorentzian"
+        initial = _EXPLICIT_STATE if state == "explicit" else f"[initial]\nstate = {state}\n"
+        text = (
+            BASE.replace("kind = lorentzian", f"kind = {kind}").replace("g = 0.5", "g = 0.4+0.3j")
+            + f"[grid]\nt_max = 6.0\nn_steps = 60\n[solver]\nmethod = {method}\n"
+            + initial
+        )
+        exp = cli.load_experiment(write_cfg(tmp_path, text))
+        exp = dataclasses.replace(exp, output_path=str(tmp_path / "rows.tsv"))
+        rows = cli.run_evolution(exp)
+        sol = cli._METHODS[method].evolve(exp.model, exp.grid)
+
+        assert len(rows) == exp.grid.n_steps + 1
+        for t, row, u, v in zip(exp.grid.times, rows, sol.u_seq, sol.v_seq):
+            coeffs = ref.propagator_coefficients(u, v)
+            rho1, rho2 = ref.density_blocks(*ref.evolve_density(exp.initial, coeffs))
+            want = (
+                t,
+                _numpy_eof(rho1, rho2),
+                np.trace(v).real,
+                (rho2[0, 0] + rho1[1, 1]).real,
+                (rho2[1, 1] + rho1[1, 1]).real,
+                np.linalg.svd(u, compute_uv=False)[0],
+                (np.trace(rho1 @ rho1) + np.trace(rho2 @ rho2)).real,
+            )
+            assert all(type(x) is float for x in row)
+            np.testing.assert_allclose(row, want, rtol=0, atol=1e-12)
 
 
 class TestEverySolutionIsChecked:

@@ -37,7 +37,7 @@ from dqdsim.model import (
 )
 from dqdsim.spectral import _TWO_PI, build_kernel_table, fermi_occupation
 
-from conftest import assert_flat_work, count_kernel_work, make_config
+from conftest import assert_flat_work, count_kernel_work, make_config, random_unitary2
 from dyson_reference import direct_solve_dyson
 from fourier_reference import wbl_reference_fluctuation
 from steady_reference import (
@@ -170,6 +170,86 @@ def _pole_cases(draw):
         mu=draw(st.floats(0.0, 3.0)),
     )
     return cfg, draw(st.sampled_from([10.0, 25.0, 50.0, 100.0]))
+
+
+def lapack_check_solution(grid, u_seq, v_seq):
+    """The spectral checks of greens._check_solution on LAPACK: V's extreme
+    eigenvalues from eigvalsh and U's largest singular value from svd. The
+    reference for its closed-form 2x2 spectra."""
+    u, v = np.asarray(u_seq), np.asarray(v_seq)
+    eigs = np.linalg.eigvalsh(0.5 * (v + np.conj(np.transpose(v, (0, 2, 1)))))
+    if eigs.min() < greens.EIGENVALUE_FLOOR or eigs.max() > greens.EIGENVALUE_CEIL:
+        raise InvariantViolation(
+            f"V(t) spectrum [{eigs.min():.3e}, {eigs.max():.3e}] leaves [0, 1]"
+        )
+    svals = np.linalg.svd(u, compute_uv=False)
+    if svals.max() > greens.SINGULAR_VALUE_CEIL:
+        raise InvariantViolation(
+            f"U(t) singular value {svals.max():.8f} exceeds contraction bound"
+        )
+    return svals[:, 0]
+
+
+def _outcome(fn):
+    """(True, value) when fn() returns, else (exception type, message)."""
+    try:
+        return True, fn()
+    except InvariantViolation as exc:
+        return InvariantViolation, str(exc)
+
+
+class TestSolutionChecksAtTolerance:
+    """The closed-form spectra of _check_solution accept and reject exactly
+    what eigvalsh and svd did, at each bound plus or minus a small offset."""
+
+    @staticmethod
+    def assert_same_verdict(u, v, accepted, fragment):
+        grid = TimeGrid(1.0, len(u) - 1)
+        new = _outcome(lambda: greens._check_solution(grid, u, v))
+        old = _outcome(lambda: lapack_check_solution(grid, u, v))
+        assert new[0] is old[0]
+        assert (new[0] is True) == accepted
+        if accepted:
+            np.testing.assert_allclose(new[1], old[1], rtol=6 * np.finfo(float).eps, atol=0)
+        else:
+            assert new[1] == old[1]
+            assert fragment in new[1]
+
+    @staticmethod
+    def stacks(rng, n=6):
+        u = 0.5 * np.stack([random_unitary2(rng) for _ in range(n)])
+        u[0] = np.eye(2)
+        v = np.zeros((n, 2, 2), dtype=complex)
+        for k in range(1, n):
+            q = random_unitary2(rng)
+            v[k] = q @ np.diag([0.2, 0.6]) @ q.conj().T
+        return u, v
+
+    @pytest.mark.parametrize("bound, offset, accepted", [
+        (greens.EIGENVALUE_FLOOR, +1e-10, True),
+        (greens.EIGENVALUE_FLOOR, -1e-10, False),
+        (greens.EIGENVALUE_CEIL, -1e-10, True),
+        (greens.EIGENVALUE_CEIL, +1e-10, False),
+    ])
+    def test_v_spectrum(self, rng, bound, offset, accepted):
+        for k in (1, 3, 5):
+            u, v = self.stacks(rng)
+            q = random_unitary2(rng)
+            v[k] = q @ np.diag([bound + offset, 0.5]) @ q.conj().T
+            v[k] = 0.5 * (v[k] + v[k].conj().T)
+            self.assert_same_verdict(u, v, accepted, "V(t) spectrum")
+
+    @pytest.mark.parametrize("offset, accepted", [(-1e-9, True), (+1e-9, False)])
+    def test_u_contraction(self, rng, offset, accepted):
+        for k in (1, 3, 5):
+            u, v = self.stacks(rng)
+            s = greens.SINGULAR_VALUE_CEIL + offset
+            u[k] = random_unitary2(rng) @ np.diag([0.3, s]) @ random_unitary2(rng)
+            self.assert_same_verdict(u, v, accepted, "U(t) singular value 1.000001")
+
+    def test_accepted_norms_match_svd(self, rng):
+        u, v = self.stacks(rng, n=50)
+        self.assert_same_verdict(u, v, True, "")
 
 
 class TestGreensSolutionInvariants:
@@ -357,6 +437,23 @@ class TestComputeFluctuation:
             assert np.max(np.abs(c - direct)) < 1e-15 * bound
             lead = _series_product(u, kernel, n + 1)
             assert np.max(np.abs(lead - direct[: n + 1])) < 1e-15 * bound
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 64, 257, 1000])
+    def test_diagonal_operand_is_transformed_on_its_diagonal(self, n):
+        # a diagonal series given as its (len, 2) diagonals gives the same
+        # bits as the full 2x2 series whose off-diagonal spectra are zeros
+        rng = np.random.default_rng(400 + n)
+        u = rng.normal(size=(n + 1, 2, 2)) + 1j * rng.normal(size=(n + 1, 2, 2))
+        for m in (n + 1, n // 2 + 1):
+            d = rng.normal(size=(m, 2)) + 1j * rng.normal(size=(m, 2))
+            full = d[:, :, None] * np.eye(2)
+            for rows in (n + m, n + 1):
+                assert np.array_equal(
+                    _series_product(d, u, rows), _series_product(full, u, rows)
+                )
+                assert np.array_equal(
+                    _series_product(u, d, rows), _series_product(u, full, rows)
+                )
 
     def test_empty_band_suppresses_fluctuations(self):
         # the band sits 22 Gamma below the dot levels, so only a small

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from dqdsim.greens import TimeGrid, compute_fluctuation, pole_expansion_lorentzian
 from dqdsim.model import (
     ConfigError,
     ModelConfig,
@@ -15,13 +16,16 @@ from dqdsim.model import (
     build_hamiltonian,
     dagger,
     det2,
+    entries2,
     gamma_matrix,
+    hermitian_eigs_e,
     inv2,
     is_hermitian,
+    max_singular_e,
     require_hermitian,
 )
 
-from conftest import make_config
+from conftest import make_config, random_unitary2
 
 
 class TestBuildHamiltonian:
@@ -74,6 +78,70 @@ class TestMat2Helpers:
         assert not is_hermitian(np.array([[1.0, 2j], [2j, 3.0]]))
         with pytest.raises(ConfigError):
             require_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]), "test matrix")
+
+
+def _spectra_cases(rng):
+    """(name, stack of 2x2 matrices) for the closed-form spectra."""
+
+    def vec():
+        return rng.normal(size=2) + 1j * rng.normal(size=2)
+
+    yield "identity", np.eye(2, dtype=complex)[None]
+    yield "scaled unitary", np.array(
+        [c * random_unitary2(rng) for c in (1.0, 0.5, 1e-3, 1.0 - 1e-7) for _ in range(5)]
+    )
+    yield "rank one", np.array([np.outer(vec(), vec()) for _ in range(20)])
+    yield "split by 1e-8", np.array(
+        [random_unitary2(rng) @ np.diag([s, s * (1.0 + 1e-8)]) @ random_unitary2(rng)
+         for s in (1.0, 0.7, 0.3, 1e-4)]
+    )
+    yield "random", rng.normal(size=(200, 2, 2)) + 1j * rng.normal(size=(200, 2, 2))
+    grid = TimeGrid(10.0, 400)
+    for g in (0.4 + 0.3j, -0.2 + 0.7j, 0.9j):
+        cfg = make_config(g=g, eps2=1.4, mu_r=2.6, d=1.5)
+        u = pole_expansion_lorentzian(cfg).reconstruct(grid.times)
+        yield f"U(t), g = {g}", u
+        yield f"V(t), g = {g}", compute_fluctuation(u, cfg, grid)
+
+
+class TestClosedFormSpectra:
+    """hermitian_eigs_e and max_singular_e against LAPACK, on scalars (one
+    matrix's entries) and on arrays (a stack's entries)."""
+
+    ULPS = 6
+    EPS = np.finfo(float).eps
+
+    @staticmethod
+    def both_paths(fn, stack):
+        """fn on each matrix's scalar entries and on the stack's entry arrays."""
+        scalar = np.array([fn(entries2(m)) for m in stack])
+        array = np.array(fn(stack.reshape(-1, 4).T))
+        return scalar.reshape(array.T.shape).T, array
+
+    def test_largest_singular_value(self, rng):
+        for name, stack in _spectra_cases(rng):
+            ref = np.linalg.svd(stack, compute_uv=False)[:, 0]
+            scale = np.where(ref > 0.0, ref, 1.0)  # V(0) = 0: absolute
+            for got in self.both_paths(max_singular_e, stack):
+                err = np.max(np.abs(got - ref) / scale)
+                assert err <= self.ULPS * self.EPS, (name, err)
+
+    def test_hermitian_eigenvalues(self, rng):
+        for name, stack in _spectra_cases(rng):
+            hermitian = 0.5 * (stack + np.conj(np.transpose(stack, (0, 2, 1))))
+            ref = np.linalg.eigvalsh(hermitian)
+            scale = np.abs(ref).max(axis=1)
+            scale[scale == 0.0] = 1.0  # V(0) = 0: absolute
+            for lo, hi in self.both_paths(hermitian_eigs_e, stack):
+                for got, want in ((lo, ref[:, 0]), (hi, ref[:, 1])):
+                    err = np.max(np.abs(got - want) / scale)
+                    assert err <= self.ULPS * self.EPS, (name, err)
+
+    def test_exact_cases(self):
+        assert max_singular_e(entries2(np.eye(2, dtype=complex))) == 1.0
+        assert max_singular_e(entries2(np.zeros((2, 2), dtype=complex))) == 0.0
+        assert hermitian_eigs_e(entries2(np.diag([0.25, -0.5]).astype(complex))) == (-0.5, 0.25)
+        assert hermitian_eigs_e(entries2(np.zeros((2, 2), dtype=complex))) == (0.0, 0.0)
 
 
 class TestParamValidation:

@@ -9,7 +9,7 @@ from dqdsim.greens import (
     pole_expansion_lorentzian,
     solve,
 )
-from dqdsim.model import InvariantViolation, SolverError
+from dqdsim.model import InvariantViolation, SolverError, matrix2
 from dqdsim.state import (
     DensityBlocks,
     evolve_density,
@@ -69,9 +69,9 @@ class TestDensityBlocks:
 class TestPropagatorCoefficients:
     def test_identity_fixed_point(self, rng):
         coeffs = propagator_coefficients(np.eye(2), np.zeros((2, 2)))
-        np.testing.assert_allclose(coeffs.j1, np.eye(2), atol=1e-14)
-        np.testing.assert_allclose(coeffs.j2, np.zeros((2, 2)), atol=1e-14)
-        np.testing.assert_allclose(coeffs.j3, np.zeros((2, 2)), atol=1e-14)
+        np.testing.assert_allclose(matrix2(coeffs.j1), np.eye(2), atol=1e-14)
+        np.testing.assert_allclose(matrix2(coeffs.j2), np.zeros((2, 2)), atol=1e-14)
+        np.testing.assert_allclose(matrix2(coeffs.j3), np.zeros((2, 2)), atol=1e-14)
         assert coeffs.a == pytest.approx(1.0)
         for _ in range(10):
             rho = random_density(rng)
@@ -200,7 +200,9 @@ def _assert_matches_reference(u, v, rho, atol=1e-12):
     new = propagator_coefficients(u, v)
     old = ref.propagator_coefficients(u, v)
     for name in ("j1", "j2", "j3"):
-        np.testing.assert_allclose(getattr(new, name), getattr(old, name), rtol=0, atol=atol)
+        np.testing.assert_allclose(
+            matrix2(getattr(new, name)), matrix2(getattr(old, name)), rtol=0, atol=atol
+        )
     assert abs(new.a - old.a) <= atol
     out = evolve_density(rho, new)
     rho1, rho2 = ref.evolve_density(rho, old)
