@@ -34,7 +34,7 @@ from .model import (
     build_hamiltonian,
     gamma_matrix,
 )
-from .oracle import DiscretizedBath, discretize, exact_greens, localized_eigenstates
+from .oracle import DiscretizedBath, discretize, exact_greens
 from .spectral import (
     KernelTable,
     build_kernel_table,
@@ -86,7 +86,6 @@ __all__ = [
     "gamma_matrix",
     "lead_density",
     "lead_self_energy_real",
-    "localized_eigenstates",
     "pole_expansion_lorentzian",
     "propagator_coefficients",
     "solve",

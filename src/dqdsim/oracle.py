@@ -1,13 +1,15 @@
 """Brute-force cross-check: discretize the reservoirs and solve exactly.
 
-The model is quadratic, so one eigendecomposition of the full one-particle
-Hamiltonian (2 dot modes + K modes per lead) gives U(t), V(t) and the
-bound-state content with no memory-kernel machinery at all. Slow and
-honest; used to validate the solver modules.
+The model is quadratic, so the dot rows of e^{-iht} for the full
+one-particle Hamiltonian h (2 dot modes + K modes per lead) give U(t) and
+V(t) with no memory-kernel machinery at all. They come from Chebyshev
+series in time and energy, applying h only through its star structure,
+with no diagonalization; used to validate the solver modules.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -20,7 +22,7 @@ from .model import (
     ModelConfig,
     SolverError,
     SpectralKind,
-    build_hamiltonian,
+    hermitian_eigs_e,
 )
 from .spectral import fermi_occupation, lead_density
 
@@ -29,13 +31,12 @@ from .spectral import fermi_occupation, lead_density
 # the cap keeps it above ~12 for the default K regardless of bandwidth.
 _RECURRENCE_MARGIN = 12.0
 
-# Bound on the dropped Chebyshev terms of the phases e^{-i lambda t}, and
-# with it on the truncation error of each entry of U (V's is at most twice
-# it); _TAIL_GUARD dropped coefficients are computed to check it.
+# Bound on the dropped Chebyshev terms of the phases e^{-i lambda t}, in time
+# and in energy; the truncation error of each entry of U is at most the sum
+# of the two (V's at most twice it). _TAIL_GUARD dropped coefficients are
+# computed to check each.
 _PHASE_TAIL = 1e-13
 _TAIL_GUARD = 4
-# Dot weight of an eigenvector whose dot amplitudes are at rounding level.
-_WEIGHT_FLOOR = np.finfo(float).eps ** 2
 
 
 @dataclass
@@ -56,19 +57,6 @@ class DiscretizedBath:
     @property
     def modes_per_lead(self) -> int:
         return self.energies.shape[1]
-
-    def hamiltonian(self) -> np.ndarray:
-        """Full one-particle matrix: dots block, bath diagonal, star couplings."""
-        k = self.modes_per_lead
-        dim = 2 + 2 * k
-        h = np.zeros((dim, dim), dtype=complex)
-        h[:2, :2] = build_hamiltonian(self.config.system)
-        for lead in range(2):
-            rows = slice(2 + lead * k, 2 + (lead + 1) * k)
-            h[rows, rows] = np.diag(self.energies[lead])
-            h[lead, rows] = self.couplings[lead]
-            h[rows, lead] = self.couplings[lead]
-        return h
 
     def bath_occupation_diagonal(self) -> np.ndarray:
         """Initial occupations on the bath entries, zeros on the dots."""
@@ -166,14 +154,6 @@ def _check_recurrence(bath: DiscretizedBath, t_max: float) -> None:
         )
 
 
-def _eigh(bath: DiscretizedBath):
-    """Eigenpairs of the full Hamiltonian, in real arithmetic when it is real."""
-    h = bath.hamiltonian()
-    if not np.any(h.imag):
-        h = h.real
-    return np.linalg.eigh(h)
-
-
 def _chebyshev_order(half_width: float) -> int:
     """Fewest Chebyshev terms of e^{-iwx} on [-1, 1] for every |w| <= half_width.
 
@@ -192,34 +172,131 @@ def _chebyshev_order(half_width: float) -> int:
     return first + int(np.argmax(tails <= _PHASE_TAIL))
 
 
+def _chebyshev_coefficients(values, n: int) -> np.ndarray:
+    """The n Chebyshev coefficients, along axis 0, of f on [-1, 1].
+
+    values(x) gives f at the n first-kind Chebyshev points x_k =
+    cos(theta_k), theta_k = pi (k + 1/2) / n, as an (n, ...) array. Their
+    DCT sum_k f(x_k) cos(p theta_k) is one length-n FFT of the samples
+    reordered as f(x_0), f(x_2), ..., f(x_3), f(x_1) (Makhoul, IEEE Trans.
+    ASSP 28, 27 (1980)), taken as (w^p V_p + w^-p V_{-p}) / 2 with
+    w = e^{-i pi / 2n}, which needs no real part and so holds for complex f.
+    """
+    x = np.cos(math.pi / n * (np.arange(n) + 0.5))
+    samples = values(x)
+    spectrum = np.fft.fft(np.concatenate([samples[::2], samples[1::2][::-1]]), axis=0)
+    del samples
+    twiddle = np.exp(-0.5j * math.pi / n * np.arange(n))[:, None]
+    coef = spectrum[-np.arange(n) % n]
+    coef *= np.conj(twiddle)
+    spectrum *= twiddle
+    coef += spectrum
+    coef *= 1.0 / n
+    coef[0] *= 0.5
+    return coef
+
+
+def _check_tail(dropped: np.ndarray, order: int, variable: str) -> None:
+    """Raise SolverError if the first dropped terms sum above _PHASE_TAIL.
+
+    They are the _TAIL_GUARD terms past the order, computed to check it.
+    """
+    tail = float(np.sum(dropped))
+    if not tail <= _PHASE_TAIL:
+        raise SolverError(
+            f"the Chebyshev expansion of the oracle phases is truncated in"
+            f" {variable}: the terms past order {order} sum to {tail:.3e}"
+            f" > {_PHASE_TAIL:.0e}"
+        )
+
+
 def _phase_coefficients(omega: np.ndarray, order: int) -> np.ndarray:
     """b[p, j] with e^{-i omega_j (x + 1)} = sum_{p < order} b[p, j] T_p(x).
 
-    The DCT of e^{-i omega_j x} at n = order + _TAIL_GUARD first-kind
-    Chebyshev points x_k = cos(theta_k), theta_k = pi (k + 1/2) / n, as one
-    product with the table cos(p theta_k), each angle reduced exactly in
-    integers first; then the factor e^{-i omega_j}. The guard coefficients
-    are the first dropped ones: if they sum above _PHASE_TAIL the expansion
-    would be truncated, and SolverError is raised instead.
+    The Chebyshev coefficients of e^{-i omega_j x}, then the factor
+    e^{-i omega_j}. Each column is one frequency, so the largest of its
+    dropped terms enter the tail check.
     """
-    n = order + _TAIL_GUARD
-    ranks = np.arange(n)
-    # p theta_k = pi (p (2k + 1) mod 4n) / (2n)
-    table = np.cos(0.5 * math.pi / n * (np.outer(ranks, 2 * ranks + 1) % (4 * n)))
-    samples = np.exp(-1j * np.outer(table[1], omega))  # table[1] holds x_k
-    coef = (table @ samples.view(float)).view(complex) * (2.0 / n)
-    coef[0] *= 0.5
-    tail = float(np.sum(np.max(np.abs(coef[order:]), axis=1)))
-    if not tail <= _PHASE_TAIL:
-        raise SolverError(
-            f"the Chebyshev expansion of the oracle phases is truncated: the"
-            f" terms past order {order} sum to {tail:.3e} > {_PHASE_TAIL:.0e}"
-        )
+    coef = _chebyshev_coefficients(
+        lambda x: np.exp(-1j * np.outer(x, omega)), order + _TAIL_GUARD
+    )
+    _check_tail(np.max(np.abs(coef[order:]), axis=1), order, "time")
     return coef[:order] * np.exp(-1j * omega)
 
 
+def _spectral_interval(bath: DiscretizedBath) -> tuple:
+    """Centre and half-width of an interval that holds every eigenvalue of
+    h with dot weight.
+
+    h is the block diagonal of the dot levels and the bath energies plus
+    the star couplings, whose norm is max_l |c_l|: each couples one dot to
+    its own lead, on disjoint subspaces. By Weyl's inequality the
+    eigenvalues lie within that norm of the dot levels and the energies of
+    the coupled leads; an uncoupled lead's modes are eigenvectors without
+    dot weight and stay out.
+    """
+    system = bath.config.system
+    g = complex(system.g_coupling)
+    lo, hi = hermitian_eigs_e((system.eps1, g, g.conjugate(), system.eps2))
+    coupled = bath.energies[np.any(bath.couplings, axis=1)]
+    if coupled.size:
+        lo, hi = min(lo, coupled.min()), max(hi, coupled.max())
+    widen = float(np.max(np.linalg.norm(bath.couplings, axis=1)))
+    return 0.5 * (hi + lo), 0.5 * (hi - lo) + widen
+
+
+def _chebyshev_vectors(apply, start, count):
+    """T_m(A) start for m < count, by the three-term recurrence."""
+    prev, cur = None, start
+    for _ in range(count):
+        yield cur
+        step = apply(cur)
+        prev, cur = cur, step if prev is None else 2.0 * step - prev
+
+
+def _dot_rows(bath: DiscretizedBath, centre: float, half: float, gamma):
+    """y[k, a, p] = sum_m gamma[m, p] T_m(h~)[a, k] for h~ = (h - centre) / half.
+
+    h is taken in the gauge diag(1, g*/|g|) on dot 2 and its lead, where it
+    is real: the dot block [[eps1, |g|], [|g|, eps2]], the bath energies on
+    the diagonal, and each dot coupled to its own lead. The vectors
+    T_m(h~) e_a of the two dot sites come from the three-term recurrence,
+    h~ applied through that star structure in O(D), and are folded into y
+    one block at a time by real products.
+    """
+    system = bath.config.system
+    g = abs(complex(system.g_coupling))
+    scale = 1.0 / half if half > 0.0 else 0.0
+    dots = scale * np.array([[system.eps1 - centre, g], [g, system.eps2 - centre]])
+    energies = scale * (bath.energies - centre)[:, :, None]
+    couplings = scale * bath.couplings
+    k = bath.modes_per_lead
+    dim = 2 + 2 * k
+
+    def star(x):
+        """h~ x for the (dim, 2) columns x."""
+        x_dots, x_bath = x[:2], x[2:].reshape(2, k, 2)
+        out = np.empty_like(x)
+        out[:2] = dots @ x_dots + np.einsum("lk,lka->la", couplings, x_bath)
+        out[2:] = (
+            energies * x_bath + couplings[:, :, None] * x_dots[:, None, :]
+        ).reshape(-1, 2)
+        return out
+
+    start = np.zeros((dim, 2))
+    start[:2] = np.eye(2)
+    vectors = _chebyshev_vectors(star, start, len(gamma))
+    y = np.zeros((2 * dim, gamma.shape[1]), dtype=complex)
+    step = max(1, spectral._CHUNK_ELEMENTS // (2 * dim))
+    for s in range(0, len(gamma), step):
+        block = np.array(list(itertools.islice(vectors, step)))
+        rows = len(block)
+        y += (block.reshape(rows, -1).T @ gamma[s:s + rows].view(float)).view(complex)
+    return y.reshape(dim, 2, -1)
+
+
 def exact_greens(bath: DiscretizedBath, grid: TimeGrid) -> GreensSolution:
-    """U and V of the discretized model by one eigendecomposition.
+    """U and V of the discretized model by Chebyshev series in time and energy.
 
     U(t) is the dot-block of e^{-iht}; V(t) the dot-block of
     e^{-iht} D e^{iht} with D the initial bath occupations. Both are exact
@@ -228,49 +305,44 @@ def exact_greens(bath: DiscretizedBath, grid: TimeGrid) -> GreensSolution:
 
     The phases are expanded in time, as in the Chebyshev propagator of
     Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967 (1984), with the
-    Jacobi-Anger expansion in t: with tau = t_max/2, x = t/tau - 1 and c
-    the centre of the eigenvalues that carry dot weight,
+    Jacobi-Anger expansion in t: with tau = t_max/2, x = t/tau - 1 and
+    [c - R, c + R] an interval that holds the eigenvalues with dot weight,
     e^{-i lambda t} = e^{-ict} sum_{p<P} b_p(lambda) T_p(x) to within
-    _PHASE_TAIL. The dot rows of e^{-iht} are e^{-ict} sum_p T_p(x) Y_p with
-    Y_p = Q_dots diag(b_p) Q^dag; U's coefficients are the dot columns of
-    Y_p, and V = sum_pq T_p T_q Y_p D Y_q^dag folds by
+    _PHASE_TAIL. The dot rows of e^{-iht} are e^{-ict} sum_p T_p(x) Y_p
+    with Y_p = b_p(h)[dots, :]. Each b_p is in turn expanded in energy, as
+    in the kernel polynomial method of Weisse, Wellein, Alvermann &
+    Fehske, Rev. Mod. Phys. 78, 275 (2006): b_p(c + R s) =
+    sum_{m<M} gamma_mp T_m(s), so Y_p = sum_m gamma_mp T_m(h~)[dots, :]
+    with h~ = (h - c)/R (_dot_rows). U's coefficients are the dot columns
+    of Y_p, and V = sum_pq T_p T_q Y_p D Y_q^dag folds by
     T_p T_q = (T_{p+q} + T_{|p-q|})/2 into sum_r T_r(x) N_r, evaluated in
     chunks of time rows. For D modes and T times this costs
-    O(P D^2 + P^2 D + T P) in place of O(T D^2); P grows with the spread of
-    the eigenvalues times t_max, which the recurrence guard holds below
-    about pi K per coupled lead.
+    O(M D + P M D + P^2 D + T P) with no O(D^2) array: P is about R t_max / 2
+    and M about twice P, and the recurrence guard holds R t_max below about
+    pi K per coupled lead.
     """
     _check_recurrence(bath, grid.t_max)
-    evals, q = _eigh(bath)
-    # eigenvectors without dot weight never reach U or V; their eigenvalues
-    # would only widen the expansion (an uncoupled lead skips the guard)
-    keep = np.abs(q[0]) ** 2 + np.abs(q[1]) ** 2 > _WEIGHT_FLOOR
-    evals = evals[keep]
-    q_dots = q[:2, keep]
-    d_b = bath.bath_occupation_diagonal()
-    occupied = d_b > 0.0
-    # g_mat = D^(1/2) conj(Q) on occupied rows and kept columns, so that
-    # Y_p D^(1/2) = Q_dots diag(b_p) g_mat^T. Each intermediate is dropped
-    # once used: the (2P x 2P) product M below is the peak.
-    g_mat = q[np.ix_(occupied, keep)]
-    del q
-    g_mat *= np.sqrt(d_b[occupied])[:, None]
-    np.conjugate(g_mat, out=g_mat)
-
-    centre = 0.5 * (evals.max() + evals.min())
+    centre, half = _spectral_interval(bath)
     tau = 0.5 * grid.t_max
-    order = _chebyshev_order(0.5 * (evals.max() - evals.min()) * tau)
-    b = _phase_coefficients((evals - centre) * tau, order)  # (P, D')
-    u_coef = b @ (q_dots[:, None, :] * np.conj(q_dots)).reshape(4, -1).T
-    z = (b.T[:, :, None] * q_dots.T[:, None, :]).reshape(-1, 2 * order)
-    del b
-    if np.isrealobj(g_mat):
-        y = (g_mat @ z.view(float)).view(complex)
-    else:
-        y = g_mat @ z
-    del z, g_mat
-    # y[k, (p, a)] = (Y_p D^(1/2))[a, k]; m[p, q] = M_pq = Y_p D Y_q^dag
-    m = (y.T @ np.conj(y)).reshape(order, 2, order, 2).transpose(0, 2, 1, 3)
+    order = _chebyshev_order(half * tau)
+    # gamma[m, p]: b_p(centre + half s) = sum_m gamma[m, p] T_m(s). At x the
+    # terms sum_p gamma[m, p] T_p(x) are those of e^{-iws} in s, w = half
+    # tau (x + 1): 2 (-i)^m J_m(w), which past m = 2 half tau grow with w;
+    # so the dropped ones are largest at t = t_max, x = 1, where T_p = 1
+    depth = _chebyshev_order(2.0 * half * tau)
+    gamma = _chebyshev_coefficients(
+        lambda s: _phase_coefficients(half * tau * s, order).T,
+        depth + _TAIL_GUARD,
+    )
+    _check_tail(np.abs(np.sum(gamma[depth:], axis=1)), depth, "energy")
+    y = _dot_rows(bath, centre, half, gamma[:depth])  # y[k, a, p] = Y_p[a, k]
+    del gamma
+    u_coef = y[:2].transpose(2, 1, 0).reshape(order, 4)  # Y_p[a, b] at (p, 2a + b)
+    # y[k, (a, p)] = (Y_p D^(1/2))[a, k]; m[p, q] = M_pq = Y_p D Y_q^dag.
+    # Each intermediate is dropped once used: m is the peak.
+    y *= np.sqrt(bath.bath_occupation_diagonal())[:, None, None]
+    y = y.reshape(len(y), 2 * order)
+    m = (y.T @ np.conj(y)).reshape(2, order, 2, order).transpose(1, 3, 0, 2)
     del y
     # V = sum_pq T_p T_q M_pq with T_p T_q = (T_{p+q} + T_{|p-q|}) / 2
     ranks = np.arange(order)
@@ -279,6 +351,12 @@ def exact_greens(bath: DiscretizedBath, grid: TimeGrid) -> GreensSolution:
     np.add.at(n_coef, abs(ranks[:, None] - ranks), m)
     n_coef *= 0.5
     del m
+    # back from the real gauge: X[0, 1] takes g/|g| and X[1, 0] its conjugate
+    g = complex(bath.config.system.g_coupling)
+    gauge = g / abs(g) if g else 1.0
+    phases = np.array([[1.0, gauge], [np.conj(gauge), 1.0]])
+    u_coef *= phases.ravel()
+    n_coef *= phases
 
     times = grid.times
     theta = np.arccos(np.clip(times / tau - 1.0, -1.0, 1.0))
@@ -294,26 +372,7 @@ def exact_greens(bath: DiscretizedBath, grid: TimeGrid) -> GreensSolution:
         u[s:s + rows] = (phase * u_rows).reshape(rows, 2, 2)
         v_rows = (cheb @ n_coef.reshape(-1, 4).view(float)).view(complex)
         v[s:s + rows] = v_rows.reshape(rows, 2, 2)
-    u[0] = np.eye(2)  # exact; Q Q^dag carries rounding noise
+    u[0] = np.eye(2)  # exact; the series carries rounding noise
     v = 0.5 * (v + np.conj(np.transpose(v, (0, 2, 1))))
     v[0] = 0.0
     return GreensSolution(grid, u, v)
-
-
-def localized_eigenstates(bath: DiscretizedBath, weight_threshold: float = 0.5):
-    """Eigenpairs of the full Hamiltonian concentrated on the dot modes.
-
-    Returns (energy, dot_weight) for every eigenvector whose probability
-    weight on the two dot components exceeds the threshold; these are the
-    discretized bound states.
-    """
-    if not 0.0 < weight_threshold < 1.0:
-        raise ConfigError(
-            f"weight_threshold must lie in (0, 1), got {weight_threshold}"
-        )
-    evals, q = _eigh(bath)
-    weights = np.abs(q[0, :]) ** 2 + np.abs(q[1, :]) ** 2
-    picks = weights > weight_threshold
-    return [
-        (float(e), float(w)) for e, w in zip(evals[picks], weights[picks])
-    ]

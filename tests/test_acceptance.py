@@ -32,7 +32,7 @@ from dqdsim.model import (
     SpectralKind,
     SystemParams,
 )
-from dqdsim.oracle import discretize, exact_greens, localized_eigenstates
+from dqdsim.oracle import discretize, exact_greens
 from dqdsim.spectral import fermi_occupation, lead_density, lead_self_energy_real
 from dqdsim.state import (
     DensityBlocks,
@@ -42,6 +42,7 @@ from dqdsim.state import (
 )
 
 from conftest import make_config, random_density, random_steady_v
+from oracle_reference import localized_eigenstates
 
 BANDWIDTHS = (0.5, 1.0, 2.0, 10.0)
 

@@ -28,10 +28,11 @@ from dqdsim.model import (
     SpectralKind,
     SystemParams,
 )
-from dqdsim.oracle import discretize, localized_eigenstates
+from dqdsim.oracle import discretize
 from dqdsim.spectral import lead_density, lead_self_energy_real
 
 from conftest import make_config
+from oracle_reference import localized_eigenstates
 from test_acceptance import CENSUS, _census_config
 
 

@@ -9,11 +9,11 @@ from scipy import integrate, linalg, special
 from dqdsim import oracle, spectral
 from dqdsim.greens import TimeGrid, solve
 from dqdsim.model import ConfigError, SolverError, SpectralKind, build_hamiltonian
-from dqdsim.oracle import discretize, exact_greens, localized_eigenstates
+from dqdsim.oracle import discretize, exact_greens
 from dqdsim.spectral import fermi_occupation, lead_density
 
 from conftest import make_config
-from oracle_reference import batched_exact_greens
+from oracle_reference import batched_exact_greens, hamiltonian, localized_eigenstates
 
 
 def _random_oracle_config(rng, kind, regime):
@@ -50,11 +50,14 @@ def _recurrence_time(bath):
     )
 
 
+def _gapped_config():
+    """The gapped census config: two bound states outside the band."""
+    return make_config(g=1.0, kind=SpectralKind.CUTOFF_LORENTZIAN, cutoff=0.5, d=1.0)
+
+
 def _expansion_order(bath, t_max):
-    """The Chebyshev order exact_greens uses on this bath and horizon."""
-    evals, q = np.linalg.eigh(bath.hamiltonian())
-    evals = evals[np.abs(q[0]) ** 2 + np.abs(q[1]) ** 2 > oracle._WEIGHT_FLOOR]
-    return oracle._chebyshev_order(0.25 * (evals.max() - evals.min()) * t_max)
+    """The Chebyshev order in time exact_greens uses on this bath and horizon."""
+    return oracle._chebyshev_order(0.5 * oracle._spectral_interval(bath)[1] * t_max)
 
 
 class TestDiscretize:
@@ -118,7 +121,7 @@ class TestDiscretize:
     def test_hamiltonian_structure(self):
         cfg = make_config(g=0.3 + 0.4j)
         bath = discretize(cfg, 40)
-        h = bath.hamiltonian()
+        h = hamiltonian(bath)
         assert h.shape == (82, 82)
         np.testing.assert_allclose(h, np.conj(h.T), atol=1e-14)
         np.testing.assert_allclose(
@@ -172,7 +175,7 @@ class TestExactGreens:
     )
     @pytest.mark.parametrize(
         "n_steps,chunk_elements",
-        # one chunk (at most 243 Chebyshev ranks 2P - 1 here, so 201 rows
+        # one chunk (at most 249 Chebyshev ranks 2P - 1 here, so 201 rows
         # fit in one), one to three chunks with a short last one, and one
         # row per chunk
         [(200, None), (4500, None), (40, 1)],
@@ -208,7 +211,7 @@ class TestExactGreens:
         self, seed, kind, regime, n_steps
     ):
         # a horizon at 0.9 of the recurrence time gives the largest
-        # expansion order (P of 130 to 280 here); 5 steps is a coarse grid
+        # expansion order (P of 134 to 317 here); 5 steps is a coarse grid
         # with fewer times than terms
         rng = np.random.default_rng(900 + seed)
         bath = discretize(_random_oracle_config(rng, kind, regime), 60)
@@ -223,9 +226,9 @@ class TestExactGreens:
     @pytest.mark.parametrize("g", [0.5, 0.5 + 0.3j])
     def test_memory_stays_in_chunks(self, g):
         # D = 802 and 3001 times: the batched reference peaks at 301 MB,
-        # holding (n+1, 2, D) arrays. At t_max = 10 (P = 261) the
-        # expansion peaks at 22-31 MB; at 0.9 of the recurrence time
-        # (P = 651) its (2P x 2P) coefficient products take it to 61 MB
+        # holding (n+1, 2, D) arrays. At t_max = 10 (P = 265) the
+        # expansion peaks at 20 MB; at 0.9 of the recurrence time
+        # (P = 661) its (2P x 2P) coefficient products take it to 62 MB
         bath = discretize(make_config(g=g), 400)
         for t_max in (10.0, 0.9 * _recurrence_time(bath)):
             tracemalloc.start()
@@ -235,6 +238,18 @@ class TestExactGreens:
             finally:
                 tracemalloc.stop()
             assert peak < 80e6
+
+    def test_memory_linear_in_modes(self):
+        # D = 4002 (2000 modes per lead) and 6001 times at P = 66: a dense
+        # h alone would take 128 MB; the star products peak at 22 MB
+        bath = discretize(_gapped_config(), 2000)
+        tracemalloc.start()
+        try:
+            exact_greens(bath, TimeGrid(50.0, 6000))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64e6
 
     def test_recurrence_within_horizon_is_rejected(self):
         # 2 pi / de = 31.4 at 400 modes (window mu +- 40) and 12 at 100
@@ -261,17 +276,30 @@ class TestExactGreens:
         assert np.max(np.abs(sol.v_seq)) < 1e-13
 
     def test_truncated_expansion_fails_loudly(self, monkeypatch):
-        # the gapped census config: P = 59 at t_max = 50; three terms fewer
-        # leave dropped terms summing to 2.1e-13, above the stated 1e-13
-        cfg = make_config(
-            g=1.0, kind=SpectralKind.CUTOFF_LORENTZIAN, cutoff=0.5, d=1.0
-        )
-        bath = discretize(cfg, 100)
+        # the gapped census config: P = 66 at t_max = 50; three terms fewer
+        # leave dropped terms summing to 1.1e-13, above the stated 1e-13
+        bath = discretize(_gapped_config(), 100)
         grid = TimeGrid(50.0, 500)
         exact_greens(bath, grid)
         order = oracle._chebyshev_order
         monkeypatch.setattr(oracle, "_chebyshev_order", lambda w: order(w) - 3)
-        with pytest.raises(SolverError, match="phases is truncated"):
+        with pytest.raises(SolverError, match="phases is truncated in time"):
+            exact_greens(bath, grid)
+
+    def test_truncated_energy_expansion_fails_loudly(self, monkeypatch):
+        # same config: M = 106 terms in energy, for the width 2 R tau. Four
+        # fewer, with P kept, leave dropped terms summing to 1.7e-13 at
+        # t = t_max (three fewer: 5.8e-14)
+        bath = discretize(_gapped_config(), 100)
+        grid = TimeGrid(50.0, 500)
+        half_width = oracle._spectral_interval(bath)[1] * 25.0
+        order = oracle._chebyshev_order
+        assert order(2.0 * half_width) == 106
+        monkeypatch.setattr(
+            oracle, "_chebyshev_order",
+            lambda w: order(w) - (4 if w > 1.5 * half_width else 0),
+        )
+        with pytest.raises(SolverError, match="phases is truncated in energy"):
             exact_greens(bath, grid)
 
     @pytest.mark.parametrize("width", [0.0, 1e-9, 0.3, 3.0, 27.0, 100.0, 600.0])
@@ -299,6 +327,47 @@ class TestExactGreens:
         oracle = exact_greens(discretize(cfg, 400), grid)
         assert np.max(np.abs(sol.u_seq - oracle.u_seq)) < 5e-3
         assert np.max(np.abs(sol.v_seq - oracle.v_seq)) < 5e-3
+
+
+class TestSpectralInterval:
+    @pytest.mark.parametrize(
+        "seed,regime",
+        enumerate(["bound_states", "complex_g", "zero_temperature"]),
+    )
+    def test_holds_every_eigenvalue(self, seed, regime):
+        rng = np.random.default_rng(700 + seed)
+        for i in range(6):
+            if regime == "bound_states":
+                # strong g splits the levels out of a narrow band
+                cfg = make_config(
+                    eps1=rng.uniform(1.5, 2.5), eps2=rng.uniform(1.5, 2.5),
+                    g=rng.uniform(0.8, 1.5), gamma=rng.uniform(0.2, 1.0),
+                    d=1.0, kind=SpectralKind.CUTOFF_LORENTZIAN, cutoff=0.5,
+                )
+            else:
+                kind = (SpectralKind.LORENTZIAN, SpectralKind.CUTOFF_LORENTZIAN)[i % 2]
+                cfg = _random_oracle_config(rng, kind, regime)
+            bath = discretize(cfg, 60)
+            evals = np.linalg.eigvalsh(hamiltonian(bath))
+            centre, half = oracle._spectral_interval(bath)
+            assert np.all(np.abs(evals - centre) <= half)
+            if regime == "bound_states":
+                outside = np.abs(evals - cfg.left.mu) > cfg.left.cutoff
+                assert np.count_nonzero(outside) == 2
+
+    def test_uncoupled_lead_does_not_widen(self):
+        # the right lead's modes sit far above, with no dot weight: they
+        # stay out of the interval and the oracle still matches
+        near = discretize(make_config(gamma_r=0.0, mu_r=2.0), 60)
+        far = discretize(make_config(gamma_r=0.0, mu_r=60.0), 60)
+        centre, half = oracle._spectral_interval(far)
+        assert (centre, half) == oracle._spectral_interval(near)
+        assert far.energies[1].min() > centre + half + 20.0
+        grid = TimeGrid(5.0, 100)
+        sol = exact_greens(far, grid)
+        ref = batched_exact_greens(far, grid)
+        assert np.max(np.abs(sol.u_seq - ref.u_seq)) < 1e-12
+        assert np.max(np.abs(sol.v_seq - ref.v_seq)) < 1e-12
 
 
 class TestLocalizedEigenstates:
@@ -335,7 +404,7 @@ class TestLocalizedEigenstates:
             d=1.0,
         )
         bath = discretize(cfg, 300)
-        evals, q = np.linalg.eigh(bath.hamiltonian())
+        evals, q = np.linalg.eigh(hamiltonian(bath))
         weights = np.abs(q[0, :]) ** 2 + np.abs(q[1, :]) ** 2
         picks = weights > 0.5
         states = localized_eigenstates(bath)
