@@ -12,7 +12,6 @@ import argparse
 import itertools
 import math
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple
 
@@ -464,15 +463,15 @@ def run_evolution(exp: ExperimentConfig) -> list:
     u_norms = sol.u_norm.tolist()
     tr_v = np.trace(sol.v_seq, axis1=1, axis2=2).real.tolist()
     rows = []
-    for i, t in enumerate(exp.grid.times.tolist()):
+    steps = zip(exp.grid.times.tolist(), sol.u_seq, sol.v_seq, tr_v, u_norms)
+    for i, (t, u, v, tr, u_norm) in enumerate(steps):
         try:
-            coeffs = propagator_coefficients(sol.u_seq[i], sol.v_seq[i])
-            rho_t = evolve_density(exp.initial, coeffs)
+            rho_t = evolve_density(exp.initial, propagator_coefficients(u, v))
             eof = fermionic_eof(rho_t)
         except (SolverError, InvariantViolation) as exc:
             raise type(exc)(f"evolve step {i} (t = {_fmt(t)}): {exc}") from exc
         n1, n2 = rho_t.occupations()
-        rows.append((t, eof.value, tr_v[i], n1, n2, u_norms[i], rho_t.purity()))
+        rows.append((t, eof.value, tr, n1, n2, u_norm, rho_t.purity()))
     _emit(
         exp.output_path,
         exp.raw_items,
@@ -501,6 +500,8 @@ def run_sweep(exp: ExperimentConfig, workers: int = 1) -> list:
     axis_cols = [f"axis{i + 1}" for i in range(len(exp.axes))]
 
     if workers > 1:
+        # imported here: only a parallel sweep pays for the process pool
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_steady_point, tasks, chunksize=8))
     else:

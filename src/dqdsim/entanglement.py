@@ -45,7 +45,7 @@ def fermionic_eof(rho: DensityBlocks) -> EofResult:
     r1, r2 = rho._e1, rho._e2
     lam1, k1 = _lambda_k(r1)
     lam2, k2 = _lambda_k(r2)
-    value = -0.5 * (trace_e(r1).real * k1 + trace_e(r2).real * k2)
+    value = -0.5 * ((r1[0] + r1[3]).real * k1 + (r2[0] + r2[3]).real * k2)
     value = _checked_value(value)
     return EofResult(value=value, lam=(lam1, lam2), k_terms=(k1, k2))
 

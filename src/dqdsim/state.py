@@ -7,8 +7,9 @@ the complete state. Evolution needs only (U, V) through four coefficient
 matrices.
 
 Every step works on the four entries of each 2x2 matrix as Python
-scalars, with the entry helpers of `model`; `tests/state_reference.py`
-keeps the literal matrix-product forms as the reference.
+scalars, in flat arithmetic that also runs on arrays of entries;
+`tests/state_reference.py` keeps the literal matrix-product forms as the
+reference.
 """
 
 from __future__ import annotations
@@ -21,14 +22,11 @@ import numpy as np
 from .model import (
     InvariantViolation,
     SolverError,
-    adjugate_e,
     as_mat2,
-    dagger_e,
     det_e,
     entries2,
     hermitian_eigs_e,
     matrix2,
-    mul_e,
     trace_e,
 )
 
@@ -56,23 +54,29 @@ def propagator_coefficients(u, v) -> PropagatorCoefficients:
     a valid V (0 <= V <= I) no entry of I - V exceeds 1 in size, so the
     absolute test on det(I - V) is also inv2's relative one.
     """
-    u = entries2(u)
-    v00, v01, v10, v11 = entries2(v)
-    one_minus_v = (1.0 - v00, -v01, -v10, 1.0 - v11)
-    det_w_inv = det_e(one_minus_v)
-    if abs(det_w_inv) < 1e-14:
+    v = entries2(v)
+    a = (1.0 - v[0]) * (1.0 - v[3]) - v[1] * v[2]
+    if abs(a) < 1e-14:
         raise SolverError(
             "I - V is singular (occupation reached 1); coefficients undefined"
         )
-    w = tuple(x / det_w_inv for x in adjugate_e(one_minus_v))
-    j1 = mul_e(w, u)
-    j3 = mul_e(dagger_e(u), j1)
-    return PropagatorCoefficients(
-        j1=j1,
-        j2=(w[0] - 1.0, w[1], w[2], w[3] - 1.0),
-        j3=(j3[0] - 1.0, j3[1], j3[2], j3[3] - 1.0),
-        a=complex(det_w_inv),
-    )
+    return PropagatorCoefficients(*_coefficients_e(entries2(u), v, a), a)
+
+
+def _coefficients_e(u, v, a) -> tuple:
+    """(J1, J2, J3) from the entries of U, V and A = det(I - V): no branch
+    or check, so the same code runs on scalars or on arrays of entries."""
+    u00, u01, u10, u11 = u
+    v00, v01, v10, v11 = v
+    # W = adj(I - V) / A, J1 = W U and J3 = U^dag J1 - I, with c = conj(U)
+    w00, w01, w10, w11 = (1.0 - v11) / a, v01 / a, v10 / a, (1.0 - v00) / a
+    j00, j01 = w00 * u00 + w01 * u10, w00 * u01 + w01 * u11
+    j10, j11 = w10 * u00 + w11 * u10, w10 * u01 + w11 * u11
+    c00, c01 = u00.conjugate(), u01.conjugate()
+    c10, c11 = u10.conjugate(), u11.conjugate()
+    j3 = (c00 * j00 + c10 * j10 - 1.0, c00 * j01 + c10 * j11,
+          c01 * j00 + c11 * j10, c01 * j01 + c11 * j11 - 1.0)
+    return (j00, j01, j10, j11), (w00 - 1.0, w01, w10, w11 - 1.0), j3
 
 
 def _check_block(name, x):
@@ -133,7 +137,7 @@ class DensityBlocks:
 
     @property
     def total_trace(self) -> float:
-        return trace_e(self._e1).real + trace_e(self._e2).real
+        return (self._e1[0] + self._e1[3]).real + (self._e2[0] + self._e2[3]).real
 
     def occupations(self):
         """Mean occupation of each mode (single + double contributions)."""
@@ -142,8 +146,10 @@ class DensityBlocks:
 
     def purity(self) -> float:
         """Tr rho^2 of the block-diagonal four-level state."""
-        r1, r2 = self._e1, self._e2
-        return trace_e(mul_e(r1, r1)).real + trace_e(mul_e(r2, r2)).real
+        a, b, c, d = self._e1
+        e, f, g, h = self._e2
+        return ((a * a + b * c) + (c * b + d * d)).real + (
+            (e * e + f * g) + (g * f + h * h)).real
 
     @classmethod
     def vacuum(cls) -> "DensityBlocks":
@@ -183,30 +189,43 @@ def evolve_density(
     transposes is where sign errors hide, so the literal matrix form stays
     in the tests as the reference. The identity coefficients (I, 0, 0, 1)
     return the input unchanged.
-    """
-    j1, j2, j3, a = coeffs.j1, coeffs.j2, coeffs.j3, coeffs.a
-    p_vac, x01, x10, p_dbl = rho0._e1
-    r2 = rho0._e2
 
-    det_j1 = det_e(j1)
-    s3 = adjugate_e(j3)  # sigma_y J3^T sigma_y
+    The reference's tr(K r2) - p_dbl tr(K adj J3), K = J1^dag adj(J2) J1,
+    needs no K: with m2 = r2 - p_dbl adj(J3) and n2 = J1 m2 J1^dag, the
+    cyclic trace makes it tr(K m2) = tr(adj(J2) n2), and rho2 needs n2.
+    """
+    return DensityBlocks._of_entries(*_propagate_e(
+        coeffs.j1, coeffs.j2, coeffs.j3, coeffs.a, rho0._e1, rho0._e2))
+
+
+def _propagate_e(j1, j2, j3, a, r1, r2) -> tuple:
+    """The entries (rho1, rho2) of `evolve_density`: no branch or check, so
+    the same code runs on scalars or on arrays of entries."""
+    p_vac, x01, x10, p_dbl = r1
+    r00, r01, r10, r11 = r2
+    e00, e01, e10, e11 = j1
+    f00, f01, f10, f11 = j2
+    g00, g01, g10, g11 = j3
+    det_j1 = e00 * e11 - e01 * e10
+    tr_r2_j3 = (r00 * g00 + r01 * g10) + (r10 * g01 + r11 * g11)
     # rho1[0, 0] / A; the same factor multiplies J2 in rho2 and det J2 below
-    c = p_vac + (p_dbl * det_e(j3) - trace_e(mul_e(r2, j3)))
-    # tr(sy J2^T sy J1 X J1^dag) = tr(K X) with K = J1^dag adj(J2) J1
-    k = mul_e(dagger_e(j1), mul_e(adjugate_e(j2), j1))
-    scalar = (
-        trace_e(mul_e(k, r2)) - p_dbl * trace_e(mul_e(k, s3)) + c * det_e(j2)
-    )
-    rho1 = (
-        a * c,
-        a * (x01 * det_j1.conjugate()),
-        a * (det_j1 * x10),
-        a * (det_j1 * det_j1.conjugate() * p_dbl + scalar),
-    )
-    m2 = tuple(x - p_dbl * y for x, y in zip(r2, s3))
-    n2 = mul_e(mul_e(j1, m2), dagger_e(j1))
-    rho2 = tuple(a * (x + c * y) for x, y in zip(n2, j2))
-    return DensityBlocks._of_entries(rho1, rho2)
+    c = p_vac + (p_dbl * (g00 * g11 - g01 * g10) - tr_r2_j3)
+    # m2 = r2 - p_dbl adj(J3), q = J1 m2, n2 = q J1^dag; scalar has tr(adj(J2) n2)
+    m00, m01 = r00 - p_dbl * g11, r01 + p_dbl * g01
+    m10, m11 = r10 + p_dbl * g10, r11 - p_dbl * g00
+    q00, q01 = e00 * m00 + e01 * m10, e00 * m01 + e01 * m11
+    q10, q11 = e10 * m00 + e11 * m10, e10 * m01 + e11 * m11
+    h00, h01 = e00.conjugate(), e01.conjugate()
+    h10, h11 = e10.conjugate(), e11.conjugate()
+    n00, n01 = q00 * h00 + q01 * h01, q00 * h10 + q01 * h11
+    n10, n11 = q10 * h00 + q11 * h01, q10 * h10 + q11 * h11
+    det_j2 = f00 * f11 - f01 * f10
+    scalar = (f11 * n00 - f01 * n10) + (f00 * n11 - f10 * n01) + c * det_j2
+    rho1 = (a * c, a * (x01 * det_j1.conjugate()), a * (det_j1 * x10),
+            a * (det_j1 * det_j1.conjugate() * p_dbl + scalar))
+    rho2 = (a * (n00 + c * f00), a * (n01 + c * f01),
+            a * (n10 + c * f10), a * (n11 + c * f11))
+    return rho1, rho2
 
 
 def steady_state_density(v_s) -> DensityBlocks:

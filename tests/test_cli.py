@@ -719,6 +719,19 @@ class TestConsoleScript:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
 
+    def test_import_skips_process_pool(self):
+        # only a sweep with --workers > 1 loads the process pool
+        code = (
+            "import sys, dqdsim.cli;"
+            " print('concurrent.futures.process' in sys.modules)"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            env=_src_env(),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
+
     def test_commands_run_without_scipy(self, tmp_path):
         # with scipy blocked, every closed form still runs: E1 in the kernel
         # tables and the wide band, digamma in the steady states, the root

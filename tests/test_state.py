@@ -9,9 +9,11 @@ from dqdsim.greens import (
     pole_expansion_lorentzian,
     solve,
 )
-from dqdsim.model import InvariantViolation, SolverError, matrix2
+from dqdsim.model import InvariantViolation, SolverError, det_e, matrix2
 from dqdsim.state import (
     DensityBlocks,
+    _coefficients_e,
+    _propagate_e,
     evolve_density,
     propagator_coefficients,
     steady_state_density,
@@ -249,6 +251,32 @@ class TestClosedFormAgainstReference:
         for rho in self.initial_states(rng):
             _assert_matches_reference(np.eye(2), np.zeros((2, 2)), rho)
             _assert_matches_reference(np.zeros((2, 2)), 0.5 * np.eye(2), rho)
+
+
+class TestEntryArrays:
+    """The propagation algebra runs unchanged on arrays of entries: an `if`
+    or a `math` call on an array would raise, so matching proves neither is
+    there."""
+
+    def test_pole_trajectory_matches_scalar_steps(self, rng):
+        cfg = make_config(g=0.4 + 0.3j, eps2=2.5, mu_r=1.5, d=1.5)
+        grid = TimeGrid(10.0, 200)
+        u_seq = pole_expansion_lorentzian(cfg).reconstruct(grid.times)
+        v_seq = compute_fluctuation(u_seq, cfg, grid)
+        rho = random_density(rng)
+
+        u = tuple(u_seq.reshape(-1, 4).T)
+        v = tuple(v_seq.reshape(-1, 4).T)
+        a = det_e((1.0 - v[0], -v[1], -v[2], 1.0 - v[3]))
+        j1, j2, j3 = _coefficients_e(u, v, a)
+        rho1, rho2 = _propagate_e(j1, j2, j3, a, rho._e1, rho._e2)
+
+        for k in range(grid.n_steps + 1):
+            coeffs = propagator_coefficients(u_seq[k], v_seq[k])
+            out = evolve_density(rho, coeffs)
+            got = [a[k]] + [x[k] for x in (*j1, *j2, *j3, *rho1, *rho2)]
+            want = [coeffs.a, *coeffs.j1, *coeffs.j2, *coeffs.j3, *out._e1, *out._e2]
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
 
 
 def _psd_block(rng, lam, mu):
