@@ -6,10 +6,9 @@ from .boundstate import (
     RelaxationClass,
     RelaxationKind,
     classify_relaxation,
-    criterion,
     find_bound_states,
 )
-from .entanglement import EofResult, fermionic_eof, steady_state_eof
+from .entanglement import fermionic_eof, steady_state_eof
 from .greens import (
     GreensSolution,
     PoleExpansion,
@@ -47,7 +46,6 @@ from .state import (
     PropagatorCoefficients,
     evolve_density,
     propagator_coefficients,
-    steady_state_density,
 )
 
 __version__ = "0.1.0"
@@ -57,7 +55,6 @@ __all__ = [
     "ConfigError",
     "DensityBlocks",
     "DiscretizedBath",
-    "EofResult",
     "GreensSolution",
     "InvariantViolation",
     "KernelTable",
@@ -76,7 +73,6 @@ __all__ = [
     "build_kernel_table",
     "classify_relaxation",
     "compute_fluctuation",
-    "criterion",
     "discretize",
     "evolve_density",
     "exact_greens",
@@ -90,7 +86,6 @@ __all__ = [
     "propagator_coefficients",
     "solve",
     "solve_dyson",
-    "steady_state_density",
     "steady_state_eof",
     "steady_state_fluctuation",
     "wbl_greens",

@@ -99,18 +99,6 @@ def _branches(config: ModelConfig, omega):
     return mean - half, mean + half
 
 
-def criterion(config: ModelConfig, omega: float) -> float:
-    """det[wI - M - Sigma(w)] = lambda_- lambda_+ where the spectral density vanishes.
-
-    Sigma is real there, so the determinant is real. A spectrum without a
-    gap, or evaluation inside any lead's band, is rejected (the
-    determinant would be complex).
-    """
-    _band_intervals(config)
-    lam_lo, lam_hi = _branches(config, float(omega))
-    return float(lam_lo * lam_hi)
-
-
 def _slopes(config: ModelConfig, omega: float) -> np.ndarray:
     """f_l' = 1 - Sigma_l'(w) of _diagonal, in closed form out of band.
 
@@ -175,7 +163,7 @@ def _branch_root(branch, lo, f_lo, hi, f_hi):
 
 
 def find_bound_states(config: ModelConfig) -> list:
-    """All effective real roots of the criterion outside the bands.
+    """All effective real roots of det[wI - M - Sigma(w)] outside the bands.
 
     In each gap between the merged bands both branches lambda_-/+ rise
     with slope >= 1, so each crosses zero at most once there: one

@@ -23,6 +23,7 @@ from .greens import (
     GreensSolution,
     TimeGrid,
     _bm_stationary,
+    _require_damping,
     bm_fluctuation,
     compute_fluctuation,
     pole_expansion_lorentzian,
@@ -40,9 +41,10 @@ from .model import (
     SolverError,
     SpectralKind,
     SystemParams,
+    hermitian_part,
     max_singular_e,
 )
-from .oracle import _check_recurrence, discretize, exact_greens
+from .oracle import discretize, exact_greens
 from .state import DensityBlocks, evolve_density, propagator_coefficients
 
 # name -> the DensityBlocks it starts from; "explicit" reads [initial] rho*.
@@ -362,12 +364,19 @@ def _late_time_steady(model: ModelConfig, grid):
     window = v[start:]
     v_s = window.mean(axis=0)
     spread = float(np.max(np.abs(window - v_s[None]).std(axis=0)))
-    return 0.5 * (v_s + v_s.conj().T), spread
+    return hermitian_part(v_s), spread
 
 
 def _pole_solution(model: ModelConfig, grid: TimeGrid) -> GreensSolution:
     u = pole_expansion_lorentzian(model).reconstruct(grid.times)
     return GreensSolution(grid, u, compute_fluctuation(u, model, grid))
+
+
+def _bm_steady(model: ModelConfig, grid):
+    """The Born-Markov V^s, bm_fluctuation's X; undefined with no lead coupled."""
+    x = _bm_stationary(model)[1]
+    _require_damping(model)
+    return x, 0.0
 
 
 class _Method(NamedTuple):
@@ -388,7 +397,7 @@ _METHODS = {
         lambda model, grid: GreensSolution(
             grid, wbl_greens(model, grid).u_seq, bm_fluctuation(model, grid)[0]
         ),
-        lambda model, grid: (_bm_stationary(model)[1], 0.0),
+        _bm_steady,
     ),
     "pole": _Method(
         _pole_solution,
@@ -402,14 +411,14 @@ SOLVER_METHODS = tuple(_METHODS)
 
 
 def _steady_point(args):
-    """Worker: one sweep grid point -> (index, row values)."""
+    """Worker: one sweep grid point -> its row values."""
     idx, model, method, grid, axis_values = args
     try:
         v_s, spread = _METHODS[method].steady(model, grid)
         eof = steady_state_eof(v_s)
     except (SolverError, InvariantViolation) as exc:
         raise type(exc)(f"{_point_label(idx, axis_values)}: {exc}") from exc
-    row = list(axis_values) + [
+    return list(axis_values) + [
         eof,
         v_s[0, 0].real,
         v_s[1, 1].real,
@@ -417,7 +426,6 @@ def _steady_point(args):
         v_s[0, 1].imag,
         spread,
     ]
-    return idx, row
 
 
 def _point_label(idx, axis_values) -> str:
@@ -471,7 +479,7 @@ def run_evolution(exp: ExperimentConfig) -> list:
         except (SolverError, InvariantViolation) as exc:
             raise type(exc)(f"evolve step {i} (t = {_fmt(t)}): {exc}") from exc
         n1, n2 = rho_t.occupations()
-        rows.append((t, eof.value, tr, n1, n2, u_norm, rho_t.purity()))
+        rows.append((t, eof, tr, n1, n2, u_norm, rho_t.purity()))
     _emit(
         exp.output_path,
         exp.raw_items,
@@ -503,11 +511,10 @@ def run_sweep(exp: ExperimentConfig, workers: int = 1) -> list:
         # imported here: only a parallel sweep pays for the process pool
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_steady_point, tasks, chunksize=8))
+            # map yields the rows in task order
+            rows = list(pool.map(_steady_point, tasks, chunksize=8))
     else:
-        results = [_steady_point(t) for t in tasks]
-    results.sort(key=lambda pair: pair[0])
-    rows = [row for _, row in results]
+        rows = [_steady_point(t) for t in tasks]
     _emit(
         exp.output_path,
         exp.raw_items,
@@ -546,11 +553,9 @@ def run_verify(exp: ExperimentConfig) -> dict:
     if exp.grid is None:
         raise ConfigError("verify needs a [grid] section")
     k = exp.oracle_modes
-    # a config the oracle rejects fails before the solver runs
-    bath = discretize(exp.model, k)
-    _check_recurrence(bath, exp.grid.t_max)
+    # the oracle runs first, so a config it rejects fails before the solver
+    ex = exact_greens(discretize(exp.model, k), exp.grid)
     sol = _METHODS[exp.method].evolve(exp.model, exp.grid)
-    ex = exact_greens(bath, exp.grid)
     du = float(np.max(np.abs(sol.u_seq - ex.u_seq)))
     dv = float(np.max(np.abs(sol.v_seq - ex.v_seq)))
     report = {

@@ -29,6 +29,7 @@ from .model import (
     entries2,
     gamma_matrix,
     hermitian_eigs_e,
+    hermitian_part,
     inv2,
     max_singular_e,
 )
@@ -95,7 +96,7 @@ def _check_solution(grid, u_seq, v_seq) -> np.ndarray:
         raise InvariantViolation("U(0) != identity")
     if not np.allclose(v[0], 0.0, atol=1e-13, rtol=0.0):
         raise InvariantViolation("V(0) != 0")
-    herm_err = np.max(np.abs(v - np.conj(np.transpose(v, (0, 2, 1)))))
+    herm_err = np.max(np.abs(v - dagger(v)))
     if herm_err > HERMITICITY_TOL:
         raise InvariantViolation(f"V(t) not Hermitian: max deviation {herm_err:.3e}")
     # the 2x2 spectra in closed form, on the entries of the whole grid
@@ -147,18 +148,13 @@ class PoleExpansion:
             )
 
     def reconstruct(self, times) -> np.ndarray:
-        """Evaluate sum_j Z_j exp(-i r_j t) on an array of times."""
+        """Evaluate sum_j Z_j exp(-i r_j t) on an array of times; U(0) = I
+        exactly, where the residue sum carries rounding."""
         t = np.asarray(times, dtype=float)
         phases = np.exp(-1j * np.outer(t, self.poles))
-        return np.einsum("tj,jab->tab", phases, np.stack(self.residues))
-
-
-def _memory_table(config: ModelConfig, grid: TimeGrid, include_noise):
-    if config.spectral_kind is SpectralKind.WIDE_BAND:
-        raise ConfigError(
-            "the wide-band memory kernel is a delta function; use wbl_greens"
-        )
-    return build_kernel_table(config, grid.times, include_noise=include_noise)
+        u = np.einsum("tj,jab->tab", phases, np.stack(self.residues))
+        u[t.ravel() == 0.0] = IDENTITY2
+        return u
 
 
 def solve_dyson(config: ModelConfig, grid: TimeGrid) -> np.ndarray:
@@ -182,7 +178,7 @@ def solve_dyson(config: ModelConfig, grid: TimeGrid) -> np.ndarray:
     build up along an undamped mode, and only the O(dt^2) memory lags go
     through the FFT product.
     """
-    table = _memory_table(config, grid, include_noise=False)
+    table = build_kernel_table(config, grid.times, include_noise=False)
     n = grid.n_steps
     dt = grid.dt
     mem = table.memory  # (n+1, 2) per-lead diagonal samples
@@ -251,7 +247,7 @@ def compute_fluctuation(u_seq, config: ModelConfig, grid: TimeGrid) -> np.ndarra
     form. The discrete quadratic form inherits positivity from the noise
     kernel, so V stays positive semidefinite to rounding.
     """
-    table = _memory_table(config, grid, include_noise=True)
+    table = build_kernel_table(config, grid.times, include_noise=True)
     g = table.noise  # (n+1, 2), diagonal kernel samples at lags >= 0
     u = np.asarray(u_seq, dtype=complex)
     dt = grid.dt
@@ -259,22 +255,22 @@ def compute_fluctuation(u_seq, config: ModelConfig, grid: TimeGrid) -> np.ndarra
     # c[n] = sum_k U_k gtilde(t_{n-k}), the kernel a diagonal matrix series
     c = _series_product(u, g, len(u))
 
-    u_dag = np.conj(np.transpose(u, (0, 2, 1)))
+    u_dag = dagger(u)
     # e[n] = gtilde(t_n) U_n^dag   (rows scaled by the kernel)
     e = g[:, :, None] * u_dag
     p = np.cumsum(e, axis=0)  # P_n = sum_{l<=n} gtilde(t_l) U_l^dag
 
     cu = np.einsum("nab,ncb->nac", c, np.conj(u))  # C_n U_n^dag
-    cu_dag = np.conj(np.transpose(cu, (0, 2, 1)))
+    cu_dag = dagger(cu)
     ugu = np.einsum("nab,b,ncb->nac", u, g[0], np.conj(u))  # U_n gtilde(0) U_n^dag
     core = np.cumsum(cu + cu_dag - ugu, axis=0)
 
-    e_dag = np.conj(np.transpose(e, (0, 2, 1)))
-    p_dag = np.conj(np.transpose(p, (0, 2, 1)))
+    e_dag = dagger(e)
+    p_dag = dagger(p)
     corner = np.diag(g[0])[None, :, :] + e + e_dag + ugu
 
-    v = dt * dt * (core - 0.5 * (p + p_dag + cu + cu_dag) + 0.25 * corner)
-    v = 0.5 * (v + np.conj(np.transpose(v, (0, 2, 1))))
+    v = hermitian_part(dt * dt * (core - 0.5 * (p + p_dag + cu + cu_dag)
+                                  + 0.25 * corner))
     v[0] = 0.0
     return v
 
@@ -389,6 +385,13 @@ def _weighted_pairs(poles, residues, config: ModelConfig, leads=(0, 1)):
     return out
 
 
+def _require_damping(config: ModelConfig) -> None:
+    """SolverError when no lead is coupled: nothing damps the dots, and no
+    steady state exists."""
+    if not any(res.gamma > 0.0 for res in config.reservoirs):
+        raise SolverError("no damping: no lead is coupled, so the steady state is undefined")
+
+
 def _steady_from_poles(poles, residues, config: ModelConfig) -> np.ndarray:
     """V^s = (1/2pi) sum_l sum_jk theta_ljk N_l(lams_j, conj(lams_k)).
 
@@ -396,15 +399,12 @@ def _steady_from_poles(poles, residues, config: ModelConfig) -> np.ndarray:
     lead being the wide band of its pseudomode, and N_l is _pair_integrals.
     With no lead coupled nothing damps the dots and SolverError is raised.
     """
-    pairs = _weighted_pairs(poles, residues, config)
-    if not pairs:
-        raise SolverError("no damping: no lead is coupled, so the steady state is undefined")
+    _require_damping(config)
     v = np.zeros((2, 2), dtype=complex)
-    for lead, lams, jj, kk, theta in pairs:
+    for lead, lams, jj, kk, theta in _weighted_pairs(poles, residues, config):
         res = config.reservoirs[lead]
         v += np.einsum("p,pab->ab", _pair_integrals(lams, jj, kk, res.mu, res.k_t), theta)
-    v = v / _TWO_PI
-    v = 0.5 * (v + dagger(v))
+    v = hermitian_part(v / _TWO_PI)
     lo, hi = hermitian_eigs_e(entries2(v))
     if lo < EIGENVALUE_FLOOR or hi > EIGENVALUE_CEIL:
         raise InvariantViolation(
@@ -495,13 +495,11 @@ def wbl_greens(config: ModelConfig, grid: TimeGrid) -> GreensSolution:
     modes = _modes(config)
     times = grid.times
     u = modes.reconstruct(times)
-    u[0] = IDENTITY2  # exact; the projector sum carries rounding noise
 
     v = np.zeros((len(times), 2, 2), dtype=complex)
     for lead, lams, jj, kk, theta in _weighted_pairs(modes.poles, modes.residues, config):
         v += _wbl_lead_fluctuation(lams, jj, kk, theta, config.reservoirs[lead], times)
-    v = 0.5 * (v + np.conj(np.transpose(v, (0, 2, 1))))
-    return GreensSolution(grid, u, v)
+    return GreensSolution(grid, u, hermitian_part(v))
 
 
 def wbl_steady_fluctuation(config: ModelConfig) -> np.ndarray:
@@ -547,7 +545,7 @@ def _bm_stationary(config: ModelConfig):
     for lead, r, jj, kk, theta in _weighted_pairs(modes.poles, modes.residues, config, sources):
         gaps = 1j * (r[jj] - np.conj(r[kk]))
         x += occ[lead] * np.einsum("p,pab->ab", 1.0 / gaps, theta)
-    return modes, 0.5 * (x + dagger(x))
+    return modes, hermitian_part(x)
 
 
 def bm_fluctuation(config: ModelConfig, grid: TimeGrid):
@@ -566,8 +564,6 @@ def bm_fluctuation(config: ModelConfig, grid: TimeGrid):
     if modes is None:
         return np.zeros((len(times), 2, 2), dtype=complex), x
     u = modes.reconstruct(times)
-    u_dag = np.conj(np.transpose(u, (0, 2, 1)))
-    v = x[None, :, :] - u @ x @ u_dag
-    v = 0.5 * (v + np.conj(np.transpose(v, (0, 2, 1))))
+    v = hermitian_part(x[None, :, :] - u @ x @ dagger(u))
     v[0] = 0.0
     return v, x

@@ -42,7 +42,13 @@ def as_mat2(m) -> np.ndarray:
 
 
 def dagger(m: np.ndarray) -> np.ndarray:
-    return m.conj().T
+    """Conjugate transpose of a matrix, or of each matrix in a stack."""
+    return np.swapaxes(m, -1, -2).conj()
+
+
+def hermitian_part(m: np.ndarray) -> np.ndarray:
+    """(m + m^dag) / 2 of a matrix or of each matrix in a stack."""
+    return 0.5 * (m + dagger(m))
 
 
 # 2x2 algebra on entry tuples (m00, m01, m10, m11). The formulas use only
@@ -82,12 +88,6 @@ def trace_e(x):
     return x[0] + x[3]
 
 
-def adjugate_e(x) -> tuple:
-    """det(x) x^-1, which also equals sigma_y x^T sigma_y."""
-    a, b, c, d = x
-    return (d, -b, -c, a)
-
-
 def hermitian_eigs_e(x) -> tuple:
     """(lambda_min, lambda_max) of the Hermitian part [[p, q], [q*, r]] of x:
     (p + r)/2 -+ sqrt(((p - r)/2)^2 + |q|^2), real."""
@@ -105,22 +105,15 @@ def max_singular_e(x):
     return hermitian_eigs_e(mul_e(dagger_e(x), x))[1] ** 0.5
 
 
-def det2(m: np.ndarray) -> complex:
-    """Determinant of a 2x2 matrix without the LAPACK round trip."""
-    return det_e(entries2(m))
-
-
-def adjugate2(m: np.ndarray) -> np.ndarray:
-    return matrix2(adjugate_e(entries2(m)))
-
-
 def inv2(m: np.ndarray) -> np.ndarray:
-    """Inverse of a 2x2 matrix; raises SolverError when singular."""
-    d = det2(m)
+    """Inverse of a 2x2 matrix, adj(m) / det(m); raises SolverError when
+    singular."""
+    a, b, c, d = entries2(m)
+    det = a * d - b * c
     scale = max(abs(m).max(), 1.0)
-    if abs(d) <= 1e-300 or abs(d) < 1e-14 * scale * scale:
-        raise SolverError(f"singular 2x2 matrix (det = {d!r})")
-    return adjugate2(m) / d
+    if abs(det) <= 1e-300 or abs(det) < 1e-14 * scale * scale:
+        raise SolverError(f"singular 2x2 matrix (det = {det!r})")
+    return matrix2((d, -b, -c, a)) / det
 
 
 def is_hermitian(m: np.ndarray, rtol: float = HERMITICITY_RTOL) -> bool:

@@ -23,6 +23,7 @@ from .model import (
     SolverError,
     SpectralKind,
     hermitian_eigs_e,
+    hermitian_part,
 )
 from .spectral import fermi_occupation, lead_density
 
@@ -373,6 +374,6 @@ def exact_greens(bath: DiscretizedBath, grid: TimeGrid) -> GreensSolution:
         v_rows = (cheb @ n_coef.reshape(-1, 4).view(float)).view(complex)
         v[s:s + rows] = v_rows.reshape(rows, 2, 2)
     u[0] = np.eye(2)  # exact; the series carries rounding noise
-    v = 0.5 * (v + np.conj(np.transpose(v, (0, 2, 1))))
+    v = hermitian_part(v)
     v[0] = 0.0
     return GreensSolution(grid, u, v)

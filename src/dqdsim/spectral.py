@@ -441,16 +441,14 @@ def build_kernel_table(config: ModelConfig, taus: np.ndarray,
     """
     taus = np.asarray(taus, dtype=float)
     _check_grid(taus)
-    tau_max = float(taus[-1])
-    memory = np.zeros((taus.size, 2), dtype=complex)
-    noise = np.zeros((taus.size, 2), dtype=complex) if include_noise else None
     kind = config.spectral_kind
     if kind is SpectralKind.WIDE_BAND:
-        if config.left.gamma == 0.0 and config.right.gamma == 0.0:
-            return KernelTable(taus, memory, noise)
         raise ConfigError(
             "wide-band kernels are Dirac deltas and are never tabulated; "
             "use the dedicated wide-band propagator instead")
+    tau_max = float(taus[-1])
+    memory = np.zeros((taus.size, 2), dtype=complex)
+    noise = np.zeros((taus.size, 2), dtype=complex) if include_noise else None
     for c, res in enumerate(config.reservoirs):
         if res.gamma == 0.0:
             continue

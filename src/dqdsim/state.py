@@ -23,11 +23,9 @@ from .model import (
     InvariantViolation,
     SolverError,
     as_mat2,
-    det_e,
     entries2,
     hermitian_eigs_e,
     matrix2,
-    trace_e,
 )
 
 TRACE_TOL = 1e-8
@@ -172,10 +170,6 @@ class DensityBlocks:
         r2 = 0.5 * np.array([[1.0, sign], [sign, 1.0]])
         return cls(np.zeros((2, 2)), r2)
 
-    @classmethod
-    def double_occupied(cls) -> "DensityBlocks":
-        return cls(np.diag([0.0, 1.0]), np.zeros((2, 2)))
-
 
 def evolve_density(
     rho0: DensityBlocks, coeffs: PropagatorCoefficients
@@ -227,16 +221,3 @@ def _propagate_e(j1, j2, j3, a, r1, r2) -> tuple:
             a * (n10 + c * f10), a * (n11 + c * f11))
     return rho1, rho2
 
-
-def steady_state_density(v_s) -> DensityBlocks:
-    """Thermalized blocks determined by the stationary fluctuation matrix.
-
-    rho1 = diag(1 + det V - tr V, det V), rho2 = V - (det V) I; the
-    vacuum/double coherence is exactly zero in the steady state.
-    """
-    v = entries2(as_mat2(v_s))
-    det_v = det_e(v).real
-    tr_v = trace_e(v).real
-    rho1 = (complex(1.0 + det_v - tr_v), 0j, 0j, complex(det_v))
-    rho2 = (v[0] - det_v, v[1], v[2], v[3] - det_v)
-    return DensityBlocks._of_entries(rho1, rho2)

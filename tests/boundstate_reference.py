@@ -8,6 +8,8 @@ eigenvalue branch per gap instead; tests check it against this scan.
 
 `branch_roots_brentq` is that per-branch bracket polished by scipy's
 brentq, the reference for the library's safeguarded Newton search.
+`criterion` is the determinant at one out-of-band point, from the
+library's two eigenvalue branches.
 """
 
 from __future__ import annotations
@@ -152,3 +154,15 @@ def branch_roots_brentq(config: ModelConfig) -> list:
             if branch(lo) < 0.0 < branch(hi):
                 roots.append(brentq(branch, lo, hi, xtol=ROOT_XTOL))
     return sorted(roots)
+
+
+def criterion(config: ModelConfig, omega: float) -> float:
+    """det[wI - M - Sigma(w)] = lambda_- lambda_+ where the spectral density vanishes.
+
+    Sigma is real there, so the determinant is real. A spectrum without a
+    gap, or evaluation inside any lead's band, is rejected (the
+    determinant would be complex).
+    """
+    _band_intervals(config)
+    lam_lo, lam_hi = _branches(config, float(omega))
+    return float(lam_lo * lam_hi)

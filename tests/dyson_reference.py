@@ -10,8 +10,8 @@ same kernel table, a reference for the rounding of the double solves.
 
 import numpy as np
 
-from dqdsim.greens import _memory_table
 from dqdsim.model import IDENTITY2, build_hamiltonian
+from dqdsim.spectral import build_kernel_table
 
 
 def _inv2(m):
@@ -20,7 +20,7 @@ def _inv2(m):
 
 
 def direct_solve_dyson(config, grid, dtype=complex):
-    table = _memory_table(config, grid, include_noise=False)
+    table = build_kernel_table(config, grid.times, include_noise=False)
     mem = table.memory.astype(dtype)  # (n+1, 2) per-lead diagonal samples
     n = grid.n_steps
     dt = dtype(grid.dt).real

@@ -10,6 +10,10 @@ can compare them before any check; `density_blocks` applies the former
 checks to such a pair. `PropagatorCoefficients` holds J1, J2 and J3 as
 entry tuples, so the reference converts them with `entries2`/`matrix2` at
 its boundary and multiplies 2x2 arrays inside.
+
+`steady_state_density` (the blocks that V^s fixes, the reference for
+`steady_state_eof`) and `double_occupied` are the former `dqdsim.state`
+constructors, kept for the tests that start from them.
 """
 
 import numpy as np
@@ -20,13 +24,16 @@ from dqdsim.model import (
     SolverError,
     as_mat2,
     dagger,
+    det_e,
     entries2,
     matrix2,
+    trace_e,
 )
 from dqdsim.state import (
     BLOCK_HERMITICITY_TOL,
     POSITIVITY_TOL,
     TRACE_TOL,
+    DensityBlocks,
     PropagatorCoefficients,
 )
 
@@ -116,3 +123,22 @@ def evolve_density(rho0, coeffs):
     ) * j2
 
     return rho1_f, rho2_f
+
+
+def steady_state_density(v_s) -> DensityBlocks:
+    """Thermalized blocks determined by the stationary fluctuation matrix.
+
+    rho1 = diag(1 + det V - tr V, det V), rho2 = V - (det V) I; the
+    vacuum/double coherence is exactly zero in the steady state.
+    """
+    v = entries2(as_mat2(v_s))
+    det_v = det_e(v).real
+    tr_v = trace_e(v).real
+    rho1 = (complex(1.0 + det_v - tr_v), 0j, 0j, complex(det_v))
+    rho2 = (v[0] - det_v, v[1], v[2], v[3] - det_v)
+    return DensityBlocks._of_entries(rho1, rho2)
+
+
+def double_occupied() -> DensityBlocks:
+    """Both modes occupied: rho1 = diag(0, 1), rho2 = 0."""
+    return DensityBlocks(np.diag([0.0, 1.0]), np.zeros((2, 2)))

@@ -38,11 +38,11 @@ from dqdsim.state import (
     DensityBlocks,
     evolve_density,
     propagator_coefficients,
-    steady_state_density,
 )
 
 from conftest import make_config, random_density, random_steady_v
 from oracle_reference import localized_eigenstates
+from state_reference import steady_state_density
 
 BANDWIDTHS = (0.5, 1.0, 2.0, 10.0)
 
@@ -124,7 +124,7 @@ def test_criterion_03_steady_state_formulas(rng):
     for _ in range(1000):
         v_s = random_steady_v(rng)
         direct = steady_state_eof(v_s)
-        full = fermionic_eof(steady_state_density(v_s)).value
+        full = fermionic_eof(steady_state_density(v_s))
         worst = max(worst, abs(direct - full))
     ok = ok and worst <= 1e-10
     details.append(f"eof consistency worst={worst:.1e} (1000 draws)")
@@ -134,8 +134,8 @@ def test_criterion_03_steady_state_formulas(rng):
 def test_criterion_04_maximal_entanglement():
     v_star = 0.5 * np.array([[1.0, 1.0], [1.0, 1.0]])
     e_star = steady_state_eof(v_star)
-    bell_plus = fermionic_eof(DensityBlocks.bell(+1)).value
-    bell_minus = fermionic_eof(DensityBlocks.bell(-1)).value
+    bell_plus = fermionic_eof(DensityBlocks.bell(+1))
+    bell_minus = fermionic_eof(DensityBlocks.bell(-1))
     ok = (
         abs(e_star - 1.0) <= 1e-12
         and abs(bell_plus - 1.0) <= 1e-12
@@ -379,7 +379,7 @@ def test_criterion_10_invariant_suite():
                 continue
             if abs(rho_t.total_trace - 1.0) > 1e-8:
                 violations.append(f"case {case} t-index {k}: trace drift")
-            eof = fermionic_eof(rho_t).value
+            eof = fermionic_eof(rho_t)
             if not 0.0 <= eof <= 1.0:
                 violations.append(f"case {case} t-index {k}: eof {eof} out of range")
     ok = not violations

@@ -17,7 +17,6 @@ from dqdsim.boundstate import (
     _branches,
     _diagonal,
     classify_relaxation,
-    criterion,
     find_bound_states,
 )
 from dqdsim.model import (
@@ -31,6 +30,7 @@ from dqdsim.model import (
 from dqdsim.oracle import discretize
 from dqdsim.spectral import lead_density, lead_self_energy_real
 
+from boundstate_reference import criterion
 from conftest import make_config
 from oracle_reference import localized_eigenstates
 from test_acceptance import CENSUS, _census_config

@@ -380,6 +380,26 @@ class TestRowAssembly:
             np.testing.assert_allclose(row, want, rtol=0, atol=1e-12)
 
 
+class TestPoleRoute:
+    def test_near_critical_damping_starts_at_identity(self, tmp_path):
+        # d = 1 + 1e-7 sits next to the bonding orbital's exceptional point,
+        # where the four residues sum to I only to about 3e-13
+        text = (
+            BASE.replace("eps1 = 2.0", "eps1 = 2.5")
+            .replace("eps2 = 2.0", "eps2 = 2.5")
+            .replace("d = 2.0", "d = 1.0000001")
+        )
+        for method in ("pole", "exact"):
+            cfg = write_cfg(
+                tmp_path,
+                text + f"[grid]\nt_max = 10.0\nn_steps = 100\n[solver]\nmethod = {method}\n",
+            )
+            out = str(tmp_path / f"{method}.tsv")
+            assert cli.main(["evolve", "--config", cfg, "--out", out]) == 0
+            _, columns, rows = read_table(out)
+            assert rows[0][columns.index("u_norm")] == 1.0
+
+
 class TestEverySolutionIsChecked:
     @pytest.mark.parametrize(
         "method, kind, name, fake",
@@ -458,12 +478,13 @@ class TestSweep:
 
     @pytest.mark.parametrize(
         "workers, method",
-        [("1", "wbl"), ("2", "wbl"), ("1", "pole"), ("2", "pole")],
-        ids=["1", "2", "pole-1", "pole-2"],
+        [("1", "wbl"), ("2", "wbl"), ("1", "pole"), ("2", "pole"),
+         ("1", "born_markov"), ("2", "born_markov")],
+        ids=["1", "2", "pole-1", "pole-2", "born_markov-1", "born_markov-2"],
     )
     def test_failing_point_is_named(self, tmp_path, capsys, workers, method):
         # the last gamma value switches both leads off: no steady state
-        kind = "wideband" if method == "wbl" else "lorentzian"
+        kind = "lorentzian" if method == "pole" else "wideband"
         cfg = write_cfg(
             tmp_path,
             BASE.replace("kind = lorentzian", f"kind = {kind}")
@@ -545,6 +566,21 @@ class TestSweep:
         # the late-time average of a converged run is nearly flat
         assert all(r[-1] < 5e-3 for r in rows_e)
         assert all(r[-1] == 0.0 for r in rows_p)
+
+    def test_born_markov_evolve_without_coupled_lead_has_no_fluctuation(self, tmp_path):
+        # the time series stays defined: V(t) = 0 and U(t) = e^{-iMt}
+        cfg = write_cfg(
+            tmp_path,
+            BASE.replace("kind = lorentzian", "kind = wideband")
+            .replace("gamma = 0.5", "gamma = 0.0")
+            + "[grid]\nt_max = 2.0\nn_steps = 20\n[solver]\nmethod = born_markov\n",
+        )
+        out = str(tmp_path / "o")
+        assert cli.main(["evolve", "--config", cfg, "--out", out]) == 0
+        _, columns, rows = read_table(out)
+        assert len(rows) == 21
+        assert all(r[columns.index("tr_v")] == 0.0 for r in rows)
+        np.testing.assert_allclose([r[columns.index("u_norm")] for r in rows], 1.0, atol=1e-12)
 
 
 CLASSIFY_TWO_ROOT = """\
@@ -1021,7 +1057,7 @@ class TestDispatchThroughModuleNames:
             + "[sweep]\naxis1 = eps1,eps2:0.0:4.0:3\n",
         )
         assert cli.main(["sweep", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
-        self.expect(calls, _bm_stationary=3, steady_state_eof=3)
+        self.expect(calls, _bm_stationary=3, _require_damping=3, steady_state_eof=3)
 
     def test_born_markov_evolve(self, tmp_path, calls):
         cfg = write_cfg(

@@ -11,14 +11,13 @@ from dqdsim.model import (
     SolverError,
     SpectralKind,
     SystemParams,
-    adjugate2,
     as_mat2,
     build_hamiltonian,
     dagger,
-    det2,
     entries2,
     gamma_matrix,
     hermitian_eigs_e,
+    hermitian_part,
     inv2,
     is_hermitian,
     max_singular_e,
@@ -58,12 +57,17 @@ class TestBuildHamiltonian:
 
 
 class TestMat2Helpers:
-    def test_det_adjugate_inverse(self, rng):
+    def test_inverse(self, rng):
         for _ in range(50):
             m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-            assert abs(det2(m) - np.linalg.det(m)) < 1e-12
-            np.testing.assert_allclose(m @ adjugate2(m), det2(m) * np.eye(2), atol=1e-12)
             np.testing.assert_allclose(inv2(m) @ m, np.eye(2), atol=1e-12)
+
+    def test_dagger_and_hermitian_part_of_a_stack(self, rng):
+        stack = rng.normal(size=(5, 2, 2)) + 1j * rng.normal(size=(5, 2, 2))
+        for m, m_dag, h in zip(stack, dagger(stack), hermitian_part(stack)):
+            assert np.array_equal(m_dag, m.conj().T)
+            assert np.array_equal(h, 0.5 * (m + m.conj().T))
+            assert np.array_equal(dagger(m), m_dag)
 
     def test_inverse_of_singular_raises(self):
         with pytest.raises(SolverError):

