@@ -59,8 +59,6 @@ def _band_intervals(config: ModelConfig):
     bands = []
     for res in config.reservoirs:
         if res.gamma > 0.0:
-            if math.isinf(res.cutoff):
-                raise ConfigError("cutoff must be finite for bound-state analysis")
             bands.append((res.mu - res.cutoff, res.mu + res.cutoff))
     bands.sort()
     merged = []

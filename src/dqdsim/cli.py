@@ -290,12 +290,11 @@ def load_experiment(path: str) -> ExperimentConfig:
         eps2=table.get("system", "eps2"),
         g_coupling=table.get("system", "g"),
     )
-    model = ModelConfig(
-        system=system,
-        left=_reservoir_from(table, "left"),
-        right=_reservoir_from(table, "right"),
-        spectral_kind=kind,
-    )
+    left, right = _reservoir_from(table, "left"), _reservoir_from(table, "right")
+    try:
+        model = ModelConfig(system=system, left=left, right=right, spectral_kind=kind)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}")
 
     grid = None
     if table.has("grid", "t_max") or table.has("grid", "n_steps"):
@@ -348,12 +347,9 @@ def _apply_param(model: ModelConfig, name: str, value: float) -> ModelConfig:
 
 
 def _late_time_steady(model: ModelConfig, grid):
-    """Exact V^s: the average of V(t) over [0.8 t_max, t_max], and its spread.
-
-    The wide band's V^s is a closed form and reads no grid.
-    """
-    if model.spectral_kind is SpectralKind.WIDE_BAND:
-        return wbl_steady_fluctuation(model), 0.0
+    """Exact V^s: the average of V(t) over [0.8 t_max, t_max], and its spread;
+    undefined with no lead coupled."""
+    _require_damping(model)
     if grid is None:
         raise ConfigError(
             "steady state of the exact solver needs a [grid] section"

@@ -276,9 +276,8 @@ def compute_fluctuation(u_seq, config: ModelConfig, grid: TimeGrid) -> np.ndarra
 
 
 def solve(config: ModelConfig, grid: TimeGrid) -> GreensSolution:
-    """Full (U, V) solution dispatched on the spectral kind."""
-    if config.spectral_kind is SpectralKind.WIDE_BAND:
-        return wbl_greens(config, grid)
+    """Full (U, V) solution of the Volterra equation (Lorentzian or cutoff
+    spectrum; the wide band's is wbl_greens)."""
     u = solve_dyson(config, grid)
     v = compute_fluctuation(u, config, grid)
     return GreensSolution(grid, u, v)

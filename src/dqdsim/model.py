@@ -15,9 +15,6 @@ from enum import Enum
 
 import numpy as np
 
-# Tolerance for treating an energy matrix as Hermitian (relative).
-HERMITICITY_RTOL = 1e-12
-
 IDENTITY2 = np.eye(2, dtype=complex)
 
 
@@ -116,17 +113,6 @@ def inv2(m: np.ndarray) -> np.ndarray:
     return matrix2((d, -b, -c, a)) / det
 
 
-def is_hermitian(m: np.ndarray, rtol: float = HERMITICITY_RTOL) -> bool:
-    scale = max(float(np.abs(m).max()), 1.0)
-    return bool(np.abs(m - dagger(m)).max() <= rtol * scale)
-
-
-def require_hermitian(m: np.ndarray, what: str, rtol: float = HERMITICITY_RTOL) -> np.ndarray:
-    if not is_hermitian(m, rtol):
-        raise ConfigError(f"{what} must be Hermitian to relative tolerance {rtol:g}")
-    return m
-
-
 class SpectralKind(Enum):
     """Shape of the reservoir spectral density."""
 
@@ -182,7 +168,8 @@ class ReservoirParams:
         Temperature in energy units (>= 0); 0 selects the sharp Fermi step.
     cutoff : float
         Half-width of the hard band cutoff around mu (> 0, may be inf);
-        only meaningful for the cutoff-Lorentzian spectral kind.
+        only meaningful for the cutoff-Lorentzian spectral kind, which
+        needs it finite.
     """
 
     gamma: float = 1.0
@@ -213,6 +200,15 @@ class ModelConfig:
     right: ReservoirParams
     spectral_kind: SpectralKind = SpectralKind.LORENTZIAN
 
+    def __post_init__(self):
+        if self.spectral_kind is SpectralKind.CUTOFF_LORENTZIAN and not all(
+            math.isfinite(res.cutoff) for res in self.reservoirs
+        ):
+            raise ConfigError(
+                "the cutoff_lorentzian kind needs a finite cutoff (omega_cut)"
+                f" on both leads, got {self.left.cutoff!r} and {self.right.cutoff!r}"
+            )
+
     @property
     def reservoirs(self) -> tuple[ReservoirParams, ReservoirParams]:
         return (self.left, self.right)
@@ -221,8 +217,7 @@ class ModelConfig:
 def build_hamiltonian(system: SystemParams) -> np.ndarray:
     """One-particle energy matrix M = [[eps1, g], [conj(g), eps2]]."""
     g = complex(system.g_coupling)
-    m = np.array([[system.eps1, g], [np.conj(g), system.eps2]], dtype=complex)
-    return require_hermitian(m, "energy matrix")
+    return np.array([[system.eps1, g], [np.conj(g), system.eps2]], dtype=complex)
 
 
 def gamma_matrix(config: ModelConfig) -> np.ndarray:

@@ -45,15 +45,13 @@ class DiscretizedBath:
     """Star-discretized reservoirs around the two dot modes.
 
     energies, couplings, occupations: (2, K) arrays, row l for lead l;
-    couplings are real with |V_k|^2 = J(e_k) de / (2 pi). window is the
-    (lo, hi) passed to discretize, or None for each lead's default window.
+    couplings are real with |V_k|^2 = J(e_k) de / (2 pi).
     """
 
     config: ModelConfig
     energies: np.ndarray
     couplings: np.ndarray
     occupations: np.ndarray
-    window: tuple | None = None
 
     @property
     def modes_per_lead(self) -> int:
@@ -67,9 +65,8 @@ class DiscretizedBath:
 
 
 def _default_window(res, kind, modes_per_lead):
+    """The (lo, hi) window of one lead; an infinite mode count lifts the cap."""
     if kind is SpectralKind.CUTOFF_LORENTZIAN:
-        if math.isinf(res.cutoff):
-            raise ConfigError("cutoff spectra need a finite cutoff to discretize")
         return (res.mu - res.cutoff, res.mu + res.cutoff)
     d = res.bandwidth
     half = max(20.0 * d, 20.0 * res.k_t + 10.0 * d)
@@ -78,21 +75,12 @@ def _default_window(res, kind, modes_per_lead):
     return (res.mu - half, res.mu + half)
 
 
-def _lead_window(res, kind, modes_per_lead, window):
-    """The (lo, hi) window of one lead; an infinite mode count lifts the cap."""
-    if window is None:
-        window = _default_window(res, kind, modes_per_lead)
-    return float(window[0]), float(window[1])
-
-
-def discretize(
-    config: ModelConfig, modes_per_lead: int, window=None
-) -> DiscretizedBath:
+def discretize(config: ModelConfig, modes_per_lead: int) -> DiscretizedBath:
     """Uniform midpoint sampling of each lead's spectral density.
 
-    The default window covers the band (cutoff case) or ~20 bandwidths
-    around mu, capped so the discretization recurrence time stays well past
-    t = 12; pass an explicit window for longer horizons.
+    The window covers the band (cutoff case) or ~20 bandwidths around mu,
+    capped so the discretization recurrence time stays well past t = 12;
+    longer horizons need more modes, as exact_greens' recurrence check says.
     """
     if modes_per_lead < 2:
         raise ConfigError(f"modes_per_lead must be >= 2, got {modes_per_lead}")
@@ -106,15 +94,7 @@ def discretize(
     couplings = np.empty((2, modes_per_lead))
     occupations = np.empty((2, modes_per_lead))
     for lead, res in enumerate(config.reservoirs):
-        lo, hi = _lead_window(res, kind, modes_per_lead, window)
-        if not hi > lo:
-            raise ConfigError(f"empty discretization window ({lo}, {hi})")
-        if kind is SpectralKind.CUTOFF_LORENTZIAN and res.gamma > 0.0:
-            if lo > res.mu - res.cutoff or hi < res.mu + res.cutoff:
-                raise ConfigError(
-                    "discretization window must cover the full band of the"
-                    f" cutoff spectrum ({res.mu - res.cutoff}, {res.mu + res.cutoff})"
-                )
+        lo, hi = _default_window(res, kind, modes_per_lead)
         de = (hi - lo) / modes_per_lead
         mids = lo + (np.arange(modes_per_lead) + 0.5) * de
         energies[lead] = mids
@@ -127,7 +107,6 @@ def discretize(
         energies=energies,
         couplings=couplings,
         occupations=occupations,
-        window=window,
     )
 
 
@@ -145,9 +124,7 @@ def _check_recurrence(bath: DiscretizedBath, t_max: float) -> None:
         recurrence = 2.0 * math.pi / (energies[1] - energies[0])
         if t_max < recurrence:
             continue
-        lo, hi = _lead_window(
-            res, bath.config.spectral_kind, math.inf, bath.window
-        )
+        lo, hi = _default_window(res, bath.config.spectral_kind, math.inf)
         need = math.floor(t_max * (hi - lo) / (2.0 * math.pi)) + 1
         raise ConfigError(
             f"the discretized lead {lead} recurs at t = {recurrence:.4g}, within"

@@ -80,7 +80,7 @@ def lead_self_energy_real(res: ReservoirParams, kind: SpectralKind, omega):
     cut = res.cutoff
     if kind is SpectralKind.WIDE_BAND:
         out = np.zeros(w.shape)
-    elif kind is SpectralKind.LORENTZIAN or math.isinf(cut):
+    elif kind is SpectralKind.LORENTZIAN:
         out = res.gamma * d * x / (2.0 * (d * d + x * x))
     else:
         if np.any(np.abs(x) <= cut):
@@ -414,38 +414,35 @@ def _thermal_pair_table(lams, pairs, res: ReservoirParams, taus: np.ndarray,
 
 @dataclass(frozen=True)
 class KernelTable:
-    """Sampled diagonal kernels on a uniform half-grid tau >= 0.
+    """Sampled diagonal kernels on build_kernel_table's grid tau >= 0.
 
     memory[k, c] and noise[k, c] hold channel c of g(tau_k) and of the
     occupied-weighted kernel; values at negative tau follow from the
     conjugation symmetry g(-tau) = g(tau)^dagger.
     """
 
-    taus: np.ndarray
     memory: np.ndarray
     noise: np.ndarray | None
-
-    def __post_init__(self):
-        _check_grid(self.taus)
 
 
 def build_kernel_table(config: ModelConfig, taus: np.ndarray,
                        include_noise: bool = True) -> KernelTable:
     """Tabulate the memory kernels of both leads on a uniform time grid.
 
-    A Lorentzian (or infinite-cutoff) lead's memory column is closed form,
-    and its noise column is _thermal_pair_table at J's pole mu - i d, whose
-    work does not grow with the horizon. A finite cutoff takes both columns
-    from one Fourier sum over one node set on the band, of panel width
-    <= pi / (4 tau_max), and <= k_t / 2 within 14 k_t of mu.
+    A Lorentzian lead's memory column is closed form, and its noise column
+    is _thermal_pair_table at J's pole mu - i d, whose work does not grow
+    with the horizon. A cutoff lead takes both columns from one Fourier sum
+    over one node set on its band, of panel width <= pi / (4 tau_max), and
+    <= k_t / 2 within 14 k_t of mu.
     """
     taus = np.asarray(taus, dtype=float)
     _check_grid(taus)
     kind = config.spectral_kind
     if kind is SpectralKind.WIDE_BAND:
         raise ConfigError(
-            "wide-band kernels are Dirac deltas and are never tabulated; "
-            "use the dedicated wide-band propagator instead")
+            "the kernel table requires the Lorentzian or cutoff spectrum:"
+            " wide-band kernels are Dirac deltas, and the wide band's exact"
+            " solution is method wbl")
     tau_max = float(taus[-1])
     memory = np.zeros((taus.size, 2), dtype=complex)
     noise = np.zeros((taus.size, 2), dtype=complex) if include_noise else None
@@ -453,7 +450,7 @@ def build_kernel_table(config: ModelConfig, taus: np.ndarray,
         if res.gamma == 0.0:
             continue
         d, mu = res.bandwidth, res.mu
-        if kind is SpectralKind.LORENTZIAN or math.isinf(res.cutoff):
+        if kind is SpectralKind.LORENTZIAN:
             memory[:, c] = 0.5 * res.gamma * d * np.exp(-1j * mu * taus - d * taus)
             if include_noise:
                 # J = Gamma d^2 / ((w - a)(w - conj(a))) at the pseudomode
@@ -478,4 +475,4 @@ def build_kernel_table(config: ModelConfig, taus: np.ndarray,
             memory[:, c], noise[:, c] = both.T
         else:
             memory[:, c] = _fourier_sum(nodes, coefs, taus)
-    return KernelTable(taus, memory, noise)
+    return KernelTable(memory, noise)

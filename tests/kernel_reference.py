@@ -143,7 +143,7 @@ def _lead_memory_kernel(res: ReservoirParams, kind: SpectralKind, tau: float) ->
     if tau < 0.0:
         return np.conj(_lead_memory_kernel(res, kind, -tau))
     d, mu = res.bandwidth, res.mu
-    if kind is SpectralKind.LORENTZIAN or math.isinf(res.cutoff):
+    if kind is SpectralKind.LORENTZIAN:
         return 0.5 * res.gamma * d * np.exp(-1j * mu * tau - d * tau)
     cut = res.cutoff
     if tau == 0.0:
@@ -165,7 +165,7 @@ def _lead_noise_kernel(res: ReservoirParams, kind: SpectralKind, tau: float) -> 
     if tau < 0.0:
         return np.conj(_lead_noise_kernel(res, kind, -tau))
     d, mu, kt = res.bandwidth, res.mu, res.k_t
-    if kind is SpectralKind.LORENTZIAN or math.isinf(res.cutoff):
+    if kind is SpectralKind.LORENTZIAN:
         val = complex(_half_lorentzian_fourier(res, np.array([tau]))[0])
         if kt > 0.0 and tau > 0.0:
             # (n - step) is odd about x = w - mu and equals the bare Fermi

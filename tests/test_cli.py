@@ -115,6 +115,20 @@ class TestParseErrors:
         cfg = write_cfg(tmp_path, BASE + "[oracle]\ntol = inf\n")
         assert cli.load_experiment(cfg).oracle_tol == float("inf")
 
+    @pytest.mark.parametrize("command", ["evolve", "sweep", "classify", "verify"])
+    def test_cutoff_kind_needs_finite_omega_cut(self, tmp_path, capsys, command):
+        # one lead keeps the default omega_cut = inf
+        text = BASE.replace("kind = lorentzian", "kind = cutoff_lorentzian").replace(
+            "k_t = 0.5\n", "k_t = 0.5\nomega_cut = 1.5\n", 1
+        )
+        cfg = write_cfg(
+            tmp_path,
+            text + "[grid]\nt_max = 1.0\nn_steps = 10\n[sweep]\naxis1 = g:0:1:2\n",
+        )
+        assert cli.main([command, "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: {cfg}: the cutoff_lorentzian kind needs a finite cutoff" in err
+
     def test_bad_solver_method(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, BASE + "[solver]\nmethod = magic\n")
         assert cli.main(["evolve", "--config", cfg]) == 2
@@ -477,17 +491,25 @@ class TestSweep:
         )
 
     @pytest.mark.parametrize(
-        "workers, method",
-        [("1", "wbl"), ("2", "wbl"), ("1", "pole"), ("2", "pole"),
-         ("1", "born_markov"), ("2", "born_markov")],
-        ids=["1", "2", "pole-1", "pole-2", "born_markov-1", "born_markov-2"],
+        "workers, method, kind",
+        [("1", "wbl", "wideband"), ("2", "wbl", "wideband"),
+         ("1", "pole", "lorentzian"), ("2", "pole", "lorentzian"),
+         ("1", "born_markov", "wideband"), ("2", "born_markov", "wideband"),
+         ("1", "exact", "lorentzian"), ("2", "exact", "lorentzian"),
+         ("1", "exact", "cutoff_lorentzian"), ("2", "exact", "cutoff_lorentzian")],
+        ids=["1", "2", "pole-1", "pole-2", "born_markov-1", "born_markov-2",
+             "exact-1", "exact-2", "exact-cutoff-1", "exact-cutoff-2"],
     )
-    def test_failing_point_is_named(self, tmp_path, capsys, workers, method):
+    def test_failing_point_is_named(self, tmp_path, capsys, workers, method, kind):
         # the last gamma value switches both leads off: no steady state
-        kind = "lorentzian" if method == "pole" else "wideband"
+        text = BASE.replace("kind = lorentzian", f"kind = {kind}")
+        if kind == "cutoff_lorentzian":
+            text = text.replace("k_t = 0.5", "k_t = 0.5\nomega_cut = 1.5")
+        if method == "exact":
+            text += "[grid]\nt_max = 4.0\nn_steps = 80\n"
         cfg = write_cfg(
             tmp_path,
-            BASE.replace("kind = lorentzian", f"kind = {kind}")
+            text
             + f"[solver]\nmethod = {method}\n"
             + "[sweep]\naxis1 = gamma:1.0:0.0:3\naxis2 = eps1,eps2:1.0:3.0:2\n",
         )
@@ -518,21 +540,6 @@ class TestSweep:
         cfg = write_cfg(tmp_path, BASE + "[sweep]\naxis1 = g:0.5:1.0:2\n")
         assert cli.main(["sweep", "--config", cfg]) == 2
         assert "late-time average" in capsys.readouterr().err
-
-    def test_exact_wideband_steady_needs_no_grid(self, tmp_path):
-        # the wide band's exact V^s is its closed form, as for wbl
-        body = (
-            BASE.replace("kind = lorentzian", "kind = wideband")
-            + "[sweep]\naxis1 = eps1,eps2:1.0:3.0:3\n"
-        )
-        rows = {}
-        for method in ("exact", "wbl"):
-            cfg = write_cfg(tmp_path, body + f"[solver]\nmethod = {method}\n", f"{method}.cfg")
-            out = str(tmp_path / f"{method}.tsv")
-            assert cli.main(["sweep", "--config", cfg, "--out", out]) == 0
-            rows[method] = read_table(out)[2]
-        assert len(rows["exact"]) == 3
-        assert rows["exact"] == rows["wbl"]
 
     def test_born_markov_steady_ignores_grid(self, tmp_path):
         body = (
@@ -815,7 +822,7 @@ SWEEP_FIELDS = {
 
 # method -> the spectral kinds it solves; every other kind is exit 2
 METHOD_KINDS = {
-    "exact": {"lorentzian", "wideband", "cutoff_lorentzian"},
+    "exact": {"lorentzian", "cutoff_lorentzian"},
     "wbl": {"wideband"},
     "born_markov": {"wideband"},
     "pole": {"lorentzian"},
@@ -844,7 +851,11 @@ class TestMethodKindMatrix:
             assert len(rows) == (81 if command == "evolve" else 2)
         else:
             assert code == 2
-            assert "requires the" in capsys.readouterr().err
+            err = capsys.readouterr().err
+            assert "requires the" in err
+            if method == "exact":
+                # the wide band's exact solution has its own method
+                assert "method wbl" in err
 
 
 # a config that loads, with every required key set, explicit initial

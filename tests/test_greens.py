@@ -477,14 +477,6 @@ class TestComputeFluctuation:
             sol.v_seq, compute_fluctuation(sol.u_seq, cfg, grid)
         )
 
-    def test_solve_dispatches_wideband(self):
-        cfg = make_config(kind=SpectralKind.WIDE_BAND)
-        grid = TimeGrid(3.0, 120)
-        sol = solve(cfg, grid)
-        ref = wbl_greens(cfg, grid)
-        np.testing.assert_allclose(sol.u_seq, ref.u_seq, atol=1e-14)
-        np.testing.assert_allclose(sol.v_seq, ref.v_seq, atol=1e-14)
-
 
 class TestPoleExpansion:
     def test_benchmark_poles(self):

@@ -19,9 +19,7 @@ from dqdsim.model import (
     hermitian_eigs_e,
     hermitian_part,
     inv2,
-    is_hermitian,
     max_singular_e,
-    require_hermitian,
 )
 
 from conftest import make_config, random_unitary2
@@ -76,12 +74,6 @@ class TestMat2Helpers:
     def test_as_mat2_shape_check(self):
         with pytest.raises(ValueError):
             as_mat2(np.zeros((3, 3)))
-
-    def test_hermiticity_check(self):
-        assert is_hermitian(np.array([[1.0, 2j], [-2j, 3.0]]))
-        assert not is_hermitian(np.array([[1.0, 2j], [2j, 3.0]]))
-        with pytest.raises(ConfigError):
-            require_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]), "test matrix")
 
 
 def _spectra_cases(rng):
@@ -198,3 +190,14 @@ class TestModelConfig:
             right=ReservoirParams(),
         )
         assert cfg.spectral_kind is SpectralKind.LORENTZIAN
+
+    @pytest.mark.parametrize("lead", ["left", "right"])
+    def test_cutoff_kind_needs_finite_cutoff_on_both_leads(self, lead):
+        leads = {"left": ReservoirParams(cutoff=2.0), "right": ReservoirParams(cutoff=2.0)}
+        leads[lead] = ReservoirParams()  # cutoff inf
+        with pytest.raises(ConfigError, match="needs a finite cutoff"):
+            ModelConfig(
+                system=SystemParams(eps1=0.0, eps2=0.0),
+                spectral_kind=SpectralKind.CUTOFF_LORENTZIAN,
+                **leads,
+            )
