@@ -45,6 +45,7 @@ from .model import (
     max_singular_e,
 )
 from .oracle import discretize, exact_greens
+from .spectral import _require_kernel_kind
 from .state import DensityBlocks, evolve_density, propagator_coefficients
 
 # name -> the DensityBlocks it starts from; "explicit" reads [initial] rho*.
@@ -279,29 +280,30 @@ def _axis_from(table: _Table, key: str) -> SweepAxis:
     return SweepAxis(names=names, lo=lo, hi=hi, steps=steps)
 
 
+def _grid_from(table: _Table) -> TimeGrid | None:
+    if not (table.has("grid", "t_max") or table.has("grid", "n_steps")):
+        return None
+    t_max, n_steps = table.get("grid", "t_max"), table.get("grid", "n_steps")
+    try:
+        return TimeGrid(t_max=t_max, n_steps=n_steps)
+    except ConfigError as exc:
+        raise ConfigError(f"{table.path}: [grid]: {exc}")
+
+
 def load_experiment(path: str) -> ExperimentConfig:
     """Parse and validate one config file into an ExperimentConfig."""
     items = _parse_lines(path)
     table = _Table(path, items)
 
     kind = SpectralKind.from_name(table.get("spectral", "kind"))
-    system = SystemParams(
-        eps1=table.get("system", "eps1"),
-        eps2=table.get("system", "eps2"),
-        g_coupling=table.get("system", "g"),
-    )
+    eps1, eps2, g = (table.get("system", key) for key in ("eps1", "eps2", "g"))
     left, right = _reservoir_from(table, "left"), _reservoir_from(table, "right")
     try:
+        system = SystemParams(eps1=eps1, eps2=eps2, g_coupling=g)
         model = ModelConfig(system=system, left=left, right=right, spectral_kind=kind)
     except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}")
-
-    grid = None
-    if table.has("grid", "t_max") or table.has("grid", "n_steps"):
-        grid = TimeGrid(
-            t_max=table.get("grid", "t_max"),
-            n_steps=table.get("grid", "n_steps"),
-        )
+    grid = _grid_from(table)
 
     initial = _initial_from(table)
 
@@ -348,7 +350,9 @@ def _apply_param(model: ModelConfig, name: str, value: float) -> ModelConfig:
 
 def _late_time_steady(model: ModelConfig, grid):
     """Exact V^s: the average of V(t) over [0.8 t_max, t_max], and its spread;
-    undefined with no lead coupled."""
+    undefined with no lead coupled. The wide band is refused before a
+    missing grid, since no grid would let it run."""
+    _require_kernel_kind(model.spectral_kind)
     _require_damping(model)
     if grid is None:
         raise ConfigError(

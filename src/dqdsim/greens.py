@@ -439,9 +439,10 @@ def steady_state_fluctuation(
 # ---------------------------------------------------------------------------
 
 
-def _wbl_lead_fluctuation(lams, jj, kk, theta, res, times):
+def _wbl_lead_fluctuation(lams, jj, kk, theta, res, times, table):
     """One lead's contribution to V_WBL on the grid times (zero at t = 0),
-    from its weighted pairs jj, kk, theta (_weighted_pairs).
+    from its weighted pairs jj, kk, theta (_weighted_pairs) and table, which
+    maps each pair and its transpose to its _thermal_pair_table row.
 
     With a = lam_j and b = conj(lam_k), the pair integrates
     (c0 - c1 e^{iwt} - c2 e^{-iwt}) nbar(w) / ((w - a)(w - b)) over w, from
@@ -451,19 +452,11 @@ def _wbl_lead_fluctuation(lams, jj, kk, theta, res, times):
     t survives, and panels of width k_t / 2 suffice; past tau* N_jk is the
     digamma form of _pair_integrals, exact to rounding.
     """
-    keep = list(zip(jj.tolist(), kk.tolist()))
     out = np.zeros((len(times), 2, 2), dtype=complex)
-    if not keep:
-        return out
-
-    pair_set = set(keep)
-    pair_set.update((k, j) for j, k in keep)  # conj(I_kj) is used
-    pairs = sorted(pair_set)
-    table = dict(zip(pairs, _thermal_pair_table(lams, pairs, res, times, res.k_t / 2.0)))
     t = times[1:]
     near = _near_rows(times, res.k_t) - 1  # rows of t before tau*
     n_far = _pair_integrals(lams, jj, kk, res.mu, res.k_t)
-    for (j, k), theta_jk, n_jk in zip(keep, theta, n_far):
+    for j, k, theta_jk, n_jk in zip(jj.tolist(), kk.tolist(), theta, n_far):
         a, b = lams[j], np.conj(lams[k])
         c0 = 1.0 + np.exp(1j * (b - a) * t)
         c1 = np.exp(-1j * a * t)
@@ -488,6 +481,8 @@ def wbl_greens(config: ModelConfig, grid: TimeGrid) -> GreensSolution:
     closes on the conjugate mode pole and the Matsubara poles. This keeps V
     positive semidefinite to rounding, which a truncated frequency window
     cannot guarantee, and its cost flat in t_max at a fixed step count.
+    The table depends on a lead only through (mu, k_T), so leads that share
+    them share one table over the union of their pairs.
     """
     if config.spectral_kind is not SpectralKind.WIDE_BAND:
         raise ConfigError("wbl_greens requires the wide-band spectral kind")
@@ -495,9 +490,25 @@ def wbl_greens(config: ModelConfig, grid: TimeGrid) -> GreensSolution:
     times = grid.times
     u = modes.reconstruct(times)
 
+    weighted = _weighted_pairs(modes.poles, modes.residues, config)
+    # the pairs of each distinct (mu, k_t) and their transposes, since
+    # conj(I_kj) is used; every lead's lams are the same poles, and a
+    # coupled lead's c_j sum to a unit column, so it has a pair
+    pairs = {}
+    for lead, _, jj, kk, _ in weighted:
+        res = config.reservoirs[lead]
+        pairs.setdefault((res.mu, res.k_t), set()).update(
+            zip(jj.tolist(), kk.tolist()), zip(kk.tolist(), jj.tolist()))
+    tables = {}
     v = np.zeros((len(times), 2, 2), dtype=complex)
-    for lead, lams, jj, kk, theta in _weighted_pairs(modes.poles, modes.residues, config):
-        v += _wbl_lead_fluctuation(lams, jj, kk, theta, config.reservoirs[lead], times)
+    for lead, lams, jj, kk, theta in weighted:
+        res = config.reservoirs[lead]
+        key = (res.mu, res.k_t)
+        if key not in tables:
+            rows = sorted(pairs[key])
+            table = _thermal_pair_table(lams, rows, res, times, res.k_t / 2.0)
+            tables[key] = dict(zip(rows, table))
+        v += _wbl_lead_fluctuation(lams, jj, kk, theta, res, times, tables[key])
     return GreensSolution(grid, u, hermitian_part(v))
 
 

@@ -232,6 +232,22 @@ def _chebyshev_vectors(apply, start, count):
         prev, cur = cur, step if prev is None else 2.0 * step - prev
 
 
+def _chebyshev_rows(x: np.ndarray, terms: int) -> np.ndarray:
+    """T_r(x) for r < terms as a (terms, len(x)) array, by the three-term
+    recurrence T_{r+1} = 2x T_r - T_{r-1} on |x| <= 1: no phase r arccos(x)
+    is formed, whose rounding grows with r, and each row costs one product
+    and one difference."""
+    cheb = np.empty((terms, x.size))
+    cheb[0] = 1.0
+    if terms > 1:
+        cheb[1] = x
+    two_x = 2.0 * x
+    for r in range(2, terms):
+        np.multiply(two_x, cheb[r - 1], out=cheb[r])
+        cheb[r] -= cheb[r - 2]
+    return cheb
+
+
 def _dot_rows(bath: DiscretizedBath, centre: float, half: float, gamma):
     """y[k, a, p] = sum_m gamma[m, p] T_m(h~)[a, k] for h~ = (h - centre) / half.
 
@@ -294,7 +310,8 @@ def exact_greens(bath: DiscretizedBath, grid: TimeGrid) -> GreensSolution:
     with h~ = (h - c)/R (_dot_rows). U's coefficients are the dot columns
     of Y_p, and V = sum_pq T_p T_q Y_p D Y_q^dag folds by
     T_p T_q = (T_{p+q} + T_{|p-q|})/2 into sum_r T_r(x) N_r, evaluated in
-    chunks of time rows. For D modes and T times this costs
+    chunks of time rows, with T_r(x) by the three-term recurrence
+    (_chebyshev_rows). For D modes and T times this costs
     O(M D + P M D + P^2 D + T P) with no O(D^2) array: P is about R t_max / 2
     and M about twice P, and the recurrence guard holds R t_max below about
     pi K per coupled lead.
@@ -337,18 +354,18 @@ def exact_greens(bath: DiscretizedBath, grid: TimeGrid) -> GreensSolution:
     n_coef *= phases
 
     times = grid.times
-    theta = np.arccos(np.clip(times / tau - 1.0, -1.0, 1.0))
-    ranks = np.arange(2 * order - 1)
+    x = np.clip(times / tau - 1.0, -1.0, 1.0)
+    terms = 2 * order - 1
     u = np.empty((times.size, 2, 2), dtype=complex)
     v = np.empty_like(u)
-    step = max(1, spectral._CHUNK_ELEMENTS // ranks.size)
+    step = max(1, spectral._CHUNK_ELEMENTS // terms)
     for s in range(0, times.size, step):
-        cheb = np.cos(np.outer(theta[s:s + step], ranks))  # T_r(x), rows x 2P-1
-        rows = len(cheb)
+        cheb = _chebyshev_rows(x[s:s + step], terms)  # T_r(x), 2P-1 x rows
+        rows = cheb.shape[1]
         phase = np.exp(-1j * centre * times[s:s + rows])[:, None]
-        u_rows = (cheb[:, :order] @ u_coef.view(float)).view(complex)
+        u_rows = (cheb[:order].T @ u_coef.view(float)).view(complex)
         u[s:s + rows] = (phase * u_rows).reshape(rows, 2, 2)
-        v_rows = (cheb @ n_coef.reshape(-1, 4).view(float)).view(complex)
+        v_rows = (cheb.T @ n_coef.reshape(-1, 4).view(float)).view(complex)
         v[s:s + rows] = v_rows.reshape(rows, 2, 2)
     u[0] = np.eye(2)  # exact; the series carries rounding noise
     v = hermitian_part(v)

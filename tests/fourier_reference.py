@@ -13,7 +13,7 @@ work through the time grid in chunks.
 import numpy as np
 
 from dqdsim.greens import _modes, _weighted_pairs
-from dqdsim.spectral import _fermi_remainder, _halfline_pair_integrals, _osc_cap
+from dqdsim.spectral import _fermi_remainder, _halfline_pair_integrals
 
 _CHUNK_ELEMENTS = 2**19
 
@@ -63,7 +63,8 @@ def _lead_fluctuation(lams, jj, kk, theta, res, times):
         out += i_jk[:, None, None] * theta_jk
 
     if res.k_t > 0.0:
-        cap = min(res.k_t / 2.0, _osc_cap(float(times[-1])))
+        # its own panel width, pi / (4 t_max), apart from the package's
+        cap = min(res.k_t / 2.0, np.pi / (4.0 * times[-1]))
         omega, coef = _fermi_remainder(res, cap)
         used = {j for j, _ in keep} | {k for _, k in keep}
         chunk = max(1, _CHUNK_ELEMENTS // omega.size)

@@ -23,7 +23,6 @@ from dqdsim.spectral import (
     _fermi_remainder,
     _fourier_sum,
     _halfline_pair_integrals,
-    _osc_cap,
     fermi_occupation,
     lead_density,
     lead_self_energy_real,
@@ -92,7 +91,7 @@ def panel_noise_column(res: ReservoirParams, taus: np.ndarray) -> np.ndarray:
     tau_max = float(taus[-1])
     noise = np.zeros(taus.size, dtype=complex)
     d, mu = res.bandwidth, res.mu
-    base = min(d / 2.0, 0.5, _osc_cap(tau_max))
+    base = min(d / 2.0, 0.5, math.pi / (4.0 * tau_max))
     n_p, o_p = _halfline_pair_integrals([mu - 1j * d], mu, taus[1:], [(0, 0)])
     pref = res.gamma * d * d / _TWO_PI
     noise[0] = pref * np.conj(n_p[0])

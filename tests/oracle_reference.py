@@ -10,6 +10,9 @@ for small and mid-size checks.
 
 `localized_eigenstates` reads the discretized bound states off the same
 eigendecomposition, the reference for `dqdsim.boundstate`'s roots.
+
+`cos_chebyshev_rows` is the oracle's time rows T_r(x) as it formed them
+before the three-term recurrence: cos(r arccos x), one cosine per entry.
 """
 
 import numpy as np
@@ -73,3 +76,8 @@ def batched_exact_greens(bath, grid):
     v = 0.5 * (v + np.conj(np.transpose(v, (0, 2, 1))))
     v[0] = 0.0
     return GreensSolution(grid, u, v)
+
+
+def cos_chebyshev_rows(x, terms):
+    """T_r(x) = cos(r arccos x) for r < terms, as a (terms, len(x)) array."""
+    return np.cos(np.outer(np.arange(terms), np.arccos(x)))

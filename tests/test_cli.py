@@ -129,6 +129,18 @@ class TestParseErrors:
         err = capsys.readouterr().err
         assert f"config error: {cfg}: the cutoff_lorentzian kind needs a finite cutoff" in err
 
+    @pytest.mark.parametrize(
+        "old, new, fragment",
+        [("eps1 = 2.0", "eps1 = inf", ": eps1 must be finite"),
+         ("[spectral]", "[grid]\nt_max = 1e400\nn_steps = 10\n[spectral]",
+          ": [grid]: t_max must be positive and finite")],
+        ids=["system", "grid"],
+    )
+    def test_system_and_grid_refusals_name_the_file(self, tmp_path, capsys, old, new, fragment):
+        cfg = write_cfg(tmp_path, BASE.replace(old, new, 1))
+        assert cli.main(["evolve", "--config", cfg]) == 2
+        assert f"config error: {cfg}{fragment}" in capsys.readouterr().err
+
     def test_bad_solver_method(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, BASE + "[solver]\nmethod = magic\n")
         assert cli.main(["evolve", "--config", cfg]) == 2
@@ -182,6 +194,14 @@ class TestParseErrors:
         cfg = write_cfg(tmp_path, BASE)
         assert cli.main(["evolve", "--config", cfg]) == 2
         assert "needs a [grid] section" in capsys.readouterr().err
+
+    def test_exact_wide_band_sweep_names_wbl_before_the_grid(self, tmp_path, capsys):
+        # no [grid] would let exact run on the wide band, so it is not asked for
+        text = BASE.replace("kind = lorentzian", "kind = wideband")
+        cfg = write_cfg(tmp_path, text + "[solver]\nmethod = exact\n[sweep]\naxis1 = g:0:1:2\n")
+        assert cli.main(["sweep", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert "method wbl" in err and "[grid]" not in err
 
     def test_sweep_needs_axes(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, BASE + "[grid]\nt_max = 1.0\nn_steps = 10\n")

@@ -1046,6 +1046,35 @@ class TestWideBand:
             wbl_greens(cfg, TimeGrid(t_max, 800))
         assert_flat_work(work, 3)
 
+    def test_one_pair_table_per_distinct_lead(self, monkeypatch):
+        # leads that share (mu, k_T) share one table over the union of their
+        # pairs, and each lead's rows are those of its own table, bit for bit
+        tables = []
+        table = greens._thermal_pair_table
+
+        def recorded(lams, pairs, res, taus, cap):
+            tables.append((pairs, table(lams, pairs, res, taus, cap)))
+            return tables[-1][1]
+
+        monkeypatch.setattr(greens, "_thermal_pair_table", recorded)
+        grid = TimeGrid(20.0, 1000)
+        # g = 0: lead l weighs only the pole of dot l, so the union is larger
+        for g, mu_r, count in ((0.5, None, 1), (0.0, None, 1), (0.5, 1.5, 2)):
+            cfg = make_config(eps1=2.3, eps2=1.1, g=g, gamma_r=0.3, mu_r=mu_r,
+                              kind=SpectralKind.WIDE_BAND)
+            tables.clear()
+            wbl_greens(cfg, grid)
+            assert len(tables) == count
+            modes = greens._modes(cfg)
+            for lead, lams, jj, kk, _ in greens._weighted_pairs(modes.poles, modes.residues, cfg):
+                res = cfg.reservoirs[lead]
+                own = sorted({*zip(jj.tolist(), kk.tolist()), *zip(kk.tolist(), jj.tolist())})
+                alone = table(lams, own, res, grid.times, res.k_t / 2.0)
+                pairs, shared = tables[lead if count == 2 else 0]
+                assert set(own) <= set(pairs)
+                assert (len(own) < len(pairs)) == (g == 0.0)
+                np.testing.assert_array_equal(shared[[pairs.index(p) for p in own]], alone)
+
     def test_requires_wideband_kind(self):
         with pytest.raises(ConfigError):
             wbl_greens(make_config(), TimeGrid(1.0, 4))

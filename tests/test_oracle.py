@@ -13,7 +13,12 @@ from dqdsim.oracle import discretize, exact_greens
 from dqdsim.spectral import fermi_occupation, lead_density
 
 from conftest import make_config
-from oracle_reference import batched_exact_greens, hamiltonian, localized_eigenstates
+from oracle_reference import (
+    batched_exact_greens,
+    cos_chebyshev_rows,
+    hamiltonian,
+    localized_eigenstates,
+)
 
 
 def _random_oracle_config(rng, kind, regime):
@@ -305,6 +310,37 @@ class TestExactGreens:
         oracle = exact_greens(discretize(cfg, 400), grid)
         assert np.max(np.abs(sol.u_seq - oracle.u_seq)) < 5e-3
         assert np.max(np.abs(sol.v_seq - oracle.v_seq)) < 5e-3
+
+
+class TestChebyshevRows:
+    """exact_greens' time rows T_r(x), by the three-term recurrence, at the
+    2P - 1 = 133 and 1321 terms of the gapped and near-recurrence grids."""
+
+    @staticmethod
+    def _grid_x():
+        times = TimeGrid(50.0, 6000).times
+        return np.clip(times / 25.0 - 1.0, -1.0, 1.0)
+
+    @pytest.mark.parametrize("terms", [133, 1321])
+    def test_matches_cos_form(self, terms):
+        # the cos form rounds r arccos(x): a few r eps off
+        x = self._grid_x()
+        rows = oracle._chebyshev_rows(x, terms)
+        assert rows.shape == (terms, x.size) and rows.flags.c_contiguous
+        np.testing.assert_allclose(
+            rows, cos_chebyshev_rows(x, terms), rtol=0.0, atol=4.0 * terms * np.finfo(float).eps
+        )
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                        reason="long double is no wider than double here")
+    @pytest.mark.parametrize("terms", [133, 1321])
+    def test_no_less_accurate_than_cos_form(self, terms):
+        x = self._grid_x()
+        wide = x.astype(np.longdouble)
+        exact = np.cos(np.outer(np.arange(terms, dtype=np.longdouble), np.arccos(wide)))
+        recurrence = np.max(np.abs(oracle._chebyshev_rows(x, terms) - exact))
+        cosine = np.max(np.abs(cos_chebyshev_rows(x, terms) - exact))
+        assert recurrence <= cosine
 
 
 class TestSpectralInterval:

@@ -10,7 +10,7 @@ from hypothesis.extra import numpy as hnp
 from scipy import integrate, special
 
 from dqdsim import spectral
-from dqdsim.model import ConfigError, ReservoirParams, SpectralKind
+from dqdsim.model import ConfigError, ModelConfig, ReservoirParams, SpectralKind, SystemParams
 from dqdsim.spectral import (
     _digamma,
     _fourier_sum,
@@ -323,12 +323,69 @@ class TestKernelTable:
                 np.diag(noise_kernel(m, tau)), table.noise[i], rtol=0.0, atol=1e-10
             )
 
-    def test_cutoff_lead_takes_one_fourier_sum(self, monkeypatch):
-        # memory and noise columns share one node set and one sum per lead
-        m = make_config(kind=SpectralKind.CUTOFF_LORENTZIAN, cutoff=2.0, k_t=0.3)
+    def test_cutoff_table_takes_one_fourier_sum_per_distinct_lead(self, monkeypatch):
+        # memory and noise columns share one node set and one sum per lead,
+        # and a right lead equal to the left one takes none of its own
         work = count_kernel_work(monkeypatch)
-        build_kernel_table(m, np.linspace(0.0, 3.0, 7), include_noise=True)
-        assert len(work["sums"]) == 2
+        for mu_r, sums in ((None, 1), (1.5, 2)):
+            m = make_config(kind=SpectralKind.CUTOFF_LORENTZIAN, cutoff=2.0, k_t=0.3, mu_r=mu_r)
+            work["sums"].clear()
+            build_kernel_table(m, np.linspace(0.0, 3.0, 7), include_noise=True)
+            assert len(work["sums"]) == sums
+
+    def test_lorentzian_noise_takes_one_pair_table_per_distinct_lead(self, monkeypatch):
+        calls = []
+        table = spectral._thermal_pair_table
+
+        def counted(lams, pairs, res, taus, cap):
+            calls.append(res)
+            return table(lams, pairs, res, taus, cap)
+
+        monkeypatch.setattr(spectral, "_thermal_pair_table", counted)
+        for mu_r, tables in ((None, 1), (1.5, 2)):
+            calls.clear()
+            build_kernel_table(make_config(mu_r=mu_r), np.linspace(0.0, 3.0, 7))
+            assert len(calls) == tables
+
+    @pytest.mark.parametrize("kind", [SpectralKind.LORENTZIAN, SpectralKind.CUTOFF_LORENTZIAN])
+    def test_shared_columns_equal_the_lone_build(self, kind):
+        # the right lead's copied columns are those it gets with the left
+        # lead switched off, built on its own, bit for bit
+        taus = np.linspace(0.0, 20.0, 801)
+        shared = build_kernel_table(make_config(kind=kind, cutoff=1.5), taus)
+        alone = build_kernel_table(make_config(kind=kind, cutoff=1.5, gamma=0.0, gamma_r=0.5), taus)
+        assert not np.any(alone.memory[:, 0])
+        np.testing.assert_array_equal(shared.memory[:, 1], alone.memory[:, 1])
+        np.testing.assert_array_equal(shared.noise[:, 1], alone.noise[:, 1])
+        np.testing.assert_array_equal(shared.memory[:, 0], shared.memory[:, 1])
+
+
+class TestCutoffPanelWidth:
+    """A cutoff lead's panels let e^{-i w tau_max} turn by pi: the table
+    agrees with one built on panels 16 times finer."""
+
+    def test_matches_panels_sixteen_times_finer(self, monkeypatch):
+        rng = np.random.default_rng(24)
+        cap = spectral._osc_cap
+        for i, cut in enumerate(np.linspace(0.3, 5.0, 25)):
+            k_t = 0.0 if i % 3 == 0 else float(rng.uniform(0.01, 2.0))
+            t_max = 10.0 * 20.0 ** (i / 24)
+            leads = [
+                ReservoirParams(gamma=float(rng.uniform(0.1, 1.0)),
+                                bandwidth=float(rng.uniform(0.2, 3.0)),
+                                mu=float(rng.uniform(-2.0, 2.0)), k_t=k_t, cutoff=c)
+                for c in (float(cut), float(rng.uniform(0.3, 5.0)))
+            ]
+            m = ModelConfig(SystemParams(1.0, 0.5, 0.3), *leads,
+                            spectral_kind=SpectralKind.CUTOFF_LORENTZIAN)
+            taus = np.linspace(0.0, t_max, 201)
+            coarse = build_kernel_table(m, taus)
+            monkeypatch.setattr(spectral, "_osc_cap", lambda tau_max: cap(tau_max) / 16.0)
+            fine = build_kernel_table(m, taus)
+            monkeypatch.setattr(spectral, "_osc_cap", cap)
+            for a, b in ((coarse.memory, fine.memory), (coarse.noise, fine.noise)):
+                err = np.max(np.abs(a - b), axis=0)
+                assert np.all(err <= 1e-14 * np.max(np.abs(b), axis=0)), (i, err)
 
 class TestLorentzianSeaColumn:
     """A Lorentzian lead's zero-temperature noise column is the wide band's
