@@ -218,15 +218,11 @@ class _Table:
 
 
 def _reservoir_from(table: _Table, section: str) -> ReservoirParams:
-    cut = table.get(section, "omega_cut")
+    # read before the try: a parse error already names the file and key
+    gamma, d, mu, k_t, cut = (table.get(section, key)
+                              for key in ("gamma", "d", "mu", "k_t", "omega_cut"))
     try:
-        return ReservoirParams(
-            gamma=table.get(section, "gamma"),
-            bandwidth=table.get(section, "d"),
-            mu=table.get(section, "mu"),
-            k_t=table.get(section, "k_t"),
-            cutoff=cut,
-        )
+        return ReservoirParams(gamma=gamma, bandwidth=d, mu=mu, k_t=k_t, cutoff=cut)
     except ConfigError as exc:
         raise ConfigError(f"{table.path}: [{section}]: {exc}")
 
@@ -538,9 +534,8 @@ def run_classify(exp: ExperimentConfig) -> dict:
     plateau = None
     if exp.grid is not None:
         u = solve_dyson(exp.model, exp.grid)
-        norms = max_singular_e(u.reshape(-1, 4).T)
         start = int(math.floor(0.8 * exp.grid.n_steps))
-        plateau = float(norms[start:].max())
+        plateau = float(max_singular_e(u[start:].reshape(-1, 4).T).max())
         lines.append(f"# late_time_u_norm_max = {_fmt(plateau)}")
     lines.append(f"# effective_roots = {cls.count}")
     lines.append(f"# relaxation_class = {cls.kind.value}")

@@ -172,11 +172,20 @@ def solve_dyson(config: ModelConfig, grid: TimeGrid) -> np.ndarray:
     power series T(z) (U(z) - I) = -F(z), so U(z) = I - X(z) F(z) with
     X = T^-1 mod z^n, found by Newton doubling from X = T_0^-1:
     X <- X - X (T X - I) mod z^2m, O(n log n) in all (Brent & Kung,
-    J. ACM 25, 581 (1978)). Newton corrects the rounding of earlier
-    coefficients only through the residual T X - I; its near lags T_0 and
-    T_1 are taken exactly, so that FFT rounding of order eps |T_1| does not
-    build up along an undamped mode, and only the O(dt^2) memory lags go
-    through the FFT product.
+    J. ACM 25, 581 (1978)).
+
+    Every series is held channel-major, (2, 2, len), so that one FFT call
+    transforms its four entries and each product of spectra is entry
+    arithmetic (_spectral_product). A level transforms X once, at a period
+    long enough for both of its products: the memory lags times X in the
+    residual, and X times the residual in the step. Newton corrects the
+    rounding of earlier coefficients only through the residual, so it is
+    kept over every row, the low ones too; its near lags T_0 and T_1 are
+    taken exactly, so that FFT rounding of order eps |T_1| does not build
+    up along an undamped mode, and only the O(dt^2) memory lags go through
+    the FFT product. F is diag(lags / 2) but for its row f_1, so
+    U = -X F is one product with that diagonal plus z X f_1, taken exactly.
+    Returns the (n+1, 2, 2) stack of U(t).
     """
     table = build_kernel_table(config, grid.times, include_noise=False)
     n = grid.n_steps
@@ -186,93 +195,105 @@ def solve_dyson(config: ModelConfig, grid: TimeGrid) -> np.ndarray:
     minus_b = (dt / 2.0) * i_m - IDENTITY2  # -(I - (dt/2) iM)
     half = dt * dt / 2.0
 
-    lags = np.zeros((n + 1, 2), dtype=complex)  # diagonals of T_k, k >= 2
-    lags[2:] = half * (mem[2:] + mem[1:-1])
+    # the diagonals of T_k for k >= 2, channel-major: lags[:, k - 2]
+    lags = half * np.ascontiguousarray((mem[2:] + mem[1:-1]).T)
     # F_t: U_0 = I enters with trapezoid weight 1/2 at every lag, and with
     # the explicit half of the first step at t_1
-    f = np.zeros((n + 1, 2, 2), dtype=complex)
-    f[:, [0, 1], [0, 1]] = 0.5 * lags
-    f[1] = minus_b + (half / 2.0) * np.diag(mem[1])
+    f1 = minus_b + (half / 2.0) * np.diag(mem[1])
     t0 = IDENTITY2 + (dt / 2.0) * i_m + (half / 2.0) * np.diag(mem[0])
     t1 = minus_b + half * np.diag(mem[1] + 0.5 * mem[0])
 
-    x = inv2(t0)[None]  # SolverError when the implicit step is singular
-    while len(x) < n:
-        m = len(x)
+    x = inv2(t0)[:, :, None]  # SolverError when the implicit step is singular
+    while x.shape[-1] < n:
+        m = x.shape[-1]
         size = min(2 * m, n)
-        resid = np.zeros((size, 2, 2), dtype=complex)  # T X - I mod z^size
-        resid[:m] = np.einsum("ab,mbc->mac", t0, x)
-        resid[1 : m + 1] += np.einsum("ab,mbc->mac", t1, x)
-        resid[2:] += _series_product(lags[2:size], x, size - 2)
-        resid[0] -= IDENTITY2
-        step = _series_product(x, resid, size)
-        step[:m] -= x
-        x = -step
-    u = -_series_product(x, f, n + 1)
-    u[0] = IDENTITY2
-    return u
+        period = _fft_period(m + size - 1)
+        x_hat = np.fft.fft(x, period)
+        resid = np.zeros((2, 2, size), dtype=complex)  # T X - I mod z^size
+        resid[..., :m] = _matmul_cm(t0[:, :, None], x)
+        resid[..., 1 : m + 1] += _matmul_cm(t1[:, :, None], x)
+        resid[..., 2:] += _spectral_product(
+            np.fft.fft(lags[:, : size - 2], period), x_hat, size - 2)
+        resid[[0, 1], [0, 1], 0] -= 1.0
+        x_new = -_spectral_product(x_hat, np.fft.fft(resid, period), size)
+        x_new[..., :m] += x
+        x = x_new
+
+    u = np.empty((2, 2, n + 1), dtype=complex)
+    u[..., 0] = IDENTITY2
+    u[..., 1:] = -_matmul_cm(x, f1[:, :, None])
+    period = _fft_period(2 * n - 2)
+    u[..., 2:] -= _spectral_product(
+        np.fft.fft(x, period), np.fft.fft(0.5 * lags, period), n - 1)
+    return np.ascontiguousarray(u.transpose(2, 0, 1))
 
 
-# (a.ndim, b.ndim) -> the einsum of two spectra; an ndim of 2 is a diagonal
-_PRODUCT_SUBSCRIPTS = {
-    (3, 3): "iks,kjs->ijs",
-    (2, 3): "is,ijs->ijs",
-    (3, 2): "ijs,js->ijs",
-}
+def _fft_period(length: int) -> int:
+    """The least 2^i or 3 2^i at or past length (at least 1): an FFT period
+    at which a product of that many rows does not wrap around."""
+    return min(1 << (length - 1).bit_length(), 3 << ((length - 1) // 3).bit_length())
 
 
-def _series_product(a: np.ndarray, b: np.ndarray, rows: int) -> np.ndarray:
-    """Rows [0, rows) of the product a(z) b(z) of two 2x2 matrix power series,
-    c[k] = sum_j a[j] @ b[k-j], for rows <= len(a) + len(b) - 1.
+def _matmul_cm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a b for two channel-major (2, 2, len) stacks of 2x2 matrices, entry by
+    entry: c[i, j] = a[i, 0] b[0, j] + a[i, 1] b[1, j]. A len of 1 stands
+    for one matrix at every row."""
+    c = a[:, :1] * b[0]
+    c += a[:, 1:] * b[1]
+    return c
 
-    One FFT, zero-padded to a length 2^i or 3 2^i past the full product, so
-    that nothing wraps around. A diagonal series may be passed as its
-    (len, 2) diagonals; it is transformed on those two channels alone and
-    scales the rows (as a) or the columns (as b) of the other's spectrum.
+
+def _spectral_product(a: np.ndarray, b: np.ndarray, rows: int) -> np.ndarray:
+    """Rows [0, rows) of the product C(z) = A(z) B(z) of two 2x2 matrix
+    power series, C_k = sum_j A_j B_{k-j}, from their spectra a and b at
+    one period at or past the product's full length (_fft_period), so
+    that nothing wraps around.
+
+    Both spectra are channel-major, (2, 2, period), and their matrix
+    product is taken entry by entry. A diagonal series may be given as the
+    (2, period) spectra of its two diagonals; it scales the rows (as a) or
+    the columns (as b) of the other's spectrum.
     """
-    length = len(a) + len(b) - 1
-    size = min(1 << (length - 1).bit_length(), 3 << ((length - 1) // 3).bit_length())
-    fa, fb = (np.fft.fft(np.ascontiguousarray(np.moveaxis(s, 0, -1)), size) for s in (a, b))
-    c = np.einsum(_PRODUCT_SUBSCRIPTS[a.ndim, b.ndim], fa, fb)
+    if a.ndim == 2:
+        c = a[:, None] * b
+    elif b.ndim == 2:
+        c = a * b
+    else:
+        c = _matmul_cm(a, b)
     np.fft.ifft(c, out=c)
-    return np.ascontiguousarray(c[..., :rows].transpose(2, 0, 1))
+    return c[..., :rows]
 
 
 def compute_fluctuation(u_seq, config: ModelConfig, grid: TimeGrid) -> np.ndarray:
     """Assemble V(t) = int int U(t-s1) gtilde(s1-s2) U(t-s2)^dag ds1 ds2.
 
     Trapezoidal double sum on the grid, evaluated for every grid time at
-    once: the flat-weight core follows a cumulative recursion fed by causal
-    FFT convolutions, and the trapezoid end corrections are added in closed
-    form. The discrete quadratic form inherits positivity from the noise
-    kernel, so V stays positive semidefinite to rounding.
+    once on channel-major (2, 2, n+1) series. With C_n = sum_k U_k
+    gtilde(t_{n-k}), one FFT product with the diagonal kernel, and
+    Y_n = (2 C_n - U_n gtilde(0) - gtilde(t_n)) U_n^dag, the flat-weight
+    core is the cumulative sum of Y; the trapezoid's end corrections are
+    -Y_n / 2 and the corner (gtilde(0) - U_n gtilde(0) U_n^dag) / 4, and
+    V is dt^2 times the Hermitian part of the total. The discrete quadratic
+    form inherits positivity from the noise kernel, so V stays positive
+    semidefinite to rounding. Returns the (n+1, 2, 2) stack of V(t).
     """
     table = build_kernel_table(config, grid.times, include_noise=True)
-    g = table.noise  # (n+1, 2), diagonal kernel samples at lags >= 0
-    u = np.asarray(u_seq, dtype=complex)
-    dt = grid.dt
+    g = np.ascontiguousarray(table.noise.T)  # diagonal kernel samples at lags >= 0
+    g0 = g[:, :1]
+    u = np.ascontiguousarray(np.asarray(u_seq, dtype=complex).transpose(1, 2, 0))
+    rows = u.shape[-1]
+    u_dag = np.conj(u.swapaxes(0, 1))
 
-    # c[n] = sum_k U_k gtilde(t_{n-k}), the kernel a diagonal matrix series
-    c = _series_product(u, g, len(u))
-
-    u_dag = dagger(u)
-    # e[n] = gtilde(t_n) U_n^dag   (rows scaled by the kernel)
-    e = g[:, :, None] * u_dag
-    p = np.cumsum(e, axis=0)  # P_n = sum_{l<=n} gtilde(t_l) U_l^dag
-
-    cu = np.einsum("nab,ncb->nac", c, np.conj(u))  # C_n U_n^dag
-    cu_dag = dagger(cu)
-    ugu = np.einsum("nab,b,ncb->nac", u, g[0], np.conj(u))  # U_n gtilde(0) U_n^dag
-    core = np.cumsum(cu + cu_dag - ugu, axis=0)
-
-    e_dag = dagger(e)
-    p_dag = dagger(p)
-    corner = np.diag(g[0])[None, :, :] + e + e_dag + ugu
-
-    v = hermitian_part(dt * dt * (core - 0.5 * (p + p_dag + cu + cu_dag)
-                                  + 0.25 * corner))
-    v[0] = 0.0
-    return v
+    period = _fft_period(2 * rows - 1)
+    c = _spectral_product(np.fft.fft(u, period), np.fft.fft(g, period), rows)
+    a = 2.0 * c - u * g0
+    a[[0, 1], [0, 1]] -= g
+    y = _matmul_cm(a, u_dag)
+    corner = np.diag(g[:, 0])[:, :, None] - _matmul_cm(u * g0, u_dag)
+    w = np.cumsum(y, axis=-1) - 0.5 * y + 0.25 * corner
+    v = (0.5 * grid.dt * grid.dt) * (w + np.conj(w.swapaxes(0, 1)))
+    v[..., 0] = 0.0
+    return np.ascontiguousarray(v.transpose(2, 0, 1))
 
 
 def solve(config: ModelConfig, grid: TimeGrid) -> GreensSolution:

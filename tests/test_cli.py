@@ -141,6 +141,13 @@ class TestParseErrors:
         assert cli.main(["evolve", "--config", cfg]) == 2
         assert f"config error: {cfg}{fragment}" in capsys.readouterr().err
 
+    def test_lead_parse_error_names_the_file_once(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, BASE.replace("gamma = 0.5", "gamma = abc", 1))
+        assert cli.main(["evolve", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: {cfg}:8: [left] gamma: not a number: 'abc'" in err
+        assert err.count(cfg) == 1
+
     def test_bad_solver_method(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, BASE + "[solver]\nmethod = magic\n")
         assert cli.main(["evolve", "--config", cfg]) == 2

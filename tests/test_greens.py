@@ -15,8 +15,9 @@ from dqdsim.greens import (
     GreensSolution,
     PoleExpansion,
     TimeGrid,
+    _fft_period,
     _modes,
-    _series_product,
+    _spectral_product,
     bm_fluctuation,
     compute_fluctuation,
     pole_expansion_lorentzian,
@@ -39,6 +40,7 @@ from dqdsim.spectral import _TWO_PI, build_kernel_table, fermi_occupation
 
 from conftest import assert_flat_work, count_kernel_work, make_config, random_unitary2
 from dyson_reference import direct_solve_dyson
+from fluctuation_reference import direct_fluctuation
 from fourier_reference import wbl_reference_fluctuation
 from steady_reference import (
     four_pole_steady_fluctuation,
@@ -88,10 +90,22 @@ class TestTimeGrid:
 
 
 # grid sizes n on both sides of the series inversion's doubling lengths
-# 2^k, and primes
+# 2^k, of the lengths 3 2^k where the FFT period turns from 2^i to 3 2^i,
+# and primes
 _DYSON_SIZES = sorted(
-    {(1 << k) + j for k in range(1, 13) for j in (-1, 0, 1)} | {97, 1031, 2053, 2999}
+    {(1 << k) + j for k in range(1, 13) for j in (-1, 0, 1)}
+    | {(3 << k) + j for k in range(1, 11) for j in (-1, 1)}
+    | {97, 1031, 2053, 2999}
 )
+
+
+def _series_product(a, b, rows):
+    """Rows [0, rows) of the product of two (len, 2, 2) matrix series, or of
+    one with a (len, 2) diagonal series, through their channel-major spectra
+    at the period greens picks for the full product."""
+    period = _fft_period(len(a) + len(b) - 1)
+    fa, fb = (np.fft.fft(np.moveaxis(s, 0, -1), period) for s in (a, b))
+    return np.moveaxis(_spectral_product(fa, fb, rows), -1, 0)
 
 
 @st.composite
@@ -394,29 +408,39 @@ class TestSolveDyson:
 
 
 class TestComputeFluctuation:
-    def test_matches_direct_double_sum(self):
-        cfg = make_config(d=1.5, k_t=0.3, mu=1.0)
-        grid = TimeGrid(2.0, 40)
+    @staticmethod
+    def _double_sum_error(cfg, grid):
         u = solve_dyson(cfg, grid)
         v = compute_fluctuation(u, cfg, grid)
+        noise = build_kernel_table(cfg, grid.times, include_noise=True).noise
+        return np.max(np.abs(v - direct_fluctuation(u, noise, grid.dt)))
 
-        taus = grid.times
-        table = build_kernel_table(cfg, taus, include_noise=True)
-        gt = table.noise  # (n+1, 2) diagonal entries, tau >= 0
-        dt = grid.dt
-        n = grid.n_steps
-        direct = np.zeros((n + 1, 2, 2), dtype=complex)
-        for m in range(1, n + 1):
-            acc = np.zeros((2, 2), dtype=complex)
-            for k in range(m + 1):
-                wk = 0.5 if k in (0, m) else 1.0
-                for kp in range(m + 1):
-                    wkp = 0.5 if kp in (0, m) else 1.0
-                    lag = kp - k
-                    gg = gt[abs(lag)] if lag >= 0 else np.conj(gt[abs(lag)])
-                    acc += wk * wkp * (u[k] * gg[None, :]) @ u[kp].conj().T
-            direct[m] = dt * dt * acc
-        assert np.max(np.abs(v - direct)) < 1e-13
+    def test_matches_direct_double_sum(self):
+        cfg = make_config(d=1.5, k_t=0.3, mu=1.0)
+        assert self._double_sum_error(cfg, TimeGrid(2.0, 40)) < 1e-13
+
+    REGIMES = ("zero_temperature", "complex_g", "asymmetric_leads", "lorentzian", "bound_states")
+
+    @pytest.mark.parametrize("seed, regime", enumerate(REGIMES), ids=REGIMES)
+    def test_matches_direct_double_sum_across_regimes(self, seed, regime):
+        rng = np.random.default_rng(seed)
+        params = dict(eps1=rng.uniform(0.0, 4.0), eps2=rng.uniform(0.0, 4.0),
+                      g=rng.uniform(0.0, 1.0), d=rng.uniform(0.5, 3.0),
+                      mu=rng.uniform(0.0, 4.0), k_t=rng.uniform(0.1, 1.0),
+                      cutoff=rng.uniform(1.0, 4.0), kind=SpectralKind.CUTOFF_LORENTZIAN)
+        if regime == "zero_temperature":
+            params["k_t"] = 0.0
+        elif regime == "complex_g":
+            params["g"] = cmath.rect(params["g"], rng.uniform(0.0, 2.0 * math.pi))
+        elif regime == "asymmetric_leads":
+            params.update(gamma_r=rng.uniform(0.1, 1.0), mu_r=rng.uniform(0.0, 4.0))
+        elif regime == "lorentzian":
+            params.update(cutoff=math.inf, kind=SpectralKind.LORENTZIAN)
+        else:
+            # gapped-verify's bath: a narrow band with one bound state on each side
+            params.update(eps1=2.0, eps2=2.0, g=1.0, d=1.0, mu=2.0, cutoff=0.5)
+        grid = TimeGrid(rng.uniform(1.0, 20.0), int(rng.integers(100, 201)))
+        assert self._double_sum_error(make_config(**params), grid) < 1e-13
 
     @pytest.mark.parametrize("n", [0, 1, 2, 7, 64, 255, 300])
     def test_causal_convolution_matches_direct_sum(self, n):
