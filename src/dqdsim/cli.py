@@ -336,18 +336,26 @@ def load_experiment(path: str) -> ExperimentConfig:
     )
 
 
-def _apply_param(model: ModelConfig, name: str, value: float) -> ModelConfig:
-    parts, name_field = _SWEEP_FIELDS[name]
+def _apply_params(model: ModelConfig, values: dict) -> ModelConfig:
+    """model with each sweep name in values set to its value, built with one
+    replace per ModelConfig part that changes."""
+    fields = {}
+    for name, value in values.items():
+        parts, name_field = _SWEEP_FIELDS[name]
+        for part in parts:
+            fields.setdefault(part, {})[name_field] = value
     return replace(
         model,
-        **{p: replace(getattr(model, p), **{name_field: value}) for p in parts},
+        **{part: replace(getattr(model, part), **changes) for part, changes in fields.items()},
     )
 
 
 def _late_time_steady(model: ModelConfig, grid):
-    """Exact V^s: the average of V(t) over [0.8 t_max, t_max], and its spread;
-    undefined with no lead coupled. The wide band is refused before a
-    missing grid, since no grid would let it run."""
+    """Exact V^s: the average V-bar of V(t) over [0.8 t_max, t_max], and its
+    spread, the largest over the four entries of the RMS deviation
+    sqrt(mean |V - V-bar|^2) on that window; undefined with no lead
+    coupled. The wide band is refused before a missing grid, since no grid
+    would let it run."""
     _require_kernel_kind(model.spectral_kind)
     _require_damping(model)
     if grid is None:
@@ -359,7 +367,7 @@ def _late_time_steady(model: ModelConfig, grid):
     start = int(math.floor(0.8 * grid.n_steps))
     window = v[start:]
     v_s = window.mean(axis=0)
-    spread = float(np.max(np.abs(window - v_s[None]).std(axis=0)))
+    spread = float(np.max(window.std(axis=0)))  # complex std: the RMS deviation
     return hermitian_part(v_s), spread
 
 
@@ -493,11 +501,9 @@ def run_sweep(exp: ExperimentConfig, workers: int = 1) -> list:
     points = itertools.product(*(axis.values for axis in exp.axes))
     for idx, values in enumerate(points):
         values = tuple(float(v) for v in values)
-        model = exp.model
         try:
-            for axis, value in zip(exp.axes, values):
-                for name in axis.names:
-                    model = _apply_param(model, name, value)
+            model = _apply_params(exp.model, {
+                name: value for axis, value in zip(exp.axes, values) for name in axis.names})
         except ConfigError as exc:
             raise ConfigError(f"{_point_label(idx, values)}: {exc}") from exc
         tasks.append((idx, model, exp.method, exp.grid, values))

@@ -14,6 +14,7 @@ import math
 import operator
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -132,16 +133,19 @@ class GreensSolution:
 
 @dataclass
 class PoleExpansion:
-    """U(t) = sum_j Z_j exp(-i r_j t) with all poles in the lower half plane."""
+    """U(t) = sum_j Z_j exp(-i r_j t) with all poles in the lower half plane;
+    the residues Z_j are held as one (J, 2, 2) array."""
 
-    poles: list
-    residues: list
+    poles: np.ndarray
+    residues: np.ndarray
 
     def __post_init__(self):
-        for r in self.poles:
-            if r.imag > 1e-12:
-                raise InvariantViolation(f"pole {r} lies in the upper half plane")
-        total = sum(self.residues)
+        self.poles = np.asarray(self.poles, dtype=complex)
+        self.residues = np.asarray(self.residues, dtype=complex)
+        upper = self.poles[self.poles.imag > 1e-12]
+        if upper.size:
+            raise InvariantViolation(f"pole {upper[0]} lies in the upper half plane")
+        total = self.residues.sum(axis=0)
         if np.max(np.abs(total - IDENTITY2)) > RESIDUE_SUM_TOL:
             raise InvariantViolation(
                 f"residues sum to {total}, expected identity"
@@ -152,7 +156,8 @@ class PoleExpansion:
         exactly, where the residue sum carries rounding."""
         t = np.asarray(times, dtype=float)
         phases = np.exp(-1j * np.outer(t, self.poles))
-        u = np.einsum("tj,jab->tab", phases, np.stack(self.residues))
+        # einsum sums fastest over a C-ordered operand
+        u = np.einsum("tj,jab->tab", phases, np.ascontiguousarray(self.residues))
         u[t.ravel() == 0.0] = IDENTITY2
         return u
 
@@ -324,12 +329,12 @@ def _modes(config: ModelConfig) -> PoleExpansion:
     if config.spectral_kind is SpectralKind.WIDE_BAND:
         generator = m_mat - 0.5j * gamma_matrix(config)
     else:
-        leads = config.reservoirs
-        coupling = np.diag([math.sqrt(r.gamma * r.bandwidth / 2.0) for r in leads])
-        generator = np.block(
-            [[m_mat, coupling],
-             [coupling, np.diag([r.mu - 1j * r.bandwidth for r in leads])]]
-        )
+        generator = np.zeros((4, 4), dtype=complex)
+        generator[:2, :2] = m_mat
+        for lead, res in enumerate(config.reservoirs):
+            generator[lead, 2 + lead] = generator[2 + lead, lead] = math.sqrt(
+                res.gamma * res.bandwidth / 2.0)
+            generator[2 + lead, 2 + lead] = res.mu - 1j * res.bandwidth
     poles, vecs = np.linalg.eig(generator)
     # the generator's anti-Hermitian part is diagonal, so each width is the
     # Rayleigh quotient of its eigenvector: a sum of terms of one sign, as
@@ -342,7 +347,8 @@ def _modes(config: ModelConfig) -> PoleExpansion:
             "defective pole configuration; perturb the parameters slightly"
         )
     vecs_inv = np.linalg.inv(vecs)
-    residues = [np.outer(vecs[:2, j], vecs_inv[j, :2]) for j in range(len(poles))]
+    # Z_j[a, b] = V[a, j] V^-1[j, b], every j at once
+    residues = vecs[:2].T[:, :, None] * vecs_inv[:, None, :2]
     return PoleExpansion(poles, residues)
 
 
@@ -359,50 +365,74 @@ def pole_expansion_lorentzian(config: ModelConfig) -> PoleExpansion:
     return _modes(config)
 
 
-def _weighted_pairs(poles, residues, config: ModelConfig, leads=(0, 1)):
-    """The pole pairs that carry weight on each coupled lead, from one stack
-    of the residues.
+class _LeadColumns(NamedTuple):
+    """The coupled leads' poles and pole columns, stacked over the leads
+    (_lead_columns)."""
 
-    Returns (lead, lams, jj, kk, theta) for every lead in leads with
-    Gamma_l > 0: theta_jk = Gamma_l c_j c_k^dag for the pairs of poles
-    lams_j, lams_k above 1e-14 Gamma_l. In the wide band lams are the poles
-    r_j and c_j = Z_j P_l, column l of Z_j. A Lorentzian lead is the wide
+    leads: list  # indices of the coupled leads
+    reservoirs: list  # their ReservoirParams
+    gamma: np.ndarray  # (L,) their Gamma_l
+    lams: np.ndarray  # (L, J) poles lams_j
+    cols: np.ndarray  # (L, 2, J) column matrices C_l = [c_1 ... c_J]
+    gaps: np.ndarray  # (L, J, J) lams_j - conj(lams_k)
+    keep: np.ndarray  # (L, J, J) the pairs that carry weight
+
+    def pair_integrals(self) -> np.ndarray:
+        """The Fermi pair integrals N_l of every lead on its kept pairs
+        (_pair_integrals), zero on the others."""
+        return _pair_integrals(self.lams, self.keep, [res.mu for res in self.reservoirs],
+                               [res.k_t for res in self.reservoirs])
+
+    def pair_sum(self, weights: np.ndarray) -> np.ndarray:
+        """sum_l Gamma_l C_l W_l C_l^dag for pair weights W (L, J, J), zero
+        off the kept pairs: the Cauchy-matrix product of the closed forms."""
+        return np.einsum("laj,ljk,lbk->ab", self.gamma[:, None, None] * self.cols, weights,
+                         np.conj(self.cols))
+
+
+def _lead_columns(poles, residues, config: ModelConfig, leads=(0, 1)) -> _LeadColumns:
+    """The pole columns of each coupled lead, and the pole pairs that carry
+    weight on it, for every lead in leads with Gamma_l > 0.
+
+    Each closed form is a masked Cauchy-matrix product over these,
+    sum_l Gamma_l C_l (W_l o keep_l) C_l^dag (_LeadColumns.pair_sum), with
+    a pair weight W_l(lams_j, conj(lams_k)). In the wide band lams are the
+    poles r_j and c_j = Z_j P_l, column l of Z_j. A Lorentzian lead is the wide
     band of its pseudomode q_l = mu_l - i d_l (Garraway, PRA 55, 2290
     (1997)): S(w) P_l d_l / (w - q_l) = sum_j c_j (1/(w - r_j) - 1/(w - q_l))
     with c_j = Z_j P_l d_l / (r_j - q_l), zero for a pole that rounds onto
     q_l. S(q_l) P_l = 0 makes the sum of the c_j vanish; q_l is kept as a
-    last pole with column -sum_j c_j, pruned unless rounding in a pole near
-    q_l leaves weight on it. A kept pair with lams_j = conj(lams_k) is an
-    undamped mode that still couples to the lead, which raises SolverError.
-    With no lead coupled the list is empty.
+    last pole with column -sum_j c_j, masked unless rounding in a pole near
+    q_l leaves weight on it. keep_jk holds where the largest entry of the
+    pair's weight Gamma_l c_j c_k^dag, Gamma_l |c_j|_inf |c_k|_inf, is above
+    1e-14 Gamma_l. A kept pair with lams_j = conj(lams_k) is an undamped
+    mode that still couples to the lead, which raises SolverError. With no
+    lead coupled every stack is empty.
     """
     r = np.asarray(poles, dtype=complex)
     leads = [lead for lead in leads if config.reservoirs[lead].gamma > 0.0]
-    if not leads:
-        return []
     coupled = [config.reservoirs[lead] for lead in leads]
-    col = np.stack(residues)[:, :, leads].transpose(2, 0, 1)  # (lead, pole, dot)
-    lams = np.broadcast_to(r, (len(leads), r.size))
+    cols = np.asarray(residues)[:, :, leads].transpose(2, 1, 0)  # (lead, dot, pole)
+    lams = r[None].repeat(len(leads), axis=0)
     if config.spectral_kind is SpectralKind.LORENTZIAN:
         q = np.array([[res.mu - 1j * res.bandwidth] for res in coupled])
         gap = r - q
-        d = np.array([[res.bandwidth] for res in coupled])
-        col = col * np.divide(d, gap, out=np.zeros_like(gap), where=gap != 0.0)[..., None]
-        col = np.concatenate([col, -col.sum(axis=1, keepdims=True)], axis=1)
-        lams = np.hstack([lams, q])
+        scale = np.divide([[res.bandwidth] for res in coupled], gap,
+                          out=np.zeros_like(gap), where=gap != 0.0)
+        cols = cols * scale[:, None]
+        cols = np.concatenate([cols, -cols.sum(axis=2, keepdims=True)], axis=2)
+        lams = np.concatenate([lams, q], axis=1)
     gamma = np.array([res.gamma for res in coupled])
-    theta = (gamma[:, None, None, None, None] * col[:, :, None, :, None]
-             * np.conj(col)[:, None, :, None, :])
-    out = []
-    for lead, lam, scale, th in zip(leads, lams, gamma, theta):
-        jj, kk = np.nonzero(np.max(np.abs(th), axis=(2, 3)) > 1e-14 * scale)
-        if jj.size and np.min(np.abs(lam[jj] - np.conj(lam[kk]))) < 1e-12:
-            raise SolverError(
-                "effectively undamped mode still couples to a lead; the"
-                " steady state is undefined"
-            )
-        out.append((lead, lam, jj, kk, th[jj, kk]))
-    return out
+    size = abs(cols).max(axis=1)  # |c_j|_inf
+    keep = (gamma[:, None, None] * size[:, :, None] * size[:, None, :]
+            > 1e-14 * gamma[:, None, None])
+    gaps = lams[:, :, None] - lams.conj()[:, None, :]
+    if (abs(gaps[keep]) < 1e-12).any():
+        raise SolverError(
+            "effectively undamped mode still couples to a lead; the"
+            " steady state is undefined"
+        )
+    return _LeadColumns(leads, coupled, gamma, lams, cols, gaps, keep)
 
 
 def _require_damping(config: ModelConfig) -> None:
@@ -413,18 +443,16 @@ def _require_damping(config: ModelConfig) -> None:
 
 
 def _steady_from_poles(poles, residues, config: ModelConfig) -> np.ndarray:
-    """V^s = (1/2pi) sum_l sum_jk theta_ljk N_l(lams_j, conj(lams_k)).
+    """V^s = (1/2pi) sum_l Gamma_l C_l (N_l o keep_l) C_l^dag.
 
-    theta_ljk and the poles lams are those of _weighted_pairs, a Lorentzian
-    lead being the wide band of its pseudomode, and N_l is _pair_integrals.
-    With no lead coupled nothing damps the dots and SolverError is raised.
+    C_l and keep_l are those of _lead_columns, a Lorentzian lead being the
+    wide band of its pseudomode, and N_l is _pair_integrals on the lead's
+    poles. With no lead coupled nothing damps the dots and SolverError is
+    raised.
     """
     _require_damping(config)
-    v = np.zeros((2, 2), dtype=complex)
-    for lead, lams, jj, kk, theta in _weighted_pairs(poles, residues, config):
-        res = config.reservoirs[lead]
-        v += np.einsum("p,pab->ab", _pair_integrals(lams, jj, kk, res.mu, res.k_t), theta)
-    v = hermitian_part(v / _TWO_PI)
+    lc = _lead_columns(poles, residues, config)
+    v = hermitian_part(lc.pair_sum(lc.pair_integrals()) / _TWO_PI)
     lo, hi = hermitian_eigs_e(entries2(v))
     if lo < EIGENVALUE_FLOOR or hi > EIGENVALUE_CEIL:
         raise InvariantViolation(
@@ -443,12 +471,13 @@ def steady_state_fluctuation(
     the wide band of one pseudomode. S(q_l) P_l = 0, so
     S(w) P_l d_l / (w - q_l) = sum_j c_j / (w - r_j) with
     c_j = Z_j P_l d_l / (r_j - q_l) (q_l stays as one more pole only if
-    rounding in the residues breaks that identity; see _weighted_pairs),
+    rounding in the residues breaks that identity; see _lead_columns),
     and each term Gamma_l c_j c_k^dag of the integrand is a flat-band pair
     over r_j and conj(r_k) times the Fermi factor, whose integral is a
     difference of digammas (of logarithms at k_t = 0). Pole pairs (j, k)
-    with no weight on lead l are skipped; a real pole pair r_j = conj(r_k)
-    that keeps weight has no steady state and raises SolverError.
+    with no weight on lead l are masked out of the sum; a real pole pair
+    r_j = conj(r_k) that keeps weight has no steady state and raises
+    SolverError.
     """
     if config.spectral_kind is not SpectralKind.LORENTZIAN:
         raise ConfigError("the pole-expansion steady state requires the Lorentzian spectrum")
@@ -460,23 +489,23 @@ def steady_state_fluctuation(
 # ---------------------------------------------------------------------------
 
 
-def _wbl_lead_fluctuation(lams, jj, kk, theta, res, times, table):
+def _wbl_lead_fluctuation(lams, jj, kk, theta, n_far, k_t, times, table):
     """One lead's contribution to V_WBL on the grid times (zero at t = 0),
-    from its weighted pairs jj, kk, theta (_weighted_pairs) and table, which
-    maps each pair and its transpose to its _thermal_pair_table row.
+    from its kept pairs jj, kk with weights theta (_lead_columns), their
+    closed-form N_jk n_far (_pair_integrals), and table, which maps each
+    pair and its transpose to its _thermal_pair_table row.
 
     With a = lam_j and b = conj(lam_k), the pair integrates
     (c0 - c1 e^{iwt} - c2 e^{-iwt}) nbar(w) / ((w - a)(w - b)) over w, from
     the thermal N_jk and O_jk(t) of _thermal_pair_table. On rows
     t < tau* = 1/k_t the table's N_jk (its column 0) and O_jk(t) share
     their Fermi-remainder panels, so that the pair's cancellation at small
-    t survives, and panels of width k_t / 2 suffice; past tau* N_jk is the
-    digamma form of _pair_integrals, exact to rounding.
+    t survives, and panels of width k_t / 2 suffice; past tau* N_jk is
+    n_far, exact to rounding.
     """
     out = np.zeros((len(times), 2, 2), dtype=complex)
     t = times[1:]
-    near = _near_rows(times, res.k_t) - 1  # rows of t before tau*
-    n_far = _pair_integrals(lams, jj, kk, res.mu, res.k_t)
+    near = _near_rows(times, k_t) - 1  # rows of t before tau*
     for j, k, theta_jk, n_jk in zip(jj.tolist(), kk.tolist(), theta, n_far):
         a, b = lams[j], np.conj(lams[k])
         c0 = 1.0 + np.exp(1j * (b - a) * t)
@@ -502,8 +531,9 @@ def wbl_greens(config: ModelConfig, grid: TimeGrid) -> GreensSolution:
     closes on the conjugate mode pole and the Matsubara poles. This keeps V
     positive semidefinite to rounding, which a truncated frequency window
     cannot guarantee, and its cost flat in t_max at a fixed step count.
-    The table depends on a lead only through (mu, k_T), so leads that share
-    them share one table over the union of their pairs.
+    Each lead sums over the pairs its mask keeps (_lead_columns). The table
+    depends on a lead only through (mu, k_T), so leads that share them
+    share one table over the union of their pairs.
     """
     if config.spectral_kind is not SpectralKind.WIDE_BAND:
         raise ConfigError("wbl_greens requires the wide-band spectral kind")
@@ -511,25 +541,27 @@ def wbl_greens(config: ModelConfig, grid: TimeGrid) -> GreensSolution:
     times = grid.times
     u = modes.reconstruct(times)
 
-    weighted = _weighted_pairs(modes.poles, modes.residues, config)
+    lc = _lead_columns(modes.poles, modes.residues, config)
     # the pairs of each distinct (mu, k_t) and their transposes, since
     # conj(I_kj) is used; every lead's lams are the same poles, and a
     # coupled lead's c_j sum to a unit column, so it has a pair
     pairs = {}
-    for lead, _, jj, kk, _ in weighted:
-        res = config.reservoirs[lead]
-        pairs.setdefault((res.mu, res.k_t), set()).update(
-            zip(jj.tolist(), kk.tolist()), zip(kk.tolist(), jj.tolist()))
+    for res, keep in zip(lc.reservoirs, lc.keep):
+        key = (res.mu, res.k_t)
+        pairs[key] = pairs.get(key, False) | keep | keep.T
     tables = {}
     v = np.zeros((len(times), 2, 2), dtype=complex)
-    for lead, lams, jj, kk, theta in weighted:
-        res = config.reservoirs[lead]
+    for res, gamma, lams, cols, keep, n_far in zip(
+            lc.reservoirs, lc.gamma, lc.lams, lc.cols, lc.keep, lc.pair_integrals()):
         key = (res.mu, res.k_t)
         if key not in tables:
-            rows = sorted(pairs[key])
+            rows = [tuple(pair) for pair in np.argwhere(pairs[key]).tolist()]
             table = _thermal_pair_table(lams, rows, res, times, res.k_t / 2.0)
             tables[key] = dict(zip(rows, table))
-        v += _wbl_lead_fluctuation(lams, jj, kk, theta, res, times, tables[key])
+        jj, kk = np.nonzero(keep)
+        theta = (gamma * cols[:, jj].T)[:, :, None] * np.conj(cols[:, kk].T)[:, None, :]
+        v += _wbl_lead_fluctuation(lams, jj, kk, theta, n_far[jj, kk], res.k_t, times,
+                                   tables[key])
     return GreensSolution(grid, u, hermitian_part(v))
 
 
@@ -541,8 +573,8 @@ def wbl_steady_fluctuation(config: ModelConfig) -> np.ndarray:
     P_j Gamma_l P_k^dag of the integrand is Gamma_l over the poles lam_j
     and conj(lam_k) times the Fermi factor, whose integral is a difference
     of digammas (of logarithms at k_t = 0). Mode pairs with no weight on a
-    lead are skipped, so an undamped mode on an uncoupled lead is allowed;
-    one that keeps weight raises SolverError.
+    lead are masked out of the sum, so an undamped mode on an uncoupled
+    lead is allowed; one that keeps weight raises SolverError.
     """
     if config.spectral_kind is not SpectralKind.WIDE_BAND:
         raise ConfigError("wbl_steady_fluctuation requires the wide-band spectral kind")
@@ -573,10 +605,11 @@ def _bm_stationary(config: ModelConfig):
     if not sources:
         return None, x
     modes = _modes(config)
-    for lead, r, jj, kk, theta in _weighted_pairs(modes.poles, modes.residues, config, sources):
-        gaps = 1j * (r[jj] - np.conj(r[kk]))
-        x += occ[lead] * np.einsum("p,pab->ab", 1.0 / gaps, theta)
-    return modes, hermitian_part(x)
+    lc = _lead_columns(modes.poles, modes.residues, config, sources)
+    nbar = np.array([occ[lead] for lead in lc.leads])
+    weights = np.divide(nbar[:, None, None], 1j * lc.gaps,
+                        out=np.zeros_like(lc.gaps), where=lc.keep)
+    return modes, hermitian_part(lc.pair_sum(weights))
 
 
 def bm_fluctuation(config: ModelConfig, grid: TimeGrid):
@@ -586,8 +619,9 @@ def bm_fluctuation(config: ModelConfig, grid: TimeGrid):
     closed form through the Sylvester equation A X + X A^dag = nbar Gamma
     with A = iM + Gamma/2, giving V_BM(t) = X - U X U^dag exactly. With the
     poles r_j and residues Z_j of M - i Gamma / 2 (_modes), A = i(M - i Gamma/2)
-    and X = sum_jk Z_j nbar Gamma Z_k^dag / (i (r_j - conj(r_k))); pairs with
-    no weight on a lead are skipped, and an undamped one that keeps weight
+    and X = sum_jk Z_j nbar Gamma Z_k^dag / (i (r_j - conj(r_k))), one
+    masked Cauchy-matrix product per lead (_lead_columns): pairs with no
+    weight on a lead are masked, and an undamped one that keeps weight
     raises SolverError.
     """
     modes, x = _bm_stationary(config)

@@ -170,24 +170,36 @@ def _scaled_exp1(w):
 # ---------------------------------------------------------------------------
 # pole-pair integrals of the Fermi factor
 
-def _pair_integrals(poles, jj, kk, mu, k_t):
-    """N_p = int nbar(w) dw / ((w - a_p)(w - b_p)) over the real line, for
-    a_p = poles[jj[p]] in the closed lower half plane and
-    b_p = conj(poles[kk[p]]), with a_p != b_p.
+def _pair_integrals(lams, keep, mu, k_t):
+    """N[l, j, k] = int nbar_l(w) dw / ((w - a)(w - b)) over the real line on
+    the pairs that keep marks, and 0 on the others, for a = lams[l, j] in
+    the closed lower half plane, b = conj(lams[l, k]) and a != b; row l is
+    a lead at chemical potential mu[l] and temperature k_t[l].
 
     N = (T(a) - T(b)) / (a - b), where int nbar(w) / (w - z) dw = T(z) + C
     and C, independent of z, cancels. At k_t = 0, T(a) = ln(mu - a) - i pi
-    and T(b) = ln(mu - b) + i pi. At k_t > 0, T(a) = psi(1/2 - x) with
-    x = (a - mu) / (2 pi i k_t), where Re(1/2 - x) >= 1/2, and
-    psi(conj z) = conj psi(z) gives T(b) = conj T(conj b) + i pi (Croy &
-    Saalmann, PRB 80, 073102 (2009)); one _digamma call serves every pair.
+    and T(b) = ln(mu - b) + i pi, each taken only at the poles that some
+    kept pair uses, so never at a branch point that the mask drops. At
+    k_t > 0, T(a) = psi(1/2 - x) with x = (a - mu) / (2 pi i k_t), where
+    Re(1/2 - x) >= 1/2, and psi(conj z) = conj psi(z) gives
+    T(b) = conj T(conj b) + i pi (Croy & Saalmann, PRB 80, 073102 (2009));
+    one _digamma call serves every such lead.
     """
-    r = np.asarray(poles, dtype=complex)
-    a, b = r[jj], np.conj(r[kk])
-    if k_t == 0.0:
-        return (np.log(mu - a) - np.log(mu - b) - _TWO_PI * 1j) / (a - b)
-    psi = _digamma(0.5 - (r - mu) / (2j * math.pi * k_t))
-    return (psi[jj] - (np.conj(psi[kk]) + 1j * math.pi)) / (a - b)
+    num = np.empty(keep.shape, dtype=complex)
+    hot = [lead for lead, t in enumerate(k_t) if t > 0.0]
+    if hot:
+        x = ((lams[hot] - np.array([[mu[lead]] for lead in hot]))
+             / (2j * math.pi * np.array([[k_t[lead]] for lead in hot])))
+        psi = _digamma(0.5 - x)
+        num[hot] = psi[:, :, None] - (psi.conj()[:, None, :] + 1j * math.pi)
+    for lead in set(range(len(k_t))).difference(hot):
+        lam = lams[lead]
+        ln_a = np.log(mu[lead] - lam, out=np.zeros_like(lam), where=keep[lead].any(axis=1))
+        ln_b = np.log(mu[lead] - lam.conj(), out=np.zeros_like(lam),
+                      where=keep[lead].any(axis=0))
+        num[lead] = ln_a[:, None] - ln_b[None, :] - _TWO_PI * 1j
+    gaps = lams[:, :, None] - lams.conj()[:, None, :]
+    return np.divide(num, gaps, out=np.zeros_like(num), where=keep)
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +241,10 @@ def _halfline_pair_integrals(lams, mu, times, pairs):
     e_lo = {j: _halfline_phase_integral(lams[j], mu, t, phase) for j in set(jj)}
     e_hi = {k: _halfline_phase_integral(np.conj(lams[k]), mu, t, phase) for k in set(kk)}
     o = [(e_lo[j] - e_hi[k]) / (lams[j] - np.conj(lams[k])) for j, k in pairs]
-    return _pair_integrals(lams, jj, kk, mu, 0.0), np.array(o)
+    keep = np.zeros((1, len(lams), len(lams)), dtype=bool)
+    keep[0, jj, kk] = True
+    n = _pair_integrals(np.asarray(lams, dtype=complex)[None], keep, [mu], [0.0])
+    return n[0, jj, kk], np.array(o)
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,10 @@ work through the time grid in chunks.
 
 import numpy as np
 
-from dqdsim.greens import _modes, _weighted_pairs
+from dqdsim.greens import _modes
 from dqdsim.spectral import _fermi_remainder, _halfline_pair_integrals
+
+from steady_reference import weighted_pairs
 
 _CHUNK_ELEMENTS = 2**19
 
@@ -87,6 +89,6 @@ def wbl_reference_fluctuation(config, grid):
     modes = _modes(config)
     times = grid.times
     v = np.zeros((len(times), 2, 2), dtype=complex)
-    for lead, lams, jj, kk, theta in _weighted_pairs(modes.poles, modes.residues, config):
+    for lead, lams, jj, kk, theta in weighted_pairs(modes.poles, modes.residues, config):
         v[1:] += _lead_fluctuation(lams, jj, kk, theta, config.reservoirs[lead], times[1:])
     return 0.5 * (v + np.conj(np.transpose(v, (0, 2, 1))))

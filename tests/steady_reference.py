@@ -15,6 +15,12 @@ four_pole_steady_fluctuation is the closed form that dqdsim.greens used
 before it read a Lorentzian lead as the wide band of its pseudomode: the
 partial fractions of each pair's integrand over its four poles r_j,
 conj(r_k), mu_l -/+ i d_l, in double precision.
+
+weighted_pairs, pairwise_steady_fluctuation, pairwise_bm_stationary and
+pairwise_wbl_fluctuation are the pseudomode form as dqdsim.greens summed it
+before it took one masked Cauchy-matrix product per lead: an explicit list
+of the pole pairs that carry weight, pruned pair by pair, and one weighted
+2x2 term per pair.
 """
 
 import itertools
@@ -24,7 +30,12 @@ import mpmath as mp
 import numpy as np
 from scipy.integrate import quad
 
-from dqdsim.greens import EIGENVALUE_CEIL, EIGENVALUE_FLOOR
+from dqdsim.greens import (
+    EIGENVALUE_CEIL,
+    EIGENVALUE_FLOOR,
+    _modes,
+    _wbl_lead_fluctuation,
+)
 from dqdsim.model import (
     InvariantViolation,
     ModelConfig,
@@ -32,8 +43,14 @@ from dqdsim.model import (
     SpectralKind,
     build_hamiltonian,
     dagger,
+    hermitian_part,
 )
-from dqdsim.spectral import _digamma, fermi_occupation, lead_density
+from dqdsim.spectral import (
+    _digamma,
+    _thermal_pair_table,
+    fermi_occupation,
+    lead_density,
+)
 
 _TWO_PI = 2.0 * math.pi
 
@@ -207,7 +224,7 @@ def _fermi_transforms(groups):
     return np.concatenate(lower), np.concatenate(upper)
 
 
-def _weighted_pairs(poles, residues, res, lead):
+def _residue_pairs(poles, residues, res, lead):
     """Pole pairs (j, k) that carry weight on one lead, and their weights.
 
     Returns the index arrays jj, kk and theta_jk = Gamma_l Z_j P_l Z_k^dag,
@@ -243,7 +260,7 @@ def four_pole_steady_fluctuation(poles, residues, config: ModelConfig) -> np.nda
     # lower ones first.
     groups, rows, numer, theta = [], [], [], []
     for lead, res in enumerate(config.reservoirs):
-        j, k, th = _weighted_pairs(r, residues, res, lead)
+        j, k, th = _residue_pairs(r, residues, res, lead)
         if j.size == 0:
             continue
         start = sum(q.size for q, _ in groups)
@@ -277,3 +294,98 @@ def four_pole_steady_fluctuation(poles, residues, config: ModelConfig) -> np.nda
             f"steady fluctuation spectrum [{eigs.min():.3e}, {eigs.max():.3e}] leaves [0, 1]"
         )
     return v
+
+
+def weighted_pairs(poles, residues, config: ModelConfig, leads=(0, 1)):
+    """The pole pairs that carry weight on each coupled lead, one list per
+    lead.
+
+    Returns (lead, lams, jj, kk, theta) for every lead in leads with
+    Gamma_l > 0: theta_jk = Gamma_l c_j c_k^dag for the pairs of poles
+    lams_j, lams_k above 1e-14 Gamma_l. In the wide band lams are the poles
+    r_j and c_j = Z_j P_l; a Lorentzian lead is the wide band of its
+    pseudomode q_l = mu_l - i d_l, with c_j = Z_j P_l d_l / (r_j - q_l)
+    (zero for a pole that rounds onto q_l) and q_l as a last pole with
+    column -sum_j c_j. A kept pair with lams_j = conj(lams_k) raises
+    SolverError.
+    """
+    r = np.asarray(poles, dtype=complex)
+    leads = [lead for lead in leads if config.reservoirs[lead].gamma > 0.0]
+    if not leads:
+        return []
+    coupled = [config.reservoirs[lead] for lead in leads]
+    col = np.stack(residues)[:, :, leads].transpose(2, 0, 1)  # (lead, pole, dot)
+    lams = np.broadcast_to(r, (len(leads), r.size))
+    if config.spectral_kind is SpectralKind.LORENTZIAN:
+        q = np.array([[res.mu - 1j * res.bandwidth] for res in coupled])
+        gap = r - q
+        d = np.array([[res.bandwidth] for res in coupled])
+        col = col * np.divide(d, gap, out=np.zeros_like(gap), where=gap != 0.0)[..., None]
+        col = np.concatenate([col, -col.sum(axis=1, keepdims=True)], axis=1)
+        lams = np.hstack([lams, q])
+    gamma = np.array([res.gamma for res in coupled])
+    theta = (gamma[:, None, None, None, None] * col[:, :, None, :, None]
+             * np.conj(col)[:, None, :, None, :])
+    out = []
+    for lead, lam, scale, th in zip(leads, lams, gamma, theta):
+        jj, kk = np.nonzero(np.max(np.abs(th), axis=(2, 3)) > 1e-14 * scale)
+        if jj.size and np.min(np.abs(lam[jj] - np.conj(lam[kk]))) < 1e-12:
+            raise SolverError(
+                "effectively undamped mode still couples to a lead; the"
+                " steady state is undefined"
+            )
+        out.append((lead, lam, jj, kk, th[jj, kk]))
+    return out
+
+
+def pairwise_integrals(lams, jj, kk, mu, k_t):
+    """N_p = int nbar(w) dw / ((w - a_p)(w - b_p)) for a_p = lams[jj[p]] and
+    b_p = conj(lams[kk[p]]): (T(a) - T(b)) / (a - b), with T a logarithm at
+    k_t = 0 and a digamma above (see dqdsim.spectral._pair_integrals)."""
+    a, b = lams[jj], np.conj(lams[kk])
+    if k_t == 0.0:
+        return (np.log(mu - a) - np.log(mu - b) - _TWO_PI * 1j) / (a - b)
+    psi = _digamma(0.5 - (lams - mu) / (2j * math.pi * k_t))
+    return (psi[jj] - (np.conj(psi[kk]) + 1j * math.pi)) / (a - b)
+
+
+def pairwise_steady_fluctuation(poles, residues, config: ModelConfig) -> np.ndarray:
+    """V^s = (1/2pi) sum_l sum_jk theta_ljk N_l(lams_j, conj(lams_k)), one
+    term per weighted pair; Lorentzian or wide band. Raises no invariant
+    check of its own."""
+    v = np.zeros((2, 2), dtype=complex)
+    for lead, lams, jj, kk, theta in weighted_pairs(poles, residues, config):
+        res = config.reservoirs[lead]
+        v += np.einsum("p,pab->ab", pairwise_integrals(lams, jj, kk, res.mu, res.k_t), theta)
+    return hermitian_part(v / _TWO_PI)
+
+
+def pairwise_bm_stationary(config: ModelConfig) -> np.ndarray:
+    """The Born-Markov X = sum_l nbar_l sum_jk theta_ljk / (i (r_j - conj(r_k)))
+    over the leads that are coupled and occupied; zero when there are none."""
+    occ = [fermi_occupation(eps, res.mu, res.k_t)
+           for eps, res in zip((config.system.eps1, config.system.eps2), config.reservoirs)]
+    sources = [lead for lead, (nbar, res) in enumerate(zip(occ, config.reservoirs))
+               if nbar * res.gamma != 0.0]
+    x = np.zeros((2, 2), dtype=complex)
+    if not sources:
+        return x
+    modes = _modes(config)
+    for lead, r, jj, kk, theta in weighted_pairs(modes.poles, modes.residues, config, sources):
+        x += occ[lead] * np.einsum("p,pab->ab", 1.0 / (1j * (r[jj] - np.conj(r[kk]))), theta)
+    return hermitian_part(x)
+
+
+def pairwise_wbl_fluctuation(config: ModelConfig, times) -> np.ndarray:
+    """The wide-band V(t) of dqdsim.greens.wbl_greens, from the pair lists of
+    weighted_pairs: one pair table per lead over its own pairs and their
+    transposes."""
+    modes = _modes(config)
+    v = np.zeros((len(times), 2, 2), dtype=complex)
+    for lead, lams, jj, kk, theta in weighted_pairs(modes.poles, modes.residues, config):
+        res = config.reservoirs[lead]
+        rows = sorted({*zip(jj.tolist(), kk.tolist()), *zip(kk.tolist(), jj.tolist())})
+        table = dict(zip(rows, _thermal_pair_table(lams, rows, res, times, res.k_t / 2.0)))
+        n_far = pairwise_integrals(lams, jj, kk, res.mu, res.k_t)
+        v += _wbl_lead_fluctuation(lams, jj, kk, theta, n_far, res.k_t, times, table)
+    return hermitian_part(v)

@@ -601,6 +601,27 @@ class TestSweep:
         assert all(r[-1] < 5e-3 for r in rows_e)
         assert all(r[-1] == 0.0 for r in rows_p)
 
+    def test_late_time_spread_is_the_rms_deviation(self, monkeypatch):
+        # a valid V(t) whose off-diagonal turns once around a circle of
+        # radius 0.2 over the window's 21 rows: |V - V-bar| stays 0.2, so the
+        # spread of |V - V-bar| is 0, while the RMS deviation is 0.2
+        grid = greens.TimeGrid(10.0, 100)
+        v = np.zeros((101, 2, 2), dtype=complex)
+        v[:, 0, 0] = v[:, 1, 1] = 0.5
+        v[:, 0, 1] = 0.2 * np.exp(2j * np.pi / 21 * np.arange(101))
+        v[:, 1, 0] = np.conj(v[:, 0, 1])
+        monkeypatch.setattr(cli, "solve", lambda model, grid: SimpleNamespace(v_seq=v))
+        model = ModelConfig(
+            system=SystemParams(eps1=2.0, eps2=2.0, g_coupling=0.5),
+            left=ReservoirParams(gamma=0.5),
+            right=ReservoirParams(gamma=0.5),
+        )
+        v_s, spread = cli._late_time_steady(model, grid)
+        np.testing.assert_allclose(v_s, 0.5 * np.eye(2), rtol=0.0, atol=1e-15)
+        window = v[80:]
+        assert np.max(np.abs(window - window.mean(axis=0)).std(axis=0)) < 1e-15
+        assert spread == pytest.approx(0.2, rel=1e-12)
+
     def test_born_markov_evolve_without_coupled_lead_has_no_fluctuation(self, tmp_path):
         # the time series stays defined: V(t) = 0 and U(t) = e^{-iMt}
         cfg = write_cfg(
@@ -987,7 +1008,7 @@ class TestTables:
             right=ReservoirParams(gamma=0.9, bandwidth=1.1, mu=1.2, k_t=1.3, cutoff=6.0),
             spectral_kind=SpectralKind.CUTOFF_LORENTZIAN,
         )
-        out = cli._apply_param(base, name, 3.25)
+        out = cli._apply_params(base, {name: 3.25})
         assert out.spectral_kind is base.spectral_kind
         for part in ("system", "left", "right"):
             for f in dataclasses.fields(getattr(base, part)):
@@ -996,6 +1017,27 @@ class TestTables:
                     assert got == 3.25
                 else:
                     assert got == getattr(getattr(base, part), f.name)
+
+
+    def test_point_values_take_one_build(self, monkeypatch):
+        # a point's four names change three parts: one replace of each and
+        # one of the model, with the same result as one name at a time
+        base = ModelConfig(
+            system=SystemParams(eps1=1.0, eps2=2.0, g_coupling=0.3),
+            left=ReservoirParams(gamma=0.4, bandwidth=0.6, mu=0.7, k_t=0.8),
+            right=ReservoirParams(gamma=0.9, bandwidth=1.1, mu=1.2, k_t=1.3),
+        )
+        values = {"eps1": 0.5, "eps2": -0.5, "mu1": 3.0, "mu2": 4.0}
+        calls = []
+        monkeypatch.setattr(cli, "replace", lambda obj, **kw: calls.append(obj)
+                            or dataclasses.replace(obj, **kw))
+        out = cli._apply_params(base, values)
+        assert len(calls) == 4
+        one_by_one = base
+        for name, value in values.items():
+            one_by_one = cli._apply_params(one_by_one, {name: value})
+        assert out == one_by_one
+        assert (out.system.eps1, out.system.eps2, out.left.mu, out.right.mu) == (0.5, -0.5, 3.0, 4.0)
 
 
 # the layers perfbench/tracer.py traces, by defining module; the per-pass

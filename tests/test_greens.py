@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 import tracemalloc
 
@@ -15,6 +16,7 @@ from dqdsim.greens import (
     GreensSolution,
     PoleExpansion,
     TimeGrid,
+    _bm_stationary,
     _fft_period,
     _modes,
     _spectral_product,
@@ -46,8 +48,12 @@ from steady_reference import (
     four_pole_steady_fluctuation,
     mp_pole_expansion,
     mp_steady_fluctuation,
+    pairwise_bm_stationary,
+    pairwise_steady_fluctuation,
+    pairwise_wbl_fluctuation,
     quad_steady_fluctuation,
     quad_steady_state_fluctuation,
+    weighted_pairs,
 )
 
 # cross-validated reference values for the symmetric resonant benchmark
@@ -749,6 +755,99 @@ class TestPseudomodeForm:
         assert np.max(np.abs(vs - reference(exp.poles, exp.residues, cfg))) < self.TOL
 
 
+_CAUCHY_REGIMES = ("generic", "zero_temperature", "hot", "mixed_temperature",
+                   "complex_g", "asymmetric", "gamma_r_zero", "pole_on_q")
+
+
+@st.composite
+def _cauchy_cases(draw):
+    """(regime, kwargs of make_config, the right lead's k_T or None) from
+    the regimes the masked pair sum must cover."""
+    regime = draw(st.sampled_from(_CAUCHY_REGIMES))
+    kw = dict(
+        eps1=draw(st.floats(-3.0, 3.0)),
+        eps2=draw(st.floats(-3.0, 3.0)),
+        g=draw(st.floats(0.1, 2.0)),
+        gamma=draw(st.floats(0.1, 2.0)),
+        d=draw(st.floats(0.3, 4.0)),
+        mu=draw(st.floats(-3.0, 3.0)),
+        k_t=draw(st.floats(0.05, 1.0)),
+    )
+    right_k_t = None
+    if regime == "zero_temperature":
+        kw["k_t"] = 0.0
+    elif regime == "hot":  # k_T >> linewidth
+        kw.update(gamma=draw(st.floats(0.05, 0.5)), d=draw(st.floats(0.1, 0.5)),
+                  k_t=draw(st.floats(10.0, 40.0)))
+    elif regime == "mixed_temperature":  # the right lead at k_T = 0
+        right_k_t = 0.0
+    elif regime == "complex_g":
+        kw["g"] *= cmath.exp(1j * draw(st.floats(0.0, 2.0 * math.pi)))
+    elif regime == "asymmetric":
+        kw.update(gamma_r=draw(st.floats(0.1, 2.0)), mu_r=draw(st.floats(-3.0, 3.0)))
+    elif regime == "gamma_r_zero":
+        kw.update(gamma_r=0.0, mu_r=draw(st.floats(-3.0, 3.0)))
+    elif regime == "pole_on_q":
+        # the uncoupled right pseudomode's pole is mu - i d, the left q_l
+        kw["gamma_r"] = 0.0
+    return regime, kw, right_k_t
+
+
+def _cauchy_config(case, kind):
+    _, kw, right_k_t = case
+    cfg = make_config(kind=kind, **kw)
+    if right_k_t is not None:
+        cfg = dataclasses.replace(cfg, right=dataclasses.replace(cfg.right, k_t=right_k_t))
+    return cfg
+
+
+class TestCauchyForm:
+    """The masked Cauchy-matrix product per lead against the pairwise sum it
+    replaced (steady_reference), to 1e-14 relative to the largest entry."""
+
+    TOL = 1e-14
+
+    def assert_close(self, got, ref):
+        assert np.max(np.abs(got - ref)) <= self.TOL * np.max(np.abs(ref))
+
+    @settings(max_examples=80)
+    @given(_cauchy_cases())
+    def test_steady_states_match_the_pairwise_sum(self, case):
+        lor = _cauchy_config(case, SpectralKind.LORENTZIAN)
+        exp = pole_expansion_lorentzian(lor)
+        self.assert_close(steady_state_fluctuation(exp, lor),
+                          pairwise_steady_fluctuation(exp.poles, exp.residues, lor))
+        wbl = _cauchy_config(case, SpectralKind.WIDE_BAND)
+        modes = _modes(wbl)
+        self.assert_close(wbl_steady_fluctuation(wbl),
+                          pairwise_steady_fluctuation(modes.poles, modes.residues, wbl))
+        x = _bm_stationary(wbl)[1]
+        ref = pairwise_bm_stationary(wbl)
+        if np.any(ref):
+            self.assert_close(x, ref)
+        else:  # no lead both coupled and occupied
+            assert not np.any(x)
+
+    @settings(max_examples=30)
+    @given(_cauchy_cases(), st.sampled_from([0.5, 3.0]))
+    def test_wide_band_series_matches_the_pairwise_sum(self, case, t_max):
+        cfg = _cauchy_config(case, SpectralKind.WIDE_BAND)
+        grid = TimeGrid(t_max, 24)
+        self.assert_close(wbl_greens(cfg, grid).v_seq,
+                          pairwise_wbl_fluctuation(cfg, grid.times))
+
+    def test_pole_on_q_is_masked(self):
+        # Gamma_R = 0 with a shared mu: the right pseudomode's pole is q_L to
+        # the last bit, and its column on the left lead is zero
+        cfg = make_config(eps1=0.3, eps2=1.1, g=0.7, gamma_r=0.0)
+        exp = pole_expansion_lorentzian(cfg)
+        lc = greens._lead_columns(exp.poles, exp.residues, cfg)
+        assert lc.leads == [0]
+        on_q = np.flatnonzero(lc.lams[0, :-1] == lc.lams[0, -1])
+        assert on_q.size == 1
+        assert not np.any(lc.cols[0, :, on_q]) and not np.any(lc.keep[0, on_q])
+
+
 def _random_config(rng, regime, kind=SpectralKind.LORENTZIAN):
     """One random config of the named regime (Lorentzian unless kind says)."""
     kw = dict(
@@ -1090,7 +1189,7 @@ class TestWideBand:
             wbl_greens(cfg, grid)
             assert len(tables) == count
             modes = greens._modes(cfg)
-            for lead, lams, jj, kk, _ in greens._weighted_pairs(modes.poles, modes.residues, cfg):
+            for lead, lams, jj, kk, _ in weighted_pairs(modes.poles, modes.residues, cfg):
                 res = cfg.reservoirs[lead]
                 own = sorted({*zip(jj.tolist(), kk.tolist()), *zip(kk.tolist(), jj.tolist())})
                 alone = table(lams, own, res, grid.times, res.k_t / 2.0)
