@@ -250,18 +250,22 @@ def _initial_from(table: _Table) -> DensityBlocks:
         raise ConfigError(f"{table.path}: [initial] explicit blocks invalid: {exc}")
 
 
-def _axis_from(table: _Table, key: str) -> SweepAxis:
+def _axis_from(table: _Table, key: str, taken: tuple = ()) -> SweepAxis:
+    """The axis under [sweep] key; taken holds the names of the axes before
+    it, and a name that is swept twice is refused."""
     parts = table.get("sweep", key).split(":")
     if len(parts) != 4:
         table._fail("sweep", key, "expected 'names:min:max:steps'")
     names = tuple(n.strip().lower() for n in parts[0].split(","))
-    for n in names:
+    for i, n in enumerate(names):
         if n not in SWEEP_PARAMS:
             table._fail(
                 "sweep",
                 key,
                 f"unknown parameter {n!r} (known: {', '.join(SWEEP_PARAMS)})",
             )
+        if n in taken or n in names[:i]:
+            table._fail("sweep", key, f"parameter {n!r} is swept more than once")
     try:
         lo, hi = float(parts[1]), float(parts[2])
         steps = int(parts[3])
@@ -316,7 +320,7 @@ def load_experiment(path: str) -> ExperimentConfig:
     if table.has("sweep", "axis2"):
         if not axes:
             raise ConfigError(f"{path}: [sweep] axis2 given without axis1")
-        axes.append(_axis_from(table, "axis2"))
+        axes.append(_axis_from(table, "axis2", axes[0].names))
 
     modes = table.get("oracle", "modes")
     tol = table.get("oracle", "tol")
@@ -461,7 +465,11 @@ def _write(path, lines):
     """Write the lines to path, or to stdout when no path is given."""
     text = "\n".join(lines) + "\n"
     if path:
-        with open(path, "w", encoding="utf-8") as fh:
+        try:
+            fh = open(path, "w", encoding="utf-8")
+        except OSError as exc:
+            raise ConfigError(f"cannot write output file {path}: {exc}") from exc
+        with fh:
             fh.write(text)
     else:
         sys.stdout.write(text)

@@ -384,9 +384,10 @@ class _LeadColumns(NamedTuple):
                                [res.k_t for res in self.reservoirs])
 
     def pair_sum(self, weights: np.ndarray) -> np.ndarray:
-        """sum_l Gamma_l C_l W_l C_l^dag for pair weights W (L, J, J), zero
-        off the kept pairs: the Cauchy-matrix product of the closed forms."""
-        return np.einsum("laj,ljk,lbk->ab", self.gamma[:, None, None] * self.cols, weights,
+        """sum_l Gamma_l C_l W_l C_l^dag for pair weights W (L, J, J, ...),
+        zero off the kept pairs: the Cauchy-matrix product of the closed
+        forms, one 2x2 matrix per trailing index of W, stacked first."""
+        return np.einsum("laj,ljk...,lbk->...ab", self.gamma[:, None, None] * self.cols, weights,
                          np.conj(self.cols))
 
 
@@ -489,80 +490,52 @@ def steady_state_fluctuation(
 # ---------------------------------------------------------------------------
 
 
-def _wbl_lead_fluctuation(lams, jj, kk, theta, n_far, k_t, times, table):
-    """One lead's contribution to V_WBL on the grid times (zero at t = 0),
-    from its kept pairs jj, kk with weights theta (_lead_columns), their
-    closed-form N_jk n_far (_pair_integrals), and table, which maps each
-    pair and its transpose to its _thermal_pair_table row.
-
-    With a = lam_j and b = conj(lam_k), the pair integrates
-    (c0 - c1 e^{iwt} - c2 e^{-iwt}) nbar(w) / ((w - a)(w - b)) over w, from
-    the thermal N_jk and O_jk(t) of _thermal_pair_table. On rows
-    t < tau* = 1/k_t the table's N_jk (its column 0) and O_jk(t) share
-    their Fermi-remainder panels, so that the pair's cancellation at small
-    t survives, and panels of width k_t / 2 suffice; past tau* N_jk is
-    n_far, exact to rounding.
-    """
-    out = np.zeros((len(times), 2, 2), dtype=complex)
-    t = times[1:]
-    near = _near_rows(times, k_t) - 1  # rows of t before tau*
-    for j, k, theta_jk, n_jk in zip(jj.tolist(), kk.tolist(), theta, n_far):
-        a, b = lams[j], np.conj(lams[k])
-        c0 = 1.0 + np.exp(1j * (b - a) * t)
-        c1 = np.exp(-1j * a * t)
-        c2 = np.exp(1j * b * t)
-        n_t = np.full(t.size, table[j, k][0])
-        n_t[near:] = n_jk
-        i_jk = c0 * n_t - c1 * table[j, k][1:] - c2 * np.conj(table[k, j][1:])
-        out[1:] += i_jk[:, None, None] * theta_jk
-    return out / _TWO_PI
-
-
 def wbl_greens(config: ModelConfig, grid: TimeGrid) -> GreensSolution:
     """Wide-band-limit solution: U = exp(-(iM + Gamma/2) t), V by the
     frequency integral of the flat-spectrum closed form.
 
-    The frequency integral is taken exactly. On rows t < tau* = 1/k_T its
-    sharp-Fermi-sea part reduces to logarithms and exponential integrals of
-    the effective-mode poles, and the finite-temperature remainder is
-    exponentially confined to a few k_T around each chemical potential,
-    where Gauss panels of width k_T / 2 resolve it, summed by the kernel
-    tables' factored Fourier sum. Past tau* the whole thermal integral
-    closes on the conjugate mode pole and the Matsubara poles. This keeps V
-    positive semidefinite to rounding, which a truncated frequency window
-    cannot guarantee, and its cost flat in t_max at a fixed step count.
-    Each lead sums over the pairs its mask keeps (_lead_columns). The table
-    depends on a lead only through (mu, k_T), so leads that share them
-    share one table over the union of their pairs.
+    V is the masked Cauchy-matrix product of the steady states
+    (_LeadColumns.pair_sum) with one pair weight per time. With a = lam_j
+    and b = conj(lam_k), pair (j, k) integrates
+    (c0 - c1 e^{iwt} - c2 e^{-iwt}) nbar(w) / ((w - a)(w - b)) over w, which
+    is c0 N_jk - c1 I_jk(t) - c2 conj(I_kj(t)) with I the thermal pair table
+    (_thermal_pair_table). The integral is exact: on rows t < tau* = 1/k_T,
+    the sharp sea's logarithms and exponential integrals plus the Fermi
+    remainder on Gauss panels of width k_T / 2, with N_jk the table's slot
+    0, which shares those panels, so that the pair's cancellation at small t
+    survives; past tau*, the Matsubara closure and N_jk in closed form
+    (_pair_integrals). This keeps V positive semidefinite to rounding, which
+    a truncated frequency window cannot guarantee, and its cost flat in
+    t_max at a fixed step count. The table depends on a lead only through
+    (mu, k_T), and every lead's lams are the same poles, so leads that share
+    (mu, k_T) share one table over the union of their kept pairs and of the
+    transposes, since conj(I_kj) is used.
     """
     if config.spectral_kind is not SpectralKind.WIDE_BAND:
         raise ConfigError("wbl_greens requires the wide-band spectral kind")
     modes = _modes(config)
     times = grid.times
-    u = modes.reconstruct(times)
-
     lc = _lead_columns(modes.poles, modes.residues, config)
-    # the pairs of each distinct (mu, k_t) and their transposes, since
-    # conj(I_kj) is used; every lead's lams are the same poles, and a
-    # coupled lead's c_j sum to a unit column, so it has a pair
-    pairs = {}
-    for res, keep in zip(lc.reservoirs, lc.keep):
-        key = (res.mu, res.k_t)
-        pairs[key] = pairs.get(key, False) | keep | keep.T
-    tables = {}
+    keys = [(res.mu, res.k_t) for res in lc.reservoirs]
+    table = np.empty(lc.keep.shape + times.shape, dtype=complex)
+    for lead, (key, res) in enumerate(zip(keys, lc.reservoirs)):
+        shared = [other for other, k in enumerate(keys) if k == key]
+        if shared[0] < lead:
+            table[lead] = table[shared[0]]
+        else:
+            pairs = np.any(lc.keep[shared] | lc.keep[shared].swapaxes(1, 2), axis=0)
+            table[lead] = _thermal_pair_table(lc.lams[lead], pairs, res, times, res.k_t / 2.0)
+    t = times[1:]
+    near = np.array([_near_rows(times, res.k_t) for res in lc.reservoirs], dtype=int)
+    n_t = np.where(np.arange(1, times.size) < near[:, None, None, None], table[..., :1],
+                   lc.pair_integrals()[..., None])
+    c0 = 1.0 + np.exp(-1j * lc.gaps[..., None] * t)
+    c1 = np.exp(-1j * lc.lams[:, :, None, None] * t)
+    c2 = np.exp(1j * lc.lams.conj()[:, None, :, None] * t)
+    weights = c0 * n_t - c1 * table[..., 1:] - c2 * np.conj(table.swapaxes(1, 2)[..., 1:])
     v = np.zeros((len(times), 2, 2), dtype=complex)
-    for res, gamma, lams, cols, keep, n_far in zip(
-            lc.reservoirs, lc.gamma, lc.lams, lc.cols, lc.keep, lc.pair_integrals()):
-        key = (res.mu, res.k_t)
-        if key not in tables:
-            rows = [tuple(pair) for pair in np.argwhere(pairs[key]).tolist()]
-            table = _thermal_pair_table(lams, rows, res, times, res.k_t / 2.0)
-            tables[key] = dict(zip(rows, table))
-        jj, kk = np.nonzero(keep)
-        theta = (gamma * cols[:, jj].T)[:, :, None] * np.conj(cols[:, kk].T)[:, None, :]
-        v += _wbl_lead_fluctuation(lams, jj, kk, theta, n_far[jj, kk], res.k_t, times,
-                                   tables[key])
-    return GreensSolution(grid, u, hermitian_part(v))
+    v[1:] = lc.pair_sum(np.where(lc.keep[..., None], weights, 0.0)) / _TWO_PI
+    return GreensSolution(grid, modes.reconstruct(times), hermitian_part(v))
 
 
 def wbl_steady_fluctuation(config: ModelConfig) -> np.ndarray:

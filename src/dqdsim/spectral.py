@@ -5,9 +5,10 @@ Every reservoir couples diagonally to its own mode, so the spectral
 density, the real self-energy and the two memory kernels are all 2x2
 diagonal matrices.  Energies are in units of Gamma, times in 1/Gamma.
 One thermal pole-pair table, _thermal_pair_table, takes every integral of
-nbar(w) e^{iwt} over a pair of poles: the wide band's V and a Lorentzian
-lead's noise kernel both read it. A finite-cutoff lead takes both kernels
-from one panel node set over its band.
+nbar(w) e^{iwt} over a pair of poles, on the pairs a (J, J) mask keeps: the
+wide band's V and a Lorentzian lead's noise kernel (a 1x1 mask) read it.
+A finite-cutoff lead takes both kernels from one panel node set over its
+band.
 """
 
 from __future__ import annotations
@@ -205,9 +206,9 @@ def _pair_integrals(lams, keep, mu, k_t):
 # ---------------------------------------------------------------------------
 # sharp-Fermi-sea pole integrals over the half line (-inf, mu]
 
-def _halfline_phase_integral(lam, mu, t, phase):
-    """E(lam; t) = int_{-inf}^{mu} exp(i w t) / (w - lam) dw for t > 0,
-    given phase = exp(i mu t).
+def _halfline_phase_integral(lams, mu, t):
+    """E(lam; t) = int_{-inf}^{mu} exp(i w t) / (w - lam) dw for t > 0, one
+    row per pole of the array lams, all in one _scaled_exp1 call.
 
     Written through the scaled exponential integral so the result stays
     bounded at large t |mu - lam|. For poles in the upper half plane the
@@ -215,36 +216,14 @@ def _halfline_phase_integral(lam, mu, t, phase):
     E1 argument crosses its cut; the region rule below was pinned against
     high-precision quadrature.
     """
-    zeta = mu - lam
-    if abs(zeta) == 0.0:
+    zeta = mu - lams
+    if (zeta == 0.0).any():
         raise SolverError("half-line integral evaluated at its singular point")
-    val = -phase * _scaled_exp1(-1j * zeta * t)
-    if lam.imag > 0.0 and zeta.real > 0.0:
-        # the cut of E1 was crossed while continuing from w -> -i inf
-        val = val + _TWO_PI * 1j * np.exp(1j * lam * t)
+    val = -np.exp(1j * mu * t) * _scaled_exp1(-1j * zeta[:, None] * t)
+    # the cut of E1 was crossed while continuing from w -> -i inf
+    cut = (lams.imag > 0.0) & (zeta.real > 0.0)
+    val[cut] += _TWO_PI * 1j * np.exp(1j * lams[cut, None] * t)
     return val
-
-
-def _halfline_pair_integrals(lams, mu, times, pairs):
-    """N_p and O_p(t) building blocks of the zero-temperature backbone, one
-    row per requested pair p = (j, k):
-
-    N_p  = int_{-inf}^{mu} dw / ((w - lam_j)(w - conj(lam_k)))
-    O_p  = int_{-inf}^{mu} exp(i w t) dw / ((w - lam_j)(w - conj(lam_k)))
-
-    The caller keeps each gap |lam_j - conj(lam_k)| away from 0. Its one
-    caller is _thermal_pair_table, which adds the Fermi remainder to both.
-    """
-    t = np.asarray(times, dtype=float)
-    phase = np.exp(1j * mu * t)
-    jj, kk = np.transpose(pairs)
-    e_lo = {j: _halfline_phase_integral(lams[j], mu, t, phase) for j in set(jj)}
-    e_hi = {k: _halfline_phase_integral(np.conj(lams[k]), mu, t, phase) for k in set(kk)}
-    o = [(e_lo[j] - e_hi[k]) / (lams[j] - np.conj(lams[k])) for j, k in pairs]
-    keep = np.zeros((1, len(lams), len(lams)), dtype=bool)
-    keep[0, jj, kk] = True
-    n = _pair_integrals(np.asarray(lams, dtype=complex)[None], keep, [mu], [0.0])
-    return n[0, jj, kk], np.array(o)
 
 
 # ---------------------------------------------------------------------------
@@ -399,36 +378,43 @@ def _matsubara_closure(a: complex, b: complex, mu: float, k_t: float,
     return _TWO_PI * 1j * total
 
 
-def _thermal_pair_table(lams, pairs, res: ReservoirParams, taus: np.ndarray,
+def _thermal_pair_table(lams, keep: np.ndarray, res: ReservoirParams, taus: np.ndarray,
                         cap: float) -> np.ndarray:
     """I_jk(tau) = int nbar(w) e^{i w tau} dw / ((w - lam_j)(w - conj(lam_k)))
-    for each requested pair (j, k) on the grid taus: row p holds pair p, and
-    its column 0 is N_jk.
+    on the grid taus for the pairs (j, k) that the (J, J) mask keep marks,
+    zero on the others: a (J, J, len(taus)) array whose slot 0 is N_jk.
 
-    Rows tau < tau* = 1/k_t take the sharp sea's N_jk and O_jk(tau) plus the
-    Fermi remainder on panels of width <= cap, all from one Fourier sum, so
-    that a caller's cancelling combinations of N and O keep their
-    cancellation; rows past tau* take _matsubara_closure. The pair gaps
-    |lam_j - conj(lam_k)| must stay away from 0.
+    Rows tau < tau* = 1/k_t take the sharp sea's N_jk (_pair_integrals at
+    k_t = 0) and O_jk(tau), its half-line integral with e^{i w tau}, which is
+    (E(lam_j) - E(conj lam_k)) / (lam_j - conj lam_k) over the poles' rows of
+    _halfline_phase_integral, plus the Fermi remainder on panels of width
+    <= cap, all from one Fourier sum, so that a caller's cancelling
+    combinations of N and O keep their cancellation; rows past tau* take
+    _matsubara_closure. Only the poles that a kept pair uses are evaluated,
+    each once. The kept gaps |lam_j - conj(lam_k)| must stay away from 0.
     """
+    lams = np.asarray(lams, dtype=complex)
     mu, k_t = res.mu, res.k_t
     near = _near_rows(taus, k_t)
-    out = np.empty((len(pairs), taus.size), dtype=complex)
-    out[:, 0], out[:, 1:near] = _halfline_pair_integrals(lams, mu, taus[1:near], pairs)
+    lo, hi = keep.any(axis=1), keep.any(axis=0)
+    e = np.zeros((2, lams.size, near - 1), dtype=complex)  # E(lam_j), E(conj lam_k)
+    e[0, lo], e[1, hi] = np.split(
+        _halfline_phase_integral(np.concatenate([lams[lo], lams[hi].conj()]), mu,
+                                 taus[1:near]), [lo.sum()])
+    jj, kk = np.nonzero(keep)
+    out = np.zeros(keep.shape + taus.shape, dtype=complex)
+    out[..., 0] = _pair_integrals(lams[None], keep[None], [mu], [0.0])[0]
+    out[jj, kk, 1:near] = (e[0, jj] - e[1, kk]) / (lams[jj] - lams[kk].conj())[:, None]
     if k_t == 0.0:
         return out
     omega, coef = _fermi_remainder(res, cap)
     # rows hold conj(c_w / ((w - a)(w - b))), so the sum gives the conjugate
-    # of the remainder; built in place, the stack is the only (pairs x nodes)
-    # array
-    stack = np.empty((len(pairs), omega.size), dtype=complex)
-    for row, (j, k) in zip(stack, pairs):
-        np.subtract(omega, np.conj(lams[j]), out=row)
-        np.divide(coef, row, out=row)
-        row /= omega - lams[k]
-    out[:, :near] += np.conj(_fourier_sum(omega, stack.T, taus[:near])).T
-    for row, (j, k) in zip(out, pairs):
-        row[near:] = _matsubara_closure(lams[j], np.conj(lams[k]), mu, k_t, taus[near:])
+    # of the remainder
+    stack = coef / (omega - lams[jj, None].conj())
+    stack /= omega - lams[kk, None]
+    out[jj, kk, :near] += np.conj(_fourier_sum(omega, stack.T, taus[:near])).T
+    for j, k in zip(jj, kk):
+        out[j, k, near:] = _matsubara_closure(lams[j], np.conj(lams[k]), mu, k_t, taus[near:])
     return out
 
 
@@ -490,8 +476,9 @@ def build_kernel_table(config: ModelConfig, taus: np.ndarray,
                 # J = Gamma d^2 / ((w - a)(w - conj(a))) at the pseudomode
                 # pole a = mu - i d; the panels resolve J's peak
                 cap = min(d / 2.0, 0.5, res.k_t / 2.0)
-                table = _thermal_pair_table([mu - 1j * d], [(0, 0)], res, taus, cap)
-                noise[:, c] = res.gamma * d * d / _TWO_PI * np.conj(table[0])
+                table = _thermal_pair_table([mu - 1j * d], np.ones((1, 1), dtype=bool), res,
+                                            taus, cap)
+                noise[:, c] = res.gamma * d * d / _TWO_PI * np.conj(table[0, 0])
             continue
         # one node set for both columns over the whole band (its hard edge
         # carries real spectral weight), split at mu: panels resolve J's

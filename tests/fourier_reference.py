@@ -10,10 +10,13 @@ integrals. Both are the package's code before the factored sum, and both
 work through the time grid in chunks.
 """
 
+import dataclasses
+import math
+
 import numpy as np
 
 from dqdsim.greens import _modes
-from dqdsim.spectral import _fermi_remainder, _halfline_pair_integrals
+from dqdsim.spectral import _fermi_remainder, _thermal_pair_table
 
 from steady_reference import weighted_pairs
 
@@ -43,35 +46,34 @@ def _cexpm1(z):
 
 
 def _lead_fluctuation(lams, jj, kk, theta, res, times):
-    """One lead's V_WBL on times > 0 from its weighted pairs, remainder
-    summed term by term."""
+    """One lead's V_WBL on the grid times (zero at t = 0) from its weighted
+    pairs: the sharp sea from a k_T = 0 pair table, the remainder summed
+    term by term."""
     keep = list(zip(jj.tolist(), kk.tolist()))
-    nt = len(times)
-    out = np.zeros((nt, 2, 2), dtype=complex)
+    out = np.zeros((len(times), 2, 2), dtype=complex)
     if not keep:
         return out
 
-    pair_set = set(keep)
-    pair_set.update((k, j) for j, k in keep)
-    pairs = sorted(pair_set)
-    n_p, o_p = _halfline_pair_integrals(lams, res.mu, times, pairs)
-    n_jk, o_jk = dict(zip(pairs, n_p)), dict(zip(pairs, o_p))
+    pairs = np.zeros((len(lams), len(lams)), dtype=bool)
+    pairs[jj, kk] = pairs[kk, jj] = True
+    sea = _thermal_pair_table(lams, pairs, dataclasses.replace(res, k_t=0.0), times, math.inf)
+    t, rest = times[1:], out[1:]
     for (j, k), theta_jk in zip(keep, theta):
         a, b = lams[j], np.conj(lams[k])
-        c0 = 1.0 + np.exp(1j * (b - a) * times)
-        c1 = np.exp(-1j * a * times)
-        c2 = np.exp(1j * b * times)
-        i_jk = c0 * n_jk[j, k] - c1 * o_jk[j, k] - c2 * np.conj(o_jk[k, j])
-        out += i_jk[:, None, None] * theta_jk
+        c0 = 1.0 + np.exp(1j * (b - a) * t)
+        c1 = np.exp(-1j * a * t)
+        c2 = np.exp(1j * b * t)
+        i_jk = c0 * sea[j, k, 0] - c1 * sea[j, k, 1:] - c2 * np.conj(sea[k, j, 1:])
+        rest += i_jk[:, None, None] * theta_jk
 
     if res.k_t > 0.0:
         # its own panel width, pi / (4 t_max), apart from the package's
-        cap = min(res.k_t / 2.0, np.pi / (4.0 * times[-1]))
+        cap = min(res.k_t / 2.0, np.pi / (4.0 * t[-1]))
         omega, coef = _fermi_remainder(res, cap)
         used = {j for j, _ in keep} | {k for _, k in keep}
         chunk = max(1, _CHUNK_ELEMENTS // omega.size)
-        for start in range(0, nt, chunk):
-            tt = times[start : start + chunk]
+        for start in range(0, t.size, chunk):
+            tt = t[start : start + chunk]
             gam_fac = [None, None]
             for j in used:
                 z = 1j * np.outer(tt, omega - lams[j])
@@ -80,15 +82,14 @@ def _lead_fluctuation(lams, jj, kk, theta, res, times):
                 s_sum = np.einsum(
                     "w,tw->t", coef, np.conj(gam_fac[k]) * gam_fac[j]
                 )
-                out[start : start + chunk] += s_sum[:, None, None] * theta_jk
+                rest[start : start + chunk] += s_sum[:, None, None] * theta_jk
     return out / (2.0 * np.pi)
 
 
 def wbl_reference_fluctuation(config, grid):
     """V_WBL(t) on the grid, as dqdsim.greens.wbl_greens defines it."""
     modes = _modes(config)
-    times = grid.times
-    v = np.zeros((len(times), 2, 2), dtype=complex)
+    v = np.zeros((grid.n_steps + 1, 2, 2), dtype=complex)
     for lead, lams, jj, kk, theta in weighted_pairs(modes.poles, modes.residues, config):
-        v[1:] += _lead_fluctuation(lams, jj, kk, theta, config.reservoirs[lead], times[1:])
+        v += _lead_fluctuation(lams, jj, kk, theta, config.reservoirs[lead], grid.times)
     return 0.5 * (v + np.conj(np.transpose(v, (0, 2, 1))))

@@ -11,6 +11,7 @@ and the table's noise column as the package summed it before the Matsubara
 closure: the sharp sea plus the Fermi remainder on panels on every row.
 """
 
+import dataclasses
 import math
 
 import mpmath
@@ -22,7 +23,7 @@ from dqdsim.spectral import (
     _TWO_PI,
     _fermi_remainder,
     _fourier_sum,
-    _halfline_pair_integrals,
+    _thermal_pair_table,
     fermi_occupation,
     lead_density,
     lead_self_energy_real,
@@ -92,10 +93,9 @@ def panel_noise_column(res: ReservoirParams, taus: np.ndarray) -> np.ndarray:
     noise = np.zeros(taus.size, dtype=complex)
     d, mu = res.bandwidth, res.mu
     base = min(d / 2.0, 0.5, math.pi / (4.0 * tau_max))
-    n_p, o_p = _halfline_pair_integrals([mu - 1j * d], mu, taus[1:], [(0, 0)])
-    pref = res.gamma * d * d / _TWO_PI
-    noise[0] = pref * np.conj(n_p[0])
-    noise[1:] = pref * np.conj(o_p[0])
+    sea = _thermal_pair_table([mu - 1j * d], np.ones((1, 1), dtype=bool),
+                              dataclasses.replace(res, k_t=0.0), taus, math.inf)
+    noise += res.gamma * d * d / _TWO_PI * np.conj(sea[0, 0])
     if res.k_t > 0.0:
         nodes, c_w = _fermi_remainder(res, min(base, res.k_t / 2.0))
         coefs = c_w * lead_density(res, SpectralKind.LORENTZIAN, nodes) / _TWO_PI

@@ -17,7 +17,8 @@ partial fractions of each pair's integrand over its four poles r_j,
 conj(r_k), mu_l -/+ i d_l, in double precision.
 
 weighted_pairs, pairwise_steady_fluctuation, pairwise_bm_stationary and
-pairwise_wbl_fluctuation are the pseudomode form as dqdsim.greens summed it
+pairwise_wbl_fluctuation (with wbl_lead_fluctuation, its per-lead sum over
+the thermal pair table) are the pseudomode form as dqdsim.greens summed it
 before it took one masked Cauchy-matrix product per lead: an explicit list
 of the pole pairs that carry weight, pruned pair by pair, and one weighted
 2x2 term per pair.
@@ -34,7 +35,6 @@ from dqdsim.greens import (
     EIGENVALUE_CEIL,
     EIGENVALUE_FLOOR,
     _modes,
-    _wbl_lead_fluctuation,
 )
 from dqdsim.model import (
     InvariantViolation,
@@ -47,6 +47,7 @@ from dqdsim.model import (
 )
 from dqdsim.spectral import (
     _digamma,
+    _near_rows,
     _thermal_pair_table,
     fermi_occupation,
     lead_density,
@@ -376,16 +377,44 @@ def pairwise_bm_stationary(config: ModelConfig) -> np.ndarray:
     return hermitian_part(x)
 
 
+def wbl_lead_fluctuation(lams, jj, kk, theta, n_far, k_t, times, table):
+    """One lead's contribution to the wide-band V on the grid times (zero at
+    t = 0), one 2x2 term per kept pair: the pairs jj, kk with weights theta
+    (weighted_pairs), their closed-form N_jk n_far (pairwise_integrals), and
+    table, the _thermal_pair_table of the pairs and their transposes.
+
+    With a = lam_j and b = conj(lam_k), the pair integrates
+    (c0 - c1 e^{iwt} - c2 e^{-iwt}) nbar(w) / ((w - a)(w - b)) over w, from
+    the thermal N_jk and I_jk(t) of the table. On rows t < tau* = 1/k_t the
+    table's N_jk (its slot 0) and I_jk(t) share their Fermi-remainder
+    panels; past tau* N_jk is n_far.
+    """
+    out = np.zeros((len(times), 2, 2), dtype=complex)
+    t = times[1:]
+    near = _near_rows(times, k_t) - 1  # rows of t before tau*
+    for j, k, theta_jk, n_jk in zip(jj.tolist(), kk.tolist(), theta, n_far):
+        a, b = lams[j], np.conj(lams[k])
+        c0 = 1.0 + np.exp(1j * (b - a) * t)
+        c1 = np.exp(-1j * a * t)
+        c2 = np.exp(1j * b * t)
+        n_t = np.full(t.size, table[j, k, 0])
+        n_t[near:] = n_jk
+        i_jk = c0 * n_t - c1 * table[j, k, 1:] - c2 * np.conj(table[k, j, 1:])
+        out[1:] += i_jk[:, None, None] * theta_jk
+    return out / _TWO_PI
+
+
 def pairwise_wbl_fluctuation(config: ModelConfig, times) -> np.ndarray:
     """The wide-band V(t) of dqdsim.greens.wbl_greens, from the pair lists of
     weighted_pairs: one pair table per lead over its own pairs and their
-    transposes."""
+    transposes, and one 2x2 term per pair (wbl_lead_fluctuation)."""
     modes = _modes(config)
     v = np.zeros((len(times), 2, 2), dtype=complex)
     for lead, lams, jj, kk, theta in weighted_pairs(modes.poles, modes.residues, config):
         res = config.reservoirs[lead]
-        rows = sorted({*zip(jj.tolist(), kk.tolist()), *zip(kk.tolist(), jj.tolist())})
-        table = dict(zip(rows, _thermal_pair_table(lams, rows, res, times, res.k_t / 2.0)))
+        pairs = np.zeros((lams.size, lams.size), dtype=bool)
+        pairs[jj, kk] = pairs[kk, jj] = True
+        table = _thermal_pair_table(lams, pairs, res, times, res.k_t / 2.0)
         n_far = pairwise_integrals(lams, jj, kk, res.mu, res.k_t)
-        v += _wbl_lead_fluctuation(lams, jj, kk, theta, n_far, res.k_t, times, table)
+        v += wbl_lead_fluctuation(lams, jj, kk, theta, n_far, res.k_t, times, table)
     return hermitian_part(v)

@@ -197,6 +197,33 @@ class TestParseErrors:
         assert f"run.cfg:24: [sweep] axis1: {fragment}" in err
         assert "Warning" not in err
 
+    @pytest.mark.parametrize(
+        "axes,where,name",
+        [
+            # the second axis would overwrite the first at every point
+            ("axis1 = eps1:0.0:4.0:3\naxis2 = eps1,mu1:1.0:1.0:1", "25: [sweep] axis2", "eps1"),
+            ("axis1 = mu1,eps2,mu1:0.0:4.0:3", "24: [sweep] axis1", "mu1"),
+        ],
+        ids=["across_axes", "within_an_axis"],
+    )
+    def test_a_name_swept_twice_is_refused(self, tmp_path, capsys, axes, where, name):
+        cfg = write_cfg(tmp_path, BASE + f"[solver]\nmethod = pole\n[sweep]\n{axes}\n")
+        assert cli.main(["sweep", "--config", cfg]) == 2
+        out, err = capsys.readouterr()
+        assert not out
+        assert f"run.cfg:{where}: parameter {name!r} is swept more than once" in err
+
+    @pytest.mark.parametrize("via", ["flag", "key"])
+    def test_unwritable_output_path_is_a_config_error(self, tmp_path, capsys, via):
+        out = tmp_path / "missing" / "out.tsv"
+        text = BASE + "[grid]\nt_max = 1.0\nn_steps = 10\n"
+        argv = ["evolve", "--out", str(out)] if via == "flag" else ["evolve"]
+        if via == "key":
+            text += f"[output]\npath = {out}\n"
+        assert cli.main(argv + ["--config", write_cfg(tmp_path, text)]) == 2
+        assert f"config error: cannot write output file {out}" in capsys.readouterr().err
+        assert not out.parent.exists()
+
     def test_evolve_needs_grid(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, BASE)
         assert cli.main(["evolve", "--config", cfg]) == 2

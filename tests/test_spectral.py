@@ -337,9 +337,9 @@ class TestKernelTable:
         calls = []
         table = spectral._thermal_pair_table
 
-        def counted(lams, pairs, res, taus, cap):
+        def counted(lams, keep, res, taus, cap):
             calls.append(res)
-            return table(lams, pairs, res, taus, cap)
+            return table(lams, keep, res, taus, cap)
 
         monkeypatch.setattr(spectral, "_thermal_pair_table", counted)
         for mu_r, tables in ((None, 1), (1.5, 2)):
