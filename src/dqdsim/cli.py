@@ -9,8 +9,11 @@ key = value lines under [section] headers; all energies in Gamma units.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
 import itertools
 import math
+import os
 import sys
 from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple
@@ -426,14 +429,8 @@ def _steady_point(args):
         eof = steady_state_eof(v_s)
     except (SolverError, InvariantViolation) as exc:
         raise type(exc)(f"{_point_label(idx, axis_values)}: {exc}") from exc
-    return list(axis_values) + [
-        eof,
-        v_s[0, 0].real,
-        v_s[1, 1].real,
-        v_s[0, 1].real,
-        v_s[0, 1].imag,
-        spread,
-    ]
+    return (*axis_values, eof, v_s[0, 0].real, v_s[1, 1].real, v_s[0, 1].real,
+            v_s[0, 1].imag, spread)
 
 
 def _point_label(idx, axis_values) -> str:
@@ -452,52 +449,77 @@ def _header(items) -> list:
     return [f"# {section}.{key} = {value}" for section, key, value in items]
 
 
-def _emit(path, header_items, columns, rows):
+def _emit(out, header_items, columns, rows):
     lines = _header(header_items)
     lines.append("\t".join(columns))
-    # every value in a row is a float, which _fmt formats with this template
-    row_format = "\t".join(["{:.12g}"] * len(columns))
-    lines.extend(row_format.format(*row) for row in rows)
-    _write(path, lines)
+    # every value in a row tuple is a float, which _fmt formats as %.12g
+    row_format = "\t".join(["%.12g"] * len(columns))
+    lines.extend(row_format % row for row in rows)
+    _write(out, lines)
 
 
-def _write(path, lines):
-    """Write the lines to path, or to stdout when no path is given."""
-    text = "\n".join(lines) + "\n"
-    if path:
+def _keep_contents(path, flags):
+    """os.open for open(): mode "w" without O_TRUNC."""
+    return os.open(path, flags & ~os.O_TRUNC, 0o666)
+
+
+@contextlib.contextmanager
+def _output(path):
+    """The output file of a command, opened for _write before the command
+    does any work, so that an unwritable path fails at once; None when no
+    path is given (stdout). It is not truncated on opening: a run that fails
+    before writing leaves an existing file's bytes as they were, and removes
+    a file that it created."""
+    if not path:
+        yield None
+        return
+    created = not os.path.exists(path)
+    try:
+        fh = open(path, "w", encoding="utf-8", opener=_keep_contents)
+    except OSError as exc:
+        raise ConfigError(f"cannot write output file {path}: {exc}") from exc
+    with fh:
         try:
-            fh = open(path, "w", encoding="utf-8")
-        except OSError as exc:
-            raise ConfigError(f"cannot write output file {path}: {exc}") from exc
-        with fh:
-            fh.write(text)
-    else:
+            yield fh
+        except BaseException:
+            if created and not fh.tell():
+                os.remove(path)
+            raise
+
+
+def _write(out, lines):
+    """Write the lines over the contents of out, an output file from
+    _output, or to stdout when out is None."""
+    text = "\n".join(lines) + "\n"
+    if out is None:
         sys.stdout.write(text)
+    else:
+        out.write(text)
+        # cut what is left of a longer earlier file; a pipe or device has
+        # no contents to cut
+        if out.seekable() and out.tell() < os.fstat(out.fileno()).st_size:
+            out.truncate()
 
 
 def run_evolution(exp: ExperimentConfig) -> list:
     """Time-series table: t, entanglement, occupations, norms, purity."""
     if exp.grid is None:
         raise ConfigError("evolve needs a [grid] section")
-    sol = _METHODS[exp.method].evolve(exp.model, exp.grid)
-    u_norms = sol.u_norm.tolist()
-    tr_v = np.trace(sol.v_seq, axis1=1, axis2=2).real.tolist()
-    rows = []
-    steps = zip(exp.grid.times.tolist(), sol.u_seq, sol.v_seq, tr_v, u_norms)
-    for i, (t, u, v, tr, u_norm) in enumerate(steps):
-        try:
-            rho_t = evolve_density(exp.initial, propagator_coefficients(u, v))
-            eof = fermionic_eof(rho_t)
-        except (SolverError, InvariantViolation) as exc:
-            raise type(exc)(f"evolve step {i} (t = {_fmt(t)}): {exc}") from exc
-        n1, n2 = rho_t.occupations()
-        rows.append((t, eof, tr, n1, n2, u_norm, rho_t.purity()))
-    _emit(
-        exp.output_path,
-        exp.raw_items,
-        ["t", "eof", "tr_v", "n1", "n2", "u_norm", "purity"],
-        rows,
-    )
+    with _output(exp.output_path) as out:
+        sol = _METHODS[exp.method].evolve(exp.model, exp.grid)
+        u_norms = sol.u_norm.tolist()
+        tr_v = np.trace(sol.v_seq, axis1=1, axis2=2).real.tolist()
+        rows = []
+        steps = zip(exp.grid.times.tolist(), sol.u_seq, sol.v_seq, tr_v, u_norms)
+        for i, (t, u, v, tr, u_norm) in enumerate(steps):
+            try:
+                rho_t = evolve_density(exp.initial, propagator_coefficients(u, v))
+                eof = fermionic_eof(rho_t)
+            except (SolverError, InvariantViolation) as exc:
+                raise type(exc)(f"evolve step {i} (t = {_fmt(t)}): {exc}") from exc
+            n1, n2 = rho_t.occupations()
+            rows.append((t, eof, tr, n1, n2, u_norm, rho_t.purity()))
+        _emit(out, exp.raw_items, ["t", "eof", "tr_v", "n1", "n2", "u_norm", "purity"], rows)
     return rows
 
 
@@ -517,43 +539,45 @@ def run_sweep(exp: ExperimentConfig, workers: int = 1) -> list:
         tasks.append((idx, model, exp.method, exp.grid, values))
     axis_cols = [f"axis{i + 1}" for i in range(len(exp.axes))]
 
-    if workers > 1:
-        # imported here: only a parallel sweep pays for the process pool
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            # map yields the rows in task order
-            rows = list(pool.map(_steady_point, tasks, chunksize=8))
-    else:
-        rows = [_steady_point(t) for t in tasks]
-    _emit(
-        exp.output_path,
-        exp.raw_items,
-        axis_cols + ["eof_s", "v00", "v11", "v01_re", "v01_im", "late_time_spread"],
-        rows,
-    )
+    with _output(exp.output_path) as out:
+        if workers > 1:
+            # imported here: only a parallel sweep pays for the process pool
+            from concurrent.futures import ProcessPoolExecutor
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                # map yields the rows in task order
+                rows = list(pool.map(_steady_point, tasks, chunksize=8))
+        else:
+            rows = [_steady_point(t) for t in tasks]
+        _emit(
+            out,
+            exp.raw_items,
+            axis_cols + ["eof_s", "v00", "v11", "v01_re", "v01_im", "late_time_spread"],
+            rows,
+        )
     return rows
 
 
 def run_classify(exp: ExperimentConfig) -> dict:
     """Bound-state census: roots, effectiveness data, relaxation class."""
-    roots = find_bound_states(exp.model)
-    cls = classify_relaxation(roots)
-    lines = _header(exp.raw_items)
-    lines.append("energy\tresidue_norm\tedge_distance")
-    for r in roots:
-        lines.append(
-            f"{_fmt(r.energy)}\t{_fmt(float(np.max(np.abs(r.residue_weight))))}"
-            f"\t{_fmt(r.edge_distance)}"
-        )
-    plateau = None
-    if exp.grid is not None:
-        u = solve_dyson(exp.model, exp.grid)
-        start = int(math.floor(0.8 * exp.grid.n_steps))
-        plateau = float(max_singular_e(u[start:].reshape(-1, 4).T).max())
-        lines.append(f"# late_time_u_norm_max = {_fmt(plateau)}")
-    lines.append(f"# effective_roots = {cls.count}")
-    lines.append(f"# relaxation_class = {cls.kind.value}")
-    _write(exp.output_path, lines)
+    with _output(exp.output_path) as out:
+        roots = find_bound_states(exp.model)
+        cls = classify_relaxation(roots)
+        lines = _header(exp.raw_items)
+        lines.append("energy\tresidue_norm\tedge_distance")
+        for r in roots:
+            lines.append(
+                f"{_fmt(r.energy)}\t{_fmt(float(np.max(np.abs(r.residue_weight))))}"
+                f"\t{_fmt(r.edge_distance)}"
+            )
+        plateau = None
+        if exp.grid is not None:
+            u = solve_dyson(exp.model, exp.grid)
+            start = int(math.floor(0.8 * exp.grid.n_steps))
+            plateau = float(max_singular_e(u[start:].reshape(-1, 4).T).max())
+            lines.append(f"# late_time_u_norm_max = {_fmt(plateau)}")
+        lines.append(f"# effective_roots = {cls.count}")
+        lines.append(f"# relaxation_class = {cls.kind.value}")
+        _write(out, lines)
     return {"roots": roots, "classification": cls, "plateau": plateau}
 
 
@@ -562,22 +586,23 @@ def run_verify(exp: ExperimentConfig) -> dict:
     if exp.grid is None:
         raise ConfigError("verify needs a [grid] section")
     k = exp.oracle_modes
-    # the oracle runs first, so a config it rejects fails before the solver
-    ex = exact_greens(discretize(exp.model, k), exp.grid)
-    sol = _METHODS[exp.method].evolve(exp.model, exp.grid)
-    du = float(np.max(np.abs(sol.u_seq - ex.u_seq)))
-    dv = float(np.max(np.abs(sol.v_seq - ex.v_seq)))
+    with _output(exp.output_path) as out:
+        # the oracle runs first, so a config it rejects fails before the solver
+        ex = exact_greens(discretize(exp.model, k), exp.grid)
+        sol = _METHODS[exp.method].evolve(exp.model, exp.grid)
+        du = float(np.max(np.abs(sol.u_seq - ex.u_seq)))
+        dv = float(np.max(np.abs(sol.v_seq - ex.v_seq)))
+        lines = [f"# oracle modes per lead: {k}"]
+        lines.append(f"max |U - U_oracle| = {_fmt(du)}")
+        lines.append(f"max |V - V_oracle| = {_fmt(dv)}")
+        lines.append(f"tolerance = {_fmt(exp.oracle_tol)}")
+        _write(out, lines)
     report = {
         "u_error": du,
         "v_error": dv,
         "modes": k,
         "tolerance": exp.oracle_tol,
     }
-    lines = [f"# oracle modes per lead: {k}"]
-    lines.append(f"max |U - U_oracle| = {_fmt(du)}")
-    lines.append(f"max |V - V_oracle| = {_fmt(dv)}")
-    lines.append(f"tolerance = {_fmt(exp.oracle_tol)}")
-    _write(exp.output_path, lines)
     if max(du, dv) > exp.oracle_tol:
         raise SolverError(
             f"oracle cross-check failed: U error {du:.3e}, V error {dv:.3e}"
@@ -586,7 +611,10 @@ def run_verify(exp: ExperimentConfig) -> dict:
     return report
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and reused by every
+    later main call in the process; parse_args leaves it as it was."""
     parser = argparse.ArgumentParser(
         prog="dqdsim",
         description=(

@@ -142,11 +142,11 @@ class PoleExpansion:
     def __post_init__(self):
         self.poles = np.asarray(self.poles, dtype=complex)
         self.residues = np.asarray(self.residues, dtype=complex)
-        upper = self.poles[self.poles.imag > 1e-12]
-        if upper.size:
-            raise InvariantViolation(f"pole {upper[0]} lies in the upper half plane")
+        upper = self.poles.imag > 1e-12
+        if upper.any():
+            raise InvariantViolation(f"pole {self.poles[upper][0]} lies in the upper half plane")
         total = self.residues.sum(axis=0)
-        if np.max(np.abs(total - IDENTITY2)) > RESIDUE_SUM_TOL:
+        if abs(total - IDENTITY2).max() > RESIDUE_SUM_TOL:
             raise InvariantViolation(
                 f"residues sum to {total}, expected identity"
             )
@@ -341,8 +341,11 @@ def _modes(config: ModelConfig) -> PoleExpansion:
     # accurate relative to itself as a small width needs, where eig fixes
     # Im r only to about eps |r|
     weight = np.abs(vecs) ** 2
-    poles = poles.real + 1j * (np.diag(generator).imag @ weight) / weight.sum(axis=0)
-    if np.linalg.cond(vecs) > 1e8:
+    poles = poles.real + 1j * (generator.diagonal().imag @ weight) / weight.sum(axis=0)
+    # cond(vecs), the ratio of its extreme singular values, infinite for an
+    # exactly singular vecs
+    s = np.linalg.svd(vecs, compute_uv=False)
+    if s[-1] == 0.0 or s[0] / s[-1] > 1e8:
         raise SolverError(
             "defective pole configuration; perturb the parameters slightly"
         )
@@ -380,7 +383,7 @@ class _LeadColumns(NamedTuple):
     def pair_integrals(self) -> np.ndarray:
         """The Fermi pair integrals N_l of every lead on its kept pairs
         (_pair_integrals), zero on the others."""
-        return _pair_integrals(self.lams, self.keep, [res.mu for res in self.reservoirs],
+        return _pair_integrals(self.lams, self.keep, self.gaps, [res.mu for res in self.reservoirs],
                                [res.k_t for res in self.reservoirs])
 
     def pair_sum(self, weights: np.ndarray) -> np.ndarray:
@@ -425,10 +428,11 @@ def _lead_columns(poles, residues, config: ModelConfig, leads=(0, 1)) -> _LeadCo
         lams = np.concatenate([lams, q], axis=1)
     gamma = np.array([res.gamma for res in coupled])
     size = abs(cols).max(axis=1)  # |c_j|_inf
-    keep = (gamma[:, None, None] * size[:, :, None] * size[:, None, :]
-            > 1e-14 * gamma[:, None, None])
+    g = gamma[:, None, None]
+    keep = g * size[:, :, None] * size[:, None, :] > 1e-14 * g
     gaps = lams[:, :, None] - lams.conj()[:, None, :]
-    if (abs(gaps[keep]) < 1e-12).any():
+    # the smallest kept |gap|, inf when no pair is kept
+    if abs(gaps).min(initial=np.inf, where=keep) < 1e-12:
         raise SolverError(
             "effectively undamped mode still couples to a lead; the"
             " steady state is undefined"

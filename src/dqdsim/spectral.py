@@ -171,11 +171,12 @@ def _scaled_exp1(w):
 # ---------------------------------------------------------------------------
 # pole-pair integrals of the Fermi factor
 
-def _pair_integrals(lams, keep, mu, k_t):
+def _pair_integrals(lams, keep, gaps, mu, k_t):
     """N[l, j, k] = int nbar_l(w) dw / ((w - a)(w - b)) over the real line on
     the pairs that keep marks, and 0 on the others, for a = lams[l, j] in
-    the closed lower half plane, b = conj(lams[l, k]) and a != b; row l is
-    a lead at chemical potential mu[l] and temperature k_t[l].
+    the closed lower half plane, b = conj(lams[l, k]) and a != b, with
+    gaps[l, j, k] = a - b; row l is a lead at chemical potential mu[l] and
+    temperature k_t[l].
 
     N = (T(a) - T(b)) / (a - b), where int nbar(w) / (w - z) dw = T(z) + C
     and C, independent of z, cancels. At k_t = 0, T(a) = ln(mu - a) - i pi
@@ -189,17 +190,17 @@ def _pair_integrals(lams, keep, mu, k_t):
     num = np.empty(keep.shape, dtype=complex)
     hot = [lead for lead, t in enumerate(k_t) if t > 0.0]
     if hot:
-        x = ((lams[hot] - np.array([[mu[lead]] for lead in hot]))
-             / (2j * math.pi * np.array([[k_t[lead]] for lead in hot])))
+        # a slice, which takes no copy, when every lead is hot
+        rows = hot if len(hot) < len(k_t) else slice(None)
+        x = (lams[rows] - np.array(mu)[rows, None]) / (2j * math.pi * np.array(k_t)[rows, None])
         psi = _digamma(0.5 - x)
-        num[hot] = psi[:, :, None] - (psi.conj()[:, None, :] + 1j * math.pi)
+        num[rows] = psi[:, :, None] - (psi.conj()[:, None, :] + 1j * math.pi)
     for lead in set(range(len(k_t))).difference(hot):
         lam = lams[lead]
         ln_a = np.log(mu[lead] - lam, out=np.zeros_like(lam), where=keep[lead].any(axis=1))
         ln_b = np.log(mu[lead] - lam.conj(), out=np.zeros_like(lam),
                       where=keep[lead].any(axis=0))
         num[lead] = ln_a[:, None] - ln_b[None, :] - _TWO_PI * 1j
-    gaps = lams[:, :, None] - lams.conj()[:, None, :]
     return np.divide(num, gaps, out=np.zeros_like(num), where=keep)
 
 
@@ -402,9 +403,10 @@ def _thermal_pair_table(lams, keep: np.ndarray, res: ReservoirParams, taus: np.n
         _halfline_phase_integral(np.concatenate([lams[lo], lams[hi].conj()]), mu,
                                  taus[1:near]), [lo.sum()])
     jj, kk = np.nonzero(keep)
+    gaps = lams[:, None] - lams.conj()
     out = np.zeros(keep.shape + taus.shape, dtype=complex)
-    out[..., 0] = _pair_integrals(lams[None], keep[None], [mu], [0.0])[0]
-    out[jj, kk, 1:near] = (e[0, jj] - e[1, kk]) / (lams[jj] - lams[kk].conj())[:, None]
+    out[..., 0] = _pair_integrals(lams[None], keep[None], gaps[None], [mu], [0.0])[0]
+    out[jj, kk, 1:near] = (e[0, jj] - e[1, kk]) / gaps[jj, kk, None]
     if k_t == 0.0:
         return out
     omega, coef = _fermi_remainder(res, cap)

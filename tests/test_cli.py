@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import threading
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -214,7 +215,9 @@ class TestParseErrors:
         assert f"run.cfg:{where}: parameter {name!r} is swept more than once" in err
 
     @pytest.mark.parametrize("via", ["flag", "key"])
-    def test_unwritable_output_path_is_a_config_error(self, tmp_path, capsys, via):
+    def test_unwritable_output_path_is_a_config_error(self, tmp_path, capsys, monkeypatch, via):
+        # the path is opened before any work, so the solver is never reached
+        monkeypatch.setattr(cli, "solve", _never_called)
         out = tmp_path / "missing" / "out.tsv"
         text = BASE + "[grid]\nt_max = 1.0\nn_steps = 10\n"
         argv = ["evolve", "--out", str(out)] if via == "flag" else ["evolve"]
@@ -806,6 +809,105 @@ def _src_env():
     src = str(Path(dqdsim.__file__).resolve().parents[1])
     path = os.environ.get("PYTHONPATH")
     return dict(os.environ, PYTHONPATH=src if not path else src + os.pathsep + path)
+
+
+def _never_called(*args, **kwargs):
+    raise AssertionError("called")
+
+
+NO_LEAD_SWEEP = (BASE.replace("gamma = 0.5", "gamma = 0.0")
+                 + "[solver]\nmethod = pole\n[sweep]\naxis1 = g:0.5:1.0:2\n")
+
+
+class TestOutputFile:
+    """The output path is opened, without truncation, before a command does
+    any work, and written over only once the command's table is done."""
+
+    def test_failed_run_keeps_an_existing_file(self, tmp_path, capsys):
+        out = tmp_path / "out.tsv"
+        out.write_bytes(b"an earlier table\n")
+        cfg = write_cfg(tmp_path, NO_LEAD_SWEEP)
+        assert cli.main(["sweep", "--config", cfg, "--out", str(out)]) == 3
+        assert "no lead is coupled" in capsys.readouterr().err
+        assert out.read_bytes() == b"an earlier table\n"
+
+    def test_failed_run_leaves_no_new_file(self, tmp_path):
+        out = tmp_path / "out.tsv"
+        cfg = write_cfg(tmp_path, NO_LEAD_SWEEP)
+        assert cli.main(["sweep", "--config", cfg, "--out", str(out)]) == 3
+        assert not out.exists()
+
+    def test_table_replaces_a_longer_file(self, tmp_path):
+        cfg = write_cfg(tmp_path, TestSweep.SWEEP)
+        fresh, old = tmp_path / "fresh.tsv", tmp_path / "old.tsv"
+        old.write_text("x" * 10000)
+        for out in (fresh, old):
+            assert cli.main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+        assert old.read_bytes() == fresh.read_bytes()
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_pipe_and_device_outputs(self, tmp_path):
+        # neither can be truncated; the pipe's reader gets the whole table
+        cfg = write_cfg(tmp_path, TestSweep.SWEEP)
+        plain, fifo = tmp_path / "plain.tsv", tmp_path / "fifo"
+        assert cli.main(["sweep", "--config", cfg, "--out", str(plain)]) == 0
+        assert cli.main(["sweep", "--config", cfg, "--out", os.devnull]) == 0
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        try:
+            assert cli.main(["sweep", "--config", cfg, "--out", str(fifo)]) == 0
+        finally:
+            reader.join(timeout=30)
+        assert not reader.is_alive()
+        assert got == [plain.read_bytes()]
+
+    def test_failed_verify_keeps_its_report(self, tmp_path):
+        # the cross-check fails after the report is written
+        out = tmp_path / "verify.txt"
+        cfg = write_cfg(tmp_path, BASE + "[grid]\nt_max = 2.0\nn_steps = 400\n[oracle]\ntol = 1e-9\n")
+        assert cli.main(["verify", "--config", cfg, "--out", str(out)]) == 3
+        assert "max |U - U_oracle| =" in out.read_text()
+
+
+class TestParserReuse:
+    """main builds its parser on the first call and reuses it: refusals in
+    between leave later runs and the help text as a fresh process has them."""
+
+    def test_runs_after_refusals_match_a_fresh_process(self, tmp_path, capsys):
+        assert cli._build_parser() is cli._build_parser()
+        for argv in ([], ["evolve", "--config", "run.cfg", "--bogus"]):
+            with pytest.raises(SystemExit) as info:
+                cli.main(argv)
+            assert info.value.code == 2
+        evolve = write_cfg(tmp_path, BASE + "[grid]\nt_max = 1.0\nn_steps = 20\n", "evolve.cfg")
+        sweep = write_cfg(tmp_path, TestSweep.SWEEP, "sweep.cfg")
+        runs = [["evolve", "--config", evolve], ["sweep", "--config", sweep, "--workers", "1"]]
+        for i, argv in enumerate(runs):
+            here, fresh = tmp_path / f"here{i}.tsv", tmp_path / f"fresh{i}.tsv"
+            assert cli.main(argv + ["--out", str(here)]) == 0
+            proc = subprocess.run(
+                [sys.executable, "-m", "dqdsim.cli", *argv, "--out", str(fresh)],
+                capture_output=True, text=True, env=_src_env(),
+            )
+            assert proc.returncode == 0, proc.stderr
+            assert here.read_bytes() == fresh.read_bytes()
+
+    @pytest.mark.parametrize("argv", [["--help"], ["sweep", "--help"]], ids=["main", "sweep"])
+    def test_help_text_matches_a_fresh_process(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit):
+            cli.main(["evolve"])  # a refusal first, on the shared parser
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as info:
+            cli.main(argv)
+        assert info.value.code == 0
+        proc = subprocess.run([sys.executable, "-m", "dqdsim.cli", *argv],
+                              capture_output=True, text=True, env=_src_env())
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("usage: dqdsim")
+        assert capsys.readouterr().out == proc.stdout
 
 
 class TestConsoleScript:

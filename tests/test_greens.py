@@ -2,6 +2,7 @@ import cmath
 import dataclasses
 import math
 import tracemalloc
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -33,12 +34,14 @@ from dqdsim.entanglement import steady_state_eof
 from dqdsim.model import (
     ConfigError,
     InvariantViolation,
+    ReservoirParams,
     SolverError,
     SpectralKind,
     SystemParams,
     build_hamiltonian,
     gamma_matrix,
 )
+from dqdsim.oracle import discretize, exact_greens
 from dqdsim.spectral import _TWO_PI, build_kernel_table, fermi_occupation
 
 from conftest import assert_flat_work, count_kernel_work, make_config, random_unitary2
@@ -613,6 +616,31 @@ class TestPoleExpansion:
             with pytest.raises(ConfigError):
                 pole_expansion_lorentzian(make_config(kind=kind, cutoff=5.0))
 
+    @pytest.mark.parametrize("cond", [1e9, 1e7, math.inf])
+    def test_defective_eigenvectors_are_refused(self, monkeypatch, cond):
+        # eig keeps its poles but returns eigenvectors of the given condition
+        # number, Q1 diag(1, 1, 1, 1/cond) Q2, or, at inf, two equal columns,
+        # whose last singular value is exactly 0
+        cfg = make_config(eps1=1.0, eps2=3.5, g=0.8, d=1.2, mu=0.5)
+        if cond == math.inf:
+            vecs = np.array([[1, 1, 0, 0], [1, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], dtype=complex)
+        else:
+            rng = np.random.default_rng(5)
+            q1, q2 = (np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))[0]
+                      for _ in range(2))
+            vecs = (q1 * [1.0, 1.0, 1.0, 1.0 / cond]) @ q2
+        eig = np.linalg.eig
+        monkeypatch.setattr(np.linalg, "eig", lambda a: (eig(a)[0], vecs))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if cond < 1e8:
+                assert len(pole_expansion_lorentzian(cfg).poles) == 4
+            else:
+                with pytest.raises(SolverError) as info:
+                    pole_expansion_lorentzian(cfg)
+                assert str(info.value) == (
+                    "defective pole configuration; perturb the parameters slightly")
+
     def test_constructor_rejects_bad_residues(self):
         with pytest.raises(InvariantViolation):
             PoleExpansion(
@@ -937,6 +965,67 @@ class TestSymmetries:
         }
         for name, (other, v_other) in expected.items():
             assert np.max(np.abs(run(other)[1] - v_other)) <= self.TOL, name
+
+
+def _asymmetric_config(seed, kind, k_t):
+    """A seeded config with complex g and leads that differ in every
+    parameter, the left and right lead at the temperatures k_t."""
+    rng = np.random.default_rng(seed)
+    g = rng.uniform(0.3, 1.5) * cmath.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
+    leads = [ReservoirParams(gamma=rng.uniform(0.2, 1.5), bandwidth=rng.uniform(0.5, 3.0),
+                             mu=rng.uniform(-2.0, 2.0), k_t=t, cutoff=rng.uniform(1.5, 3.0))
+             for t in k_t]
+    system = SystemParams(eps1=rng.uniform(-2.0, 2.0), eps2=rng.uniform(-2.0, 2.0), g_coupling=g)
+    return dataclasses.replace(make_config(kind=kind, cutoff=2.0), system=system, left=leads[0],
+                               right=leads[1])
+
+
+def _uv(sol):
+    return sol.u_seq, sol.v_seq
+
+
+# every solver of U and V (or of U alone, with V None): its spectral kind and
+# (U, V) on a grid
+_SOLUTIONS = {
+    "solve_lorentzian": (SpectralKind.LORENTZIAN, lambda cfg, grid: _uv(solve(cfg, grid))),
+    "solve_cutoff": (SpectralKind.CUTOFF_LORENTZIAN, lambda cfg, grid: _uv(solve(cfg, grid))),
+    "exact_greens": (SpectralKind.LORENTZIAN,
+                     lambda cfg, grid: _uv(exact_greens(discretize(cfg, 100), grid))),
+    "wbl_greens_u": (SpectralKind.WIDE_BAND,
+                     lambda cfg, grid: (wbl_greens(cfg, grid).u_seq, None)),
+    "pole_reconstruct_u": (
+        SpectralKind.LORENTZIAN,
+        lambda cfg, grid: (pole_expansion_lorentzian(cfg).reconstruct(grid.times), None)),
+}
+
+
+class TestSolutionSymmetries:
+    """Mirror and gauge on the solvers of U(t) and V(t), to an absolute
+    1e-13 (they held to 4e-15 when measured): with P the swap of the dots,
+    mirror (dots and leads swapped, g -> conj(g)) gives U' = P U P and
+    V' = P V P; with D = diag(e^{i phi}, 1), gauge (g -> g e^{i phi}) gives
+    U' = D U D^dag and V' = D V D^dag. Each config has complex g and
+    asymmetric leads."""
+
+    TOL = 1e-13
+    GRID = TimeGrid(4.0, 200)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("k_t", [(0.0, 0.0), (0.4, 0.9), (0.0, 0.6)],
+                             ids=["cold", "hot", "mixed"])
+    @pytest.mark.parametrize("solver", sorted(_SOLUTIONS))
+    def test_mirror_and_gauge(self, solver, k_t, seed):
+        kind, run = _SOLUTIONS[solver]
+        cfg = _asymmetric_config(seed, kind, k_t)
+        phi = np.random.default_rng(seed).uniform(0.0, 2.0 * math.pi)
+        swap = np.array([[0.0, 1.0], [1.0, 0.0]])
+        d = np.diag([cmath.exp(1j * phi), 1.0])
+        images = {"mirror": (_mirror(cfg), swap, swap), "gauge": (_gauge(cfg, phi), d, d.conj().T)}
+        base = run(cfg, self.GRID)
+        for name, (other, left, right) in images.items():
+            for label, x, x_other in zip("UV", base, run(other, self.GRID)):
+                if x is not None:
+                    assert np.max(np.abs(x_other - left @ x @ right)) <= self.TOL, (name, label)
 
 
 def _random_config(rng, regime, kind=SpectralKind.LORENTZIAN):
