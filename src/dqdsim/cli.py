@@ -495,36 +495,42 @@ def _write(out, lines):
         sys.stdout.write(text)
     else:
         out.write(text)
-        # cut what is left of a longer earlier file; a pipe or device has
-        # no contents to cut
+        # cut what is left of a longer earlier file; a pipe has no contents
+        # to cut, and /dev/null, seekable, has size 0 but refuses a truncate
         if out.seekable() and out.tell() < os.fstat(out.fileno()).st_size:
             out.truncate()
 
 
-def run_evolution(exp: ExperimentConfig) -> list:
-    """Time-series table: t, entanglement, occupations, norms, purity."""
+def run_evolution(exp: ExperimentConfig, out) -> list:
+    """Time-series table: t, entanglement, occupations, norms, purity,
+    written to out (_write)."""
     if exp.grid is None:
         raise ConfigError("evolve needs a [grid] section")
-    with _output(exp.output_path) as out:
-        sol = _METHODS[exp.method].evolve(exp.model, exp.grid)
-        u_norms = sol.u_norm.tolist()
-        tr_v = np.trace(sol.v_seq, axis1=1, axis2=2).real.tolist()
-        rows = []
-        steps = zip(exp.grid.times.tolist(), sol.u_seq, sol.v_seq, tr_v, u_norms)
-        for i, (t, u, v, tr, u_norm) in enumerate(steps):
-            try:
-                rho_t = evolve_density(exp.initial, propagator_coefficients(u, v))
-                eof = fermionic_eof(rho_t)
-            except (SolverError, InvariantViolation) as exc:
-                raise type(exc)(f"evolve step {i} (t = {_fmt(t)}): {exc}") from exc
-            n1, n2 = rho_t.occupations()
-            rows.append((t, eof, tr, n1, n2, u_norm, rho_t.purity()))
-        _emit(out, exp.raw_items, ["t", "eof", "tr_v", "n1", "n2", "u_norm", "purity"], rows)
+    sol = _METHODS[exp.method].evolve(exp.model, exp.grid)
+    u_norms = sol.u_norm.tolist()
+    tr_v = np.trace(sol.v_seq, axis1=1, axis2=2).real.tolist()
+    rows = []
+    steps = zip(exp.grid.times.tolist(), sol.u_seq, sol.v_seq, tr_v, u_norms)
+    for i, (t, u, v, tr, u_norm) in enumerate(steps):
+        try:
+            rho_t = evolve_density(exp.initial, propagator_coefficients(u, v))
+            eof = fermionic_eof(rho_t)
+        except (SolverError, InvariantViolation) as exc:
+            raise type(exc)(f"evolve step {i} (t = {_fmt(t)}): {exc}") from exc
+        n1, n2 = rho_t.occupations()
+        rows.append((t, eof, tr, n1, n2, u_norm, rho_t.purity()))
+    _emit(
+        out,
+        exp.raw_items,
+        ["t", "eof", "tr_v", "n1", "n2", "u_norm", "purity"],
+        rows,
+    )
     return rows
 
 
-def run_sweep(exp: ExperimentConfig, workers: int = 1) -> list:
-    """Steady-state grid over one or two swept parameter groups."""
+def run_sweep(exp: ExperimentConfig, out, workers: int = 1) -> list:
+    """Steady-state grid over one or two swept parameter groups, written
+    to out (_write)."""
     if not exp.axes:
         raise ConfigError("sweep needs [sweep] axis1 (and optionally axis2)")
     tasks = []
@@ -539,70 +545,69 @@ def run_sweep(exp: ExperimentConfig, workers: int = 1) -> list:
         tasks.append((idx, model, exp.method, exp.grid, values))
     axis_cols = [f"axis{i + 1}" for i in range(len(exp.axes))]
 
-    with _output(exp.output_path) as out:
-        if workers > 1:
-            # imported here: only a parallel sweep pays for the process pool
-            from concurrent.futures import ProcessPoolExecutor
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                # map yields the rows in task order
-                rows = list(pool.map(_steady_point, tasks, chunksize=8))
-        else:
-            rows = [_steady_point(t) for t in tasks]
-        _emit(
-            out,
-            exp.raw_items,
-            axis_cols + ["eof_s", "v00", "v11", "v01_re", "v01_im", "late_time_spread"],
-            rows,
-        )
+    if workers > 1:
+        # imported here: only a parallel sweep pays for the process pool
+        from concurrent.futures import ProcessPoolExecutor
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            # map yields the rows in task order
+            rows = list(pool.map(_steady_point, tasks, chunksize=8))
+    else:
+        rows = [_steady_point(t) for t in tasks]
+    _emit(
+        out,
+        exp.raw_items,
+        axis_cols + ["eof_s", "v00", "v11", "v01_re", "v01_im", "late_time_spread"],
+        rows,
+    )
     return rows
 
 
-def run_classify(exp: ExperimentConfig) -> dict:
-    """Bound-state census: roots, effectiveness data, relaxation class."""
-    with _output(exp.output_path) as out:
-        roots = find_bound_states(exp.model)
-        cls = classify_relaxation(roots)
-        lines = _header(exp.raw_items)
-        lines.append("energy\tresidue_norm\tedge_distance")
-        for r in roots:
-            lines.append(
-                f"{_fmt(r.energy)}\t{_fmt(float(np.max(np.abs(r.residue_weight))))}"
-                f"\t{_fmt(r.edge_distance)}"
-            )
-        plateau = None
-        if exp.grid is not None:
-            u = solve_dyson(exp.model, exp.grid)
-            start = int(math.floor(0.8 * exp.grid.n_steps))
-            plateau = float(max_singular_e(u[start:].reshape(-1, 4).T).max())
-            lines.append(f"# late_time_u_norm_max = {_fmt(plateau)}")
-        lines.append(f"# effective_roots = {cls.count}")
-        lines.append(f"# relaxation_class = {cls.kind.value}")
-        _write(out, lines)
+def run_classify(exp: ExperimentConfig, out) -> dict:
+    """Bound-state census: roots, effectiveness data, relaxation class,
+    written to out (_write)."""
+    roots = find_bound_states(exp.model)
+    cls = classify_relaxation(roots)
+    lines = _header(exp.raw_items)
+    lines.append("energy\tresidue_norm\tedge_distance")
+    for r in roots:
+        lines.append(
+            f"{_fmt(r.energy)}\t{_fmt(float(np.max(np.abs(r.residue_weight))))}"
+            f"\t{_fmt(r.edge_distance)}"
+        )
+    plateau = None
+    if exp.grid is not None:
+        u = solve_dyson(exp.model, exp.grid)
+        start = int(math.floor(0.8 * exp.grid.n_steps))
+        plateau = float(max_singular_e(u[start:].reshape(-1, 4).T).max())
+        lines.append(f"# late_time_u_norm_max = {_fmt(plateau)}")
+    lines.append(f"# effective_roots = {cls.count}")
+    lines.append(f"# relaxation_class = {cls.kind.value}")
+    _write(out, lines)
     return {"roots": roots, "classification": cls, "plateau": plateau}
 
 
-def run_verify(exp: ExperimentConfig) -> dict:
-    """Solver-vs-oracle cross check on the configured grid."""
+def run_verify(exp: ExperimentConfig, out) -> dict:
+    """Solver-vs-oracle cross check on the configured grid; the report is
+    written to out (_write) before a failed check raises."""
     if exp.grid is None:
         raise ConfigError("verify needs a [grid] section")
     k = exp.oracle_modes
-    with _output(exp.output_path) as out:
-        # the oracle runs first, so a config it rejects fails before the solver
-        ex = exact_greens(discretize(exp.model, k), exp.grid)
-        sol = _METHODS[exp.method].evolve(exp.model, exp.grid)
-        du = float(np.max(np.abs(sol.u_seq - ex.u_seq)))
-        dv = float(np.max(np.abs(sol.v_seq - ex.v_seq)))
-        lines = [f"# oracle modes per lead: {k}"]
-        lines.append(f"max |U - U_oracle| = {_fmt(du)}")
-        lines.append(f"max |V - V_oracle| = {_fmt(dv)}")
-        lines.append(f"tolerance = {_fmt(exp.oracle_tol)}")
-        _write(out, lines)
+    # the oracle runs first, so a config it rejects fails before the solver
+    ex = exact_greens(discretize(exp.model, k), exp.grid)
+    sol = _METHODS[exp.method].evolve(exp.model, exp.grid)
+    du = float(np.max(np.abs(sol.u_seq - ex.u_seq)))
+    dv = float(np.max(np.abs(sol.v_seq - ex.v_seq)))
     report = {
         "u_error": du,
         "v_error": dv,
         "modes": k,
         "tolerance": exp.oracle_tol,
     }
+    lines = [f"# oracle modes per lead: {k}"]
+    lines.append(f"max |U - U_oracle| = {_fmt(du)}")
+    lines.append(f"max |V - V_oracle| = {_fmt(dv)}")
+    lines.append(f"tolerance = {_fmt(exp.oracle_tol)}")
+    _write(out, lines)
     if max(du, dv) > exp.oracle_tol:
         raise SolverError(
             f"oracle cross-check failed: U error {du:.3e}, V error {dv:.3e}"
@@ -654,14 +659,16 @@ def main(argv=None) -> int:
             exp = replace(exp, output_path=args.out)
         if getattr(args, "oracle_modes", None) is not None:
             exp = replace(exp, oracle_modes=args.oracle_modes)
-        if args.command == "evolve":
-            run_evolution(exp)
-        elif args.command == "sweep":
-            run_sweep(exp, workers=args.workers)
-        elif args.command == "classify":
-            run_classify(exp)
-        elif args.command == "verify":
-            run_verify(exp)
+        # opened before any work, so an unwritable path fails at once
+        with _output(exp.output_path) as out:
+            if args.command == "evolve":
+                run_evolution(exp, out)
+            elif args.command == "sweep":
+                run_sweep(exp, out, workers=args.workers)
+            elif args.command == "classify":
+                run_classify(exp, out)
+            elif args.command == "verify":
+                run_verify(exp, out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

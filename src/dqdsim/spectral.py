@@ -190,11 +190,9 @@ def _pair_integrals(lams, keep, gaps, mu, k_t):
     num = np.empty(keep.shape, dtype=complex)
     hot = [lead for lead, t in enumerate(k_t) if t > 0.0]
     if hot:
-        # a slice, which takes no copy, when every lead is hot
-        rows = hot if len(hot) < len(k_t) else slice(None)
-        x = (lams[rows] - np.array(mu)[rows, None]) / (2j * math.pi * np.array(k_t)[rows, None])
+        x = (lams[hot] - np.array(mu)[hot, None]) / (2j * math.pi * np.array(k_t)[hot, None])
         psi = _digamma(0.5 - x)
-        num[rows] = psi[:, :, None] - (psi.conj()[:, None, :] + 1j * math.pi)
+        num[hot] = psi[:, :, None] - (psi.conj()[:, None, :] + 1j * math.pi)
     for lead in set(range(len(k_t))).difference(hot):
         lam = lams[lead]
         ln_a = np.log(mu[lead] - lam, out=np.zeros_like(lam), where=keep[lead].any(axis=1))

@@ -430,8 +430,8 @@ class TestRowAssembly:
             + initial
         )
         exp = cli.load_experiment(write_cfg(tmp_path, text))
-        exp = dataclasses.replace(exp, output_path=str(tmp_path / "rows.tsv"))
-        rows = cli.run_evolution(exp)
+        with open(tmp_path / "rows.tsv", "w") as out:
+            rows = cli.run_evolution(exp, out)
         sol = cli._METHODS[method].evolve(exp.model, exp.grid)
 
         assert len(rows) == exp.grid.n_steps + 1
