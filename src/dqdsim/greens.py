@@ -175,7 +175,7 @@ def solve_dyson(config: ModelConfig, grid: TimeGrid) -> np.ndarray:
     T_1 = -(I - (dt/2) iM) + (dt^2/2)(mem_1 + mem_0/2), the diagonal
     T_k = (dt^2/2)(mem_k + mem_{k-1}) for k >= 2, and U_0 only in F_t. As
     power series T(z) (U(z) - I) = -F(z), so U(z) = I - X(z) F(z) with
-    X = T^-1 mod z^n, found by Newton doubling from X = T_0^-1:
+    X = T^-1 mod z^(n+1), found by Newton doubling from X = T_0^-1:
     X <- X - X (T X - I) mod z^2m, O(n log n) in all (Brent & Kung,
     J. ACM 25, 581 (1978)).
 
@@ -188,9 +188,10 @@ def solve_dyson(config: ModelConfig, grid: TimeGrid) -> np.ndarray:
     kept over every row, the low ones too; its near lags T_0 and T_1 are
     taken exactly, so that FFT rounding of order eps |T_1| does not build
     up along an undamped mode, and only the O(dt^2) memory lags go through
-    the FFT product. F is diag(lags / 2) but for its row f_1, so
-    U = -X F is one product with that diagonal plus z X f_1, taken exactly.
-    Returns the (n+1, 2, 2) stack of U(t).
+    the FFT product. F = (T - T_0 - T_1 z) / 2 + f_1 z, with f_1 its row
+    at t_1, and X T = I, so U needs no product: U_t = X_t T_0 / 2
+    - X_{t-1} (f_1 - T_1 / 2) for t >= 1. Returns the (n+1, 2, 2) stack
+    of U(t).
     """
     table = build_kernel_table(config, grid.times, include_noise=False)
     n = grid.n_steps
@@ -209,9 +210,9 @@ def solve_dyson(config: ModelConfig, grid: TimeGrid) -> np.ndarray:
     t1 = minus_b + half * np.diag(mem[1] + 0.5 * mem[0])
 
     x = inv2(t0)[:, :, None]  # SolverError when the implicit step is singular
-    while x.shape[-1] < n:
+    while x.shape[-1] <= n:
         m = x.shape[-1]
-        size = min(2 * m, n)
+        size = min(2 * m, n + 1)
         period = _fft_period(m + size - 1)
         x_hat = np.fft.fft(x, period)
         resid = np.zeros((2, 2, size), dtype=complex)  # T X - I mod z^size
@@ -226,10 +227,8 @@ def solve_dyson(config: ModelConfig, grid: TimeGrid) -> np.ndarray:
 
     u = np.empty((2, 2, n + 1), dtype=complex)
     u[..., 0] = IDENTITY2
-    u[..., 1:] = -_matmul_cm(x, f1[:, :, None])
-    period = _fft_period(2 * n - 2)
-    u[..., 2:] -= _spectral_product(
-        np.fft.fft(x, period), np.fft.fft(0.5 * lags, period), n - 1)
+    u[..., 1:] = (_matmul_cm(x[..., 1:], 0.5 * t0[:, :, None])
+                  - _matmul_cm(x[..., :-1], (f1 - 0.5 * t1)[:, :, None]))
     return np.ascontiguousarray(u.transpose(2, 0, 1))
 
 
@@ -380,12 +379,6 @@ class _LeadColumns(NamedTuple):
     gaps: np.ndarray  # (L, J, J) lams_j - conj(lams_k)
     keep: np.ndarray  # (L, J, J) the pairs that carry weight
 
-    def pair_integrals(self) -> np.ndarray:
-        """The Fermi pair integrals N_l of every lead on its kept pairs
-        (_pair_integrals), zero on the others."""
-        return _pair_integrals(self.lams, self.keep, self.gaps, [res.mu for res in self.reservoirs],
-                               [res.k_t for res in self.reservoirs])
-
     def pair_sum(self, weights: np.ndarray) -> np.ndarray:
         """sum_l Gamma_l C_l W_l C_l^dag for pair weights W (L, J, J, ...),
         zero off the kept pairs: the Cauchy-matrix product of the closed
@@ -457,7 +450,9 @@ def _steady_from_poles(poles, residues, config: ModelConfig) -> np.ndarray:
     """
     _require_damping(config)
     lc = _lead_columns(poles, residues, config)
-    v = hermitian_part(lc.pair_sum(lc.pair_integrals()) / _TWO_PI)
+    n = _pair_integrals(lc.lams, lc.keep, lc.gaps, [res.mu for res in lc.reservoirs],
+                        [res.k_t for res in lc.reservoirs])
+    v = hermitian_part(lc.pair_sum(n) / _TWO_PI)
     lo, hi = hermitian_eigs_e(entries2(v))
     if lo < EIGENVALUE_FLOOR or hi > EIGENVALUE_CEIL:
         raise InvariantViolation(
@@ -505,14 +500,16 @@ def wbl_greens(config: ModelConfig, grid: TimeGrid) -> GreensSolution:
     is c0 N_jk - c1 I_jk(t) - c2 conj(I_kj(t)) with I the thermal pair table
     (_thermal_pair_table). The integral is exact: on rows t < tau* = 1/k_T,
     the sharp sea's logarithms and exponential integrals plus the Fermi
-    remainder on Gauss panels of width k_T / 2, with N_jk the table's slot
+    remainder on Gauss panels of width 2 k_T, with N_jk the table's slot
     0, which shares those panels, so that the pair's cancellation at small t
     survives; past tau*, the Matsubara closure and N_jk in closed form
-    (_pair_integrals). This keeps V positive semidefinite to rounding, which
-    a truncated frequency window cannot guarantee, and its cost flat in
-    t_max at a fixed step count. The table depends on a lead only through
-    (mu, k_T), and every lead's lams are the same poles, so leads that share
-    (mu, k_T) share one table over the union of their kept pairs and of the
+    (_pair_integrals). The integrand, nbar(w) (1 - e^{i(w-a)t})
+    (1 - e^{-i(w-b)t}) / ((w - a)(w - b)), has no pole at a or b, so only the
+    Fermi poles and the phase limit a panel. This keeps V positive
+    semidefinite to rounding, which a truncated frequency window cannot
+    guarantee, and its cost flat in t_max at a fixed step count. Every
+    lead's lams are the same poles, so leads that share (mu, k_T) share one
+    table and one weight array over the union of their kept pairs and of the
     transposes, since conj(I_kj) is used.
     """
     if config.spectral_kind is not SpectralKind.WIDE_BAND:
@@ -521,22 +518,23 @@ def wbl_greens(config: ModelConfig, grid: TimeGrid) -> GreensSolution:
     times = grid.times
     lc = _lead_columns(modes.poles, modes.residues, config)
     keys = [(res.mu, res.k_t) for res in lc.reservoirs]
-    table = np.empty(lc.keep.shape + times.shape, dtype=complex)
-    for lead, (key, res) in enumerate(zip(keys, lc.reservoirs)):
-        shared = [other for other, k in enumerate(keys) if k == key]
+    r, t = modes.poles, times[1:]
+    gaps = r[:, None] - r.conj()
+    c0 = 1.0 + np.exp(-1j * gaps[..., None] * t)
+    c1 = np.exp(-1j * r[:, None, None] * t)
+    c2 = np.exp(1j * r.conj()[:, None] * t)
+    weights = np.empty(lc.keep.shape + t.shape, dtype=complex)
+    for lead, res in enumerate(lc.reservoirs):
+        shared = [other for other, key in enumerate(keys) if key == keys[lead]]
         if shared[0] < lead:
-            table[lead] = table[shared[0]]
-        else:
-            pairs = np.any(lc.keep[shared] | lc.keep[shared].swapaxes(1, 2), axis=0)
-            table[lead] = _thermal_pair_table(lc.lams[lead], pairs, res, times, res.k_t / 2.0)
-    t = times[1:]
-    near = np.array([_near_rows(times, res.k_t) for res in lc.reservoirs], dtype=int)
-    n_t = np.where(np.arange(1, times.size) < near[:, None, None, None], table[..., :1],
-                   lc.pair_integrals()[..., None])
-    c0 = 1.0 + np.exp(-1j * lc.gaps[..., None] * t)
-    c1 = np.exp(-1j * lc.lams[:, :, None, None] * t)
-    c2 = np.exp(1j * lc.lams.conj()[:, None, :, None] * t)
-    weights = c0 * n_t - c1 * table[..., 1:] - c2 * np.conj(table.swapaxes(1, 2)[..., 1:])
+            weights[lead] = weights[shared[0]]
+            continue
+        pairs = np.any(lc.keep[shared] | lc.keep[shared].swapaxes(1, 2), axis=0)
+        table = _thermal_pair_table(r, pairs, res, times, 2.0 * res.k_t)
+        n_far = _pair_integrals(r[None], pairs[None], gaps[None], [res.mu], [res.k_t])[0]
+        n_t = np.where(np.arange(1, times.size) < _near_rows(times, res.k_t), table[..., :1],
+                       n_far[..., None])
+        weights[lead] = c0 * n_t - c1 * table[..., 1:] - c2 * np.conj(table.swapaxes(0, 1)[..., 1:])
     v = np.zeros((len(times), 2, 2), dtype=complex)
     v[1:] = lc.pair_sum(np.where(lc.keep[..., None], weights, 0.0)) / _TWO_PI
     return GreensSolution(grid, modes.reconstruct(times), hermitian_part(v))

@@ -269,22 +269,21 @@ def _fourier_sum(nodes: np.ndarray, coefs: np.ndarray, taus: np.ndarray) -> np.n
     shares the exponential tables. With B = ceil(sqrt(n + 1)) and m = a B + b,
     e^{-i w tau_m} = e^{-i w tau_{aB}} e^{-i w tau_b}: about 2 sqrt(n + 1)
     exponentials per node, and the node sums run as one matrix product per
-    node chunk.
+    node chunk and vector, whose bits do not depend on the stack.
     """
     _check_grid(taus)
     stack = coefs[:, None] if coefs.ndim == 1 else coefs
     p = stack.shape[1]
     cols = math.isqrt(taus.size - 1) + 1
     rows = -(-taus.size // cols)
-    acc = np.zeros((rows, p, cols), dtype=complex)
+    acc = np.zeros((p, rows, cols), dtype=complex)
     step = max(1, _CHUNK_ELEMENTS // max(rows * p, cols))
     for s in range(0, nodes.size, step):
         w = nodes[s:s + step]
         outer = np.exp(-1j * np.outer(taus[::cols], w))
         inner = np.exp(-1j * np.outer(w, taus[:cols]))
-        lhs = outer[:, None, :] * stack[s:s + step].T[None, :, :]
-        acc += (lhs.reshape(rows * p, -1) @ inner).reshape(rows, p, cols)
-    out = acc.transpose(0, 2, 1).reshape(rows * cols, p)[:taus.size]
+        acc += (stack[s:s + step].T[:, None, :] * outer) @ inner
+    out = acc.reshape(p, rows * cols)[:, :taus.size].T
     return out.reshape(taus.size) if coefs.ndim == 1 else out
 
 
@@ -307,8 +306,8 @@ def _fermi_remainder(res: ReservoirParams, cap: float):
     finite-temperature remainder of one lead's sharp Fermi sea.
 
     _thermal_pair_table sums it only on rows tau < tau* = 1/k_t
-    (_near_rows), where cap <= k_t / 2 keeps the phase of e^{i w tau} under
-    1/2 per panel, so the node count does not depend on the horizon;
+    (_near_rows), where cap <= 2 k_t keeps the phase of e^{i w tau} under 2
+    per panel, so the node count does not depend on the horizon;
     _matsubara_closure takes the rows past tau*.
     """
     mu, k_t = res.mu, res.k_t
@@ -331,25 +330,11 @@ _MATSUBARA_TERMS = math.ceil((17.0 * math.log(10.0) / math.pi - 1.0) / 2.0)
 _REGULAR_SERIES = [b / math.factorial(2 * k) for k, b in enumerate(_BERNOULLI, 1)][::-1]
 
 
-def _exp_divdiff(x: complex, y: complex, t: np.ndarray) -> np.ndarray:
-    """(e^{ixt} - e^{iyt}) / (x - y) for t >= 0, finite as x -> y.
-
-    Written as e^{iyt} i t exprel(i (x - y) t) from the point lower in the
-    plane, so that the exponential never grows.
-    """
-    if x.imag < y.imag:
-        x, y = y, x
-    z = 1j * (x - y) * t
-    rel = np.ones_like(z)
-    nz = z != 0.0
-    rel[nz] = np.expm1(z[nz]) / z[nz]
-    return np.exp(1j * y * t) * 1j * t * rel
-
-
-def _matsubara_closure(a: complex, b: complex, mu: float, k_t: float,
+def _matsubara_closure(a: np.ndarray, b: np.ndarray, mu: float, k_t: float,
                        times: np.ndarray) -> np.ndarray:
     """int n(w) e^{iwt} dw / ((w - a)(w - b)) over the real line, for k_t > 0,
-    t >= 1/k_t, a in the lower and b in the upper half plane.
+    t >= 1/k_t, a in the lower and b in the upper half plane: one row per
+    pair of the arrays a and b.
 
     The contour closes in the upper half plane: 2 pi i times the residue at
     b and those at the Matsubara poles w_m = mu + i pi k_t (2m + 1),
@@ -357,23 +342,31 @@ def _matsubara_closure(a: complex, b: complex, mu: float, k_t: float,
     073102 (2009)). b and its nearest w_m enter as one pair,
     r(b) f(b) - k_t f[w_m, b] with f(z) = e^{izt} / (z - a) and
     r = n + k_t / (z - w_m) the regular part of n at w_m: it stays finite
-    where b meets w_m and the two residues diverge.
+    where b meets w_m and the two residues diverge; f[w_m, b] is written
+    from the lower of the two points, e^{iyt} i t exprel(i (x - y) t), so
+    that no exponential grows. Every pair shares the rows e^{i w_m t}, so
+    the other poles' terms are one matrix product.
     """
     t = np.asarray(times, dtype=float)
     nu = math.pi * k_t
-    m_b = max(0, round((b.imag / nu - 1.0) / 2.0))
+    poles = mu + 1j * nu * (2 * np.arange(_MATSUBARA_TERMS) + 1)
+    m_b = np.maximum(0, np.round((b.imag / nu - 1.0) / 2.0))
     w = mu + 1j * nu * (2 * m_b + 1)
     delta = (b - w) / k_t
-    if abs(delta) < 0.5:
-        reg = 0.5 - delta * np.polyval(_REGULAR_SERIES, delta * delta)
-    else:
-        reg = 1.0 / delta + fermi_occupation(b, mu, k_t)
-    f_b = np.exp(1j * b * t) / (b - a)
-    total = reg * f_b - k_t * (_exp_divdiff(w, b, t) - f_b) / (w - a)
-    for m in range(_MATSUBARA_TERMS):
-        if m != m_b:
-            w = mu + 1j * nu * (2 * m + 1)
-            total -= k_t * np.exp(1j * w * t) / ((w - a) * (w - b))
+    near = abs(delta) < 0.5
+    reg = np.empty_like(delta)
+    reg[near] = 0.5 - delta[near] * np.polyval(_REGULAR_SERIES, delta[near] ** 2)
+    reg[~near] = 1.0 / delta[~near] + fermi_occupation(b[~near], mu, k_t)
+    f_b = np.exp(1j * np.outer(b, t)) / (b - a)[:, None]
+    x, y = np.where(w.imag < b.imag, b, w), np.where(w.imag < b.imag, w, b)
+    z = 1j * np.outer(x - y, t)
+    rel = np.divide(np.expm1(z), z, out=np.ones_like(z), where=z != 0.0)
+    div = np.exp(1j * np.outer(y, t)) * 1j * t * rel  # (e^{iwt} - e^{ibt}) / (w - b)
+    total = reg[:, None] * f_b - k_t * (div - f_b) / (w - a)[:, None]
+    other = m_b[:, None] != np.arange(_MATSUBARA_TERMS)  # w_{m_b} is taken with b
+    coef = np.divide(k_t, (poles - a[:, None]) * (poles - b[:, None]),
+                     out=np.zeros(other.shape, dtype=complex), where=other)
+    total -= coef @ np.exp(1j * np.outer(poles, t))
     return _TWO_PI * 1j * total
 
 
@@ -391,6 +384,9 @@ def _thermal_pair_table(lams, keep: np.ndarray, res: ReservoirParams, taus: np.n
     combinations of N and O keep their cancellation; rows past tau* take
     _matsubara_closure. Only the poles that a kept pair uses are evaluated,
     each once. The kept gaps |lam_j - conj(lam_k)| must stay away from 0.
+    A single entry is accurate only where cap is small against the poles'
+    distance from the real axis (a Lorentzian lead passes cap <= d / 2);
+    wbl_greens' cap of 2 k_t serves only its combination, entire in w.
     """
     lams = np.asarray(lams, dtype=complex)
     mu, k_t = res.mu, res.k_t
@@ -413,8 +409,7 @@ def _thermal_pair_table(lams, keep: np.ndarray, res: ReservoirParams, taus: np.n
     stack = coef / (omega - lams[jj, None].conj())
     stack /= omega - lams[kk, None]
     out[jj, kk, :near] += np.conj(_fourier_sum(omega, stack.T, taus[:near])).T
-    for j, k in zip(jj, kk):
-        out[j, k, near:] = _matsubara_closure(lams[j], np.conj(lams[k]), mu, k_t, taus[near:])
+    out[jj, kk, near:] = _matsubara_closure(lams[jj], lams[kk].conj(), mu, k_t, taus[near:])
     return out
 
 
@@ -445,9 +440,10 @@ def build_kernel_table(config: ModelConfig, taus: np.ndarray,
     """Tabulate the memory kernels of both leads on a uniform time grid.
 
     A Lorentzian lead's memory column is closed form, and its noise column
-    is _thermal_pair_table at J's pole mu - i d, whose work does not grow
-    with the horizon. A cutoff lead takes both columns from one Fourier sum
-    over one node set on its band, of panel width <= d / 2, <= 1/2 and
+    is _thermal_pair_table at J's pole mu - i d, on panels of width
+    <= d / 2 and <= 2 k_t, whose work does not grow with the horizon. A
+    cutoff lead takes both columns from one Fourier sum over one node set
+    on its band, of panel width <= d / 2, <= 1/2 and
     <= _osc_cap(tau_max) = pi / tau_max, so that no phase on the grid turns
     by more than pi across a panel, and <= k_t / 2 within 14 k_t of mu.
     Against panels 16 times finer, over 25 seeded configs with t_max from
@@ -475,7 +471,7 @@ def build_kernel_table(config: ModelConfig, taus: np.ndarray,
             if include_noise:
                 # J = Gamma d^2 / ((w - a)(w - conj(a))) at the pseudomode
                 # pole a = mu - i d; the panels resolve J's peak
-                cap = min(d / 2.0, 0.5, res.k_t / 2.0)
+                cap = min(d / 2.0, 2.0 * res.k_t)
                 table = _thermal_pair_table([mu - 1j * d], np.ones((1, 1), dtype=bool), res,
                                             taus, cap)
                 noise[:, c] = res.gamma * d * d / _TWO_PI * np.conj(table[0, 0])

@@ -407,14 +407,15 @@ def wbl_lead_fluctuation(lams, jj, kk, theta, n_far, k_t, times, table):
 def pairwise_wbl_fluctuation(config: ModelConfig, times) -> np.ndarray:
     """The wide-band V(t) of dqdsim.greens.wbl_greens, from the pair lists of
     weighted_pairs: one pair table per lead over its own pairs and their
-    transposes, and one 2x2 term per pair (wbl_lead_fluctuation)."""
+    transposes, on the Fermi-remainder panels of width 2 k_T that wbl_greens
+    sums, and one 2x2 term per pair (wbl_lead_fluctuation)."""
     modes = _modes(config)
     v = np.zeros((len(times), 2, 2), dtype=complex)
     for lead, lams, jj, kk, theta in weighted_pairs(modes.poles, modes.residues, config):
         res = config.reservoirs[lead]
         pairs = np.zeros((lams.size, lams.size), dtype=bool)
         pairs[jj, kk] = pairs[kk, jj] = True
-        table = _thermal_pair_table(lams, pairs, res, times, res.k_t / 2.0)
+        table = _thermal_pair_table(lams, pairs, res, times, 2.0 * res.k_t)
         n_far = pairwise_integrals(lams, jj, kk, res.mu, res.k_t)
         v += wbl_lead_fluctuation(lams, jj, kk, theta, n_far, res.k_t, times, table)
     return hermitian_part(v)
