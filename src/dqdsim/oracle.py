@@ -9,7 +9,6 @@ with no diagonalization; used to validate the solver modules.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -56,12 +55,6 @@ class DiscretizedBath:
     @property
     def modes_per_lead(self) -> int:
         return self.energies.shape[1]
-
-    def bath_occupation_diagonal(self) -> np.ndarray:
-        """Initial occupations on the bath entries, zeros on the dots."""
-        return np.concatenate(
-            [np.zeros(2), self.occupations[0], self.occupations[1]]
-        )
 
 
 def _default_window(res, kind, modes_per_lead):
@@ -223,15 +216,6 @@ def _spectral_interval(bath: DiscretizedBath) -> tuple:
     return 0.5 * (hi + lo), 0.5 * (hi - lo) + widen
 
 
-def _chebyshev_vectors(apply, start, count):
-    """T_m(A) start for m < count, by the three-term recurrence."""
-    prev, cur = None, start
-    for _ in range(count):
-        yield cur
-        step = apply(cur)
-        prev, cur = cur, step if prev is None else 2.0 * step - prev
-
-
 def _chebyshev_rows(x: np.ndarray, terms: int) -> np.ndarray:
     """T_r(x) for r < terms as a (terms, len(x)) array, by the three-term
     recurrence T_{r+1} = 2x T_r - T_{r-1} on |x| <= 1: no phase r arccos(x)
@@ -249,44 +233,47 @@ def _chebyshev_rows(x: np.ndarray, terms: int) -> np.ndarray:
 
 
 def _dot_rows(bath: DiscretizedBath, centre: float, half: float, gamma):
-    """y[k, a, p] = sum_m gamma[m, p] T_m(h~)[a, k] for h~ = (h - centre) / half.
+    """y[a, l, j, p] = sum_m gamma[m, p] T_m(h~)[a, (l, j)] for
+    h~ = (h - centre) / half.
 
     h is taken in the gauge diag(1, g*/|g|) on dot 2 and its lead, where it
-    is real: the dot block [[eps1, |g|], [|g|, eps2]], the bath energies on
-    the diagonal, and each dot coupled to its own lead. The vectors
-    T_m(h~) e_a of the two dot sites come from the three-term recurrence,
-    h~ applied through that star structure in O(D), and are folded into y
-    one block at a time by real products.
+    is real, with its sites lead-major: site (l, 0) is dot l and (l, j) for
+    j >= 1 the modes of lead l. Then 2 h~ is one diagonal scale (the dot
+    levels and bath energies), one coupling column that feeds each lead
+    its own dot, and the dot rows' sums over the other sites. The
+    three-term recurrence T_{m+1} = 2 h~ T_m - T_{m-1} writes the vectors
+    T_m(h~) e_a of the two dots, O(D) each, into one (M, 2, 2, K + 1)
+    buffer, which one real product folds into y.
     """
     system = bath.config.system
-    g = abs(complex(system.g_coupling))
-    scale = 1.0 / half if half > 0.0 else 0.0
-    dots = scale * np.array([[system.eps1 - centre, g], [g, system.eps2 - centre]])
-    energies = scale * (bath.energies - centre)[:, :, None]
-    couplings = scale * bath.couplings
     k = bath.modes_per_lead
-    dim = 2 + 2 * k
+    scale = 2.0 / half if half > 0.0 else 0.0
+    diag = np.empty((2, k + 1))
+    diag[:, 0] = system.eps1, system.eps2
+    diag[:, 1:] = bath.energies
+    diag -= centre
+    diag *= scale
+    column = np.zeros((2, k + 1))
+    column[:, 1:] = scale * bath.couplings
+    # the dot rows of 2 h~ off its diagonal, as a (sites, dots) matrix
+    dot_rows = np.zeros((2, 2, k + 1))
+    dot_rows[[0, 1], [0, 1]] = column
+    dot_rows[[0, 1], [1, 0], 0] = scale * abs(complex(system.g_coupling))
+    dot_rows = dot_rows.reshape(2, -1).T
 
-    def star(x):
-        """h~ x for the (dim, 2) columns x."""
-        x_dots, x_bath = x[:2], x[2:].reshape(2, k, 2)
-        out = np.empty_like(x)
-        out[:2] = dots @ x_dots + np.einsum("lk,lka->la", couplings, x_bath)
-        out[2:] = (
-            energies * x_bath + couplings[:, :, None] * x_dots[:, None, :]
-        ).reshape(-1, 2)
-        return out
-
-    start = np.zeros((dim, 2))
-    start[:2] = np.eye(2)
-    vectors = _chebyshev_vectors(star, start, len(gamma))
-    y = np.zeros((2 * dim, gamma.shape[1]), dtype=complex)
-    step = max(1, spectral._CHUNK_ELEMENTS // (2 * dim))
-    for s in range(0, len(gamma), step):
-        block = np.array(list(itertools.islice(vectors, step)))
-        rows = len(block)
-        y += (block.reshape(rows, -1).T @ gamma[s:s + rows].view(float)).view(complex)
-    return y.reshape(dim, 2, -1)
+    vectors = np.zeros((len(gamma), 2, 2, k + 1))
+    vectors[0, [0, 1], [0, 1], 0] = 1.0
+    for m in range(1, len(gamma)):
+        cur, out = vectors[m - 1], vectors[m]
+        np.multiply(diag, cur, out=out)
+        out += column * cur[..., :1]
+        out[..., 0] += cur.reshape(2, -1) @ dot_rows
+        if m == 1:
+            out *= 0.5
+        else:
+            out -= vectors[m - 2]
+    y = (vectors.reshape(len(gamma), -1).T @ gamma.view(float)).view(complex)
+    return y.reshape(2, 2, k + 1, -1)
 
 
 def exact_greens(bath: DiscretizedBath, grid: TimeGrid) -> GreensSolution:
@@ -330,14 +317,17 @@ def exact_greens(bath: DiscretizedBath, grid: TimeGrid) -> GreensSolution:
         depth + _TAIL_GUARD,
     )
     _check_tail(np.abs(np.sum(gamma[depth:], axis=1)), depth, "energy")
-    y = _dot_rows(bath, centre, half, gamma[:depth])  # y[k, a, p] = Y_p[a, k]
+    y = _dot_rows(bath, centre, half, gamma[:depth])  # y[a, l, j, p] = Y_p[a, (l, j)]
     del gamma
-    u_coef = y[:2].transpose(2, 1, 0).reshape(order, 4)  # Y_p[a, b] at (p, 2a + b)
-    # y[k, (a, p)] = (Y_p D^(1/2))[a, k]; m[p, q] = M_pq = Y_p D Y_q^dag.
-    # Each intermediate is dropped once used: m is the peak.
-    y *= np.sqrt(bath.bath_occupation_diagonal())[:, None, None]
-    y = y.reshape(len(y), 2 * order)
-    m = (y.T @ np.conj(y)).reshape(2, order, 2, order).transpose(1, 3, 0, 2)
+    # Y_p[a, b] at (p, 2a + b)
+    u_coef = np.ascontiguousarray(y[:, :, 0].reshape(4, order).T)
+    # in place, y[a, k, p] = (Y_p D^(1/2))[a, k] with D zero on the dots;
+    # m[p, q] = M_pq = Y_p D Y_q^dag. Each intermediate is dropped once
+    # used: m is the peak.
+    y[:, :, 0] = 0.0
+    y[:, :, 1:] *= np.sqrt(bath.occupations)[:, :, None]
+    y = y.reshape(2, -1, order)
+    m = (y.transpose(0, 2, 1)[:, None] @ np.conj(y)[None]).transpose(2, 3, 0, 1)
     del y
     # V = sum_pq T_p T_q M_pq with T_p T_q = (T_{p+q} + T_{|p-q|}) / 2
     ranks = np.arange(order)

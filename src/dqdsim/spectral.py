@@ -268,7 +268,8 @@ def _fourier_sum(nodes: np.ndarray, coefs: np.ndarray, taus: np.ndarray) -> np.n
     shares the exponential tables. With B = ceil(sqrt(n + 1)) and m = a B + b,
     e^{-i w tau_m} = e^{-i w tau_{aB}} e^{-i w tau_b}: about 2 sqrt(n + 1)
     exponentials per node, and the node sums run as one matrix product per
-    node chunk and vector, whose bits do not depend on the stack.
+    node chunk and vector. The chunks do not depend on the stack width, so
+    neither do a vector's bits.
     """
     _check_grid(taus)
     stack = coefs[:, None] if coefs.ndim == 1 else coefs
@@ -276,12 +277,13 @@ def _fourier_sum(nodes: np.ndarray, coefs: np.ndarray, taus: np.ndarray) -> np.n
     cols = math.isqrt(taus.size - 1) + 1
     rows = -(-taus.size // cols)
     acc = np.zeros((p, rows, cols), dtype=complex)
-    step = max(1, _CHUNK_ELEMENTS // max(rows * p, cols))
+    step = max(1, _CHUNK_ELEMENTS // max(rows, cols))
     for s in range(0, nodes.size, step):
         w = nodes[s:s + step]
         outer = np.exp(-1j * np.outer(taus[::cols], w))
         inner = np.exp(-1j * np.outer(w, taus[:cols]))
-        acc += (stack[s:s + step].T[:, None, :] * outer) @ inner
+        for acc_j, coef_j in zip(acc, stack[s:s + step].T):
+            acc_j += (coef_j * outer) @ inner
     out = acc.reshape(p, rows * cols)[:, :taus.size].T
     return out.reshape(taus.size) if coefs.ndim == 1 else out
 

@@ -8,6 +8,13 @@ time. One complex `eigh` of h, then (n+1) batched (2 x D) @ (D x D)
 products for V. It holds every (n+1, 2, D) intermediate at once, so it is
 for small and mid-size checks.
 
+`dense_dot_rows` is the reference for `dqdsim.oracle._dot_rows`: the same
+fold of Chebyshev vectors T_m(h~) e_a, by the three-term recurrence on the
+dense h~ in the complex gauge and its site order.
+
+`bath_occupation_diagonal` lists the initial occupations in the dense h's
+site order.
+
 `localized_eigenstates` reads the discretized bound states off the same
 eigendecomposition, the reference for `dqdsim.boundstate`'s roots.
 
@@ -33,6 +40,23 @@ def hamiltonian(bath):
         h[lead, rows] = bath.couplings[lead]
         h[rows, lead] = bath.couplings[lead]
     return h
+
+
+def dense_dot_rows(bath, centre, half, gamma):
+    """y[i, a, p] = sum_m gamma[m, p] T_m(h~)[i, a], h~ = (h - centre) / half."""
+    h = (hamiltonian(bath) - centre * np.eye(2 + 2 * bath.modes_per_lead)) / half
+    prev, cur = None, np.eye(len(h), 2, dtype=complex)
+    y = np.zeros((len(h), 2, gamma.shape[1]), dtype=complex)
+    for m in range(len(gamma)):
+        y += cur[:, :, None] * gamma[m]
+        step = h @ cur
+        prev, cur = cur, step if prev is None else 2.0 * step - prev
+    return y
+
+
+def bath_occupation_diagonal(bath):
+    """Initial occupations on the bath entries, zeros on the dots."""
+    return np.concatenate([np.zeros(2), bath.occupations[0], bath.occupations[1]])
 
 
 def eigh(bath):
@@ -69,7 +93,7 @@ def batched_exact_greens(bath, grid):
     u = np.einsum("ad,td,bd->tab", q_dots, phases, np.conj(q_dots))
     u[0] = np.eye(2)  # exact; Q Q^dag carries rounding noise
 
-    d_b = bath.bath_occupation_diagonal()
+    d_b = bath_occupation_diagonal(bath)
     w_mat = (np.conj(q.T) * d_b[None, :]) @ q  # Q^dag D Q, (D, D)
     x = q_dots[None, :, :] * phases[:, None, :]  # (n+1, 2, D)
     v = x @ w_mat @ np.conj(np.transpose(x, (0, 2, 1)))

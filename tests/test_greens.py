@@ -99,13 +99,17 @@ class TestTimeGrid:
             TimeGrid(10.0, n)
 
 
-# grid sizes n on both sides of the series inversion's doubling lengths
-# 2^k, of the lengths 3 2^k where the FFT period turns from 2^i to 3 2^i,
-# and primes
+# grid sizes n on both sides of the lengths 2^k and 3 2^k; on both sides
+# of each n at which the top Newton level's 3-smooth FFT period turns, near
+# n + 1 = B for B = 2^k, 3 2^k and 9 2^k (n + 1 = B -/+ 1, or B - 5 and
+# B - 4 past 64, where the levels take 8 spare rows); primes; and the
+# benchmark's 6000 and 8000
 _DYSON_SIZES = sorted(
     {(1 << k) + j for k in range(1, 13) for j in (-1, 0, 1)}
     | {(3 << k) + j for k in range(1, 11) for j in (-1, 1)}
-    | {97, 1031, 2053, 2999}
+    | {(b << k) + j for b in (1, 3, 9) for k in range(1, 13) if 2 < (b << k) <= 8192
+       for j in ((-2, 0) if (b << k) <= 64 else (-6, -5))}
+    | {97, 1031, 2053, 2999, 6000, 8000}
 )
 
 
@@ -380,6 +384,12 @@ class TestSolveDyson:
         cfg, grid = case
         got = solve_dyson(cfg, grid)
         assert np.max(np.abs(got - direct_solve_dyson(cfg, grid))) <= 1e-12
+
+    def test_fft_period_is_least_3_smooth_length(self):
+        smooth = np.sort([(1 << a) * 3**b for a in range(17) for b in range(11)])
+        lengths = np.arange(1, 20001)
+        want = smooth[np.searchsorted(smooth, lengths)]
+        assert [_fft_period(int(length)) for length in lengths] == want.tolist()
 
     @pytest.mark.parametrize("n", _DYSON_SIZES)
     def test_history_sum_across_block_boundaries(self, n):

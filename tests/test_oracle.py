@@ -14,8 +14,10 @@ from dqdsim.spectral import fermi_occupation, lead_density
 
 from conftest import make_config
 from oracle_reference import (
+    bath_occupation_diagonal,
     batched_exact_greens,
     cos_chebyshev_rows,
+    dense_dot_rows,
     hamiltonian,
     localized_eigenstates,
 )
@@ -122,7 +124,7 @@ class TestDiscretize:
         np.testing.assert_array_equal(h[2:42, 42:], 0.0)
 
     def test_occupation_diagonal_bounds(self):
-        diag = discretize(make_config(k_t=0.2), 60).bath_occupation_diagonal()
+        diag = bath_occupation_diagonal(discretize(make_config(k_t=0.2), 60))
         assert diag.shape == (122,)
         np.testing.assert_array_equal(diag[:2], 0.0)
         assert np.all(diag >= 0.0) and np.all(diag <= 1.0)
@@ -310,6 +312,32 @@ class TestExactGreens:
         oracle = exact_greens(discretize(cfg, 400), grid)
         assert np.max(np.abs(sol.u_seq - oracle.u_seq)) < 5e-3
         assert np.max(np.abs(sol.v_seq - oracle.v_seq)) < 5e-3
+
+
+class TestDotRows:
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize(
+        "regime", ["complex_g", "zero_temperature", "right_uncoupled"])
+    @pytest.mark.parametrize(
+        "kind", [SpectralKind.LORENTZIAN, SpectralKind.CUTOFF_LORENTZIAN])
+    def test_matches_dense_chebyshev_vectors(self, seed, regime, kind):
+        rng = np.random.default_rng(900 + seed)
+        bath = discretize(_random_oracle_config(rng, kind, regime), 30)
+        centre, half = oracle._spectral_interval(bath)
+        gamma = rng.normal(size=(40, 7)) + 1j * rng.normal(size=(40, 7))
+        got = oracle._dot_rows(bath, centre, half, gamma)  # [a, l, j, p]
+        want = dense_dot_rows(bath, centre, half, gamma)  # [i, a, p]
+        # lead-major sites (l, j) in the dense order: the dots, then lead 0,
+        # then lead 1; back from the real gauge, where dot 2 and its lead
+        # carry g/|g|
+        k = bath.modes_per_lead
+        order = np.r_[0, 2:k + 2, 1, k + 2:2 * k + 2]
+        g = complex(bath.config.system.g_coupling)
+        phase = np.repeat([1.0, np.conj(g) / abs(g)], k + 1)
+        got = got.reshape(2, 2 * k + 2, -1).transpose(1, 0, 2)
+        got = phase[:, None, None] * got * np.conj(phase[[0, k + 1]])[:, None]
+        scale = np.max(np.abs(want))
+        assert np.max(np.abs(got - want[order])) <= 1e-13 * scale
 
 
 class TestChebyshevRows:

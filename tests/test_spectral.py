@@ -624,6 +624,15 @@ class TestFourierSum:
         tol = 1e-13 + 2.0 * np.finfo(float).eps * phase
         assert np.all(np.abs(got - want) <= tol * np.sum(np.abs(coefs), axis=0))
 
+    def test_vector_bits_do_not_depend_on_stack(self):
+        rng = np.random.default_rng(71)
+        nodes = rng.uniform(-20.0, 20.0, 3000)
+        coefs = rng.normal(size=(3000, 20)) + 1j * rng.normal(size=(3000, 20))
+        taus = np.linspace(0.0, 10.0, 8001)
+        stacked = _fourier_sum(nodes, coefs, taus)
+        alone = _fourier_sum(nodes, coefs[:, 0].copy(), taus)
+        np.testing.assert_array_equal(stacked[:, 0], alone)
+
     @pytest.mark.parametrize(
         "taus",
         [
