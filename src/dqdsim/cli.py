@@ -438,10 +438,8 @@ def _point_label(idx, axis_values) -> str:
     return f"sweep point {idx} ({where})"
 
 
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        return f"{x:.12g}"
-    return str(x)
+def _fmt(x: float) -> str:
+    return f"{x:.12g}"
 
 
 def _header(items) -> list:

@@ -65,17 +65,6 @@ def matrix2(x) -> np.ndarray:
     return np.array(x, dtype=complex).reshape(2, 2)
 
 
-def mul_e(x, y) -> tuple:
-    a, b, c, d = x
-    e, f, g, h = y
-    return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
-
-
-def dagger_e(x) -> tuple:
-    a, b, c, d = x
-    return (a.conjugate(), c.conjugate(), b.conjugate(), d.conjugate())
-
-
 def det_e(x):
     a, b, c, d = x
     return a * d - b * c
@@ -99,7 +88,11 @@ def hermitian_eigs_e(x) -> tuple:
 def max_singular_e(x):
     """Largest singular value of x: the square root of the larger eigenvalue
     of x^dag x, a sum of non-negative terms with no cancellation."""
-    return hermitian_eigs_e(mul_e(dagger_e(x), x))[1] ** 0.5
+    a, b, c, d = x
+    ac, bc, cc, dc = a.conjugate(), b.conjugate(), c.conjugate(), d.conjugate()
+    return hermitian_eigs_e(
+        (ac * a + cc * c, ac * b + cc * d, bc * a + dc * c, bc * b + dc * d)
+    )[1] ** 0.5
 
 
 def inv2(m: np.ndarray) -> np.ndarray:

@@ -145,10 +145,7 @@ def _scaled_exp1(w):
     ws = w[series]
     if ws.size:
         depth = int(2.5 * np.max(r[series])) + 20
-        ein = np.zeros_like(ws)
-        for c in _EIN[-depth - 1:]:  # Horner
-            ein *= ws
-            ein += c
+        ein = np.polyval(_EIN[-depth - 1:], ws)
         out[series] = np.exp(ws) * (ein - _EULER_GAMMA - np.log(ws))
     wf = w[frac]
     if wf.size:

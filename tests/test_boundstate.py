@@ -139,6 +139,24 @@ class TestFindBoundStates:
             assert np.max(np.abs(r.residue_weight)) > 0.1
             assert r.edge_distance > 0.1
 
+    def test_bands_closer_than_twice_the_edge_distance_skip_their_gap(self, monkeypatch):
+        # bands [-1, 1] and [1.0015, 3.0015]: the gap, shortened by
+        # EDGE_DISTANCE_MIN at both ends, is empty and is never searched
+        cfg = make_config(eps1=-1.5, eps2=4.0, g=0.2, gamma=0.3, d=1.0, mu=0.0, mu_r=2.0015,
+                          k_t=0.0, cutoff=1.0, kind=SpectralKind.CUTOFF_LORENTZIAN)
+        assert _band_intervals(cfg) == [(-1.0, 1.0), (1.0015, 3.0015)]
+        seen = []
+
+        def branches(config, w):
+            seen.append(w)
+            return _branches(config, w)
+
+        monkeypatch.setattr("dqdsim.boundstate._branches", branches)
+        roots = find_bound_states(cfg)
+        assert not any(1.0 < w < 1.0015 for w in seen)
+        energies = [r.energy for r in roots]
+        assert len(energies) == 2 and energies[0] < -1.0 and energies[1] > 3.0015
+
     def test_near_decoupled_roots_at_hamiltonian_eigenvalues(self):
         cfg = cutoff_config(
             eps1=2.0, eps2=2.0, g=0.5, gamma=1e-9, cutoff=0.3, d=1.0, mu=2.0

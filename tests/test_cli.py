@@ -142,6 +142,23 @@ class TestParseErrors:
         assert cli.main(["evolve", "--config", cfg]) == 2
         assert f"config error: {cfg}{fragment}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "old, new, section, fragment",
+        [("gamma = 0.5", "gamma = -1", "left", "gamma must be finite and >= 0"),
+         ("d = 2.0", "d = 0", "left", "bandwidth must be finite and > 0"),
+         ("k_t = 0.5", "k_t = -1", "left", "k_t must be finite and >= 0"),
+         ("k_t = 0.5", "k_t = 0.5\nomega_cut = 0", "left", "cutoff must be > 0"),
+         ("[right]\ngamma = 0.5", "[right]\ngamma = -1", "right",
+          "gamma must be finite and >= 0")],
+        ids=["gamma", "d", "k_t", "omega_cut", "right"],
+    )
+    def test_refused_lead_value_names_the_file_and_section(
+        self, tmp_path, capsys, old, new, section, fragment
+    ):
+        cfg = write_cfg(tmp_path, BASE.replace(old, new, 1))
+        assert cli.main(["evolve", "--config", cfg]) == 2
+        assert f"config error: {cfg}: [{section}]: {fragment}" in capsys.readouterr().err
+
     def test_lead_parse_error_names_the_file_once(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, BASE.replace("gamma = 0.5", "gamma = abc", 1))
         assert cli.main(["evolve", "--config", cfg]) == 2
@@ -188,6 +205,8 @@ class TestParseErrors:
             ("eps1,eps2:0.0:10.0:1", "one step needs min == max, got 0.0, 10.0"),
             ("eps1:nan:1.0:3", "min/max must be finite, got nan, 1.0"),
             ("eps1:0.0:1e400:3", "min/max must be finite, got 0.0, inf"),
+            ("eps1:0:1:1.5", "min/max must be numbers, steps an integer"),
+            ("eps1:0:1:0", "steps must be >= 1, got 0"),
         ],
     )
     def test_axis_bounds_rejected_with_line(self, tmp_path, capsys, axis, fragment):
@@ -231,6 +250,11 @@ class TestParseErrors:
         cfg = write_cfg(tmp_path, BASE)
         assert cli.main(["evolve", "--config", cfg]) == 2
         assert "needs a [grid] section" in capsys.readouterr().err
+
+    def test_verify_needs_grid(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, BASE)
+        assert cli.main(["verify", "--config", cfg]) == 2
+        assert "config error: verify needs a [grid] section" in capsys.readouterr().err
 
     def test_exact_wide_band_sweep_names_wbl_before_the_grid(self, tmp_path, capsys):
         # no [grid] would let exact run on the wide band, so it is not asked for

@@ -173,6 +173,13 @@ class TestSelfEnergyReal:
         with pytest.raises(ConfigError):
             self_energy_real(m, 2.2)
 
+    def test_flat_band_has_no_level_shift(self):
+        res = ReservoirParams(gamma=0.8, bandwidth=1.5, mu=0.5)
+        w = np.linspace(-3.0, 3.0, 7)
+        got = lead_self_energy_real(res, SpectralKind.WIDE_BAND, w)
+        assert got.shape == w.shape and not got.any()
+        assert lead_self_energy_real(res, SpectralKind.WIDE_BAND, 0.2) == 0.0
+
     def test_matrix_form_is_diagonal(self):
         m = make_config(mu=1.0, mu_r=3.0)
         s = self_energy_real(m, 7.0)
@@ -278,6 +285,23 @@ class TestNoiseKernel:
 
 
 class TestKernelTable:
+    @pytest.mark.parametrize("kind", [SpectralKind.LORENTZIAN, SpectralKind.CUTOFF_LORENTZIAN])
+    def test_vanishing_temperature_is_zero_temperature(self, kind):
+        # mu -/+ 45 k_T rounds to mu: the Fermi remainder has no nodes
+        taus = np.linspace(0.0, 10.0, 201)
+
+        def noise(k_t):
+            cfg = make_config(mu=2.0, k_t=k_t, kind=kind, cutoff=1.5)
+            return build_kernel_table(cfg, taus, noise=True)
+
+        np.testing.assert_array_equal(noise(1e-300), noise(0.0))
+
+    def test_one_point_grid_is_the_zero_lag_kernel(self):
+        # g(0) = Gamma d atan(c / d) / pi over the band |w - mu| <= c
+        cfg = make_config(gamma=0.5, d=1.0, cutoff=1.0, kind=SpectralKind.CUTOFF_LORENTZIAN)
+        memory = build_kernel_table(cfg, np.array([0.0]), noise=False)
+        np.testing.assert_allclose(memory, 0.125, rtol=1e-14, atol=0.0)
+
     def test_matches_pointwise_kernels(self):
         m = make_config(gamma=0.5, d=2.0, mu=1.0, k_t=0.5)
         taus = np.linspace(0.0, 4.0, 9)

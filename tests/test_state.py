@@ -48,6 +48,10 @@ class TestDensityBlocks:
         with pytest.raises(ValueError):
             DensityBlocks.single(3)
 
+    def test_bell_requires_a_sign(self):
+        with pytest.raises(ValueError, match="sign must be"):
+            DensityBlocks.bell(0)
+
     def test_rejects_bad_blocks(self):
         with pytest.raises(InvariantViolation):
             DensityBlocks(rho1=np.diag([1.5, -0.5]), rho2=np.zeros((2, 2)))
