@@ -15,7 +15,7 @@ import itertools
 import math
 import os
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -100,7 +100,7 @@ _KEYS = {
     "system": {"eps1": (float, None), "eps2": (float, None), "g": (_complex, 0j)},
     "left": _LEAD_KEYS,
     "right": _LEAD_KEYS,
-    "spectral": {"kind": (str, "lorentzian")},
+    "spectral": {"kind": (SpectralKind.from_name, SpectralKind.LORENTZIAN)},
     "grid": {"t_max": (float, None), "n_steps": (int, None)},
     "initial": {
         "state": (str, "single1"),
@@ -143,58 +143,52 @@ class ExperimentConfig:
     oracle_modes: int
     oracle_tol: float
     output_path: str | None
-    raw_items: list = field(default_factory=list)
-
-
-def _parse_lines(path: str):
-    """(section, key, value, line_no) items with unknown names rejected."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}")
-    items = []
-    seen = set()
-    section = None
-    for no, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("[") and line.endswith("]"):
-            section = line[1:-1].strip().lower()
-            if section not in _KEYS:
-                known = ", ".join(sorted(_KEYS))
-                raise ConfigError(
-                    f"{path}:{no}: unknown section [{section}] (known: {known})"
-                )
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{path}:{no}: expected 'key = value', got {line!r}")
-        if section is None:
-            raise ConfigError(f"{path}:{no}: key outside of any [section]")
-        key, _, value = line.partition("=")
-        key = key.strip().lower()
-        value = value.strip()
-        if key not in _KEYS[section]:
-            known = ", ".join(sorted(_KEYS[section]))
-            raise ConfigError(
-                f"{path}:{no}: unknown key {key!r} in [{section}] (known: {known})"
-            )
-        if (section, key) in seen:
-            raise ConfigError(f"{path}:{no}: duplicate key {key!r} in [{section}]")
-        seen.add((section, key))
-        if not value:
-            raise ConfigError(f"{path}:{no}: empty value for {key!r}")
-        items.append((section, key, value, no))
-    return items
+    raw_items: list  # (section, key, value) in file order, for the output header
 
 
 class _Table:
-    """Parsed items with typed access and line-precise errors."""
+    """The config file's keys, read once and checked against _KEYS, with
+    typed access and line-precise errors; data maps (section, key) to
+    (value, line number) in file order."""
 
-    def __init__(self, path, items):
+    def __init__(self, path: str):
         self.path = path
-        self.data = {(s, k): (v, no) for s, k, v, no in items}
+        self.data = {}
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                lines = fh.readlines()
+        except OSError as exc:
+            raise ConfigError(f"cannot read config file {path}: {exc}")
+        section = None
+        for no, raw in enumerate(lines, start=1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            if line.startswith("[") and line.endswith("]"):
+                section = line[1:-1].strip().lower()
+                if section not in _KEYS:
+                    known = ", ".join(sorted(_KEYS))
+                    raise ConfigError(
+                        f"{path}:{no}: unknown section [{section}] (known: {known})"
+                    )
+                continue
+            if "=" not in line:
+                raise ConfigError(f"{path}:{no}: expected 'key = value', got {line!r}")
+            if section is None:
+                raise ConfigError(f"{path}:{no}: key outside of any [section]")
+            key, _, value = line.partition("=")
+            key = key.strip().lower()
+            value = value.strip()
+            if key not in _KEYS[section]:
+                known = ", ".join(sorted(_KEYS[section]))
+                raise ConfigError(
+                    f"{path}:{no}: unknown key {key!r} in [{section}] (known: {known})"
+                )
+            if (section, key) in self.data:
+                raise ConfigError(f"{path}:{no}: duplicate key {key!r} in [{section}]")
+            if not value:
+                raise ConfigError(f"{path}:{no}: empty value for {key!r}")
+            self.data[section, key] = (value, no)
 
     def _fail(self, section, key, message):
         entry = self.data.get((section, key))
@@ -216,18 +210,26 @@ class _Table:
             return default
         try:
             return parse(entry[0])
+        except ConfigError as exc:  # a parser's own refusal, such as the kind's
+            self._fail(section, key, str(exc))
         except ValueError:
             self._fail(section, key, f"not {_EXPECTED[parse]}: {entry[0]!r}")
 
+    def build(self, where, make, *args, **kwargs):
+        """make(*args, **kwargs), with the ConfigError or InvariantViolation
+        it raises raised again as a ConfigError that names the file, then
+        where."""
+        try:
+            return make(*args, **kwargs)
+        except (ConfigError, InvariantViolation) as exc:
+            raise ConfigError(f"{self.path}: {where}{exc}")
+
 
 def _reservoir_from(table: _Table, section: str) -> ReservoirParams:
-    # read before the try: a parse error already names the file and key
     gamma, d, mu, k_t, cut = (table.get(section, key)
                               for key in ("gamma", "d", "mu", "k_t", "omega_cut"))
-    try:
-        return ReservoirParams(gamma=gamma, bandwidth=d, mu=mu, k_t=k_t, cutoff=cut)
-    except ConfigError as exc:
-        raise ConfigError(f"{table.path}: [{section}]: {exc}")
+    return table.build(f"[{section}]: ", ReservoirParams,
+                       gamma=gamma, bandwidth=d, mu=mu, k_t=k_t, cutoff=cut)
 
 
 def _initial_from(table: _Table) -> DensityBlocks:
@@ -247,10 +249,7 @@ def _initial_from(table: _Table) -> DensityBlocks:
         )
         off = re + 1j * im
         blocks.append(np.array([[p00, off], [np.conj(off), p11]], dtype=complex))
-    try:
-        return DensityBlocks(*blocks)
-    except InvariantViolation as exc:
-        raise ConfigError(f"{table.path}: [initial] explicit blocks invalid: {exc}")
+    return table.build("[initial] explicit blocks invalid: ", DensityBlocks, *blocks)
 
 
 def _axis_from(table: _Table, key: str, taken: tuple = ()) -> SweepAxis:
@@ -287,25 +286,19 @@ def _grid_from(table: _Table) -> TimeGrid | None:
     if not (table.has("grid", "t_max") or table.has("grid", "n_steps")):
         return None
     t_max, n_steps = table.get("grid", "t_max"), table.get("grid", "n_steps")
-    try:
-        return TimeGrid(t_max=t_max, n_steps=n_steps)
-    except ConfigError as exc:
-        raise ConfigError(f"{table.path}: [grid]: {exc}")
+    return table.build("[grid]: ", TimeGrid, t_max=t_max, n_steps=n_steps)
 
 
 def load_experiment(path: str) -> ExperimentConfig:
     """Parse and validate one config file into an ExperimentConfig."""
-    items = _parse_lines(path)
-    table = _Table(path, items)
+    table = _Table(path)
 
-    kind = SpectralKind.from_name(table.get("spectral", "kind"))
+    kind = table.get("spectral", "kind")
     eps1, eps2, g = (table.get("system", key) for key in ("eps1", "eps2", "g"))
     left, right = _reservoir_from(table, "left"), _reservoir_from(table, "right")
-    try:
-        system = SystemParams(eps1=eps1, eps2=eps2, g_coupling=g)
-        model = ModelConfig(system=system, left=left, right=right, spectral_kind=kind)
-    except ConfigError as exc:
-        raise ConfigError(f"{path}: {exc}")
+    system = table.build("", SystemParams, eps1=eps1, eps2=eps2, g_coupling=g)
+    model = table.build("", ModelConfig, system=system, left=left, right=right,
+                        spectral_kind=kind)
     grid = _grid_from(table)
 
     initial = _initial_from(table)
@@ -339,7 +332,7 @@ def load_experiment(path: str) -> ExperimentConfig:
         oracle_modes=modes,
         oracle_tol=tol,
         output_path=table.get("output", "path") or None,
-        raw_items=[(s, k, v) for s, k, v, _ in items],
+        raw_items=[(s, k, v) for (s, k), (v, _) in table.data.items()],
     )
 
 
@@ -357,6 +350,13 @@ def _apply_params(model: ModelConfig, values: dict) -> ModelConfig:
     )
 
 
+def _late_start(grid: TimeGrid) -> int:
+    """The index of the first grid time at or after 0.8 t_max, the start of
+    the late-time window [0.8 t_max, t_max]: ceil(4 n / 5) of n steps, in
+    integer arithmetic."""
+    return -(-4 * grid.n_steps // 5)
+
+
 def _late_time_steady(model: ModelConfig, grid):
     """Exact V^s: the average V-bar of V(t) over [0.8 t_max, t_max], and its
     spread, the largest over the four entries of the RMS deviation
@@ -370,9 +370,7 @@ def _late_time_steady(model: ModelConfig, grid):
             "steady state of the exact solver needs a [grid] section"
             " (late-time average over [0.8 t_max, t_max])"
         )
-    v = solve(model, grid).v_seq
-    start = int(math.floor(0.8 * grid.n_steps))
-    window = v[start:]
+    window = solve(model, grid).v_seq[_late_start(grid):]
     v_s = window.mean(axis=0)
     spread = float(np.max(window.std(axis=0)))  # complex std: the RMS deviation
     return hermitian_part(v_s), spread
@@ -526,7 +524,7 @@ def run_evolution(exp: ExperimentConfig, out) -> list:
     return rows
 
 
-def run_sweep(exp: ExperimentConfig, out, workers: int = 1) -> list:
+def run_sweep(exp: ExperimentConfig, out, workers: int = 1) -> None:
     """Steady-state grid over one or two swept parameter groups, written
     to out (_write), on a process pool of at most workers (>= 1), one per
     point and per CPU: a forking pool starts them all at its first task."""
@@ -561,10 +559,9 @@ def run_sweep(exp: ExperimentConfig, out, workers: int = 1) -> list:
         axis_cols + ["eof_s", "v00", "v11", "v01_re", "v01_im", "late_time_spread"],
         rows,
     )
-    return rows
 
 
-def run_classify(exp: ExperimentConfig, out) -> dict:
+def run_classify(exp: ExperimentConfig, out) -> None:
     """Bound-state census: roots, effectiveness data, relaxation class,
     written to out (_write)."""
     roots = find_bound_states(exp.model)
@@ -576,19 +573,16 @@ def run_classify(exp: ExperimentConfig, out) -> dict:
             f"{_fmt(r.energy)}\t{_fmt(float(np.max(np.abs(r.residue_weight))))}"
             f"\t{_fmt(r.edge_distance)}"
         )
-    plateau = None
     if exp.grid is not None:
         u = solve_dyson(exp.model, exp.grid)
-        start = int(math.floor(0.8 * exp.grid.n_steps))
-        plateau = float(max_singular_e(u[start:].reshape(-1, 4).T).max())
+        plateau = float(max_singular_e(u[_late_start(exp.grid):].reshape(-1, 4).T).max())
         lines.append(f"# late_time_u_norm_max = {_fmt(plateau)}")
     lines.append(f"# effective_roots = {cls.count}")
     lines.append(f"# relaxation_class = {cls.kind.value}")
     _write(out, lines)
-    return {"roots": roots, "classification": cls, "plateau": plateau}
 
 
-def run_verify(exp: ExperimentConfig, out) -> dict:
+def run_verify(exp: ExperimentConfig, out) -> None:
     """Solver-vs-oracle cross check on the configured grid; the report is
     written to out (_write) before a failed check raises."""
     if exp.grid is None:
@@ -599,12 +593,6 @@ def run_verify(exp: ExperimentConfig, out) -> dict:
     sol = _METHODS[exp.method].evolve(exp.model, exp.grid)
     du = float(np.max(np.abs(sol.u_seq - ex.u_seq)))
     dv = float(np.max(np.abs(sol.v_seq - ex.v_seq)))
-    report = {
-        "u_error": du,
-        "v_error": dv,
-        "modes": k,
-        "tolerance": exp.oracle_tol,
-    }
     lines = [f"# oracle modes per lead: {k}"]
     lines.append(f"max |U - U_oracle| = {_fmt(du)}")
     lines.append(f"max |V - V_oracle| = {_fmt(dv)}")
@@ -615,7 +603,6 @@ def run_verify(exp: ExperimentConfig, out) -> dict:
             f"oracle cross-check failed: U error {du:.3e}, V error {dv:.3e}"
             f" exceed tolerance {exp.oracle_tol:.3e}"
         )
-    return report
 
 
 @functools.cache

@@ -386,8 +386,7 @@ class _LeadColumns(NamedTuple):
     """The coupled leads' poles and pole columns, stacked over the leads
     (_lead_columns)."""
 
-    leads: list  # indices of the coupled leads
-    reservoirs: list  # their ReservoirParams
+    reservoirs: list  # the coupled leads' ReservoirParams
     gamma: np.ndarray  # (L,) their Gamma_l
     lams: np.ndarray  # (L, J) poles lams_j
     cols: np.ndarray  # (L, 2, J) column matrices C_l = [c_1 ... c_J]
@@ -402,7 +401,7 @@ class _LeadColumns(NamedTuple):
                          np.conj(self.cols))
 
 
-def _lead_columns(poles, residues, config: ModelConfig, leads=(0, 1)) -> _LeadColumns:
+def _lead_columns(modes: PoleExpansion, config: ModelConfig, leads=(0, 1)) -> _LeadColumns:
     """The pole columns of each coupled lead, and the pole pairs that carry
     weight on it, for every lead in leads with Gamma_l > 0.
 
@@ -421,10 +420,10 @@ def _lead_columns(poles, residues, config: ModelConfig, leads=(0, 1)) -> _LeadCo
     mode that still couples to the lead, which raises SolverError. With no
     lead coupled every stack is empty.
     """
-    r = np.asarray(poles, dtype=complex)
+    r = modes.poles
     leads = [lead for lead in leads if config.reservoirs[lead].gamma > 0.0]
     coupled = [config.reservoirs[lead] for lead in leads]
-    cols = np.asarray(residues)[:, :, leads].transpose(2, 1, 0)  # (lead, dot, pole)
+    cols = modes.residues[:, :, leads].transpose(2, 1, 0)  # (lead, dot, pole)
     lams = r[None].repeat(len(leads), axis=0)
     if config.spectral_kind is SpectralKind.LORENTZIAN:
         q = np.array([[res.mu - 1j * res.bandwidth] for res in coupled])
@@ -445,7 +444,7 @@ def _lead_columns(poles, residues, config: ModelConfig, leads=(0, 1)) -> _LeadCo
             "effectively undamped mode still couples to a lead; the"
             " steady state is undefined"
         )
-    return _LeadColumns(leads, coupled, gamma, lams, cols, gaps, keep)
+    return _LeadColumns(coupled, gamma, lams, cols, gaps, keep)
 
 
 def _require_damping(config: ModelConfig) -> None:
@@ -455,7 +454,7 @@ def _require_damping(config: ModelConfig) -> None:
         raise SolverError("no damping: no lead is coupled, so the steady state is undefined")
 
 
-def _steady_from_poles(poles, residues, config: ModelConfig) -> np.ndarray:
+def _steady_from_poles(modes: PoleExpansion, config: ModelConfig) -> np.ndarray:
     """V^s = (1/2pi) sum_l Gamma_l C_l (N_l o keep_l) C_l^dag.
 
     C_l and keep_l are those of _lead_columns, a Lorentzian lead being the
@@ -464,7 +463,7 @@ def _steady_from_poles(poles, residues, config: ModelConfig) -> np.ndarray:
     raised.
     """
     _require_damping(config)
-    lc = _lead_columns(poles, residues, config)
+    lc = _lead_columns(modes, config)
     n = _pair_integrals(lc.lams, lc.keep, lc.gaps, [res.mu for res in lc.reservoirs],
                         [res.k_t for res in lc.reservoirs])
     v = hermitian_part(lc.pair_sum(n) / _TWO_PI)
@@ -496,7 +495,7 @@ def steady_state_fluctuation(
     """
     if config.spectral_kind is not SpectralKind.LORENTZIAN:
         raise ConfigError("the pole-expansion steady state requires the Lorentzian spectrum")
-    return _steady_from_poles(expansion.poles, expansion.residues, config)
+    return _steady_from_poles(expansion, config)
 
 
 # ---------------------------------------------------------------------------
@@ -531,7 +530,7 @@ def wbl_greens(config: ModelConfig, grid: TimeGrid) -> GreensSolution:
         raise ConfigError("wbl_greens requires the wide-band spectral kind")
     modes = _modes(config)
     times = grid.times
-    lc = _lead_columns(modes.poles, modes.residues, config)
+    lc = _lead_columns(modes, config)
     keys = [(res.mu, res.k_t) for res in lc.reservoirs]
     r, t = modes.poles, times[1:]
     gaps = r[:, None] - r.conj()
@@ -568,8 +567,7 @@ def wbl_steady_fluctuation(config: ModelConfig) -> np.ndarray:
     """
     if config.spectral_kind is not SpectralKind.WIDE_BAND:
         raise ConfigError("wbl_steady_fluctuation requires the wide-band spectral kind")
-    modes = _modes(config)
-    return _steady_from_poles(modes.poles, modes.residues, config)
+    return _steady_from_poles(_modes(config), config)
 
 
 # ---------------------------------------------------------------------------
@@ -589,14 +587,15 @@ def _bm_stationary(config: ModelConfig):
         fermi_occupation(config.system.eps2, config.right.mu, config.right.k_t),
     ]
     x = np.zeros((2, 2), dtype=complex)
-    # an empty lead is skipped before the undamped-mode guard can see it
+    # an empty lead is skipped before the undamped-mode guard can see it;
+    # every source is coupled, so _lead_columns keeps them all, in order
     sources = [lead for lead, (nbar, res) in enumerate(zip(occ, config.reservoirs))
                if nbar * res.gamma != 0.0]
     if not sources:
         return None, x
     modes = _modes(config)
-    lc = _lead_columns(modes.poles, modes.residues, config, sources)
-    nbar = np.array([occ[lead] for lead in lc.leads])
+    lc = _lead_columns(modes, config, sources)
+    nbar = np.array([occ[lead] for lead in sources])
     weights = np.divide(nbar[:, None, None], 1j * lc.gaps,
                         out=np.zeros_like(lc.gaps), where=lc.keep)
     return modes, hermitian_part(lc.pair_sum(weights))

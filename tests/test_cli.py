@@ -18,6 +18,10 @@ from dqdsim.model import ModelConfig, ReservoirParams, SpectralKind, SystemParam
 
 import state_reference as ref
 
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+
+import tracer  # noqa: E402
+
 BASE = """\
 [system]
 eps1 = 2.0
@@ -74,6 +78,8 @@ class TestParseErrors:
             ("eps1 = 2.0\n", ":1: key outside"),
             ("[system]\neps1 =\n", "empty value"),
             ("[system]\neps1 = abc\neps2 = 2.0\n", "not a number"),
+            ("[spectral]\nkind = lorentz\n",
+             ":2: [spectral] kind: unknown spectral kind 'lorentz' (expected one of:"),
         ],
     )
     def test_line_precise_messages(self, tmp_path, capsys, text, fragment):
@@ -720,6 +726,23 @@ class TestSweep:
         assert np.max(np.abs(window - window.mean(axis=0)).std(axis=0)) < 1e-15
         assert spread == pytest.approx(0.2, rel=1e-12)
 
+    @pytest.mark.parametrize("n", [7, 2001])
+    def test_late_time_window_starts_at_0_8_t_max(self, monkeypatch, n):
+        # V(t_i) = a_i I with a_i rising in i: an earlier start lowers V^s
+        grid = greens.TimeGrid(10.0, n)
+        a = 0.5 * np.arange(n + 1) / n
+        v = a[:, None, None] * np.eye(2)
+        monkeypatch.setattr(cli, "solve", lambda model, grid: SimpleNamespace(v_seq=v))
+        model = ModelConfig(
+            system=SystemParams(eps1=2.0, eps2=2.0, g_coupling=0.5),
+            left=ReservoirParams(gamma=0.5),
+            right=ReservoirParams(gamma=0.5),
+        )
+        v_s, spread = cli._late_time_steady(model, grid)
+        window = a[grid.times >= 0.8 * grid.t_max]
+        np.testing.assert_allclose(v_s, window.mean() * np.eye(2), rtol=1e-14, atol=0.0)
+        assert spread == pytest.approx(window.std(), rel=1e-12)
+
     def test_born_markov_evolve_without_coupled_lead_has_no_fluctuation(self, tmp_path):
         # the time series stays defined: V(t) = 0 and U(t) = e^{-iMt}
         cfg = write_cfg(
@@ -781,6 +804,20 @@ class TestClassify:
             if line.startswith("# late_time_u_norm_max")
         ]
         assert plateau and plateau[0] > 0.05
+
+    @pytest.mark.parametrize("n", [7, 2001])
+    def test_plateau_window_starts_at_0_8_t_max(self, tmp_path, monkeypatch, n):
+        # |U(t_i)| falls with i, so the window's largest norm is at its start
+        cfg = write_cfg(tmp_path, CLASSIFY_TWO_ROOT + f"[grid]\nt_max = 10.0\nn_steps = {n}\n")
+        norms = 1.0 - 0.5 * np.arange(n + 1) / n
+        monkeypatch.setattr(cli, "solve_dyson",
+                            lambda model, grid: norms[:, None, None] * np.eye(2))
+        out = str(tmp_path / "cls.txt")
+        assert cli.main(["classify", "--config", cfg, "--out", out]) == 0
+        times = greens.TimeGrid(10.0, n).times
+        plateau = [float(line.split("=")[1]) for line in Path(out).read_text().splitlines()
+                   if line.startswith("# late_time_u_norm_max")]
+        assert plateau == [pytest.approx(norms[times >= 8.0][0], rel=1e-12)]
 
     def test_no_roots_thermal_class(self, tmp_path):
         text = CLASSIFY_TWO_ROOT.replace("g = 1.0", "g = 0.3").replace(
@@ -1237,20 +1274,10 @@ class TestTables:
         assert (out.system.eps1, out.system.eps2, out.left.mu, out.right.mu) == (0.5, -0.5, 3.0, 4.0)
 
 
-# the layers perfbench/tracer.py traces, by defining module; the per-pass
-# call counts of its workloads are frozen, and the tests below hold them
-_TRACED_LAYERS = {
-    "spectral": ("build_kernel_table",),
-    "greens": (
-        "solve_dyson", "compute_fluctuation", "pole_expansion_lorentzian",
-        "steady_state_fluctuation", "wbl_steady_fluctuation", "wbl_greens",
-        "bm_fluctuation",
-    ),
-    "oracle": ("discretize", "exact_greens"),
-    "boundstate": ("find_bound_states",),
-    "state": ("propagator_coefficients", "evolve_density"),
-    "entanglement": ("fermionic_eof", "steady_state_eof"),
-}
+# the layers perfbench/tracer.py traces below cli.main, as (defining
+# module, name); the per-pass call counts of its workloads are frozen, and
+# the tests below hold them
+_TRACED_LAYERS = [(owner, name) for owner, name in tracer.LAYERS if owner != "cli"]
 
 
 class TestDispatchThroughModuleNames:
@@ -1291,19 +1318,18 @@ class TestDispatchThroughModuleNames:
             if m is not None and (name == "dqdsim" or name.startswith("dqdsim."))
         ]
         counts = {}
-        for owner, names in _TRACED_LAYERS.items():
-            for name in names:
-                fn = getattr(importlib.import_module(f"dqdsim.{owner}"), name)
-                counts[name] = 0
+        for owner, name in _TRACED_LAYERS:
+            fn = getattr(importlib.import_module(f"dqdsim.{owner}"), name)
+            counts[name] = 0
 
-                def counted(*args, _fn=fn, _name=name, **kwargs):
-                    counts[_name] += 1
-                    return _fn(*args, **kwargs)
+            def counted(*args, _fn=fn, _name=name, **kwargs):
+                counts[_name] += 1
+                return _fn(*args, **kwargs)
 
-                for module in modules:
-                    for attr, value in list(vars(module).items()):
-                        if value is fn:
-                            monkeypatch.setattr(module, attr, counted)
+            for module in modules:
+                for attr, value in list(vars(module).items()):
+                    if value is fn:
+                        monkeypatch.setattr(module, attr, counted)
         return counts
 
     def test_pole_sweep(self, tmp_path, calls):

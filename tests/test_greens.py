@@ -926,8 +926,8 @@ class TestCauchyForm:
         # the last bit, and its column on the left lead is zero
         cfg = make_config(eps1=0.3, eps2=1.1, g=0.7, gamma_r=0.0)
         exp = pole_expansion_lorentzian(cfg)
-        lc = greens._lead_columns(exp.poles, exp.residues, cfg)
-        assert lc.leads == [0]
+        lc = greens._lead_columns(exp, cfg)
+        assert lc.reservoirs == [cfg.left]
         on_q = np.flatnonzero(lc.lams[0, :-1] == lc.lams[0, -1])
         assert on_q.size == 1
         assert not np.any(lc.cols[0, :, on_q]) and not np.any(lc.keep[0, on_q])
