@@ -42,7 +42,6 @@ from .spectral import (
 )
 from .state import (
     DensityBlocks,
-    PropagatorCoefficients,
     evolve_density,
     propagator_coefficients,
 )
@@ -58,7 +57,6 @@ __all__ = [
     "InvariantViolation",
     "ModelConfig",
     "PoleExpansion",
-    "PropagatorCoefficients",
     "RelaxationClass",
     "RelaxationKind",
     "ReservoirParams",

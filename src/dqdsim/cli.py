@@ -14,6 +14,7 @@ import functools
 import itertools
 import math
 import os
+import re
 import sys
 from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
@@ -161,7 +162,9 @@ class _Table:
             raise ConfigError(f"cannot read config file {path}: {exc}")
         section = None
         for no, raw in enumerate(lines, start=1):
-            line = raw.split("#", 1)[0].strip()
+            # '#' opens a comment at a line's start or after whitespace only,
+            # so that a value such as run#1.tsv keeps it
+            line = re.split(r"(?:^|\s)#", raw, maxsplit=1)[0].strip()
             if not line:
                 continue
             if line.startswith("[") and line.endswith("]"):

@@ -15,7 +15,6 @@ reference.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,19 +32,12 @@ POSITIVITY_TOL = 1e-8
 BLOCK_HERMITICITY_TOL = 1e-8
 
 
-@dataclass
-class PropagatorCoefficients:
-    """J1, J2, J3 as entry tuples (m00, m01, m10, m11) and the normalization A
-    of the Gaussian propagator."""
-
-    j1: tuple
-    j2: tuple
-    j3: tuple
-    a: complex
-
-
-def propagator_coefficients(u, v) -> PropagatorCoefficients:
+def propagator_coefficients(u, v) -> tuple:
     """Coefficients (J1, J2, J3, A) from a propagator pair of 2x2 arrays (U, V).
+
+    J1, J2 and J3 are entry tuples (m00, m01, m10, m11) and A is the
+    normalization of the Gaussian propagator, in the one tuple that
+    `evolve_density` takes.
 
     W = (I - V)^-1, J1 = W U, J2 = W - I, J3 = U^dag W U - I, A = 1/det W.
     The inverse fails only at a fully occupied point (V eigenvalue 1). For
@@ -58,7 +50,7 @@ def propagator_coefficients(u, v) -> PropagatorCoefficients:
         raise SolverError(
             "I - V is singular (occupation reached 1); coefficients undefined"
         )
-    return PropagatorCoefficients(*_coefficients_e(entries2(u), v, a), a)
+    return (*_coefficients_e(entries2(u), v, a), a)
 
 
 def _coefficients_e(u, v, a) -> tuple:
@@ -171,10 +163,9 @@ class DensityBlocks:
         return cls(np.zeros((2, 2)), r2)
 
 
-def evolve_density(
-    rho0: DensityBlocks, coeffs: PropagatorCoefficients
-) -> DensityBlocks:
-    """Propagate the density blocks with the coefficient matrices.
+def evolve_density(rho0: DensityBlocks, coeffs: tuple) -> DensityBlocks:
+    """Propagate the density blocks with the coefficients (J1, J2, J3, A)
+    of `propagator_coefficients`.
 
     The propagating-function result, with sigma_y X^T sigma_y written as
     adj X, j1_tilde = diag(1, det J1) as a row and column scaling, and the
@@ -188,8 +179,9 @@ def evolve_density(
     needs no K: with m2 = r2 - p_dbl adj(J3) and n2 = J1 m2 J1^dag, the
     cyclic trace makes it tr(K m2) = tr(adj(J2) n2), and rho2 needs n2.
     """
-    return DensityBlocks._of_entries(*_propagate_e(
-        coeffs.j1, coeffs.j2, coeffs.j3, coeffs.a, rho0._e1, rho0._e2))
+    j1, j2, j3, a = coeffs
+    return DensityBlocks._of_entries(
+        *_propagate_e(j1, j2, j3, a, rho0._e1, rho0._e2))
 
 
 def _propagate_e(j1, j2, j3, a, r1, r2) -> tuple:

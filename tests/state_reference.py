@@ -7,8 +7,8 @@ determinants and inverses (`np.linalg.det`, `np.linalg.inv`, not the
 closed forms of `dqdsim.model`) and a LAPACK `eigvalsh` for the block
 check. `evolve_density` returns the raw blocks (rho1, rho2) so that a test
 can compare them before any check; `density_blocks` applies the former
-checks to such a pair. `PropagatorCoefficients` holds J1, J2 and J3 as
-entry tuples, so the reference converts them with `entries2`/`matrix2` at
+checks to such a pair. The coefficients (J1, J2, J3, A) hold J1, J2 and J3
+as entry tuples, so the reference converts them with `entries2`/`matrix2` at
 its boundary and multiplies 2x2 arrays inside.
 
 `steady_state_density` (the blocks that V^s fixes, the reference for
@@ -34,7 +34,6 @@ from dqdsim.state import (
     POSITIVITY_TOL,
     TRACE_TOL,
     DensityBlocks,
-    PropagatorCoefficients,
 )
 
 SIGMA_Y = np.array([[0.0, -1j], [1j, 0.0]])
@@ -42,7 +41,7 @@ SIGMA_PLUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 SIGMA_MINUS = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
 
 
-def propagator_coefficients(u, v) -> PropagatorCoefficients:
+def propagator_coefficients(u, v) -> tuple:
     """W = (I - V)^-1, J1 = W U, J2 = W - I, J3 = U^dag W U - I, A = 1/det W."""
     u = as_mat2(u)
     v = as_mat2(v)
@@ -53,11 +52,11 @@ def propagator_coefficients(u, v) -> PropagatorCoefficients:
             "I - V is singular (occupation reached 1); coefficients undefined"
         )
     w = np.linalg.inv(one_minus_v)
-    return PropagatorCoefficients(
-        j1=entries2(w @ u),
-        j2=entries2(w - IDENTITY2),
-        j3=entries2(dagger(u) @ w @ u - IDENTITY2),
-        a=complex(det_w_inv),
+    return (
+        entries2(w @ u),
+        entries2(w - IDENTITY2),
+        entries2(dagger(u) @ w @ u - IDENTITY2),
+        complex(det_w_inv),
     )
 
 
@@ -91,8 +90,8 @@ def evolve_density(rho0, coeffs):
     transposes is where sign errors hide. The identity coefficients
     (I, 0, 0, 1) return the input unchanged.
     """
-    j1, j2, j3 = (matrix2(coeffs.j1), matrix2(coeffs.j2), matrix2(coeffs.j3))
-    a = coeffs.a
+    *js, a = coeffs
+    j1, j2, j3 = (matrix2(j) for j in js)
     r1, r2 = rho0.rho1, rho0.rho2
 
     det_j1 = np.linalg.det(j1)

@@ -551,8 +551,12 @@ class TestSweep:
         assert eof[0] < eof[-1]
         assert all(b > a for a, b in zip(eof, eof[1:]))
 
-    def test_serial_matches_concurrent(self, tmp_path):
-        cfg = write_cfg(tmp_path, self.SWEEP)
+    @pytest.mark.parametrize("method", ["pole", "wbl", "born_markov", "exact"])
+    def test_serial_matches_concurrent(self, tmp_path, method):
+        kind = "wideband" if method in ("wbl", "born_markov") else "lorentzian"
+        grid = "[grid]\nt_max = 1.0\nn_steps = 10\n" if method == "exact" else ""
+        text = self.SWEEP.replace("method = pole", f"method = {method}")
+        cfg = write_cfg(tmp_path, text.replace("kind = lorentzian", f"kind = {kind}") + grid)
         a, b = str(tmp_path / "s1.tsv"), str(tmp_path / "s2.tsv")
         assert cli.main(["sweep", "--config", cfg, "--out", a]) == 0
         assert (
@@ -967,6 +971,14 @@ class TestOutputFile:
             reader.join(timeout=30)
         assert not reader.is_alive()
         assert got == [plain.read_bytes()]
+
+    def test_hash_inside_a_value_is_kept(self, tmp_path):
+        # '#' opens a comment only at a line's start or after whitespace
+        out = tmp_path / "run#1.tsv"
+        cfg = write_cfg(tmp_path, TestSweep.SWEEP + f"[output]\npath = {out}  # a comment\n")
+        assert cli.main(["sweep", "--config", cfg]) == 0
+        assert out.exists()
+        assert not (tmp_path / "run").exists()
 
     def test_failed_verify_keeps_its_report(self, tmp_path):
         # the cross-check fails after the report is written

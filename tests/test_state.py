@@ -74,10 +74,11 @@ class TestDensityBlocks:
 class TestPropagatorCoefficients:
     def test_identity_fixed_point(self, rng):
         coeffs = propagator_coefficients(np.eye(2), np.zeros((2, 2)))
-        np.testing.assert_allclose(matrix2(coeffs.j1), np.eye(2), atol=1e-14)
-        np.testing.assert_allclose(matrix2(coeffs.j2), np.zeros((2, 2)), atol=1e-14)
-        np.testing.assert_allclose(matrix2(coeffs.j3), np.zeros((2, 2)), atol=1e-14)
-        assert coeffs.a == pytest.approx(1.0)
+        j1, j2, j3, a = coeffs
+        np.testing.assert_allclose(matrix2(j1), np.eye(2), atol=1e-14)
+        np.testing.assert_allclose(matrix2(j2), np.zeros((2, 2)), atol=1e-14)
+        np.testing.assert_allclose(matrix2(j3), np.zeros((2, 2)), atol=1e-14)
+        assert a == pytest.approx(1.0)
         for _ in range(10):
             rho = random_density(rng)
             out = evolve_density(rho, coeffs)
@@ -204,11 +205,9 @@ def _assert_matches_reference(u, v, rho, atol=1e-12):
     """Closed-form coefficients and propagated blocks against the literal ones."""
     new = propagator_coefficients(u, v)
     old = ref.propagator_coefficients(u, v)
-    for name in ("j1", "j2", "j3"):
-        np.testing.assert_allclose(
-            matrix2(getattr(new, name)), matrix2(getattr(old, name)), rtol=0, atol=atol
-        )
-    assert abs(new.a - old.a) <= atol
+    for got, want in zip(new[:3], old[:3]):
+        np.testing.assert_allclose(matrix2(got), matrix2(want), rtol=0, atol=atol)
+    assert abs(new[3] - old[3]) <= atol
     out = evolve_density(rho, new)
     rho1, rho2 = ref.evolve_density(rho, old)
     np.testing.assert_allclose(out.rho1, rho1, rtol=0, atol=atol)
@@ -278,7 +277,8 @@ class TestEntryArrays:
             coeffs = propagator_coefficients(u_seq[k], v_seq[k])
             out = evolve_density(rho, coeffs)
             got = [a[k]] + [x[k] for x in (*j1, *j2, *j3, *rho1, *rho2)]
-            want = [coeffs.a, *coeffs.j1, *coeffs.j2, *coeffs.j3, *out._e1, *out._e2]
+            c1, c2, c3, c_a = coeffs
+            want = [c_a, *c1, *c2, *c3, *out._e1, *out._e2]
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
 
 
