@@ -34,12 +34,7 @@ from .model import (
     gamma_matrix,
 )
 from .oracle import DiscretizedBath, discretize, exact_greens
-from .spectral import (
-    build_kernel_table,
-    fermi_occupation,
-    lead_density,
-    lead_self_energy_real,
-)
+from .spectral import build_kernel_table, fermi_occupation
 from .state import (
     DensityBlocks,
     evolve_density,
@@ -76,8 +71,6 @@ __all__ = [
     "fermionic_eof",
     "find_bound_states",
     "gamma_matrix",
-    "lead_density",
-    "lead_self_energy_real",
     "pole_expansion_lorentzian",
     "propagator_coefficients",
     "solve",

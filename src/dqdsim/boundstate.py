@@ -15,7 +15,7 @@ from enum import Enum
 import numpy as np
 
 from .model import ConfigError, ModelConfig, SolverError, SpectralKind
-from .spectral import lead_self_energy_real
+from .spectral import _Lead
 
 EDGE_DISTANCE_MIN = 1e-3
 RESIDUE_NORM_MIN = 1e-6
@@ -56,11 +56,8 @@ def _band_intervals(config: ModelConfig):
             "bound-state analysis needs a gapped spectrum (cutoff Lorentzian);"
             f" got {config.spectral_kind.value}"
         )
-    bands = []
-    for res in config.reservoirs:
-        if res.gamma > 0.0:
-            bands.append((res.mu - res.cutoff, res.mu + res.cutoff))
-    bands.sort()
+    bands = sorted(_Lead(res, config.spectral_kind).band
+                   for res in config.reservoirs if res.gamma > 0.0)
     merged = []
     for lo, hi in bands:
         if merged and lo <= merged[-1][1]:
@@ -74,12 +71,12 @@ def _diagonal(config: ModelConfig, omega):
     """f_l = w - eps_l - Sigma_l(w), the diagonal of A(w) = wI - M - Sigma(w).
 
     Outside every band each Sigma_l is real and strictly decreasing, so
-    f_l rises with slope >= 1; lead_self_energy_real rejects w inside a band.
+    f_l rises with slope >= 1; _Lead.self_energy rejects w inside a band.
     """
     w = np.asarray(omega, dtype=float)
     eps = (config.system.eps1, config.system.eps2)
     return tuple(
-        w - e - lead_self_energy_real(res, config.spectral_kind, w)
+        w - e - _Lead(res, config.spectral_kind).self_energy(w)[0]
         if res.gamma > 0.0
         else w - e
         for e, res in zip(eps, config.reservoirs)
@@ -97,36 +94,16 @@ def _branches(config: ModelConfig, omega):
     return mean - half, mean + half
 
 
-def _slopes(config: ModelConfig, omega: float) -> np.ndarray:
-    """f_l' = 1 - Sigma_l'(w) of _diagonal, in closed form out of band.
-
-    The cutoff Lorentzian's Sigma_l = j(x) B(x) / 2pi, with x = w - mu_l,
-    j = Gamma_l d^2 / (x^2 + d^2) and B = ln((x + c)/(x - c)) + (2x/d) atan(c/d),
-    has j' = -2x j / (x^2 + d^2) and B' = 2 atan(c/d) / d - 2c / (x^2 - c^2).
-    """
-    out = []
-    for res in config.reservoirs:
-        if res.gamma == 0.0:
-            out.append(1.0)
-            continue
-        x = omega - res.mu
-        d, c = res.bandwidth, res.cutoff
-        sigma = lead_self_energy_real(res, config.spectral_kind, omega)
-        j = res.gamma * d * d / (x * x + d * d)
-        b_slope = 2.0 * math.atan(c / d) / d - 2.0 * c / (x * x - c * c)
-        out.append(1.0 + 2.0 * x * sigma / (x * x + d * d) - j * b_slope / (2.0 * math.pi))
-    return np.array(out)
-
-
 def _residue(config, root, branch):
     """Z = v v^dag / (v^dag diag(f1', f2') v) at a root of branch (0 or 1).
 
     v is that branch's unit eigenvector of A = [[f1, -g], [-conj(g), f2]]
     and the denominator its slope, >= 1 out of band, from the closed-form
-    f_l' of _slopes. v does not depend on how close the other branch's
-    root lies, so a near-degenerate or double root splits its weight.
+    f_l' of _Lead.self_energy. v does not depend on how close the other
+    branch's root lies, so a near-degenerate or double root splits its weight.
     """
-    slopes = _slopes(config, root)
+    slopes = np.array([_Lead(res, config.spectral_kind).self_energy(root)[1]
+                       if res.gamma > 0.0 else 1.0 for res in config.reservoirs])
     f1, f2 = _diagonal(config, root)
     g = complex(config.system.g_coupling)
     v = np.linalg.eigh(np.array([[f1, -g], [-g.conjugate(), f2]]))[1][:, branch]

@@ -36,6 +36,7 @@ from .model import (
 )
 from .spectral import (
     _TWO_PI,
+    _Lead,
     _near_rows,
     _pair_integrals,
     _thermal_pair_table,
@@ -348,7 +349,7 @@ def _modes(config: ModelConfig) -> PoleExpansion:
         for lead, res in enumerate(config.reservoirs):
             generator[lead, 2 + lead] = generator[2 + lead, lead] = math.sqrt(
                 res.gamma * res.bandwidth / 2.0)
-            generator[2 + lead, 2 + lead] = res.mu - 1j * res.bandwidth
+            generator[2 + lead, 2 + lead] = _Lead(res, config.spectral_kind).pole
     poles, vecs = np.linalg.eig(generator)
     # the generator's anti-Hermitian part is diagonal, so each width is the
     # Rayleigh quotient of its eigenvector: a sum of terms of one sign, as
@@ -426,7 +427,7 @@ def _lead_columns(modes: PoleExpansion, config: ModelConfig, leads=(0, 1)) -> _L
     cols = modes.residues[:, :, leads].transpose(2, 1, 0)  # (lead, dot, pole)
     lams = r[None].repeat(len(leads), axis=0)
     if config.spectral_kind is SpectralKind.LORENTZIAN:
-        q = np.array([[res.mu - 1j * res.bandwidth] for res in coupled])
+        q = np.array([[_Lead(res, config.spectral_kind).pole] for res in coupled])
         gap = r - q
         scale = np.divide([[res.bandwidth] for res in coupled], gap,
                           out=np.zeros_like(gap), where=gap != 0.0)

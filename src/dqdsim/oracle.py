@@ -25,7 +25,7 @@ from .model import (
     hermitian_eigs_e,
     hermitian_part,
 )
-from .spectral import fermi_occupation, lead_density
+from .spectral import _TWO_PI, _Lead, fermi_occupation
 
 # Uniform midpoint discretization resolves the kernel's support, but the
 # recurrence time 2 pi / (window/K) must stay past the simulated horizon;
@@ -58,11 +58,11 @@ class DiscretizedBath:
         return self.energies.shape[1]
 
 
-def _default_window(res, kind, modes_per_lead):
-    """The (lo, hi) window of one lead; an infinite mode count lifts the cap."""
-    if kind is SpectralKind.CUTOFF_LORENTZIAN:
-        return (res.mu - res.cutoff, res.mu + res.cutoff)
-    d = res.bandwidth
+def _default_window(lead, modes_per_lead):
+    """The (lo, hi) window of one _Lead; an infinite mode count lifts the cap."""
+    if lead.kind is SpectralKind.CUTOFF_LORENTZIAN:
+        return lead.band
+    res, d = lead.res, lead.res.bandwidth
     half = max(20.0 * d, 20.0 * res.k_t + 10.0 * d)
     cap = math.pi * modes_per_lead / _RECURRENCE_MARGIN
     half = min(half, cap)
@@ -87,15 +87,14 @@ def discretize(config: ModelConfig, modes_per_lead: int) -> DiscretizedBath:
     energies = np.empty((2, modes_per_lead))
     couplings = np.empty((2, modes_per_lead))
     occupations = np.empty((2, modes_per_lead))
-    for lead, res in enumerate(config.reservoirs):
-        lo, hi = _default_window(res, kind, modes_per_lead)
+    for c, res in enumerate(config.reservoirs):
+        lead = _Lead(res, kind)
+        lo, hi = _default_window(lead, modes_per_lead)
         de = (hi - lo) / modes_per_lead
         mids = lo + (np.arange(modes_per_lead) + 0.5) * de
-        energies[lead] = mids
-        couplings[lead] = np.sqrt(
-            lead_density(res, kind, mids) * de / (2.0 * math.pi)
-        )
-        occupations[lead] = fermi_occupation(mids, res.mu, res.k_t)
+        energies[c] = mids
+        couplings[c] = np.sqrt(lead.density(mids) * de / _TWO_PI)
+        occupations[c] = fermi_occupation(mids, res.mu, res.k_t)
     return DiscretizedBath(
         config=config,
         energies=energies,
@@ -115,11 +114,11 @@ def _check_recurrence(bath: DiscretizedBath, t_max: float) -> None:
         if res.gamma == 0.0:
             continue
         energies = bath.energies[lead]
-        recurrence = 2.0 * math.pi / (energies[1] - energies[0])
+        recurrence = _TWO_PI / (energies[1] - energies[0])
         if t_max < recurrence:
             continue
-        lo, hi = _default_window(res, bath.config.spectral_kind, math.inf)
-        need = math.floor(t_max * (hi - lo) / (2.0 * math.pi)) + 1
+        lo, hi = _default_window(_Lead(res, bath.config.spectral_kind), math.inf)
+        need = math.floor(t_max * (hi - lo) / _TWO_PI) + 1
         raise ConfigError(
             f"the discretized lead {lead} recurs at t = {recurrence:.4g}, within"
             f" t_max = {t_max:.4g}; use modes_per_lead >= {need}"

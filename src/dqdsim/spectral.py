@@ -4,6 +4,8 @@ and the special functions their closed forms need (digamma, e^w E1(w)).
 Every reservoir couples diagonally to its own mode, so the spectral
 density, the real self-energy and the memory and noise kernels are all 2x2
 diagonal matrices.  Energies are in units of Gamma, times in 1/Gamma.
+Each lead's J, its real self-energy and slope, its pseudomode pole and
+its band are written once, in the lead value _Lead, that every solver reads.
 One thermal pole-pair table, _thermal_pair_table, takes every integral of
 nbar(w) e^{iwt} over a pair of poles, on the pairs a (J, J) mask keeps: the
 wide band's V and a Lorentzian lead's noise kernel (a 1x1 mask) read it.
@@ -14,6 +16,7 @@ band.
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -50,47 +53,68 @@ def fermi_occupation(omega, mu: float, k_t: float):
     return out
 
 
-def lead_density(res: ReservoirParams, kind: SpectralKind, omega):
-    """Scalar spectral density J_l(omega) of one lead (vectorized)."""
-    w = np.asarray(omega, dtype=float)
-    if kind is SpectralKind.WIDE_BAND:
-        j = np.full(w.shape, res.gamma)
-    else:
-        x = w - res.mu
-        d = res.bandwidth
-        j = res.gamma * d * d / (x * x + d * d)
-        if kind is SpectralKind.CUTOFF_LORENTZIAN:
-            j = np.where(np.abs(x) <= res.cutoff, j, 0.0)
-    if np.ndim(omega) == 0:
-        return float(j)
-    return j
+class _Lead(NamedTuple):
+    """One lead's bath, read by every solver: its ReservoirParams and the
+    config's spectral kind. Only this writes J(omega), the out-of-band
+    Sigma(omega) with its slope, the pseudomode pole and the band."""
 
+    res: ReservoirParams
+    kind: SpectralKind
 
-def lead_self_energy_real(res: ReservoirParams, kind: SpectralKind, omega):
-    """Real (level-shift) part of one lead's retarded self-energy.
+    @property
+    def pole(self) -> complex:
+        """J's pseudomode pole mu - i d (Garraway, PRA 55, 2290 (1997))."""
+        return self.res.mu - 1j * self.res.bandwidth
 
-    For the cutoff-Lorentzian shape the closed form is only valid outside
-    the band; in-band evaluation is rejected.
-    """
-    w = np.asarray(omega, dtype=float)
-    x = w - res.mu
-    d = res.bandwidth
-    cut = res.cutoff
-    if kind is SpectralKind.WIDE_BAND:
-        out = np.zeros(w.shape)
-    elif kind is SpectralKind.LORENTZIAN:
-        out = res.gamma * d * x / (2.0 * (d * d + x * x))
-    else:
-        if np.any(np.abs(x) <= cut):
+    @property
+    def band(self) -> tuple:
+        """(mu - cutoff, mu + cutoff): where a cutoff lead's J is nonzero."""
+        return (self.res.mu - self.res.cutoff, self.res.mu + self.res.cutoff)
+
+    def _envelope(self, x):
+        """J's Lorentzian shape Gamma d^2 / (x^2 + d^2) at x = omega - mu."""
+        d = self.res.bandwidth
+        return self.res.gamma * d * d / (x * x + d * d)
+
+    def density(self, omega):
+        """Scalar spectral density J(omega) (vectorized)."""
+        w = np.asarray(omega, dtype=float)
+        if self.kind is SpectralKind.WIDE_BAND:
+            j = np.full(w.shape, self.res.gamma)
+        else:
+            x = w - self.res.mu
+            j = self._envelope(x)
+            if self.kind is SpectralKind.CUTOFF_LORENTZIAN:
+                j = np.where(np.abs(x) <= self.res.cutoff, j, 0.0)
+        return float(j) if np.ndim(omega) == 0 else j
+
+    def self_energy(self, omega):
+        """(Sigma, 1 - Sigma') at omega: the real (level-shift) part of the
+        retarded self-energy and its slope (vectorized).
+
+        Sigma = j(x) B(x) / 2pi with x = omega - mu and j the envelope, so
+        Sigma' = -2x Sigma / (x^2 + d^2) + j B' / 2pi. B is 0 in the wide band
+        and pi x / d for the Lorentzian; the cutoff c has, outside the band
+        only, B = ln((x + c)/(x - c)) + (2x/d) atan(c/d) and
+        B' = 2 atan(c/d) / d - 2c / (x^2 - c^2).
+        """
+        w = np.asarray(omega, dtype=float)
+        x = w - self.res.mu
+        d, c = self.res.bandwidth, self.res.cutoff
+        if self.kind is SpectralKind.WIDE_BAND:
+            b, b_slope = np.zeros(w.shape), 0.0
+        elif self.kind is SpectralKind.LORENTZIAN:
+            b, b_slope = math.pi * x / d, math.pi / d
+        elif np.any(np.abs(x) <= c):
             raise ConfigError(
                 "real self-energy of a cutoff-Lorentzian lead is only "
                 "available outside the band |omega - mu| > cutoff")
-        j_env = res.gamma * d * d / (x * x + d * d)
-        out = j_env / (2.0 * np.pi) * (
-            np.log((x + cut) / (x - cut)) + 2.0 * x / d * math.atan(cut / d))
-    if np.ndim(omega) == 0:
-        return float(out)
-    return out
+        else:
+            b = np.log((x + c) / (x - c)) + 2.0 * x / d * math.atan(c / d)
+            b_slope = 2.0 * math.atan(c / d) / d - 2.0 * c / (x * x - c * c)
+        j = self._envelope(x)
+        sigma = j / _TWO_PI * b
+        return sigma, 1.0 + 2.0 * x * sigma / (x * x + d * d) - j * b_slope / _TWO_PI
 
 
 # ---------------------------------------------------------------------------
@@ -447,26 +471,27 @@ def build_kernel_table(config: ModelConfig, taus: np.ndarray, noise: bool) -> np
         d, mu = res.bandwidth, res.mu
         if res.gamma == 0.0:
             continue
+        lead = _Lead(res, kind)
         if c and res == config.left:
             out[c] = out[0]
         elif kind is SpectralKind.LORENTZIAN and not noise:
-            out[c] = 0.5 * res.gamma * d * np.exp(-1j * mu * taus - d * taus)
+            out[c] = 0.5 * res.gamma * d * np.exp(-1j * lead.pole * taus)
         elif kind is SpectralKind.LORENTZIAN:
             # J = Gamma d^2 / ((w - a)(w - conj(a))) at the pseudomode pole
             # a = mu - i d; the panels resolve J's peak
             cap = min(d / 2.0, 2.0 * res.k_t)
-            table = _thermal_pair_table([mu - 1j * d], np.ones((1, 1), dtype=bool), res, taus, cap)
+            table = _thermal_pair_table([lead.pole], np.ones((1, 1), dtype=bool), res, taus, cap)
             out[c] = res.gamma * d * d / _TWO_PI * np.conj(table[0, 0])
         else:
             # one node set over the whole band (its hard edge carries real
             # spectral weight), split at mu: panels resolve J's peak and the
             # fastest phase on the grid, and within 14 k_t of mu the Fermi edge
-            cut, edge = res.cutoff, min(res.cutoff, 14.0 * res.k_t)
+            (lo, hi), edge = lead.band, min(res.cutoff, 14.0 * res.k_t)
             base = min(d / 2.0, 0.5, _osc_cap(tau_max))
             fine = min(base, res.k_t / 2.0)
-            nodes, w = _panel_nodes([(mu - cut, mu - edge, base), (mu - edge, mu, fine),
-                                     (mu, mu + edge, fine), (mu + edge, mu + cut, base)])
-            coefs = w * lead_density(res, kind, nodes) / _TWO_PI
+            nodes, w = _panel_nodes([(lo, mu - edge, base), (mu - edge, mu, fine),
+                                     (mu, mu + edge, fine), (mu + edge, hi, base)])
+            coefs = w * lead.density(nodes) / _TWO_PI
             if noise:
                 coefs *= fermi_occupation(nodes, mu, res.k_t)
             out[c] = _fourier_sum(nodes, coefs, taus)

@@ -28,7 +28,7 @@ from dqdsim.boundstate import (
     _residue,
 )
 from dqdsim.model import ModelConfig, build_hamiltonian
-from dqdsim.spectral import lead_self_energy_real
+from dqdsim.spectral import _Lead
 
 SCAN_STEP = 1e-3
 # both searches start this far from a band edge, where Sigma diverges
@@ -40,7 +40,7 @@ def _criterion_raw(config: ModelConfig, omega):
     m_mat = build_hamiltonian(config.system)
     w = np.asarray(omega, dtype=float)
     sig = [
-        lead_self_energy_real(res, config.spectral_kind, w)
+        _Lead(res, config.spectral_kind).self_energy(w)[0]
         if res.gamma > 0.0
         else np.zeros(w.shape)
         for res in config.reservoirs

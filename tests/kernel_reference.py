@@ -23,10 +23,9 @@ from dqdsim.spectral import (
     _TWO_PI,
     _fermi_remainder,
     _fourier_sum,
+    _Lead,
     _thermal_pair_table,
     fermi_occupation,
-    lead_density,
-    lead_self_energy_real,
 )
 
 
@@ -98,7 +97,7 @@ def panel_noise_column(res: ReservoirParams, taus: np.ndarray) -> np.ndarray:
     noise += res.gamma * d * d / _TWO_PI * np.conj(sea[0, 0])
     if res.k_t > 0.0:
         nodes, c_w = _fermi_remainder(res, min(base, res.k_t / 2.0))
-        coefs = c_w * lead_density(res, SpectralKind.LORENTZIAN, nodes) / _TWO_PI
+        coefs = c_w * _Lead(res, SpectralKind.LORENTZIAN).density(nodes) / _TWO_PI
         noise += _fourier_sum(nodes, coefs, taus)
     return noise
 
@@ -106,14 +105,14 @@ def panel_noise_column(res: ReservoirParams, taus: np.ndarray) -> np.ndarray:
 def spectral_density(config: ModelConfig, omega: float) -> np.ndarray:
     """Diagonal 2x2 spectral-density matrix J(omega)."""
     kind = config.spectral_kind
-    return np.diag([lead_density(r, kind, omega) for r in config.reservoirs]).astype(float)
+    return np.diag([_Lead(r, kind).density(omega) for r in config.reservoirs]).astype(float)
 
 
 def self_energy_real(config: ModelConfig, omega: float) -> np.ndarray:
     """Diagonal 2x2 matrix of real self-energies at a real frequency."""
     kind = config.spectral_kind
     return np.diag(
-        [lead_self_energy_real(r, kind, omega) for r in config.reservoirs]
+        [_Lead(r, kind).self_energy(omega)[0] for r in config.reservoirs]
     ).astype(float)
 
 
@@ -182,7 +181,7 @@ def _lead_noise_kernel(res: ReservoirParams, kind: SpectralKind, tau: float) -> 
     cut = res.cutoff
 
     def weighted(w):
-        return lead_density(res, kind, w) * fermi_occupation(w, mu, kt)
+        return _Lead(res, kind).density(w) * fermi_occupation(w, mu, kt)
 
     hi = mu + cut if kt > 0.0 else mu
     pts = [mu - 14.0 * kt, mu, mu + 14.0 * kt] if kt > 0.0 else None

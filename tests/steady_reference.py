@@ -3,7 +3,7 @@
 This is the frequency integral that dqdsim.greens evaluates in closed form,
 taken numerically instead: V^s = int S(w) J(w) nbar(w) S(w)^dag dw / (2 pi)
 with the resolvent S(w), for example sum_j Z_j / (w - r_j). It serves every
-spectral kind that lead_density covers without a hard cutoff (Lorentzian and
+spectral kind that _Lead.density covers without a hard cutoff (Lorentzian and
 wide band). Each scipy quad call meets its default epsabs of 1.5e-8, so the
 reference is good to about that absolute accuracy.
 
@@ -46,11 +46,11 @@ from dqdsim.model import (
     hermitian_part,
 )
 from dqdsim.spectral import (
+    _Lead,
     _digamma,
     _near_rows,
     _thermal_pair_table,
     fermi_occupation,
-    lead_density,
 )
 
 _TWO_PI = 2.0 * math.pi
@@ -71,7 +71,7 @@ def quad_steady_fluctuation(config, resolvent, poles) -> np.ndarray:
     def weight(w):
         out = np.empty(2)
         for i, res in enumerate(config.reservoirs):
-            out[i] = lead_density(res, config.spectral_kind, w) * fermi_occupation(
+            out[i] = _Lead(res, config.spectral_kind).density(w) * fermi_occupation(
                 w, res.mu, res.k_t
             )
         return out

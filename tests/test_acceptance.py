@@ -33,7 +33,7 @@ from dqdsim.model import (
     SystemParams,
 )
 from dqdsim.oracle import discretize, exact_greens
-from dqdsim.spectral import fermi_occupation, lead_density, lead_self_energy_real
+from dqdsim.spectral import _Lead, fermi_occupation
 from dqdsim.state import (
     DensityBlocks,
     evolve_density,
@@ -249,12 +249,12 @@ def test_criterion_08_cutoff_self_energy(rng):
     worst = 0.0
     for w in np.concatenate([below, above]):
         ref, _ = integrate.quad(
-            lambda wp: lead_density(res, kind, wp) / (2 * math.pi * (w - wp)),
+            lambda wp: _Lead(res, kind).density(wp) / (2 * math.pi * (w - wp)),
             lo, hi, limit=400,
         )
-        worst = max(worst, abs(lead_self_energy_real(res, kind, float(w)) - ref))
-    upper = lead_self_energy_real(res, kind, hi + 1e-12)
-    lower = lead_self_energy_real(res, kind, lo - 1e-12)
+        worst = max(worst, abs(_Lead(res, kind).self_energy(float(w))[0] - ref))
+    upper = _Lead(res, kind).self_energy(hi + 1e-12)[0]
+    lower = _Lead(res, kind).self_energy(lo - 1e-12)[0]
     signs = upper > 1.0 and lower < -1.0
     ok = worst <= 1e-6 and signs
     _report(

@@ -28,7 +28,7 @@ from dqdsim.model import (
     SystemParams,
 )
 from dqdsim.oracle import discretize
-from dqdsim.spectral import lead_density, lead_self_energy_real
+from dqdsim.spectral import _Lead
 
 from boundstate_reference import criterion
 from conftest import make_config
@@ -120,7 +120,7 @@ class TestBranches:
         for res in cfg.reservoirs:
             if res.gamma > 0.0:
                 sig1, sig2 = (
-                    lead_self_energy_real(res, cfg.spectral_kind, w) for w in (w1, w2)
+                    _Lead(res, cfg.spectral_kind).self_energy(w)[0] for w in (w1, w2)
                 )
                 assert sig2 < sig1
         rise = np.subtract(_branches(cfg, w2), _branches(cfg, w1))
@@ -269,7 +269,7 @@ def _decoupled_slope(res, omega):
     """f'(w) = 1 - Sigma'(w) of a dot on one cutoff lead, out of band, from
     Sigma'(w) = -(1 / 2 pi) int J(x) / (w - x)^2 dx over the band."""
     val, _ = integrate.quad(
-        lambda x: lead_density(res, SpectralKind.CUTOFF_LORENTZIAN, x) / (omega - x) ** 2,
+        lambda x: _Lead(res, SpectralKind.CUTOFF_LORENTZIAN).density(x) / (omega - x) ** 2,
         res.mu - res.cutoff, res.mu + res.cutoff, epsabs=0.0, epsrel=1e-12)
     return 1.0 + val / (2.0 * np.pi)
 
@@ -331,6 +331,43 @@ class TestResidue:
             v = vecs[:, np.argmin(np.abs(lams))]
             want = np.outer(v, v.conj()) / (np.abs(v) ** 2 @ slopes)
             assert np.max(np.abs(root.residue_weight - want)) < 1e-14
+
+
+class TestLeadSlope:
+    """The lead value's slope f' = 1 - Sigma', which weighs every census
+    root, against mpmath.diff of Sigma at 30 digits, outside both edges of
+    each band, from 10 down to 1e-9 away. x = omega - mu is rounded to
+    about eps (|mu| + c), so the slope can be no better than
+    eps (|mu| + c) / distance, relative, near an edge."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_cutoff_slope_matches_30_digit_derivative(self, seed):
+        rng = np.random.default_rng(seed)
+        res = ReservoirParams(gamma=rng.uniform(0.05, 2.0), bandwidth=rng.uniform(0.2, 3.0),
+                              mu=rng.uniform(-3.0, 3.0), cutoff=rng.uniform(0.3, 3.0))
+        lead = _Lead(res, SpectralKind.CUTOFF_LORENTZIAN)
+        eps = np.finfo(float).eps
+        lo, hi = lead.band
+        for dist in np.concatenate([[1e-9], 10.0 ** rng.uniform(-9.0, 1.0, 5)]):
+            for w in (lo - dist, hi + dist):
+                with mp.workdps(30):
+                    want = float(_mp_slope(res, w))
+                got = lead.self_energy(w)[1]
+                edge = min(abs(w - lo), abs(w - hi))
+                bound = 4.0 * eps * (1.0 + (abs(res.mu) + res.cutoff) / edge)
+                assert abs(got - want) <= bound * abs(want)
+
+    def test_lorentzian_and_wide_band_slopes(self):
+        res = ReservoirParams(gamma=0.8, bandwidth=1.5, mu=0.5)
+        lead = _Lead(res, SpectralKind.LORENTZIAN)
+        for w in (-7.0, -1.0, 0.5, 0.6, 2.0, 2.25, 40.0):
+            with mp.workdps(30):
+                gamma, d, mu = (mp.mpf(v) for v in (res.gamma, res.bandwidth, res.mu))
+                want = 1 - mp.diff(lambda z: gamma * d * (z - mu) / (2 * (d * d + (z - mu) ** 2)),
+                                   mp.mpf(w))
+            assert lead.self_energy(w)[1] == pytest.approx(float(want), rel=1e-15, abs=1e-15)
+        sigma, slope = _Lead(res, SpectralKind.WIDE_BAND).self_energy(np.linspace(-3.0, 3.0, 7))
+        assert not sigma.any() and np.all(slope == 1.0)
 
 
 class TestClassifyRelaxation:

@@ -19,7 +19,7 @@ from dqdsim.model import (
     build_hamiltonian,
 )
 from dqdsim.oracle import discretize, exact_greens
-from dqdsim.spectral import fermi_occupation, lead_density
+from dqdsim.spectral import _Lead, fermi_occupation
 
 from conftest import make_config
 from oracle_reference import (
@@ -99,7 +99,7 @@ class TestDiscretize:
             de = e[1] - e[0]
             np.testing.assert_allclose(
                 bath.couplings[lead] ** 2,
-                lead_density(res, cfg.spectral_kind, e) * de / (2.0 * math.pi),
+                _Lead(res, cfg.spectral_kind).density(e) * de / (2.0 * math.pi),
                 rtol=0.0, atol=1e-15,
             )
             np.testing.assert_allclose(
@@ -115,7 +115,7 @@ class TestDiscretize:
         lo, hi = bath.energies[0][0], bath.energies[0][-1]
         de = bath.energies[0][1] - bath.energies[0][0]
         ref, _ = integrate.quad(
-            lambda w: lead_density(res, cfg.spectral_kind, w) / (2.0 * math.pi),
+            lambda w: _Lead(res, cfg.spectral_kind).density(w) / (2.0 * math.pi),
             lo - de / 2, hi + de / 2, limit=200,
         )
         assert np.sum(bath.couplings[0] ** 2) == pytest.approx(ref, rel=1e-4)

@@ -14,11 +14,10 @@ from dqdsim.model import ConfigError, ModelConfig, ReservoirParams, SpectralKind
 from dqdsim.spectral import (
     _digamma,
     _fourier_sum,
+    _Lead,
     _scaled_exp1,
     build_kernel_table,
     fermi_occupation,
-    lead_density,
-    lead_self_energy_real,
 )
 
 from conftest import assert_flat_work, count_kernel_work, make_config
@@ -117,14 +116,14 @@ class TestSelfEnergyReal:
     def test_lorentzian_odd_and_special_points(self):
         res = ReservoirParams(gamma=1.0, bandwidth=2.0, mu=1.0)
         kind = SpectralKind.LORENTZIAN
-        assert lead_self_energy_real(res, kind, 1.0) == 0.0
+        assert _Lead(res, kind).self_energy(1.0)[0] == 0.0
         np.testing.assert_allclose(
-            lead_self_energy_real(res, kind, 1.0 + 2.0), 0.25, atol=1e-14
+            _Lead(res, kind).self_energy(1.0 + 2.0)[0], 0.25, atol=1e-14
         )
         x = np.linspace(0.1, 20.0, 30)
         np.testing.assert_allclose(
-            lead_self_energy_real(res, kind, 1.0 + x),
-            -lead_self_energy_real(res, kind, 1.0 - x),
+            _Lead(res, kind).self_energy(1.0 + x)[0],
+            -_Lead(res, kind).self_energy(1.0 - x)[0],
             atol=1e-12,
         )
 
@@ -133,7 +132,7 @@ class TestSelfEnergyReal:
         kind = SpectralKind.LORENTZIAN
 
         def pv(w):
-            f = lambda wp: lead_density(res, kind, wp + w) / (2.0 * math.pi)
+            f = lambda wp: _Lead(res, kind).density(wp + w) / (2.0 * math.pi)
             # symmetrized quadrature removes the principal-value singularity
             g = lambda x: (f(-x) - f(x)) / x
             val, _ = integrate.quad(g, 0.0, 200.0, limit=400, points=[abs(w - res.mu)])
@@ -141,7 +140,7 @@ class TestSelfEnergyReal:
 
         for w in (-2.0, 0.2, 0.5001, 3.7):
             np.testing.assert_allclose(
-                lead_self_energy_real(res, kind, w), pv(w), atol=1e-6
+                _Lead(res, kind).self_energy(w)[0], pv(w), atol=1e-6
             )
 
     def test_cutoff_matches_quadrature_outside_band(self):
@@ -150,23 +149,23 @@ class TestSelfEnergyReal:
         lo, hi = res.mu - res.cutoff, res.mu + res.cutoff
         for w in (-3.0, 1.05, 2.9, 6.0):
             ref, _ = integrate.quad(
-                lambda wp: lead_density(res, kind, wp) / (2 * math.pi * (w - wp)),
+                lambda wp: _Lead(res, kind).density(wp) / (2 * math.pi * (w - wp)),
                 lo,
                 hi,
                 limit=300,
             )
             np.testing.assert_allclose(
-                lead_self_energy_real(res, kind, w), ref, atol=1e-8
+                _Lead(res, kind).self_energy(w)[0], ref, atol=1e-8
             )
 
     def test_cutoff_edge_divergence_and_decay(self):
         res = ReservoirParams(gamma=0.6, bandwidth=1.0, mu=2.0, cutoff=0.8)
         kind = SpectralKind.CUTOFF_LORENTZIAN
-        upper = lead_self_energy_real(res, kind, res.mu + res.cutoff + 1e-12)
-        lower = lead_self_energy_real(res, kind, res.mu - res.cutoff - 1e-12)
+        upper = _Lead(res, kind).self_energy(res.mu + res.cutoff + 1e-12)[0]
+        lower = _Lead(res, kind).self_energy(res.mu - res.cutoff - 1e-12)[0]
         assert upper > 1.0
         assert lower < -1.0
-        assert abs(lead_self_energy_real(res, kind, 1e7)) < 1e-5
+        assert abs(_Lead(res, kind).self_energy(1e7)[0]) < 1e-5
 
     def test_cutoff_inside_band_rejected(self):
         m = make_config(kind=SpectralKind.CUTOFF_LORENTZIAN, cutoff=0.5, mu=2.0)
@@ -176,9 +175,9 @@ class TestSelfEnergyReal:
     def test_flat_band_has_no_level_shift(self):
         res = ReservoirParams(gamma=0.8, bandwidth=1.5, mu=0.5)
         w = np.linspace(-3.0, 3.0, 7)
-        got = lead_self_energy_real(res, SpectralKind.WIDE_BAND, w)
+        got = _Lead(res, SpectralKind.WIDE_BAND).self_energy(w)[0]
         assert got.shape == w.shape and not got.any()
-        assert lead_self_energy_real(res, SpectralKind.WIDE_BAND, 0.2) == 0.0
+        assert _Lead(res, SpectralKind.WIDE_BAND).self_energy(0.2)[0] == 0.0
 
     def test_matrix_form_is_diagonal(self):
         m = make_config(mu=1.0, mu_r=3.0)
