@@ -14,7 +14,6 @@ import functools
 import itertools
 import math
 import os
-import re
 import sys
 from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
@@ -114,7 +113,6 @@ _KEYS = {
     "solver": {"method": (str, "exact")},
     "sweep": {"axis1": (str, None), "axis2": (str, None)},
     "oracle": {"modes": (int, 400), "tol": (float, 1e-2)},
-    "output": {"path": (str, "")},
 }
 
 
@@ -143,7 +141,6 @@ class ExperimentConfig:
     axes: list
     oracle_modes: int
     oracle_tol: float
-    output_path: str | None
     raw_items: list  # (section, key, value) in file order, for the output header
 
 
@@ -162,9 +159,7 @@ class _Table:
             raise ConfigError(f"cannot read config file {path}: {exc}")
         section = None
         for no, raw in enumerate(lines, start=1):
-            # '#' opens a comment at a line's start or after whitespace only,
-            # so that a value such as run#1.tsv keeps it
-            line = re.split(r"(?:^|\s)#", raw, maxsplit=1)[0].strip()
+            line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
             if line.startswith("[") and line.endswith("]"):
@@ -238,10 +233,8 @@ def _reservoir_from(table: _Table, section: str) -> ReservoirParams:
 def _initial_from(table: _Table) -> DensityBlocks:
     name = table.get("initial", "state").lower()
     if name not in INITIAL_STATES:
-        raise ConfigError(
-            f"{table.path}: [initial] state must be one of"
-            f" {', '.join(INITIAL_STATES)}; got {name!r}"
-        )
+        table._fail("initial", "state",
+                    f"must be one of {', '.join(INITIAL_STATES)}; got {name!r}")
     if name in _NAMED_STATES:
         return _NAMED_STATES[name]()
     blocks = []
@@ -308,17 +301,15 @@ def load_experiment(path: str) -> ExperimentConfig:
 
     method = table.get("solver", "method").lower()
     if method not in SOLVER_METHODS:
-        raise ConfigError(
-            f"{path}: [solver] method must be one of {', '.join(SOLVER_METHODS)};"
-            f" got {method!r}"
-        )
+        table._fail("solver", "method",
+                    f"must be one of {', '.join(SOLVER_METHODS)}; got {method!r}")
 
     axes = []
     if table.has("sweep", "axis1"):
         axes.append(_axis_from(table, "axis1"))
     if table.has("sweep", "axis2"):
         if not axes:
-            raise ConfigError(f"{path}: [sweep] axis2 given without axis1")
+            table._fail("sweep", "axis2", "given without axis1")
         axes.append(_axis_from(table, "axis2", axes[0].names))
 
     modes = table.get("oracle", "modes")
@@ -334,7 +325,6 @@ def load_experiment(path: str) -> ExperimentConfig:
         axes=axes,
         oracle_modes=modes,
         oracle_tol=tol,
-        output_path=table.get("output", "path") or None,
         raw_items=[(s, k, v) for (s, k), (v, _) in table.data.items()],
     )
 
@@ -647,12 +637,10 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         exp = load_experiment(args.config)
-        if args.out is not None:
-            exp = replace(exp, output_path=args.out)
         if getattr(args, "oracle_modes", None) is not None:
             exp = replace(exp, oracle_modes=args.oracle_modes)
         # opened before any work, so an unwritable path fails at once
-        with _output(exp.output_path) as out:
+        with _output(args.out) as out:
             if args.command == "evolve":
                 run_evolution(exp, out)
             elif args.command == "sweep":

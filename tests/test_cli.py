@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import dqdsim
-from dqdsim import cli, greens
+from dqdsim import boundstate, cli, entanglement, greens
 from dqdsim.model import ModelConfig, ReservoirParams, SpectralKind, SystemParams
 
 import state_reference as ref
@@ -72,6 +72,8 @@ class TestParseErrors:
         "text,fragment",
         [
             ("[systems]\neps1 = 2.0\n", ":1: unknown section"),
+            # the output path is --out's alone
+            ("[output]\npath = table.tsv\n", ":1: unknown section [output]"),
             ("[system]\nepsx = 2.0\n", ":2: unknown key"),
             ("[system]\neps1 = 1.0\neps1 = 2.0\n", ":3: duplicate key"),
             ("[system]\neps1 2.0\n", "expected 'key = value'"),
@@ -107,6 +109,12 @@ class TestParseErrors:
         assert cli.main(["verify", "--config", cfg]) == 2
         err = capsys.readouterr().err
         assert "unknown key 'enabled' in [oracle] (known: modes, tol)" in err
+
+    def test_hash_starts_a_comment_inside_a_value(self, tmp_path):
+        cfg = write_cfg(tmp_path, BASE.replace("eps1 = 2.0", "eps1 = 2.0#note"))
+        exp = cli.load_experiment(cfg)
+        assert exp.model.system.eps1 == 2.0
+        assert ("system", "eps1", "2.0") in exp.raw_items
 
     @pytest.mark.parametrize("tol", ["nan", "0", "-1e-3"])
     def test_oracle_tol_must_be_positive(self, tmp_path, capsys, tol):
@@ -175,12 +183,16 @@ class TestParseErrors:
     def test_bad_solver_method(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, BASE + "[solver]\nmethod = magic\n")
         assert cli.main(["evolve", "--config", cfg]) == 2
-        assert "method must be one of" in capsys.readouterr().err
+        methods = ", ".join(cli.SOLVER_METHODS)
+        assert (f"config error: {cfg}:22: [solver] method: must be one of {methods};"
+                " got 'magic'") in capsys.readouterr().err
 
     def test_bad_initial_state(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, BASE + "[initial]\nstate = ghost\n")
         assert cli.main(["evolve", "--config", cfg]) == 2
-        assert "state must be one of" in capsys.readouterr().err
+        states = ", ".join(cli.INITIAL_STATES)
+        assert (f"config error: {cfg}:22: [initial] state: must be one of {states};"
+                " got 'ghost'") in capsys.readouterr().err
 
     def test_invalid_explicit_initial(self, tmp_path, capsys):
         cfg = write_cfg(
@@ -193,7 +205,8 @@ class TestParseErrors:
     def test_axis2_without_axis1(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, BASE + "[sweep]\naxis2 = g:0:1:3\n")
         assert cli.main(["sweep", "--config", cfg]) == 2
-        assert "axis2 given without axis1" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"config error: {cfg}:22: [sweep] axis2: given without axis1" in err
 
     def test_malformed_axis_spec(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, BASE + "[sweep]\naxis1 = g:0:1\n")
@@ -239,16 +252,12 @@ class TestParseErrors:
         assert not out
         assert f"run.cfg:{where}: parameter {name!r} is swept more than once" in err
 
-    @pytest.mark.parametrize("via", ["flag", "key"])
-    def test_unwritable_output_path_is_a_config_error(self, tmp_path, capsys, monkeypatch, via):
+    def test_unwritable_output_path_is_a_config_error(self, tmp_path, capsys, monkeypatch):
         # the path is opened before any work, so the solver is never reached
         monkeypatch.setattr(cli, "solve", _never_called)
         out = tmp_path / "missing" / "out.tsv"
-        text = BASE + "[grid]\nt_max = 1.0\nn_steps = 10\n"
-        argv = ["evolve", "--out", str(out)] if via == "flag" else ["evolve"]
-        if via == "key":
-            text += f"[output]\npath = {out}\n"
-        assert cli.main(argv + ["--config", write_cfg(tmp_path, text)]) == 2
+        cfg = write_cfg(tmp_path, BASE + "[grid]\nt_max = 1.0\nn_steps = 10\n")
+        assert cli.main(["evolve", "--out", str(out), "--config", cfg]) == 2
         assert f"config error: cannot write output file {out}" in capsys.readouterr().err
         assert not out.parent.exists()
 
@@ -334,17 +343,6 @@ class TestEvolve:
         assert "t\teof\ttr_v\tn1\tn2\tu_norm\tpurity" in lines
         data = [l for l in lines if l and not l.startswith(("#", "t\t"))]
         assert len(data) == 6
-
-    def test_output_section_path(self, tmp_path):
-        target = tmp_path / "via_section.tsv"
-        cfg = write_cfg(
-            tmp_path,
-            BASE.replace("kind = lorentzian", "kind = wideband")
-            + "[grid]\nt_max = 1.0\nn_steps = 5\n[solver]\nmethod = wbl\n"
-            + f"[output]\npath = {target}\n",
-        )
-        assert cli.main(["evolve", "--config", cfg]) == 0
-        assert target.exists()
 
     def test_deterministic_output(self, tmp_path):
         cfg = write_cfg(
@@ -529,6 +527,37 @@ class TestEverySolutionIsChecked:
         assert err.startswith("invariant violation: V(t) spectrum")
         assert "leaves [0, 1]" in err
 
+    # every K of a valid block is <= 0 and the EoF stays in [0, 1], so a
+    # constant K stands in: evolve's first step has trace 1, EoF = -K / 2
+    @pytest.mark.parametrize(
+        "command, k, start, end",
+        [
+            ("evolve", -2.5, "evolve step 0 (t = 0): entanglement 1.25", "exceeds 1"),
+            ("sweep", 0.5, "sweep point 0 (axis1 = 0.5): entanglement -", "is negative"),
+        ],
+        ids=["above_one", "negative"],
+    )
+    def test_eof_outside_unit_interval_exits_4(
+        self, tmp_path, capsys, monkeypatch, command, k, start, end
+    ):
+        monkeypatch.setattr(entanglement, "_lambda_k", lambda block: k)
+        cfg = write_cfg(tmp_path, TestSweep.SWEEP + "[grid]\nt_max = 1.0\nn_steps = 10\n")
+        assert cli.main([command, "--config", cfg]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith(f"invariant violation: {start}")
+        assert err.rstrip().endswith(end)
+
+    def test_steady_spectrum_outside_unit_interval_exits_4(self, tmp_path, capsys, monkeypatch):
+        # the pair integrals' sign flipped turns V^s into -V^s
+        pair_integrals = greens._pair_integrals
+        monkeypatch.setattr(greens, "_pair_integrals", lambda *args: -pair_integrals(*args))
+        cfg = write_cfg(tmp_path, TestSweep.SWEEP)
+        assert cli.main(["sweep", "--config", cfg]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("invariant violation: sweep point 0 (axis1 = 0.5):"
+                              " steady fluctuation spectrum [-")
+        assert "leaves [0, 1]" in err
+
 
 class TestSweep:
     SWEEP = (
@@ -551,12 +580,20 @@ class TestSweep:
         assert eof[0] < eof[-1]
         assert all(b > a for a, b in zip(eof, eof[1:]))
 
-    @pytest.mark.parametrize("method", ["pole", "wbl", "born_markov", "exact"])
-    def test_serial_matches_concurrent(self, tmp_path, method):
-        kind = "wideband" if method in ("wbl", "born_markov") else "lorentzian"
+    @pytest.mark.parametrize(
+        "method, kind",
+        [("pole", "lorentzian"), ("wbl", "wideband"), ("born_markov", "wideband"),
+         ("exact", "lorentzian"), ("exact", "cutoff_lorentzian")],
+        # the cutoff kind's exact grid gains the most from the pool
+        ids=["pole", "wbl", "born_markov", "exact", "exact-cutoff"],
+    )
+    def test_serial_matches_concurrent(self, tmp_path, method, kind):
         grid = "[grid]\nt_max = 1.0\nn_steps = 10\n" if method == "exact" else ""
         text = self.SWEEP.replace("method = pole", f"method = {method}")
-        cfg = write_cfg(tmp_path, text.replace("kind = lorentzian", f"kind = {kind}") + grid)
+        text = text.replace("kind = lorentzian", f"kind = {kind}")
+        if kind == "cutoff_lorentzian":
+            text = text.replace("k_t = 0.5", "k_t = 0.5\nomega_cut = 3.0")
+        cfg = write_cfg(tmp_path, text + grid)
         a, b = str(tmp_path / "s1.tsv"), str(tmp_path / "s2.tsv")
         assert cli.main(["sweep", "--config", cfg, "--out", a]) == 0
         assert (
@@ -809,6 +846,21 @@ class TestClassify:
         ]
         assert plateau and plateau[0] > 0.05
 
+    def test_root_of_negligible_residue_is_not_counted(self, tmp_path, monkeypatch):
+        # no valid config was seen to give a residue below RESIDUE_NORM_MIN:
+        # the upper root's residue is scaled under it
+        residue = boundstate._residue
+        monkeypatch.setattr(boundstate, "_residue", lambda config, root, k: (
+            residue(config, root, k) * (1e-7 if root > 2.0 else 1.0)))
+        out = tmp_path / "cls.txt"
+        cfg = write_cfg(tmp_path, CLASSIFY_TWO_ROOT)
+        assert cli.main(["classify", "--config", cfg, "--out", str(out)]) == 0
+        text = out.read_text()
+        assert "# effective_roots = 1" in text
+        assert "# relaxation_class = QuantumMemory" in text
+        rows = [line for line in text.splitlines() if line[0].isdigit()]
+        assert len(rows) == 1 and rows[0].startswith("0.92592")
+
     @pytest.mark.parametrize("n", [7, 2001])
     def test_plateau_window_starts_at_0_8_t_max(self, tmp_path, monkeypatch, n):
         # |U(t_i)| falls with i, so the window's largest norm is at its start
@@ -971,14 +1023,6 @@ class TestOutputFile:
             reader.join(timeout=30)
         assert not reader.is_alive()
         assert got == [plain.read_bytes()]
-
-    def test_hash_inside_a_value_is_kept(self, tmp_path):
-        # '#' opens a comment only at a line's start or after whitespace
-        out = tmp_path / "run#1.tsv"
-        cfg = write_cfg(tmp_path, TestSweep.SWEEP + f"[output]\npath = {out}  # a comment\n")
-        assert cli.main(["sweep", "--config", cfg]) == 0
-        assert out.exists()
-        assert not (tmp_path / "run").exists()
 
     def test_failed_verify_keeps_its_report(self, tmp_path):
         # the cross-check fails after the report is written
@@ -1202,7 +1246,6 @@ KEY_CHANGES = {
     ("sweep", "axis2"): {"axis2": "mu2:0:1:2"},
     ("oracle", "modes"): {"modes": "100"},
     ("oracle", "tol"): {"tol": "0.5"},
-    ("output", "path"): {"path": "table.tsv"},
 }
 
 

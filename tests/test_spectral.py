@@ -10,7 +10,14 @@ from hypothesis.extra import numpy as hnp
 from scipy import integrate, special
 
 from dqdsim import spectral
-from dqdsim.model import ConfigError, ModelConfig, ReservoirParams, SpectralKind, SystemParams
+from dqdsim.model import (
+    ConfigError,
+    ModelConfig,
+    ReservoirParams,
+    SolverError,
+    SpectralKind,
+    SystemParams,
+)
 from dqdsim.spectral import (
     _digamma,
     _fourier_sum,
@@ -522,6 +529,13 @@ class TestMatsubaraClosure:
         for t_max in (10.0, 100.0, 400.0):
             build_kernel_table(cfg, np.linspace(0.0, t_max, 801), noise=True)
         assert_flat_work(work, 3)
+
+
+class TestHalflinePhaseIntegral:
+    def test_pole_on_mu_is_refused(self):
+        lams = np.array([1.0 - 0.5j, 2.0 + 0.0j])
+        with pytest.raises(SolverError, match="half-line integral evaluated at its singular point"):
+            spectral._halfline_phase_integral(lams, 2.0, np.array([0.5, 1.0]))
 
 
 class TestScaledExp1:
